@@ -8,6 +8,7 @@ cycle enumeration. The two never share code paths.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -265,11 +266,14 @@ def tighten(g: PlaneGraph, cc: ConcentricCycles) -> ConcentricCycles:
 # -- the independent exhaustive tightness check -----------------------------------
 
 
-def _iter_cycles(g: PlaneGraph, budget: int):
-    """Every simple cycle of g exactly once (DFS with minimum-root canonicity)."""
+def _iter_cycles(adj: dict[int, list[int]], budget: int):
+    """Every simple cycle of the graph `adj` exactly once.
+
+    `adj` maps each vertex to its sorted neighbours. DFS with minimum-root
+    canonicity; `budget` bounds the DFS steps taken in `adj`.
+    """
     spent = [0]
-    adj = {v: sorted(g.rotation[v]) for v in g.vertices}
-    for root in sorted(g.vertices):
+    for root in sorted(adj):
         path = [root]
         on_path = {root}
 
@@ -293,11 +297,35 @@ def _iter_cycles(g: PlaneGraph, budget: int):
         yield from walk()
 
 
+def _disc_adjacency(disc: DiskRegion) -> dict[int, list[int]]:
+    """Sorted adjacency of the subgraph formed by a disc's vertices and edges."""
+    adj: dict[int, list[int]] = {v: [] for v in disc.vertices}
+    for u, v in disc.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbrs in adj.values():
+        nbrs.sort()
+    return adj
+
+
 def verify_tight(g: PlaneGraph, cc: ConcentricCycles, budget: int = 200_000) -> CheckResult:
-    """Exhaustively re-check surface minimality and the annulus condition."""
+    """Exhaustively re-check surface minimality and the annulus condition.
+
+    Every simple cycle of the outer closed disc's subgraph is examined;
+    `budget` counts DFS steps in that subgraph.
+    """
     problems: list[str] = []
     discs = cc.discs
-    for cyc in _iter_cycles(g, budget):
+    # Only cycles inside the outer closed disc discs[-1] can fail a check;
+    # make_concentric nests every disc inside the next, faces and vertices.
+    # - The slip check skips any cycle not inside discs[i+1], and discs[i+1]
+    #   lies inside discs[-1].
+    # - The minimality check fires only when region.faces <= discs[0].faces.
+    #   Each edge of a cycle borders at least one interior face of that
+    #   cycle, so that face lies in discs[0].faces <= discs[-1].faces. A
+    #   closed interior holds every edge bordering one of its faces, so the
+    #   edge and its ends lie in discs[-1].
+    for cyc in _iter_cycles(_disc_adjacency(discs[-1]), budget):
         region = closed_interior(g, cyc)
         if region.is_proper_subset_of(discs[0]):
             problems.append(
@@ -325,15 +353,14 @@ def verify_tight(g: PlaneGraph, cc: ConcentricCycles, budget: int = 200_000) -> 
 # -- extraction from a grid minor ---------------------------------------------------
 
 
+def ceil_sqrt(n: int) -> int:
+    r = math.isqrt(n)
+    return r if r * r == n else r + 1
+
+
 def lemma_side_requirement(depth: int, forbidden_count: int) -> int:
     """Minimum grid side for depth+1 concentric cycles avoiding the forbidden set."""
-    s = forbidden_count + 1
-    root = int(s ** 0.5)
-    while root * root < s:
-        root += 1
-    while (root - 1) * (root - 1) >= s:
-        root -= 1
-    return 2 * (depth + 1) * root
+    return 2 * (depth + 1) * ceil_sqrt(forbidden_count + 1)
 
 
 def _ring_positions(block_r0: int, block_c0: int, side: int, ring: int) -> list[tuple[int, int]]:

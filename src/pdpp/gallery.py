@@ -149,13 +149,6 @@ def nested_chord_showcase() -> CLConfiguration:
 # -- small tightness fixtures ----------------------------------------------------------
 
 
-def tight_ring_host(sectors: int = 6, rings: int = 3):
-    """Plain ring lattice: the ring cycles form a tight concentric family."""
-    g, vid = ring_lattice(rings, sectors)
-    cc = make_concentric(g, [ring_cycle(vid, r, sectors) for r in range(rings)])
-    return g, vid, cc
-
-
 def shortcut_annulus_host(sectors: int = 6):
     """Three rings plus a detour vertex hanging inside the outer annulus.
 

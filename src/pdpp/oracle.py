@@ -229,10 +229,6 @@ def cheapest_equivalent_linkage(
     return best
 
 
-def solution_linkage(sol: Solution) -> Linkage:
-    return Linkage(tuple(tuple(p) for p in sol.paths))
-
-
 def best_linkage_for_pattern(
     g: PlaneGraph,
     pairs: list[tuple[int, int]],

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 Edge = tuple[int, int]
@@ -281,14 +282,16 @@ class Cycle:
         if len(set(self.vertices)) != len(self.vertices):
             raise PlaneGraphError("cycle repeats a vertex")
 
-    @property
+    # Cached in the instance __dict__; equality and hash still read only
+    # `vertices`, the one dataclass field.
+    @cached_property
     def edges(self) -> frozenset[Edge]:
         vs = self.vertices
         return frozenset(
             norm_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))
         )
 
-    @property
+    @cached_property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
@@ -395,10 +398,6 @@ def closed_interior(g: PlaneGraph, c: Cycle) -> DiskRegion:
         edges=frozenset(edges),
         faces=inner,
     )
-
-
-def open_exterior_vertices(g: PlaneGraph, region: DiskRegion) -> frozenset[int]:
-    return frozenset(g.vertices) - region.vertices
 
 
 # -- grids -----------------------------------------------------------------

@@ -9,13 +9,13 @@ pairs accumulate in a done-set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .concentric import (
     ConcentricCycles,
     InsufficientGridError,
+    ceil_sqrt,
     concentric_from_grid,
     lemma_side_requirement,
 )
@@ -46,11 +46,6 @@ class DpBudgetExceeded(RuntimeError):
 
 
 # -- the paper's arithmetic -------------------------------------------------------
-
-
-def ceil_sqrt(n: int) -> int:
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
 
 
 def grid_requirement(k: int) -> int:
@@ -102,12 +97,13 @@ class ReductionCertificate:
     cycles: ConcentricCycles
     k: int
     mode: str  # "certified" | "heuristic"
-    oracle_checked: Optional[bool]  # None when the host is beyond oracle reach
+    oracle_checked: Optional[bool]  # None when no oracle cross-check finished
 
     def log_line(self) -> str:
         return (
             f"irrelevant {self.removed_vertex} grid {self.grid_side} "
-            f"cycles {len(self.cycles.cycles)} mode {self.mode}"
+            f"cycles {len(self.cycles.cycles)} mode {self.mode} "
+            + ("oracle yes" if self.oracle_checked else "oracle unchecked")
         )
 
 
@@ -160,8 +156,6 @@ def find_irrelevant_vertex(
             checked = _oracle_confirms_irrelevant(inst, victim, oracle_budget)
             if checked is False:
                 return None
-            if checked is None:
-                checked = None  # budget ran out: flagged unverified
     return ReductionCertificate(victim, side, cc, k, mode, checked)
 
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from pdpp.concentric import lemma_side_requirement
 from pdpp.instances import DppInstance, gen_grid_instance, gen_random_planar, parse_instance
 from pdpp.oracle import Status, solve_bruteforce, verify_solution
 from pdpp.plane import GridMinorModel, grid_vertex, make_grid, outer_cycle
@@ -60,6 +61,15 @@ class TestArithmetic:
             assert threshold_dominates_requirement(k) == exact
             assert exact == (k in (2, 3, 4, 12))
 
+    def test_lemma_side_requirement_at_perfect_squares(self):
+        # |forbidden| + 1 a perfect square: the ceiling of its root is exact,
+        # and one more forbidden vertex rounds the root up
+        for forbidden, root in ((3, 2), (8, 3), (15, 4)):
+            assert lemma_side_requirement(0, forbidden) == 2 * root
+            assert lemma_side_requirement(2, forbidden) == 6 * root
+            assert lemma_side_requirement(0, forbidden - 1) == 2 * root
+            assert lemma_side_requirement(0, forbidden + 1) == 2 * (root + 1)
+
     def test_k2_numbers_line_up(self):
         # 4.5 * q(2) + 1 = 136 <= 294.16...
         assert 4.5 * grid_requirement(2) + 1 <= treewidth_threshold(2)
@@ -110,6 +120,20 @@ class TestIrrelevantVertex:
         assert cert is not None
         assert cert.oracle_checked is True
         assert cert.removed_vertex not in inst.terminals()
+        assert cert.log_line() == (
+            f"irrelevant {cert.removed_vertex} grid 6 cycles 1 mode heuristic oracle yes"
+        )
+
+    def test_log_line_oracle_unchecked(self):
+        # a one-step oracle budget runs out, so the deletion stays unverified
+        inst = gen_grid_instance(6, 2, 2)
+        cert = find_irrelevant_vertex(
+            inst, identity_model(6), mode="heuristic", oracle_budget=1
+        )
+        assert cert.oracle_checked is None
+        assert cert.log_line() == (
+            f"irrelevant {cert.removed_vertex} grid 6 cycles 1 mode heuristic oracle unchecked"
+        )
 
     def test_heuristic_k1_on_5x5(self):
         inst = gen_grid_instance(5, 1, 3)
