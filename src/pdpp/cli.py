@@ -24,7 +24,6 @@ from .clconfig import (
     segments,
 )
 from .concentric import make_concentric
-from .decomposition import best_heuristic_bd, td_from_bd
 from .instances import (
     DppInstance,
     ParseError,
@@ -102,9 +101,14 @@ def _solve_one(path: str, args) -> tuple[str, int, dict]:
         certificates = [c.log_line() for c in res.certificates]
         out = res.outcome
         if args.emit_decomposition:
-            td = td_from_bd(inst.graph, best_heuristic_bd(inst.graph))
-            with open(args.emit_decomposition, "w", encoding="utf-8") as fh:
-                fh.write(td.serialize())
+            if res.decomposition is None:
+                print(
+                    "# no decomposition written: the pipeline ran no DP",
+                    file=sys.stderr,
+                )
+            else:
+                with open(args.emit_decomposition, "w", encoding="utf-8") as fh:
+                    fh.write(res.decomposition.serialize())
     if out.status is Status.YES:
         text = write_solution(out.solution)
         code = EXIT_YES

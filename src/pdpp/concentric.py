@@ -54,18 +54,24 @@ def make_concentric(g: PlaneGraph, cycles: Iterable[Cycle]) -> ConcentricCycles:
     cyc = tuple(cycles)
     if not cyc:
         raise PlaneGraphError("need at least one cycle")
-    discs = tuple(closed_interior(g, c) for c in cyc)
-    for i in range(len(cyc) - 1):
+    return _checked_concentric(cyc, tuple(closed_interior(g, c) for c in cyc))
+
+
+def _checked_concentric(
+    cycles: tuple[Cycle, ...], discs: tuple[DiskRegion, ...]
+) -> ConcentricCycles:
+    """The family of `cycles` with their closed discs, once checked concentric."""
+    for i in range(len(cycles) - 1):
         inner, outer = discs[i], discs[i + 1]
-        if cyc[i].vertex_set & cyc[i + 1].vertex_set:
+        if cycles[i].vertex_set & cycles[i + 1].vertex_set:
             raise PlaneGraphError(
                 f"cycle {i} touches cycle {i + 1}; not concentric"
             )
-        if not inner.vertices <= (outer.vertices - cyc[i + 1].vertex_set):
+        if not inner.vertices <= (outer.vertices - cycles[i + 1].vertex_set):
             raise PlaneGraphError(f"cycle {i} is not inside the open interior of disc {i + 1}")
         if not inner.faces < outer.faces:
             raise PlaneGraphError(f"disc {i} is not properly nested in disc {i + 1}")
-    return ConcentricCycles(cyc, discs)
+    return ConcentricCycles(cycles, discs)
 
 
 # -- unit-capacity max-flow on the contracted dual -------------------------------
@@ -260,7 +266,8 @@ def tighten(g: PlaneGraph, cc: ConcentricCycles) -> ConcentricCycles:
                 cycles[i + 1] = slip
                 changed = True
                 break
-    return make_concentric(g, cycles)
+    # the last pass changed nothing, so `discs` are the final cycles' discs
+    return _checked_concentric(tuple(cycles), tuple(discs))
 
 
 # -- the independent exhaustive tightness check -----------------------------------

@@ -280,45 +280,6 @@ def dp_solve(
                     f"DP exceeded {state_budget} states at node {idx}"
                 )
 
-    def finish_fragment(codes: dict[int, tuple], done: set[int], end_a, end_b) -> bool:
-        """Join fragment ends after a merge; False when the state is dead.
-
-        Ends are ("bag", v) or ("hid", x). Updates codes in place.
-        """
-        ka, va = end_a
-        kb, vb = end_b
-        ta = terminal_pair.get(va)
-        tb = terminal_pair.get(vb)
-        if ka == "hid" and kb == "hid":
-            if ta is not None and ta == tb and partner[va] == vb:
-                done.add(ta)
-                return True
-            return False
-        if ka == "hid":
-            ka, va, kb, vb = kb, vb, ka, va
-            ta, tb = tb, ta
-        # now ka == "bag"
-        if kb == "hid":
-            if ta is not None:
-                if ta == tb and partner[va] == vb:
-                    done.add(ta)
-                    codes[va] = _C
-                    return True
-                return False
-            codes[va] = ("h", vb)
-            return True
-        # both ends in the bag
-        if ta is not None and tb is not None:
-            if ta == tb and partner[va] == vb:
-                done.add(ta)
-                codes[va] = _C
-                codes[vb] = _C
-                return True
-            return False
-        codes[va] = ("p", vb)
-        codes[vb] = ("p", va)
-        return True
-
     for idx, node in enumerate(nodes):
         bag = node.bag
         if node.kind == "leaf":
@@ -326,19 +287,20 @@ def dp_solve(
             continue
         if node.kind == "intro":
             (child,) = node.children
-            v = node.vertex
-            for (cstate, done) in tables[child]:
-                codes = dict(zip(nodes[child].bag, cstate))
-                codes[v] = _U
-                state = (tuple(codes[w] for w in bag), done)
-                put(idx, state, ("intro", (cstate, done)))
+            p = bag.index(node.vertex)
+            for key in tables[child]:
+                cstate, done = key
+                put(idx, (cstate[:p] + (_U,) + cstate[p:], done), ("intro", key))
             continue
+        pos = {v: i for i, v in enumerate(bag)}
         if node.kind == "forget":
             (child,) = node.children
             v = node.vertex
-            for (cstate, done) in tables[child]:
-                codes = dict(zip(nodes[child].bag, cstate))
-                code = codes.pop(v)
+            p = nodes[child].bag.index(v)
+            for key in tables[child]:
+                cstate, done = key
+                code = cstate[p]
+                state = cstate[:p] + cstate[p + 1 :]
                 if code == _U:
                     if v in terminal_pair:
                         continue
@@ -347,20 +309,21 @@ def dp_solve(
                 elif code[0] == "p":
                     if v not in terminal_pair:
                         continue
-                    w = code[1]
-                    codes[w] = ("h", v)
+                    out = list(state)
+                    out[pos[code[1]]] = ("h", v)
+                    state = tuple(out)
                 else:  # ("h", x): two hidden ends can never meet again
                     continue
-                state = (tuple(codes[w] for w in bag), done)
-                put(idx, state, ("forget", (cstate, done)))
+                put(idx, (state, done), ("forget", key))
             continue
         if node.kind == "edge":
             (child,) = node.children
             u, v = node.edge
-            for (cstate, done) in tables[child]:
-                put(idx, (cstate, done), ("skip", (cstate, done)))
-                codes = dict(zip(bag, cstate))
-                cu, cv = codes[u], codes[v]
+            iu, iv = pos[u], pos[v]
+            for key in tables[child]:
+                put(idx, key, ("skip", key))
+                cstate, done = key
+                cu, cv = cstate[iu], cstate[iv]
                 if cu == _C or cv == _C:
                     continue
                 if u in terminal_pair and cu != _U:
@@ -368,10 +331,12 @@ def dp_solve(
                 if v in terminal_pair and cv != _U:
                     continue
                 new_done = set(done)
-                codes = dict(codes)
-                ok = True
+                out = list(cstate)
+                codes = _ByVertex(out, pos)
                 if cu == _U and cv == _U:
-                    ok = finish_fragment(codes, new_done, ("bag", u), ("bag", v))
+                    ok = _settle_ends(
+                        codes, new_done, ("bag", u), ("bag", v), terminal_pair, partner
+                    )
                 elif cu == _U or cv == _U:
                     if cu == _U:
                         fresh, live, clive = u, v, cv
@@ -381,47 +346,50 @@ def dp_solve(
                     codes[live] = _C
                     if clive[0] == "p":
                         w = clive[1]
-                        if w == fresh:
-                            ok = False  # would close a cycle through the edge
-                        else:
-                            ok = finish_fragment(
-                                codes, new_done, ("bag", fresh), ("bag", w)
-                            )
-                    else:
-                        ok = finish_fragment(
-                            codes, new_done, ("bag", fresh), ("hid", clive[1])
+                        # w == fresh would close a cycle through the edge
+                        ok = w != fresh and _settle_ends(
+                            codes, new_done, ("bag", fresh), ("bag", w),
+                            terminal_pair, partner,
                         )
-                else:
-                    # both live: merging two fragments (or closing a cycle)
-                    if cu[0] == "p" and cu[1] == v:
-                        ok = False
                     else:
-                        end_u = ("bag", cu[1]) if cu[0] == "p" else ("hid", cu[1])
-                        end_v = ("bag", cv[1]) if cv[0] == "p" else ("hid", cv[1])
-                        codes[u] = _C
-                        codes[v] = _C
-                        ok = finish_fragment(codes, new_done, end_u, end_v)
+                        ok = _settle_ends(
+                            codes, new_done, ("bag", fresh), ("hid", clive[1]),
+                            terminal_pair, partner,
+                        )
+                elif cu[0] == "p" and cu[1] == v:
+                    ok = False  # both live ends of one fragment: a cycle
+                else:
+                    # both live: merging two fragments
+                    end_u = ("bag", cu[1]) if cu[0] == "p" else ("hid", cu[1])
+                    end_v = ("bag", cv[1]) if cv[0] == "p" else ("hid", cv[1])
+                    codes[u] = _C
+                    codes[v] = _C
+                    ok = _settle_ends(codes, new_done, end_u, end_v, terminal_pair, partner)
                 if not ok:
                     continue
-                state = (tuple(codes[w] for w in bag), frozenset(new_done))
-                put(idx, state, ("take", (cstate, done)))
+                put(idx, (tuple(out), frozenset(new_done)), ("take", key))
             continue
         if node.kind == "join":
             left, right = node.children
-            for (lstate, ldone) in tables[left]:
-                for (rstate, rdone) in tables[right]:
+            join = _join_pair  # read here, not at import, so tests can wrap it
+            lefts = [_prepare_join(key, pos) for key in tables[left]]
+            # the filter fields up front, so the inner loop unpacks them
+            rights = [
+                (prep[0], prep[1], prep[2], prep[3], prep)
+                for prep in (_prepare_join(key, pos) for key in tables[right])
+            ]
+            for lp in lefts:
+                lkey, lclosed, ltouched, ldone = lp[0], lp[1], lp[2], lp[3]
+                for rkey, rclosed, rtouched, rdone, rp in rights:
+                    # closed on one side must be untouched on the other
+                    if (lclosed & rtouched) | (rclosed & ltouched):
+                        continue
                     if ldone & rdone:
                         continue
-                    merged = _merge_join(
-                        bag, lstate, rstate, ldone | rdone, terminal_pair, partner
-                    )
+                    merged = join(lp, rp, bag, pos, terminal_pair, partner)
                     if merged is None:
                         continue
-                    put(
-                        idx,
-                        merged,
-                        ("join", (lstate, ldone), (rstate, rdone)),
-                    )
+                    put(idx, merged, ("join", lkey, rkey))
             continue
         raise AssertionError(node.kind)
 
@@ -436,77 +404,122 @@ def dp_solve(
     return SolveOutcome(Status.YES, sol)
 
 
-def _merge_join(bag, lstate, rstate, done, terminal_pair, partner):
-    """Combine two child states over the same bag, or None when incompatible."""
-    lcodes = dict(zip(bag, lstate))
-    rcodes = dict(zip(bag, rstate))
-    for v in bag:
-        lc, rc = lcodes[v], rcodes[v]
-        if (lc == _C and rc != _U) or (rc == _C and lc != _U):
-            return None
-    # fragments from both sides as edges between end tokens
-    fragments: list[tuple[tuple, tuple]] = []
-    for codes in (lcodes, rcodes):
-        handled: set[int] = set()
-        for v in bag:
-            c = codes[v]
-            if c == _U or c == _C:
-                continue
-            if c[0] == "p":
-                if v in handled:
-                    continue
-                handled.add(c[1])
-                fragments.append((("bag", v), ("bag", c[1])))
-            else:
-                fragments.append((("bag", v), ("hid", c[1])))
-    adj: dict[tuple, list[int]] = {}
-    for i, (a, b) in enumerate(fragments):
-        adj.setdefault(a, []).append(i)
-        adj.setdefault(b, []).append(i)
-    for tok, inc in adj.items():
-        if tok[0] == "hid" and len(inc) > 1:
-            return None
-        if len(inc) > 2:
-            return None
-    codes = {
-        v: (_C if (lcodes[v] == _C or rcodes[v] == _C) else _U) for v in bag
-    }
-    # every fragment-involved bag vertex is provisionally closed; the
-    # extreme ends of each merged component are re-opened below
-    for a, b in fragments:
-        for tok in (a, b):
-            if tok[0] == "bag":
-                codes[tok[1]] = _C
-    new_done = set(done)
-    used = [False] * len(fragments)
-    for i in range(len(fragments)):
-        if used[i]:
+class _ByVertex:
+    """Lets `_settle_ends` write codes by vertex into a bag-position list."""
+
+    __slots__ = ("codes", "pos")
+
+    def __init__(self, codes: list, pos: dict[int, int]):
+        self.codes = codes
+        self.pos = pos
+
+    def __setitem__(self, v: int, code: tuple) -> None:
+        self.codes[self.pos[v]] = code
+
+
+def _prepare_join(key, pos):
+    """A child state of a join node, prepared once for all of its pairs.
+
+    Returns (key, closed, touched, done, live, touched_at, link): bitmasks
+    over bag positions (closed, touched, live) and over pair indices
+    (done), the touched positions in bag order, and per live position where
+    its fragment leads: the partner's bag position, or ~x for the hidden
+    terminal x.
+    """
+    state, done = key
+    closed = touched = 0
+    touched_at = []
+    link = [0] * len(state)
+    for i, code in enumerate(state):
+        tag = code[0]
+        if tag == "u":
             continue
-        used[i] = True
-        ends = []
-        for tok0 in fragments[i]:
-            tok, frag = tok0, i
+        touched |= 1 << i
+        touched_at.append(i)
+        if tag == "c":
+            closed |= 1 << i
+        elif tag == "p":
+            link[i] = pos[code[1]]
+        else:
+            link[i] = ~code[1]
+    done_mask = 0
+    for p in done:
+        done_mask |= 1 << p
+    return (key, closed, touched, done_mask, touched & ~closed, tuple(touched_at), link)
+
+
+def _join_pair(lp, rp, bag, pos, terminal_pair, partner):
+    """Merge two prepared child states over `bag`, or None when incompatible.
+
+    The caller has already rejected pairs that share a done pair or where a
+    vertex closed on one side is touched on the other. A vertex live on
+    both sides becomes interior to a merged fragment. Each merged fragment
+    is walked once, from a bag end live on one side only or from a hidden
+    end, switching sides at every vertex live on both, and its two ends are
+    settled. A fragment meeting no such vertex keeps its codes: every
+    fragment in a table was settled when it was made. A vertex live on
+    both sides that no walk reaches lies on a cycle, so the pair is
+    rejected.
+    """
+    lkey, rkey = lp[0], rp[0]
+    out = list(lkey[0])
+    rstate = rkey[0]
+    for i in rp[5]:
+        out[i] = rstate[i]
+    done = lkey[1] | rkey[1]
+    both = lp[4] & rp[4]
+    if not both:
+        return (tuple(out), done)
+    lives = (lp[4], rp[4])
+    links = (lp[6], rp[6])
+    # walks as (position, start end, first vertex live on both, side to read)
+    from_bag = []
+    from_hidden = []
+    for s, prep in ((0, lp), (1, rp)):
+        live, link = lives[s], links[s]
+        for i in prep[5]:
+            if not live >> i & 1:
+                continue
+            j = link[i]
+            if both >> i & 1:
+                out[i] = _C
+                if j < 0:
+                    from_hidden.append((i, ("hid", ~j), i, 1 - s))
+            elif j >= 0 and both >> j & 1:
+                from_bag.append((i, ("bag", bag[i]), j, 1 - s))
+    codes = _ByVertex(out, pos)
+    added: set[int] = set()
+    seen = 0
+    for walks in (from_bag, from_hidden):
+        for i, start, j, t in walks:
+            if seen >> i & 1:
+                continue  # the far end of an earlier walk
+            seen |= 1 << i
             while True:
-                others = [j for j in adj[tok] if j != frag]
-                if tok[0] == "hid" or not others:
+                seen |= 1 << j
+                k = links[t][j]
+                if k < 0:
+                    end = ("hid", ~k)
                     break
-                j = others[0]
-                if used[j]:
-                    return None  # the component closes a cycle
-                used[j] = True
-                fa, fb = fragments[j]
-                tok = fb if fa == tok else fa
-                frag = j
-            ends.append(tok)
-        end_a, end_b = ends
-        if end_a == end_b:
-            return None
-        if not _settle_ends(codes, new_done, end_a, end_b, terminal_pair, partner):
-            return None
-    return (tuple(codes[v] for v in bag), frozenset(new_done))
+                t = 1 - t
+                if not lives[t] >> k & 1:
+                    seen |= 1 << k
+                    end = ("bag", bag[k])
+                    break
+                j = k
+            if not _settle_ends(codes, added, start, end, terminal_pair, partner):
+                return None
+    if both & ~seen:
+        return None  # a vertex live on both sides lies on a cycle
+    return (tuple(out), done | added if added else done)
 
 
 def _settle_ends(codes, done, end_a, end_b, terminal_pair, partner):
+    """Settle the two ends of one fragment; False when the state is dead.
+
+    Ends are ("bag", v) or ("hid", x). A finished terminal pair is added to
+    `done`; the bag ends' new codes are written into `codes` by vertex.
+    """
     ka, va = end_a
     kb, vb = end_b
     ta = terminal_pair.get(va)
@@ -593,6 +606,9 @@ class PipelineResult:
     certificates: tuple[ReductionCertificate, ...]
     removed_original_ids: tuple[int, ...]
     iterations: int
+    # the tree decomposition the final DP ran on, in original vertex ids;
+    # None when no DP ran. After a reduction it covers the reduced graph.
+    decomposition: Optional[TreeDecomposition] = None
 
     @property
     def status(self) -> Status:
@@ -651,6 +667,11 @@ def solve_pipeline(
         alt = tree_decompose(cur.graph)
         if alt.width < td.width:
             td = alt
+        used = TreeDecomposition(
+            td.parent,
+            tuple(frozenset(to_original[v] for v in bag) for bag in td.bags),
+            td.width,
+        )
         try:
             outcome = dp_solve(cur, td, state_budget=dp_state_budget)
         except DpBudgetExceeded as exc:
@@ -662,6 +683,7 @@ def solve_pipeline(
                 tuple(certificates),
                 tuple(removed),
                 iterations,
+                used,
             )
         if outcome.status is Status.YES:
             paths = tuple(
@@ -675,7 +697,7 @@ def solve_pipeline(
                 )
             outcome = SolveOutcome(Status.YES, sol)
         return PipelineResult(
-            outcome, tuple(certificates), tuple(removed), iterations
+            outcome, tuple(certificates), tuple(removed), iterations, used
         )
     return PipelineResult(
         SolveOutcome(Status.UNKNOWN, reason="iteration limit"),

@@ -61,11 +61,39 @@ class TestSolve:
     def test_usage_error_exit_64(self, capsys):
         assert main(["solve", "--engine", "wat", "x"]) == 64
 
-    def test_emit_decomposition(self, k2_file, tmp_path, capsys):
+    def test_emit_decomposition(self, k2_file, cross_file, tmp_path, capsys):
+        from pdpp.decomposition import TreeDecomposition, verify_tree_decomposition
+        from pdpp.instances import parse_instance
+        from pdpp.solver import solve_pipeline
+
         out = tmp_path / "dec.txt"
-        assert main(["solve", k2_file, "--emit-decomposition", str(out)]) == 0
+        assert main(["solve", cross_file, "--emit-decomposition", str(out)]) == 1
         text = out.read_text()
         assert "node 0 bag" in text
+        # the emitted decomposition is the one the DP ran on: same width,
+        # and (no reduction here) a valid decomposition of the input graph
+        bags, parent = {}, {}
+        for line in text.splitlines():
+            words = line.split()
+            if words[0] == "node":
+                bags[int(words[1])] = frozenset(map(int, words[3:]))
+            else:
+                parent[int(words[2])] = int(words[1])
+        width = max(len(b) for b in bags.values()) - 1
+        inst = parse_instance(open(cross_file).read())
+        used = solve_pipeline(inst).decomposition
+        assert width == used.width
+        td = TreeDecomposition(
+            tuple(parent.get(i, -1) for i in range(len(bags))),
+            tuple(bags[i] for i in range(len(bags))),
+            width,
+        )
+        assert verify_tree_decomposition(inst.graph, td)
+        # k = 1 is solved by a shortest path, so no decomposition exists
+        solo = tmp_path / "solo.txt"
+        assert main(["solve", k2_file, "--emit-decomposition", str(solo)]) == 0
+        assert not solo.exists()
+        assert "no decomposition written" in capsys.readouterr().err
 
     def test_multiple_files_jobs(self, k2_file, cross_file, capsys):
         code = main(["solve", k2_file, cross_file, "--jobs", "2", "--json"])

@@ -1,12 +1,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pdpp import solver
 from pdpp.concentric import lemma_side_requirement
+from pdpp.decomposition import best_heuristic_bd, td_from_bd
 from pdpp.instances import DppInstance, gen_grid_instance, gen_random_planar, parse_instance
 from pdpp.oracle import Status, solve_bruteforce, verify_solution
 from pdpp.plane import GridMinorModel, grid_vertex, make_grid, outer_cycle
 from pdpp.solver import (
+    DpBudgetExceeded,
     ReductionCertificate,
     dp_solve,
     find_irrelevant_vertex,
@@ -107,6 +111,156 @@ class TestDp:
         for seed in range(10):
             inst = gen_grid_instance(4, 2, seed)
             assert dp_solve(inst).status == solve_bruteforce(inst).status
+
+
+U = ("u",)
+C = ("c",)
+
+
+def reference_merge_join(bag, lstate, rstate, done, terminal_pair, partner):
+    """The join before per-state preparation: one pair at a time, through
+    vertex dicts and a token adjacency. Kept as the reference for `_join_pair`."""
+    lcodes = dict(zip(bag, lstate))
+    rcodes = dict(zip(bag, rstate))
+    for v in bag:
+        lc, rc = lcodes[v], rcodes[v]
+        if (lc == C and rc != U) or (rc == C and lc != U):
+            return None
+    # fragments from both sides as edges between end tokens
+    fragments: list[tuple[tuple, tuple]] = []
+    for codes in (lcodes, rcodes):
+        handled: set[int] = set()
+        for v in bag:
+            c = codes[v]
+            if c == U or c == C:
+                continue
+            if c[0] == "p":
+                if v in handled:
+                    continue
+                handled.add(c[1])
+                fragments.append((("bag", v), ("bag", c[1])))
+            else:
+                fragments.append((("bag", v), ("hid", c[1])))
+    adj: dict[tuple, list[int]] = {}
+    for i, (a, b) in enumerate(fragments):
+        adj.setdefault(a, []).append(i)
+        adj.setdefault(b, []).append(i)
+    for tok, inc in adj.items():
+        if tok[0] == "hid" and len(inc) > 1:
+            return None
+        if len(inc) > 2:
+            return None
+    codes = {
+        v: (C if (lcodes[v] == C or rcodes[v] == C) else U) for v in bag
+    }
+    # every fragment-involved bag vertex is provisionally closed; the
+    # extreme ends of each merged component are re-opened below
+    for a, b in fragments:
+        for tok in (a, b):
+            if tok[0] == "bag":
+                codes[tok[1]] = C
+    new_done = set(done)
+    used = [False] * len(fragments)
+    for i in range(len(fragments)):
+        if used[i]:
+            continue
+        used[i] = True
+        ends = []
+        for tok0 in fragments[i]:
+            tok, frag = tok0, i
+            while True:
+                others = [j for j in adj[tok] if j != frag]
+                if tok[0] == "hid" or not others:
+                    break
+                j = others[0]
+                if used[j]:
+                    return None  # the component closes a cycle
+                used[j] = True
+                fa, fb = fragments[j]
+                tok = fb if fa == tok else fa
+                frag = j
+            ends.append(tok)
+        end_a, end_b = ends
+        if end_a == end_b:
+            return None
+        if not solver._settle_ends(codes, new_done, end_a, end_b, terminal_pair, partner):
+            return None
+    return (tuple(codes[v] for v in bag), frozenset(new_done))
+
+
+def heavy_td(inst):
+    """The branch-decomposition-derived decomposition: wide bags, many joins."""
+    return td_from_bd(inst.graph, best_heuristic_bd(inst.graph))
+
+
+class TestJoin:
+    def test_join_matches_reference(self, monkeypatch):
+        real = solver._join_pair
+        seen = {"merged": 0, "rejected": 0, "interior": 0}
+
+        def checked(lp, rp, bag, pos, terminal_pair, partner):
+            got = real(lp, rp, bag, pos, terminal_pair, partner)
+            (lstate, ldone), (rstate, rdone) = lp[0], rp[0]
+            assert not ldone & rdone
+            want = reference_merge_join(
+                bag, lstate, rstate, ldone | rdone, terminal_pair, partner
+            )
+            assert got == want, (bag, lstate, rstate)
+            seen["merged" if want else "rejected"] += 1
+            if any(a[0] in "ph" and b[0] in "ph" for a, b in zip(lstate, rstate)):
+                seen["interior"] += 1
+            return got
+
+        monkeypatch.setattr(solver, "_join_pair", checked)
+        for side in (4, 5):
+            for k in (2, 3):
+                for seed in range(3):
+                    inst = gen_grid_instance(side, k, seed)
+                    for td in (None, heavy_td(inst)):
+                        assert dp_solve(inst, td).status == boundary_answer(inst)
+        for n in (12, 20):
+            for k in (2, 3):
+                for seed in range(4):
+                    inst = gen_random_planar(n, 2 * n, k, seed)
+                    for td in (None, heavy_td(inst)):
+                        dp_solve(inst, td)
+        # merges through vertices live on both sides, and rejections, occur
+        assert seen["merged"] > 1000 and seen["rejected"] > 100 and seen["interior"] > 1000
+
+    @pytest.mark.parametrize(
+        "gen, args, heavy, states",
+        [
+            ("grid", (4, 2, 3), False, 540),
+            ("grid", (5, 2, 1), True, 14819),
+            ("grid", (5, 3, 4), True, 7332),
+            ("random", (20, 34, 3, 2), False, 363),
+            ("random", (25, 45, 2, 3), True, 985),
+        ],
+    )
+    def test_total_states_pinned(self, gen, args, heavy, states):
+        # state counts measured before the join was rewritten; any change
+        # to the state set moves the budget at which the DP gives up
+        inst = (gen_grid_instance if gen == "grid" else gen_random_planar)(*args)
+        td = heavy_td(inst) if heavy else None
+        dp_solve(inst, td, state_budget=states)
+        with pytest.raises(DpBudgetExceeded):
+            dp_solve(inst, td, state_budget=states - 1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(8, 12),
+    density=st.floats(1.3, 2.0),
+    k=st.integers(2, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_dp_agrees_with_oracle(n, density, k, seed):
+    inst = gen_random_planar(n, math.ceil(density * n), k, seed)
+    dp = dp_solve(inst)
+    oracle = solve_bruteforce(inst)
+    assert dp.status == oracle.status
+    if dp.status is Status.YES:
+        assert verify_solution(inst, dp.solution)
 
 
 class TestIrrelevantVertex:
