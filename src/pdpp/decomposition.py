@@ -60,6 +60,15 @@ class TreeDecomposition:
         return "\n".join(lines) + "\n"
 
 
+def _bags_by_vertex(td: TreeDecomposition) -> dict[int, list[int]]:
+    """Vertex -> indices of the bags holding it, in increasing order."""
+    holding: dict[int, list[int]] = {}
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            holding.setdefault(v, []).append(i)
+    return holding
+
+
 def verify_tree_decomposition(g: PlaneGraph, td: TreeDecomposition) -> CheckResult:
     problems: list[str] = []
     nodes = len(td.bags)
@@ -68,23 +77,21 @@ def verify_tree_decomposition(g: PlaneGraph, td: TreeDecomposition) -> CheckResu
     roots = [i for i, p in enumerate(td.parent) if p < 0]
     if len(roots) != 1:
         problems.append(f"expected one root, found {len(roots)}")
-    covered: set[int] = set()
-    for bag in td.bags:
-        covered |= bag
-    missing = set(g.vertices) - covered
+    holding = _bags_by_vertex(td)
+    missing = set(g.vertices) - holding.keys()
     if missing:
         problems.append(f"vertices {sorted(missing)[:5]} in no bag")
     for u, v in sorted(g.edges):
-        if not any(u in bag and v in bag for bag in td.bags):
+        if not any(v in td.bags[i] for i in holding.get(u, ())):
             problems.append(f"edge ({u},{v}) in no bag")
+    kids = td.children()
     for v in g.vertices:
-        holding = [i for i, bag in enumerate(td.bags) if v in bag]
-        if not holding:
+        if v not in holding:
             continue
-        holding_set = set(holding)
-        seen = {holding[0]}
-        queue = deque([holding[0]])
-        kids = td.children()
+        holding_set = set(holding[v])
+        first = holding[v][0]
+        seen = {first}
+        queue = deque([first])
         while queue:
             x = queue.popleft()
             for y in kids[x] + ([td.parent[x]] if td.parent[x] >= 0 else []):
@@ -135,23 +142,44 @@ class BranchDecomposition:
         return "\n".join(lines) + "\n"
 
 
-def order_function(bd: BranchDecomposition, tree_edge: tuple[int, int]) -> frozenset[int]:
-    """Vertices with host edges on both sides of the given tree edge."""
-    a, b = tree_edge
+def order_sets(bd: BranchDecomposition) -> dict[tuple[int, int], frozenset[int]]:
+    """Order set of every tree edge: the host vertices with edges on both sides.
+
+    One pass. The tree is rooted once and walked children first; each node
+    keeps counts only for the host vertices still open below it, those with
+    some but not all of their tau-edges in its subtree. That open set is the
+    order set of the edge to the node's parent, so the pass costs
+    O(nodes x width). Keys are the pairs of `bd.tree_edges` as stored.
+    """
+    if not bd.tree_edges:
+        return {}
+    degree: dict[int, int] = {}
+    for e in bd.tau.values():
+        for v in e:
+            degree[v] = degree.get(v, 0) + 1
     adj = bd.adjacency()
-    side: set[int] = set()
-    stack = [a]
-    seen = {a, b}
-    while stack:
-        x = stack.pop()
-        side.add(x)
+    root = bd.tree_edges[0][0]
+    parent = {root: root}
+    order = [root]
+    for x in order:  # breadth first, so every child comes after its parent
         for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    left = {v for leaf, e in bd.tau.items() if leaf in side for v in e}
-    right = {v for leaf, e in bd.tau.items() if leaf not in side for v in e}
-    return frozenset(left & right)
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    open_below: dict[int, dict[int, int]] = {}
+    for x in reversed(order):
+        counts: dict[int, int] = {}
+        for v in bd.tau.get(x, ()):
+            counts[v] = counts.get(v, 0) + 1
+        for y in adj[x]:
+            if y != parent[x]:
+                for v, c in open_below[y].items():
+                    counts[v] = counts.get(v, 0) + c
+        open_below[x] = {v: c for v, c in counts.items() if c < degree[v]}
+    return {
+        (a, b): frozenset(open_below[b if parent[b] == a else a])
+        for a, b in bd.tree_edges
+    }
 
 
 def verify_branch_decomposition(g: PlaneGraph, bd: BranchDecomposition) -> CheckResult:
@@ -192,9 +220,7 @@ def verify_branch_decomposition(g: PlaneGraph, bd: BranchDecomposition) -> Check
                 problems.append("tree is disconnected")
     if problems:
         return CheckResult(False, tuple(problems))
-    real_width = 0
-    for e in bd.tree_edges:
-        real_width = max(real_width, len(order_function(bd, e)))
+    real_width = max(map(len, order_sets(bd).values()), default=0)
     if g.m == 1:
         real_width = 0
     if real_width != bd.width:
@@ -387,9 +413,10 @@ def bd_from_td(g: PlaneGraph, td: TreeDecomposition) -> BranchDecomposition:
     if g.m == 1:
         return BranchDecomposition((), {0: next(iter(g.edges))}, 0)
     assigned: dict[int, list[Edge]] = {i: [] for i in range(len(td.bags))}
+    holding = _bags_by_vertex(td)
     for e in sorted(g.edges):
         u, v = e
-        home = min(i for i, bag in enumerate(td.bags) if u in bag and v in bag)
+        home = next(i for i in holding[u] if v in td.bags[i])
         assigned[home].append(e)
     counter = [0]
     tree_edges: list[tuple[int, int]] = []
@@ -423,7 +450,7 @@ def bd_from_td(g: PlaneGraph, td: TreeDecomposition) -> BranchDecomposition:
     assert root_hook is not None
     # The comb above may give the topmost joint degree 2; splice it away.
     bd = _normalize_bd(tree_edges, tau)
-    width = max(len(order_function(bd, e)) for e in bd.tree_edges) if bd.tree_edges else 0
+    width = max(map(len, order_sets(bd).values()), default=0)
     bd = BranchDecomposition(bd.tree_edges, bd.tau, width)
     check = verify_branch_decomposition(g, bd)
     if not check:
@@ -490,7 +517,7 @@ def caterpillar_bd(g: PlaneGraph, edge_order: list[Edge]) -> BranchDecomposition
         spine = j
     tree_edges.append((spine, leaves[-1]))
     bd = BranchDecomposition(tuple(tree_edges), tau, 0)
-    width = max(len(order_function(bd, e)) for e in bd.tree_edges)
+    width = max(map(len, order_sets(bd).values()))
     bd = BranchDecomposition(bd.tree_edges, tau, width)
     check = verify_branch_decomposition(g, bd)
     if not check:
@@ -647,8 +674,13 @@ def td_from_bd(g: PlaneGraph, bd: BranchDecomposition) -> TreeDecomposition:
     """Tree decomposition of width <= ceil(1.5 * width(bd)) - 1.
 
     Standard order-function translation: each internal node's bag is the
-    union of the order sets of its three incident tree edges; a leaf's bag
-    is its host edge.
+    union of the order sets of its three incident tree edges (all computed
+    by one `order_sets` pass); a leaf's bag is its host edge.
+
+    The result has one node per tree node, about 2m, and most internal bags
+    are near full width. A min-fill decomposition of the same width has n
+    bags, and the DP on it is several times faster, so `solve_pipeline`
+    uses this one only when it is strictly narrower.
     """
     if g.m == 0:
         bags = [frozenset()] + [frozenset({v}) for v in g.vertices]
@@ -666,8 +698,8 @@ def td_from_bd(g: PlaneGraph, bd: BranchDecomposition) -> TreeDecomposition:
         td = TreeDecomposition(tuple(parent), tuple(bags), 1)
     else:
         omega: dict[tuple[int, int], frozenset[int]] = {}
-        for a, b in bd.tree_edges:
-            omega[(a, b)] = omega[(b, a)] = order_function(bd, (a, b))
+        for (a, b), s in order_sets(bd).items():
+            omega[(a, b)] = omega[(b, a)] = s
         adj = bd.adjacency()
         node_ids = sorted(adj)
         index = {v: i for i, v in enumerate(node_ids)}

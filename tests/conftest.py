@@ -3,11 +3,17 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from pdpp.clconfig import CLConfiguration
 from pdpp.concentric import make_concentric
 from pdpp.gallery import ring_cycle, ring_lattice
 from pdpp.oracle import BudgetExceeded, best_linkage_for_pattern
+
+# Every property test draws the same examples on every run and keeps no
+# example database; each test sets only its own max_examples.
+settings.register_profile("pdpp", derandomize=True, deadline=None, database=None)
+settings.load_profile("pdpp")
 
 
 def corpus_host(sectors: int, cycle_rings: int, seed: int, spoke_prob: float = 0.7):

@@ -1,10 +1,17 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdpp.cli import main
 from pdpp.gallery import nested_chord_showcase
-from pdpp.instances import write_instance, write_solution, Solution
+from pdpp.instances import (
+    Solution,
+    gen_grid_instance,
+    gen_random_planar,
+    write_instance,
+    write_solution,
+)
 
 
 @pytest.fixture
@@ -100,6 +107,38 @@ class TestSolve:
         assert code == 1  # worst of YES and NO
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_mutated_instance_fails_cleanly(tmp_path_factory, data):
+    # one line of a valid file dropped, duplicated or garbled: the solver
+    # answers or rejects the file with exit 65, and never raises
+    if data.draw(st.booleans()):
+        inst = gen_grid_instance(data.draw(st.integers(3, 4)), 2, data.draw(st.integers(0, 99)))
+    else:
+        n = data.draw(st.integers(6, 10))
+        m = data.draw(st.integers(n - 1, 2 * n))
+        inst = gen_random_planar(n, m, 2, data.draw(st.integers(0, 99)))
+    lines = write_instance(inst).splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    edit = data.draw(st.sampled_from(["drop", "duplicate", "garble"]))
+    if edit == "drop":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        fields = lines[i].split()
+        j = data.draw(st.integers(0, len(fields) - 1))
+        fields[j] = data.draw(
+            st.sampled_from(["x", "1.5", "p", "e", "rot", "outer", "t", "#", ""])
+            | st.integers(-2, 40).map(str)
+            | st.text(st.characters(codec="utf-8"), max_size=3)
+        )
+        lines[i] = " ".join(fields)
+    f = tmp_path_factory.mktemp("mutated") / "m.dpp"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["solve", str(f)]) in (0, 1, 2, 65)
 
 
 class TestGen:

@@ -1,3 +1,6 @@
+import random
+from collections import deque
+
 import pytest
 
 from pdpp.decomposition import (
@@ -13,6 +16,7 @@ from pdpp.decomposition import (
     caterpillar_bd,
     find_grid_minor,
     grid_sweep_order,
+    order_sets,
     td_from_bd,
     tree_decompose,
     treewidth_exact,
@@ -20,7 +24,7 @@ from pdpp.decomposition import (
     verify_tree_decomposition,
 )
 from pdpp.instances import gen_random_planar
-from pdpp.plane import make_grid, plane_graph_from_edges, verify_minor_model
+from pdpp.plane import CheckResult, make_grid, plane_graph_from_edges, verify_minor_model
 
 
 def tree_graph():
@@ -193,3 +197,152 @@ class TestSandwich:
             if bw <= 1:
                 continue  # sandwich is for bw >= 2 (paths/stars degenerate)
             assert bw <= tw + 1 <= -((-3 * bw) // 2)
+
+
+# -- one-pass order sets and the indexed verifier against the old code ----------
+
+
+def reference_order_function(bd, tree_edge):
+    """The old per-edge order function: split the tree at the edge, intersect."""
+    a, b = tree_edge
+    adj = bd.adjacency()
+    side = set()
+    stack = [a]
+    seen = {a, b}
+    while stack:
+        x = stack.pop()
+        side.add(x)
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    left = {v for leaf, e in bd.tau.items() if leaf in side for v in e}
+    right = {v for leaf, e in bd.tau.items() if leaf not in side for v in e}
+    return frozenset(left & right)
+
+
+def reference_verify_tree_decomposition(g, td):
+    """The old verifier: scans every bag per edge and per vertex."""
+    problems = []
+    nodes = len(td.bags)
+    if len(td.parent) != nodes:
+        return CheckResult(False, ("parent/bag arrays differ in length",))
+    roots = [i for i, p in enumerate(td.parent) if p < 0]
+    if len(roots) != 1:
+        problems.append(f"expected one root, found {len(roots)}")
+    covered = set()
+    for bag in td.bags:
+        covered |= bag
+    missing = set(g.vertices) - covered
+    if missing:
+        problems.append(f"vertices {sorted(missing)[:5]} in no bag")
+    for u, v in sorted(g.edges):
+        if not any(u in bag and v in bag for bag in td.bags):
+            problems.append(f"edge ({u},{v}) in no bag")
+    for v in g.vertices:
+        holding = [i for i, bag in enumerate(td.bags) if v in bag]
+        if not holding:
+            continue
+        holding_set = set(holding)
+        seen = {holding[0]}
+        queue = deque([holding[0]])
+        kids = td.children()
+        while queue:
+            x = queue.popleft()
+            for y in kids[x] + ([td.parent[x]] if td.parent[x] >= 0 else []):
+                if y in holding_set and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        if seen != holding_set:
+            problems.append(f"bags containing {v} are disconnected")
+    real_width = max((len(b) for b in td.bags), default=1) - 1
+    if real_width != td.width:
+        problems.append(f"declared width {td.width}, actual {real_width}")
+    return CheckResult(not problems, tuple(problems))
+
+
+def corpus_graphs(seeds):
+    """Seeded random planar graphs (n 8-35) and square grids (side 2-6)."""
+    for n in range(8, 36, 3):
+        for density in (1.2, 1.6, 2.2):
+            for seed in range(seeds):
+                yield gen_random_planar(n, int(density * n), 1, 100 * n + seed).graph
+    for side in range(2, 7):
+        yield make_grid(side, side)
+
+
+def test_order_sets_match_reference():
+    bds = edges = 0
+    for g in corpus_graphs(seeds=8):
+        candidates = [best_heuristic_bd(g), bd_from_td(g, tree_decompose(g))]
+        if g.grid_shape is not None:
+            candidates.append(caterpillar_bd(g, grid_sweep_order(g)))
+        for bd in candidates:
+            got = order_sets(bd)
+            assert set(got) == set(bd.tree_edges)
+            for e in bd.tree_edges:
+                assert got[e] == reference_order_function(bd, e), e
+            assert bd.width == max(map(len, got.values()), default=0)
+            bds += 1
+            edges += len(bd.tree_edges)
+    assert bds >= 450 and edges >= 30_000
+
+
+def td_mutants(g, td, rng):
+    """Seeded broken copies of a valid decomposition, one per kind of fault."""
+    parent, bags = list(td.parent), list(td.bags)
+    root = parent.index(-1)
+    kids = td.children()
+
+    def below(x):
+        out, stack = set(), [x]
+        while stack:
+            y = stack.pop()
+            out.add(y)
+            stack.extend(kids[y])
+        return out
+
+    # a vertex dropped from one bag
+    i = rng.randrange(len(bags))
+    if bags[i]:
+        v = rng.choice(sorted(bags[i]))
+        dropped = bags[:i] + [bags[i] - {v}] + bags[i + 1 :]
+        yield TreeDecomposition(td.parent, tuple(dropped), td.width)
+    # an edge's only shared bag split in two, one end in each half
+    for u, v in sorted(g.edges, key=lambda e: rng.random()):
+        shared = [j for j, bag in enumerate(bags) if u in bag and v in bag]
+        if len(shared) == 1:
+            j = shared[0]
+            split = bags[:j] + [bags[j] - {v}] + bags[j + 1 :] + [bags[j] - {u}]
+            yield TreeDecomposition(tuple(parent + [j]), tuple(split), td.width)
+            break
+    # a node re-parented elsewhere in the tree (often disconnecting a vertex)
+    movable = [x for x in range(len(parent)) if x != root]
+    if movable:
+        x = rng.choice(movable)
+        targets = sorted(set(range(len(parent))) - below(x) - {parent[x]})
+        if targets:
+            moved = parent[:]
+            moved[x] = rng.choice(targets)
+            yield TreeDecomposition(tuple(moved), td.bags, td.width)
+        # a second root
+        cut = parent[:]
+        cut[x] = -1
+        yield TreeDecomposition(tuple(cut), td.bags, td.width)
+    # a wrong declared width
+    yield TreeDecomposition(td.parent, td.bags, td.width + rng.choice((-1, 1)))
+
+
+def test_tree_verifier_matches_reference():
+    rng = random.Random(7)
+    seen = set()
+    for g in corpus_graphs(seeds=4):
+        for td in (tree_decompose(g), td_from_bd(g, best_heuristic_bd(g))):
+            assert verify_tree_decomposition(g, td) == CheckResult(True, ())
+            for bad in td_mutants(g, td, rng):
+                got = verify_tree_decomposition(g, bad)
+                assert got == reference_verify_tree_decomposition(g, bad)
+                seen.update(p.split(" ", 1)[0] for p in got.problems)
+    # every kind of problem the verifier names was produced: a second root,
+    # a vertex or an edge in no bag, disconnected bags and a wrong width
+    assert seen == {"expected", "vertices", "edge", "bags", "declared"}

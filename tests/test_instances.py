@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdpp.instances import (
     DppInstance,
@@ -133,3 +134,41 @@ class TestGenerators:
         for seed in range(20):
             inst = gen_random_planar(10, 14, 2, seed)
             assert inst.graph.n == 10 and inst.graph.m == 14
+
+
+@st.composite
+def instances(draw):
+    """Grid instances with side 2-6, or connected random planar ones, n 3-30."""
+    if draw(st.booleans()):
+        side = draw(st.integers(2, 6))
+        k = draw(st.integers(1, 2 if side == 2 else 4))
+        return gen_grid_instance(side, k, draw(st.integers(0, 2 ** 16)))
+    n = draw(st.integers(3, 30))
+    m = draw(st.integers(n - 1, 3 * n - 6))
+    k = draw(st.integers(1, n // 2))
+    return gen_random_planar(n, m, k, draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=100)
+@given(inst=instances())
+def test_instance_roundtrip_property(inst):
+    text = write_instance(inst)
+    again = parse_instance(text)
+    assert again.pairs == inst.pairs
+    assert again.graph.edges == inst.graph.edges
+    assert again.graph.rotation == inst.graph.rotation
+    assert again.graph.outer_dart == inst.graph.outer_dart
+    assert write_instance(again) == text
+
+
+@settings(max_examples=100)
+@given(
+    paths=st.lists(
+        st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=8).map(tuple),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_solution_roundtrip_property(paths):
+    sol = Solution(tuple(paths))
+    assert parse_solution(write_solution(sol)) == sol

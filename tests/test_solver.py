@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from pdpp import solver
 from pdpp.concentric import lemma_side_requirement
-from pdpp.decomposition import best_heuristic_bd, td_from_bd
+from pdpp.decomposition import best_heuristic_bd, td_from_bd, tree_decompose
 from pdpp.instances import DppInstance, gen_grid_instance, gen_random_planar, parse_instance
-from pdpp.oracle import Status, solve_bruteforce, verify_solution
+from pdpp.oracle import SolveOutcome, Status, solve_bruteforce, verify_solution
 from pdpp.plane import GridMinorModel, grid_vertex, make_grid, outer_cycle
 from pdpp.solver import (
     DpBudgetExceeded,
@@ -247,20 +247,32 @@ class TestJoin:
             dp_solve(inst, td, state_budget=states - 1)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(
-    n=st.integers(8, 12),
-    density=st.floats(1.3, 2.0),
-    k=st.integers(2, 3),
-    seed=st.integers(0, 2 ** 32 - 1),
+small_planar = st.builds(
+    lambda n, density, k, seed: gen_random_planar(n, math.ceil(density * n), k, seed),
+    st.integers(8, 12),
+    st.floats(1.3, 2.0),
+    st.integers(2, 3),
+    st.integers(0, 2 ** 32 - 1),
 )
-def test_dp_agrees_with_oracle(n, density, k, seed):
-    inst = gen_random_planar(n, math.ceil(density * n), k, seed)
+
+
+@settings(max_examples=200)
+@given(inst=small_planar)
+def test_dp_agrees_with_oracle(inst):
     dp = dp_solve(inst)
     oracle = solve_bruteforce(inst)
     assert dp.status == oracle.status
     if dp.status is Status.YES:
         assert verify_solution(inst, dp.solution)
+
+
+@settings(max_examples=200)
+@given(inst=small_planar)
+def test_pipeline_agrees_with_oracle(inst):
+    res = solve_pipeline(inst)
+    assert res.status == solve_bruteforce(inst).status
+    if res.status is Status.YES:
+        assert verify_solution(inst, res.outcome.solution)
 
 
 class TestIrrelevantVertex:
@@ -350,6 +362,36 @@ class TestPipeline:
         assert a.status == b.status
         assert a.outcome.solution == b.outcome.solution
         assert a.removed_original_ids == b.removed_original_ids
+
+    def test_min_fill_decomposition_on_a_width_tie(self):
+        # 5x5 is not reduced; both decompositions have width 5, and the DP
+        # runs on min-fill's, with one bag per vertex
+        inst = gen_grid_instance(5, 2, 0)
+        g = inst.graph
+        assert td_from_bd(g, best_heuristic_bd(g)).width == tree_decompose(g).width
+        res = solve_pipeline(inst)
+        assert res.iterations == 1
+        assert len(res.decomposition.bags) == g.n
+        assert res.decomposition == tree_decompose(g)
+
+    def test_strictly_narrower_bd_decomposition_kept(self, monkeypatch):
+        # unreduced 7x7 (k = 5 raises the grid target to 8): the branch
+        # decomposition gives width 7, min-fill 8
+        inst = gen_grid_instance(7, 5, 0)
+        g = inst.graph
+        narrow = td_from_bd(g, best_heuristic_bd(g))
+        assert narrow.width < tree_decompose(g).width
+        ran_on = []
+
+        def record(inst, td, state_budget):  # the real DP here would be slow
+            ran_on.append(td)
+            return SolveOutcome(Status.NO)
+
+        monkeypatch.setattr(solver, "dp_solve", record)
+        res = solve_pipeline(inst)
+        assert res.iterations == 1
+        assert ran_on == [narrow]
+        assert res.decomposition == narrow
 
     def test_pattern_preserved_after_reduction(self):
         # 8x8 forces at least one reduction in heuristic mode; the final
