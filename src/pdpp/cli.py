@@ -7,6 +7,7 @@ error, 65 = parse error. All commands are deterministic given argv.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -411,7 +412,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--engine", choices=("pipeline", "dp", "oracle"), default="pipeline")
     sp.add_argument("--mode", choices=("heuristic", "certified"), default="heuristic")
     sp.add_argument("--epsilon", type=float, default=1.0)
-    sp.add_argument("--budget", type=int, default=400_000)
+    sp.add_argument(
+        "--budget",
+        type=int,
+        default=400_000,
+        help="work limit: DP states for the pipeline and dp engines; for the "
+        "oracle, search nodes plus edges scanned by its reachability checks "
+        "(default %(default)s)",
+    )
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--emit-decomposition", metavar="FILE")
@@ -458,10 +466,15 @@ def build_parser() -> _Parser:
     return p
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser, built on the first call so that importing pdpp stays cheap."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

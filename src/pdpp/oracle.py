@@ -2,15 +2,17 @@
 
 A single backtracking engine enumerates vertex-disjoint path systems; it
 powers the exact yes/no decision, solution search, and exhaustive
-cheapest-linkage computation. Budgets make indeterminacy explicit: the
-engine never silently gives up.
+cheapest-linkage computation. It cuts only branches that hold no wanted
+system, so every answer equals plain enumeration's. A work budget makes
+indeterminacy explicit: the engine never silently gives up.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .instances import DppInstance, Solution
 from .plane import CheckResult, Cycle, Edge, PlaneGraph, PlaneGraphError, norm_edge
@@ -19,7 +21,7 @@ DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceeded(RuntimeError):
-    """The exhaustive search hit its node budget before finishing."""
+    """The exhaustive search used up its work budget before finishing."""
 
 
 class Status(enum.Enum):
@@ -86,25 +88,28 @@ class Linkage:
 
 def linkage_cost(linkage: Linkage, cycles: list[Cycle]) -> int:
     """Number of linkage edges lying on none of the given cycles."""
-    free: set[Edge] = set()
-    for c in cycles:
-        free |= c.edges
-    return len(linkage.edges - free)
+    return len(linkage.edges - _cycle_edges(cycles))
 
 
 # -- the backtracking engine ---------------------------------------------------
 
 
 class _Budget:
+    """Work units left; `_iter_path_systems` says what a unit counts."""
+
     __slots__ = ("left",)
 
     def __init__(self, n: int):
         self.left = n
 
-    def spend(self) -> None:
-        self.left -= 1
+    def spend(self, n: int = 1) -> None:
+        self.left -= n
         if self.left < 0:
             raise BudgetExceeded()
+
+
+def _cycle_edges(cycles: list[Cycle]) -> frozenset[Edge]:
+    return frozenset().union(*(c.edges for c in cycles))
 
 
 def _iter_path_systems(
@@ -112,60 +117,124 @@ def _iter_path_systems(
     pairs: list[tuple[int, int]],
     budget: _Budget,
     allowed: Optional[frozenset[int]] = None,
-) -> Iterator[list[list[int]]]:
+    cycle_edges: frozenset[Edge] = frozenset(),
+    cap: Optional[list[float]] = None,
+) -> Iterator[tuple[list[list[int]], int]]:
     """All vertex-disjoint path systems joining the pairs, in deterministic order.
 
-    Every terminal is blocked for all paths except its own, matching the
-    disjointness requirement. `allowed` restricts usable vertices.
+    Each system comes with its cost, the number of its edges not in
+    `cycle_edges`. Every terminal is blocked for all paths except its own,
+    matching the disjointness requirement. `allowed` restricts usable
+    vertices.
+
+    Two cuts drop only branches that hold no wanted system, so the systems
+    that are yielded come in the same order as without them:
+    - before a path is extended, one search through the free (unoccupied,
+      usable, non-terminal) vertices checks that the head can still reach
+      its target and that every later pair can still be joined;
+    - with `cap`, a one-element list the caller may lower between systems,
+      a step that takes the partial cost above `cap[0]` is not taken. Paths
+      of a system share no edge, so the partial cost is the cost of the
+      edges so far and never falls.
+
+    The budget is charged one unit per search node and one per edge the
+    reachability check scans.
     """
+    if cap is None:
+        cap = [math.inf]
+    # vertex sets are bitmasks with vertex v as bit 1 << v; adj and degree
+    # are keyed by that bit
     terminals = {v for p in pairs for v in p}
-    occupied: set[int] = set(terminals)
+    usable = g.rotation.keys() if allowed is None else allowed
+    free0 = sum(1 << v for v in usable if v not in terminals)
+    adj = {1 << v: sum(1 << w for w in nbrs) for v, nbrs in g.rotation.items()}
+    degree = {1 << v: len(nbrs) for v, nbrs in g.rotation.items()}
+    steps_from = {
+        v: [(w, 1 << w, norm_edge(v, w) not in cycle_edges) for w in sorted(nbrs)]
+        for v, nbrs in g.rotation.items()
+    }
     done: list[list[int]] = []
 
-    def route(i: int) -> Iterator[list[list[int]]]:
+    def joinable(ends: list[tuple[int, int]], free: int) -> bool:
+        """Whether every (a, b) in ends is one vertex, an edge, or has a
+        component of the free vertices next to both a and b.
+
+        Components are grown once each, by a search from a's free
+        neighbours; the edges it scans are charged to the budget.
+        """
+        components: list[int] = []
+        grown = scanned = 0
+        for a, b in ends:
+            a, b = 1 << a, 1 << b
+            if a == b or adj[a] & b:
+                continue
+            seeds = adj[a] & free
+            near = 0
+            for comp in components:
+                if comp & seeds:
+                    near |= comp
+            seeds &= ~grown
+            while seeds:
+                comp = frontier = seeds & -seeds
+                while frontier:
+                    u = frontier & -frontier
+                    frontier ^= u
+                    scanned += degree[u]
+                    new = adj[u] & free & ~comp
+                    comp |= new
+                    frontier |= new
+                components.append(comp)
+                grown |= comp
+                near |= comp
+                seeds &= ~comp
+            if not adj[b] & near:
+                ok = False
+                break
+        else:
+            ok = True
+        budget.spend(scanned)
+        return ok
+
+    def route(i: int, cost: int, free: int) -> Iterator[tuple[list[list[int]], int]]:
         budget.spend()
         if i == len(pairs):
-            yield [list(p) for p in done]
+            yield [list(p) for p in done], cost
             return
         s, t = pairs[i]
+        later = pairs[i + 1 :]
         path = [s]
-        on_path = {s}
 
-        def extend(v: int) -> Iterator[list[list[int]]]:
+        def extend(v: int, cost: int, free: int) -> Iterator[tuple[list[list[int]], int]]:
             budget.spend()
             if v == t:
                 done.append(list(path))
-                yield from route(i + 1)
+                yield from route(i + 1, cost, free)
                 done.pop()
                 return
-            for w in sorted(g.rotation[v]):
-                if w in on_path:
+            if not joinable([(v, t)] + later, free):
+                return
+            for w, bit, paid in steps_from[v]:
+                if w != t and not free & bit:
                     continue
-                if w != t and (w in occupied or (allowed is not None and w not in allowed)):
+                if cost + paid > cap[0]:
                     continue
                 path.append(w)
-                on_path.add(w)
-                if w != t:  # terminals stay permanently occupied
-                    occupied.add(w)
-                yield from extend(w)
-                if w != t:
-                    occupied.discard(w)
-                on_path.discard(w)
+                yield from extend(w, cost + paid, free & ~bit)
                 path.pop()
 
-        yield from extend(s)
+        yield from extend(s, cost, free)
 
-    yield from route(0)
+    yield from route(0, 0, free0)
 
 
 def solve_bruteforce(inst: DppInstance, budget: int = DEFAULT_BUDGET) -> SolveOutcome:
     """Exact decision by exhaustive backtracking over path systems."""
     b = _Budget(budget)
     try:
-        for system in _iter_path_systems(inst.graph, list(inst.pairs), b):
+        for system, _ in _iter_path_systems(inst.graph, list(inst.pairs), b):
             return SolveOutcome(Status.YES, Solution(tuple(tuple(p) for p in system)))
     except BudgetExceeded:
-        return SolveOutcome(Status.UNKNOWN, reason="node budget exceeded")
+        return SolveOutcome(Status.UNKNOWN, reason="work budget exceeded")
     return SolveOutcome(Status.NO)
 
 
@@ -198,8 +267,41 @@ def verify_solution(inst: DppInstance, sol: Solution) -> CheckResult:
 # -- cheapest equivalent linkages ----------------------------------------------
 
 
-def _edge_key(linkage: Linkage) -> tuple[Edge, ...]:
-    return tuple(sorted(linkage.edges))
+def _edge_key(paths: Sequence[Sequence[int]]) -> tuple[Edge, ...]:
+    return tuple(sorted(norm_edge(a, b) for p in paths for a, b in zip(p, p[1:])))
+
+
+def _cheapest_paths(
+    g: PlaneGraph,
+    pairs: list[tuple[int, int]],
+    cycles: list[Cycle],
+    budget: int,
+    allowed: Optional[frozenset[int]],
+    incumbent: tuple[float, tuple[Edge, ...]] = (math.inf, ()),
+) -> Optional[list[list[int]]]:
+    """Paths of the cheapest system that beats `incumbent`, or None.
+
+    Systems compare by (cost, sorted edge list); the incumbent's cost
+    seeds the engine's cost cap, which drops only strictly dearer
+    branches, so every tie still reaches the comparison.
+    """
+    cap = [incumbent[0]]
+    best: Optional[list[list[int]]] = None
+    best_cost, best_key = incumbent
+    systems = _iter_path_systems(
+        g, pairs, _Budget(budget), allowed, _cycle_edges(cycles), cap
+    )
+    for system, cost in systems:
+        if cost < best_cost:
+            best, best_cost, best_key = system, cost, None
+            cap[0] = cost
+        elif cost == best_cost:
+            if best_key is None:
+                best_key = _edge_key(best)
+            key = _edge_key(system)
+            if key < best_key:
+                best, best_key = system, key
+    return best
 
 
 def cheapest_equivalent_linkage(
@@ -213,20 +315,14 @@ def cheapest_equivalent_linkage(
 
     Cost counts linkage edges on none of the cycles; ties break on the
     lexicographically least edge set so oracle runs are reproducible.
+    Paths of a new linkage run from the smaller terminal of each pair;
+    `start` itself is returned when nothing beats it.
     """
     start.check_in(g)
     pairs = sorted((min(p[0], p[-1]), max(p[0], p[-1])) for p in start.paths)
-    b = _Budget(budget)
-    best = start
-    best_cost = linkage_cost(start, cycles)
-    best_key = _edge_key(start)
-    for system in _iter_path_systems(g, pairs, b, allowed=allowed):
-        cand = Linkage(tuple(tuple(p) for p in system))
-        cost = linkage_cost(cand, cycles)
-        key = _edge_key(cand)
-        if cost < best_cost or (cost == best_cost and key < best_key):
-            best, best_cost, best_key = cand, cost, key
-    return best
+    incumbent = (linkage_cost(start, cycles), _edge_key(start.paths))
+    paths = _cheapest_paths(g, pairs, cycles, budget, allowed, incumbent)
+    return start if paths is None else Linkage(tuple(tuple(p) for p in paths))
 
 
 def best_linkage_for_pattern(
@@ -240,14 +336,5 @@ def best_linkage_for_pattern(
     terminals = [v for p in pairs for v in p]
     if len(set(terminals)) != len(terminals):
         raise PlaneGraphError("pattern terminals are not pairwise distinct")
-    b = _Budget(budget)
-    best: Optional[Linkage] = None
-    best_cost = None
-    best_key: Optional[tuple[Edge, ...]] = None
-    for system in _iter_path_systems(g, sorted(pairs), b, allowed=allowed):
-        cand = Linkage(tuple(tuple(p) for p in system))
-        cost = linkage_cost(cand, cycles)
-        key = _edge_key(cand)
-        if best is None or cost < best_cost or (cost == best_cost and key < best_key):
-            best, best_cost, best_key = cand, cost, key
-    return best
+    paths = _cheapest_paths(g, sorted(pairs), cycles, budget, allowed)
+    return None if paths is None else Linkage(tuple(tuple(p) for p in paths))

@@ -68,6 +68,19 @@ class TestSolve:
     def test_usage_error_exit_64(self, capsys):
         assert main(["solve", "--engine", "wat", "x"]) == 64
 
+    def test_shared_parser_after_usage_error(self, k2_file, capsys):
+        # main reuses one parser: a failed parse and an earlier call's
+        # options must not leak into the next call
+        assert main(["solve", "--engine", "wat", k2_file]) == 64
+        assert "invalid choice: 'wat'" in capsys.readouterr().err
+        assert main(["solve", k2_file, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["answer"] == "yes"
+        assert main(["solve", k2_file]) == 0
+        captured = capsys.readouterr()
+        assert "s dpp yes" in captured.out
+        assert "path 1 1 2" in captured.out
+        assert captured.err == ""
+
     def test_emit_decomposition(self, k2_file, cross_file, tmp_path, capsys):
         from pdpp.decomposition import TreeDecomposition, verify_tree_decomposition
         from pdpp.instances import parse_instance

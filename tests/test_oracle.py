@@ -1,16 +1,36 @@
-import pytest
+import random
 
-from pdpp.instances import DppInstance, Solution, gen_grid_instance, parse_instance
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pdpp.gallery import ring_cycle, ring_lattice
+from pdpp.instances import (
+    DppInstance,
+    Solution,
+    gen_grid_instance,
+    gen_random_planar,
+    parse_instance,
+)
 from pdpp.oracle import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     Linkage,
+    SolveOutcome,
     Status,
+    best_linkage_for_pattern,
     cheapest_equivalent_linkage,
     linkage_cost,
     solve_bruteforce,
     verify_solution,
 )
-from pdpp.plane import Cycle, grid_ring, grid_vertex, make_grid
+from pdpp.plane import (
+    Cycle,
+    GridMinorModel,
+    delete_vertices,
+    grid_ring,
+    grid_vertex,
+    make_grid,
+)
 
 
 def k2_instance():
@@ -128,3 +148,343 @@ class TestCheapest:
             best = cheapest_equivalent_linkage(g, link, [ring])
             assert linkage_cost(best, [ring]) <= linkage_cost(link, [ring])
             assert best.pattern == link.pattern
+
+
+# -- differential: the pruned engine against plain enumeration -------------------
+#
+# The reference is the engine as it was before the reachability and cost
+# cuts: plain backtracking, one budget unit per search node, every system
+# scored as a Linkage. The engine must give the same first solution, the
+# same cheapest linkage and the same None wherever the reference decides.
+
+
+class _RefBudget:
+    __slots__ = ("left",)
+
+    def __init__(self, n: int):
+        self.left = n
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise BudgetExceeded()
+
+
+def _ref_iter_path_systems(g, pairs, budget, allowed=None):
+    terminals = {v for p in pairs for v in p}
+    occupied = set(terminals)
+    done = []
+
+    def route(i):
+        budget.spend()
+        if i == len(pairs):
+            yield [list(p) for p in done]
+            return
+        s, t = pairs[i]
+        path = [s]
+        on_path = {s}
+
+        def extend(v):
+            budget.spend()
+            if v == t:
+                done.append(list(path))
+                yield from route(i + 1)
+                done.pop()
+                return
+            for w in sorted(g.rotation[v]):
+                if w in on_path:
+                    continue
+                if w != t and (w in occupied or (allowed is not None and w not in allowed)):
+                    continue
+                path.append(w)
+                on_path.add(w)
+                if w != t:
+                    occupied.add(w)
+                yield from extend(w)
+                if w != t:
+                    occupied.discard(w)
+                on_path.discard(w)
+                path.pop()
+
+        yield from extend(s)
+
+    yield from route(0)
+
+
+def ref_solve_bruteforce(inst, budget=DEFAULT_BUDGET):
+    b = _RefBudget(budget)
+    try:
+        for system in _ref_iter_path_systems(inst.graph, list(inst.pairs), b):
+            return SolveOutcome(Status.YES, Solution(tuple(tuple(p) for p in system)))
+    except BudgetExceeded:
+        return SolveOutcome(Status.UNKNOWN, reason="node budget exceeded")
+    return SolveOutcome(Status.NO)
+
+
+def _ref_edge_key(linkage):
+    return tuple(sorted(linkage.edges))
+
+
+def ref_cheapest_equivalent_linkage(g, start, cycles, budget=DEFAULT_BUDGET, allowed=None):
+    start.check_in(g)
+    pairs = sorted((min(p[0], p[-1]), max(p[0], p[-1])) for p in start.paths)
+    b = _RefBudget(budget)
+    best = start
+    best_cost = linkage_cost(start, cycles)
+    best_key = _ref_edge_key(start)
+    for system in _ref_iter_path_systems(g, pairs, b, allowed=allowed):
+        cand = Linkage(tuple(tuple(p) for p in system))
+        cost = linkage_cost(cand, cycles)
+        key = _ref_edge_key(cand)
+        if cost < best_cost or (cost == best_cost and key < best_key):
+            best, best_cost, best_key = cand, cost, key
+    return best
+
+
+def ref_best_linkage_for_pattern(g, pairs, cycles, budget=DEFAULT_BUDGET, allowed=None):
+    b = _RefBudget(budget)
+    best = None
+    best_cost = None
+    best_key = None
+    for system in _ref_iter_path_systems(g, sorted(pairs), b, allowed=allowed):
+        cand = Linkage(tuple(tuple(p) for p in system))
+        cost = linkage_cost(cand, cycles)
+        key = _ref_edge_key(cand)
+        if best is None or cost < best_cost or (cost == best_cost and key < best_key):
+            best, best_cost, best_key = cand, cost, key
+    return best
+
+
+def _outcome(f, *args, **kwargs):
+    """f's result, with giving up as the string 'budget'."""
+    try:
+        return f(*args, **kwargs)
+    except BudgetExceeded:
+        return "budget"
+
+
+def _paths(result):
+    return result if result in (None, "budget") else result.paths
+
+
+def assert_engine_matches_reference(g, pairs, cycles, allowed=None):
+    """Both cheapest-linkage entry points against the reference.
+
+    When the reference gives up nothing is compared; the engine must never
+    give up where the reference decides.
+    """
+    want = _outcome(ref_best_linkage_for_pattern, g, pairs, cycles, allowed=allowed)
+    got = _outcome(best_linkage_for_pattern, g, pairs, cycles, allowed=allowed)
+    if want != "budget":
+        assert _paths(got) == _paths(want), (pairs, cycles, allowed)
+    # a first, usually dear, linkage of the pattern as the start, paths
+    # oriented as in `pairs` so both orientations occur
+    b = _RefBudget(DEFAULT_BUDGET)
+    first = next(_ref_iter_path_systems(g, pairs, b, allowed=allowed), None)
+    if first is None:
+        return want
+    start = Linkage(tuple(tuple(p) for p in first))
+    want2 = _outcome(ref_cheapest_equivalent_linkage, g, start, cycles, allowed=allowed)
+    got2 = _outcome(cheapest_equivalent_linkage, g, start, cycles, allowed=allowed)
+    if want2 != "budget":
+        assert _paths(got2) == _paths(want2), (pairs, cycles, allowed, start)
+        assert (got2 is start) == (want2 is start)
+    return want
+
+
+def assert_bruteforce_matches_reference(inst):
+    want = ref_solve_bruteforce(inst)
+    got = solve_bruteforce(inst)
+    if want.status is not Status.UNKNOWN:
+        assert (got.status, got.solution) == (want.status, want.solution), inst.pairs
+    return want.status
+
+
+def face_cycles(g, rng, keep):
+    """A random family of the host's faces that are simple cycles."""
+    out = []
+    for orbit in g.faces():
+        vs = tuple(u for u, _ in orbit)
+        if len(vs) >= 3 and len(set(vs)) == len(vs) and rng.random() < keep:
+            out.append(Cycle(vs))
+    return out
+
+
+def random_allowed(g, pairs, rng, keep=0.8):
+    terminals = {v for p in pairs for v in p}
+    return frozenset(v for v in g.vertices if v in terminals or rng.random() < keep)
+
+
+def ring_host(sectors, k, seed):
+    """A 3-ring lattice with sampled inner spokes, a ring-cycle family and
+    k pairs on the outer ring, as the tightness corpora draw them."""
+    rng = random.Random(seed)
+    spokes = [rng.random() < 0.6 for _ in range(sectors)]
+    g, vid = ring_lattice(3, sectors, spokes=lambda ring, s: ring >= 1 or spokes[s])
+    family = rng.choice(((0, 1), (0,), (1,), ()))
+    cycles = [ring_cycle(vid, r, sectors) for r in family]
+    sides = rng.sample(range(sectors), 2 * k)
+    pairs = [(vid(2, sides[2 * i]), vid(2, sides[2 * i + 1])) for i in range(k)]
+    return g, pairs, cycles, rng
+
+
+def criterion_2_grids():
+    """The criterion-2 instances, each with and without its certified vertex."""
+    from pdpp.solver import find_irrelevant_vertex
+
+    for n, k, seeds in ((5, 1, range(6)), (6, 2, range(6)), (6, 1, range(4))):
+        for seed in seeds:
+            inst = gen_grid_instance(n, k, seed)
+            yield inst
+            phi = {
+                (r, c): frozenset({grid_vertex(n, n, r, c)})
+                for r in range(1, n + 1)
+                for c in range(1, n + 1)
+            }
+            cert = find_irrelevant_vertex(inst, GridMinorModel(n, n, phi), mode="heuristic")
+            if cert is not None:
+                g2, remap = delete_vertices(inst.graph, [cert.removed_vertex])
+                yield DppInstance(g2, tuple((remap[s], remap[t]) for s, t in inst.pairs))
+
+
+class TestPrunedEngine:
+    def test_bruteforce_on_criterion_2_grids(self):
+        statuses = [assert_bruteforce_matches_reference(inst) for inst in criterion_2_grids()]
+        assert len(statuses) == 32
+        assert Status.NO in statuses and Status.YES in statuses
+        assert Status.UNKNOWN not in statuses
+
+    def test_random_planar_instances(self):
+        statuses = []
+        for n in range(8, 17):
+            for k in (1, 2, 3):
+                for seed in range(4):
+                    rng = random.Random(f"{n}/{k}/{seed}")
+                    inst = gen_random_planar(n, rng.randint(n - 1, 3 * n - 6), k, seed)
+                    statuses.append(assert_bruteforce_matches_reference(inst))
+                    g, pairs = inst.graph, list(inst.pairs)
+                    cycles = face_cycles(g, rng, 0.5)
+                    assert_engine_matches_reference(g, pairs, cycles)
+                    allowed = random_allowed(g, pairs, rng)
+                    assert_engine_matches_reference(g, pairs, cycles, allowed)
+        assert statuses.count(Status.NO) >= 10 and statuses.count(Status.YES) >= 10
+
+    def test_ring_hosts(self):
+        found = []
+        for sectors in (6, 7, 8):
+            for k in (1, 2, 3):
+                for seed in range(6):
+                    g, pairs, cycles, rng = ring_host(sectors, k, seed)
+                    found.append(assert_engine_matches_reference(g, pairs, cycles))
+                    allowed = random_allowed(g, pairs, rng)
+                    found.append(assert_engine_matches_reference(g, pairs, cycles, allowed))
+        assert None in found and "budget" not in found
+        assert sum(x is not None for x in found) >= 60
+
+    def test_single_vertex_path_in_start(self):
+        # a start path may be one vertex, a pair (v, v) that is joined
+        # however boxed in v becomes; the path round the ring ties with
+        # the start on cost and wins on its edge set
+        g = make_grid(3, 3)
+        ring = grid_ring(g, 0)
+        start = Linkage(((1, 4), (5,)))
+        want = ref_cheapest_equivalent_linkage(g, start, [ring])
+        assert want.paths == ((1, 2, 3, 6, 9, 8, 7, 4), (5,))
+        assert cheapest_equivalent_linkage(g, start, [ring]).paths == want.paths
+
+    def test_budget_still_signalled(self):
+        g, pairs, cycles, _ = ring_host(8, 3, 1)
+        with pytest.raises(BudgetExceeded):
+            best_linkage_for_pattern(g, pairs, cycles, budget=5)
+        start = best_linkage_for_pattern(g, pairs, cycles)
+        with pytest.raises(BudgetExceeded):
+            cheapest_equivalent_linkage(g, start, cycles, budget=5)
+
+
+def _grid_edges(side, first):
+    vid = lambda r, c: first + r * side + c  # noqa: E731
+    out = []
+    for r in range(side):
+        for c in range(side):
+            if c + 1 < side:
+                out.append((vid(r, c), vid(r, c + 1)))
+            if r + 1 < side:
+                out.append((vid(r, c), vid(r + 1, c)))
+    return out
+
+
+def _instance(n, edges, pairs):
+    return parse_instance(
+        f"p dpp {n} {len(edges)} {len(pairs)}\n"
+        + "".join(f"e {u} {v}\n" for u, v in edges)
+        + "".join(f"t {s} {t}\n" for s, t in pairs)
+    )
+
+
+def pocket_instance():
+    """1 -> 2 through hub 19 and 20; hub 19 also leads into a 4x4 grid
+    pocket (3..18) that it is the only way out of, and 3 < 20, so plain
+    enumeration walks the whole pocket before trying 20."""
+    edges = [(1, 19), (19, 3), (19, 20), (20, 2)] + _grid_edges(4, 3)
+    return _instance(20, edges, [(1, 2)])
+
+
+def cut_off_instance():
+    """Corner to corner of a 5x5 grid, plus a pair whose ends hang off
+    those two corners, so it can never be joined: plain enumeration tries
+    every corner-to-corner path first."""
+    edges = _grid_edges(5, 1) + [(1, 26), (25, 27)]
+    return _instance(27, edges, [(1, 25), (26, 27)])
+
+
+class TestDeadBranches:
+    def test_head_walled_in_is_cut(self):
+        inst = pocket_instance()
+        assert ref_solve_bruteforce(inst, budget=2000).status is Status.UNKNOWN
+        out = solve_bruteforce(inst, budget=200)
+        assert out.solution == Solution(((1, 19, 20, 2),))
+
+    def test_unjoinable_later_pair_is_cut(self):
+        inst = cut_off_instance()
+        assert ref_solve_bruteforce(inst, budget=100_000).status is Status.UNKNOWN
+        assert solve_bruteforce(inst, budget=100).status is Status.NO
+
+    @pytest.mark.parametrize("make, work", [(pocket_instance, 158), (cut_off_instance, 78)])
+    def test_work_units_pinned(self, make, work):
+        # one unit per search node plus one per edge the reachability DFS scans
+        inst = make()
+        assert solve_bruteforce(inst, budget=work).status is not Status.UNKNOWN
+        out = solve_bruteforce(inst, budget=work - 1)
+        assert out.status is Status.UNKNOWN
+        assert out.reason == "work budget exceeded"
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(6, 14),
+    density=st.floats(1.0, 2.6),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+    keep=st.floats(0.0, 1.0),
+    restrict=st.booleans(),
+)
+def test_engine_equals_reference_on_random_instances(n, density, k, seed, keep, restrict):
+    inst = gen_random_planar(n, min(3 * n - 6, max(n - 1, round(density * n))), k, seed)
+    rng = random.Random(seed)
+    g, pairs = inst.graph, list(inst.pairs)
+    assert_bruteforce_matches_reference(inst)
+    allowed = random_allowed(g, pairs, rng) if restrict else None
+    assert_engine_matches_reference(g, pairs, face_cycles(g, rng, keep), allowed)
+
+
+@settings(max_examples=30)
+@given(
+    sectors=st.integers(6, 8),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+    restrict=st.booleans(),
+)
+def test_engine_equals_reference_on_ring_hosts(sectors, k, seed, restrict):
+    g, pairs, cycles, rng = ring_host(sectors, k, seed)
+    allowed = random_allowed(g, pairs, rng) if restrict else None
+    assert_engine_matches_reference(g, pairs, cycles, allowed)
