@@ -32,7 +32,11 @@ class InsufficientGridError(ValueError):
 
 
 class CycleBudgetExceeded(RuntimeError):
-    """Exhaustive cycle enumeration ran over budget."""
+    """Exhaustive cycle enumeration ran over budget.
+
+    A step is one vertex pushed onto the enumeration's DFS path; every root
+    the enumeration starts from counts as one step.
+    """
 
 
 @dataclass(frozen=True)
@@ -277,31 +281,38 @@ def _iter_cycles(adj: dict[int, list[int]], budget: int):
     """Every simple cycle of the graph `adj` exactly once.
 
     `adj` maps each vertex to its sorted neighbours. DFS with minimum-root
-    canonicity; `budget` bounds the DFS steps taken in `adj`.
+    canonicity on an explicit stack of neighbour iterators, one per vertex
+    of the current path; `budget` bounds the DFS steps, one per vertex
+    pushed onto the path, each root included.
     """
-    spent = [0]
+    spent = 0
     for root in sorted(adj):
+        spent += 1
+        if spent > budget:
+            raise CycleBudgetExceeded(f"over {budget} steps enumerating cycles")
         path = [root]
         on_path = {root}
-
-        def walk():
-            spent[0] += 1
-            if spent[0] > budget:
-                raise CycleBudgetExceeded(f"over {budget} steps enumerating cycles")
-            v = path[-1]
-            for w in adj[v]:
+        stack = [iter(adj[root])]
+        while stack:
+            for w in stack[-1]:
                 if w < root:
                     continue
-                if w == root and len(path) >= 3 and path[1] < path[-1]:
-                    yield Cycle(tuple(path))
-                if w not in on_path and w != root:
+                if w == root:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        yield Cycle(tuple(path))
+                elif w not in on_path:
+                    spent += 1
+                    if spent > budget:
+                        raise CycleBudgetExceeded(
+                            f"over {budget} steps enumerating cycles"
+                        )
                     path.append(w)
                     on_path.add(w)
-                    yield from walk()
-                    on_path.discard(w)
-                    path.pop()
-
-        yield from walk()
+                    stack.append(iter(adj[w]))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
 
 
 def _disc_adjacency(disc: DiskRegion) -> dict[int, list[int]]:
@@ -318,11 +329,16 @@ def _disc_adjacency(disc: DiskRegion) -> dict[int, list[int]]:
 def verify_tight(g: PlaneGraph, cc: ConcentricCycles, budget: int = 200_000) -> CheckResult:
     """Exhaustively re-check surface minimality and the annulus condition.
 
-    Every simple cycle of the outer closed disc's subgraph is examined;
-    `budget` counts DFS steps in that subgraph.
+    Every simple cycle of the outer closed disc's subgraph is examined.
+    `budget` counts DFS steps in that subgraph: one per vertex pushed onto
+    the DFS path, each root of the enumeration included. A cycle's closed
+    interior is derived only when a check can read it, that is, when the
+    cycle's cheap vertex and edge tests leave one of the checks open.
     """
     problems: list[str] = []
     discs = cc.discs
+    d0_vertices = discs[0].vertices
+    later = [c.normalized() for c in cc.cycles[1:]]
     # Only cycles inside the outer closed disc discs[-1] can fail a check;
     # make_concentric nests every disc inside the next, faces and vertices.
     # - The slip check skips any cycle not inside discs[i+1], and discs[i+1]
@@ -333,20 +349,33 @@ def verify_tight(g: PlaneGraph, cc: ConcentricCycles, budget: int = 200_000) -> 
     #   closed interior holds every edge bordering one of its faces, so the
     #   edge and its ends lie in discs[-1].
     for cyc in _iter_cycles(_disc_adjacency(discs[-1]), budget):
-        region = closed_interior(g, cyc)
-        if region.is_proper_subset_of(discs[0]):
-            problems.append(
-                f"disc 0 is not surface minimal: cycle {cyc.vertices} fits inside"
-            )
-            break
+        # The region is derived only where a check reads it:
+        # - The minimality check needs region.vertices <= discs[0].vertices,
+        #   and a closed interior holds its own cycle's vertices. So it can
+        #   fire only if cyc.vertex_set <= discs[0].vertices.
+        # - The slip check for pair i reads the region only after its three
+        #   vertex and edge tests have passed.
+        # Neither check has any other effect, so skipping the region
+        # elsewhere changes no verdict, and the minimality check still runs
+        # before the slip checks for every cycle.
+        region = None
+        if cyc.vertex_set <= d0_vertices:
+            region = closed_interior(g, cyc)
+            if region.is_proper_subset_of(discs[0]):
+                problems.append(
+                    f"disc 0 is not surface minimal: cycle {cyc.vertices} fits inside"
+                )
+                break
         for i in range(len(discs) - 1):
             inner, outer = discs[i], discs[i + 1]
             if cyc.vertex_set & inner.vertices:
                 continue
             if not (cyc.vertex_set <= outer.vertices and cyc.edges <= outer.edges):
                 continue
-            if cyc.normalized() == cc.cycles[i + 1].normalized():
+            if cyc.normalized() == later[i]:
                 continue
+            if region is None:
+                region = closed_interior(g, cyc)
             if inner.faces <= region.faces and region.faces < outer.faces:
                 problems.append(
                     f"cycle {cyc.vertices} slips between discs {i} and {i + 1}"

@@ -1,15 +1,22 @@
-"""Differential test: tightness verification restricted to the outer disc.
+"""Differential tests: tightness verification restricted to the outer disc.
 
 `verify_tight` enumerates only the cycles of the outer closed disc's
-subgraph. The reference below is the unrestricted verifier it replaced: it
-enumerates every simple cycle of the host and applies the same two checks.
+subgraph, and derives a cycle's closed interior only when a check reads it.
+The reference below is the unrestricted, eager verifier it replaced: it
+enumerates every simple cycle of the host and applies the same two checks,
+deriving every cycle's closed interior.
 """
 
 import random
 
+import pytest
 from conftest import corpus_host
+from hypothesis import event, given, reject, settings
+from hypothesis import strategies as st
 
+import pdpp.concentric
 from pdpp.concentric import (
+    CycleBudgetExceeded,
     _disc_adjacency,
     _iter_cycles,
     make_concentric,
@@ -19,6 +26,15 @@ from pdpp.gallery import ring_cycle, shortcut_annulus_host
 from pdpp.plane import CheckResult, Cycle, closed_interior, grid_ring, make_grid
 
 BUDGET = 2_000_000
+# The property test compares against the unrestricted reference, whose
+# eager regions cost about 0.2 ms per host cycle; a 7-sector host with three
+# cycle rings and every spoke has about 300,000 cycles. Examples whose host
+# needs more reference steps than this are discarded.
+REFERENCE_STEPS = 100_000
+
+
+class ReferenceOverBudget(AssertionError):
+    """The reference enumeration took more steps than it was given."""
 
 
 def _reference_cycles(g, budget):
@@ -31,7 +47,8 @@ def _reference_cycles(g, budget):
 
         def walk():
             spent[0] += 1
-            assert spent[0] <= budget, "reference enumeration over budget"
+            if spent[0] > budget:
+                raise ReferenceOverBudget("reference enumeration over budget")
             v = path[-1]
             for w in adj[v]:
                 if w < root:
@@ -121,6 +138,90 @@ def test_restriction_matches_unrestricted_verifier():
             kinds.add("slip" if "slips between" in got.problems[0] else "not minimal")
     # the corpus has tight families and families failing either check
     assert kinds == {"tight", "not minimal", "slip"}
+
+
+@settings(max_examples=100)
+@given(
+    sectors=st.integers(4, 7),
+    cycle_rings=st.integers(2, 3),
+    spoke_prob=st.floats(0.3, 0.9),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_lazy_verifier_matches_eager_reference(sectors, cycle_rings, spoke_prob, seed, data):
+    g, vid, _ = corpus_host(sectors, cycle_rings, seed, spoke_prob=spoke_prob)
+    rings = data.draw(
+        st.lists(st.integers(0, cycle_rings - 1), min_size=1, unique=True).map(sorted)
+    )
+    cc = make_concentric(g, [ring_cycle(vid, r, sectors) for r in rings])
+    try:
+        full = list(_reference_cycles(g, REFERENCE_STEPS))
+    except ReferenceOverBudget:
+        reject()
+    got = verify_tight(g, cc, budget=BUDGET)
+    want = _reference_verify_tight(g, cc, full)
+    assert (got.ok, got.problems) == (want.ok, want.problems)
+    event("tight" if got.ok else "slip" if "slips between" in got.problems[0] else "not minimal")
+
+
+def _pinned_hosts():
+    """(id, host, family, steps to decide, regions derived, problems)."""
+    g = make_grid(5, 5)
+    yield (
+        "grid5x5-offsets10",
+        g,
+        make_concentric(g, [grid_ring(g, o) for o in (1, 0)]),
+        325_882,
+        1,
+        ("disc 0 is not surface minimal: cycle (7, 8, 9, 14, 13, 12) fits inside",),
+    )
+    g, vid, _ = shortcut_annulus_host()
+    yield (
+        "annulus-rings012",
+        g,
+        make_concentric(g, [ring_cycle(vid, r, 6) for r in (0, 1, 2)]),
+        61_237,
+        3,
+        ("cycle (13, 18, 17, 16, 15, 14, 19) slips between discs 1 and 2",),
+    )
+    yield (
+        "annulus-rings01",
+        g,
+        make_concentric(g, [ring_cycle(vid, r, 6) for r in (0, 1)]),
+        968,
+        1,
+        (),
+    )
+
+
+PINNED = list(_pinned_hosts())
+PINNED_IDS = [p[0] for p in PINNED]
+
+
+@pytest.mark.parametrize("label,g,cc,steps,regions,problems", PINNED, ids=PINNED_IDS)
+def test_budget_counts_one_step_per_vertex_pushed(label, g, cc, steps, regions, problems):
+    # One step per vertex pushed onto the DFS path, each root included: the
+    # verifier decides with exactly `steps` and gives up with one fewer.
+    assert verify_tight(g, cc, budget=steps).problems == problems
+    with pytest.raises(CycleBudgetExceeded):
+        verify_tight(g, cc, budget=steps - 1)
+
+
+@pytest.mark.parametrize("label,g,cc,steps,regions,problems", PINNED, ids=PINNED_IDS)
+def test_region_derived_only_when_a_check_reads_it(
+    label, g, cc, steps, regions, problems, monkeypatch
+):
+    calls = []
+    derive = pdpp.concentric.closed_interior
+
+    def counted(host, cyc):
+        calls.append(cyc)
+        return derive(host, cyc)
+
+    monkeypatch.setattr(pdpp.concentric, "closed_interior", counted)
+    got = verify_tight(g, cc, budget=BUDGET)
+    assert (got.ok, got.problems) == (not problems, problems)
+    assert len(calls) == regions
 
 
 def test_cycle_identity_survives_cached_properties():
