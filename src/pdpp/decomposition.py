@@ -9,6 +9,7 @@ desk-scale tools, with heuristic (verified) constructions doing the bulk work.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -292,60 +293,81 @@ def treewidth_exact(g: PlaneGraph) -> int:
 
 
 def minfill_order(g: PlaneGraph) -> list[int]:
+    """Min-fill elimination order; ties go to the smallest vertex.
+
+    Each step eliminates the live vertex of least fill (pairs of its live
+    neighbours not yet adjacent), turns its neighbourhood into a clique and
+    drops it. Scores sit in a heap keyed (fill, vertex), and stale entries
+    are skipped on pop. Eliminating v changes the neighbourhoods of N(v)
+    only, and adds edges only inside N(v), so besides N(v) just the vertices
+    with two or more neighbours in N(v) are rescored.
+    """
     adj: dict[int, set[int]] = {v: set(g.rotation[v]) for v in g.vertices}
+
+    def fill(v: int) -> int:
+        nbrs = adj[v]
+        d = len(nbrs)
+        inside = 0  # each edge inside N(v) twice
+        for a in nbrs:
+            inside += len(adj[a] & nbrs)
+        return d * (d - 1) // 2 - inside // 2
+
+    score = {v: fill(v) for v in adj}
+    heap = [(f, v) for v, f in score.items()]
+    heapq.heapify(heap)
     order = []
-    alive = set(g.vertices)
-    while alive:
-        best_v, best_fill = None, None
-        for v in sorted(alive):
-            nbrs = adj[v] & alive
-            fill = 0
-            lst = sorted(nbrs)
-            for i in range(len(lst)):
-                for j in range(i + 1, len(lst)):
-                    if lst[j] not in adj[lst[i]]:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-        v = best_v
-        nbrs = adj[v] & alive
-        lst = sorted(nbrs)
-        for i in range(len(lst)):
-            for j in range(i + 1, len(lst)):
-                adj[lst[i]].add(lst[j])
-                adj[lst[j]].add(lst[i])
+    while heap:
+        f, v = heapq.heappop(heap)
+        if score.get(v) != f:
+            continue  # eliminated, or rescored since this entry
+        del score[v]
         order.append(v)
-        alive.discard(v)
+        nbrs = adj.pop(v)
+        hits: dict[int, int] = {}
+        for a in nbrs:
+            near = adj[a]
+            near.discard(v)
+            for w in near:
+                if w not in nbrs:
+                    hits[w] = hits.get(w, 0) + 1
+            near |= nbrs
+            near.discard(a)
+        rescore = list(nbrs)
+        rescore += [w for w, c in hits.items() if c > 1]
+        for w in rescore:
+            f = fill(w)
+            if f != score[w]:
+                score[w] = f
+                heapq.heappush(heap, (f, w))
     return order
 
 
 def td_from_elimination(g: PlaneGraph, order: list[int]) -> TreeDecomposition:
-    """Tree decomposition from an elimination order (fill-in bags)."""
+    """Tree decomposition from an elimination order (fill-in bags).
+
+    One node per vertex, in elimination order. A vertex's bag is itself and
+    its neighbours still live when it is eliminated; its parent is the node
+    of the first of those eliminated after it, or the last node.
+    """
     pos = {v: i for i, v in enumerate(order)}
     adj: dict[int, set[int]] = {v: set(g.rotation[v]) for v in g.vertices}
-    bags: dict[int, frozenset[int]] = {}
-    for v in order:
-        higher = {w for w in adj[v] if pos[w] > pos[v]}
-        bags[v] = frozenset({v} | higher)
-        lst = sorted(higher)
-        for i in range(len(lst)):
-            for j in range(i + 1, len(lst)):
-                adj[lst[i]].add(lst[j])
-                adj[lst[j]].add(lst[i])
-    # Node per vertex, in elimination order; parent = earliest-eliminated
-    # higher neighbor's node (or the final node).
-    idx = {v: i for i, v in enumerate(order)}
+    bag_list: list[frozenset[int]] = []
     parent = [-1] * len(order)
-    for v in order:
-        higher = sorted(bags[v] - {v}, key=lambda w: pos[w])
+    for i, v in enumerate(order):
+        higher = adj.pop(v)
+        for a in higher:
+            near = adj[a]
+            near.discard(v)
+            near |= higher
+            near.discard(a)
+        bag_list.append(frozenset(higher) | {v})
         if higher:
-            parent[idx[v]] = idx[higher[0]]
-    # The last-eliminated vertex is the root; reorient others missing parents.
-    root = idx[order[-1]]
+            parent[i] = min(pos[w] for w in higher)
+    # The last-eliminated vertex is the root; hang the others missing parents on it.
+    root = pos[order[-1]]
     for i in range(len(order)):
         if parent[i] < 0 and i != root:
             parent[i] = root
-    bag_list = [bags[v] for v in order]
     width = max(len(b) for b in bag_list) - 1 if bag_list else 0
     td = TreeDecomposition(tuple(parent), tuple(bag_list), width)
     check = verify_tree_decomposition(g, td)
@@ -631,22 +653,34 @@ def branchwidth_lower_bound_from_tw(tw: int) -> int:
 
 @dataclass(frozen=True)
 class TooWide:
-    """Certificate that the graph is wide: a verified grid minor model."""
+    """Certificate that the graph is wide: a verified grid minor model.
+
+    `bd` is the verified branch decomposition that was too wide, for callers
+    that fall back to it when the grid minor yields no reduction.
+    """
 
     grid_model: GridMinorModel
     target: int
+    bd: BranchDecomposition
 
 
 DEFAULT_APPROX_FACTOR = 5  # (2/eps + 3) at eps = 1
 
 
-def best_heuristic_bd(g: PlaneGraph) -> BranchDecomposition:
-    """Verified branch decomposition: grid sweep when applicable, else via min-fill."""
+def best_heuristic_bd(
+    g: PlaneGraph, td: Optional[TreeDecomposition] = None
+) -> BranchDecomposition:
+    """Verified branch decomposition: grid sweep when applicable, else via min-fill.
+
+    `td` is the min-fill decomposition of `g` when the caller already holds
+    it; None computes it here.
+    """
     candidates: list[BranchDecomposition] = []
     if g.grid_shape is not None and g.grid_shape[0] >= 1 and g.grid_shape[1] >= 1:
         if g.m >= 1:
             candidates.append(caterpillar_bd(g, grid_sweep_order(g)))
-    td = td_from_elimination(g, minfill_order(g)) if g.n else None
+    if td is None and g.n:
+        td = td_from_elimination(g, minfill_order(g))
     if td is not None:
         candidates.append(bd_from_td(g, td))
     if not candidates:
@@ -655,18 +689,22 @@ def best_heuristic_bd(g: PlaneGraph) -> BranchDecomposition:
 
 
 def branch_decompose(
-    g: PlaneGraph, target: int, factor: int = DEFAULT_APPROX_FACTOR
+    g: PlaneGraph,
+    target: int,
+    factor: int = DEFAULT_APPROX_FACTOR,
+    td: Optional[TreeDecomposition] = None,
 ) -> BranchDecomposition | TooWide:
     """Width <= factor*target decomposition, or a grid-minor wideness certificate.
 
     TOO_WIDE is only ever reported with a verified (target x target)-grid
-    minor in hand, so the certificate is sound by construction.
+    minor in hand, so the certificate is sound by construction. `td` is
+    passed on to `best_heuristic_bd`.
     """
-    bd = best_heuristic_bd(g)
+    bd = best_heuristic_bd(g, td)
     if bd.width > target and target >= 2:
         model = find_grid_minor(g, target)
         if model is not None:
-            return TooWide(model, target)
+            return TooWide(model, target, bd)
     return bd
 
 
@@ -677,10 +715,15 @@ def td_from_bd(g: PlaneGraph, bd: BranchDecomposition) -> TreeDecomposition:
     union of the order sets of its three incident tree edges (all computed
     by one `order_sets` pass); a leaf's bag is its host edge.
 
+    Every order set lies in some bag (an internal node's bag holds those of
+    its incident edges, a leaf's host edge holds that of its one edge), so
+    the width is also at least width(bd) - 1.
+
     The result has one node per tree node, about 2m, and most internal bags
     are near full width. A min-fill decomposition of the same width has n
     bags, and the DP on it is several times faster, so `solve_pipeline`
-    uses this one only when it is strictly narrower.
+    uses this one only when it is strictly narrower, and builds it only when
+    the lower bound allows that.
     """
     if g.m == 0:
         bags = [frozenset()] + [frozenset({v}) for v in g.vertices]

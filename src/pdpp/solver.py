@@ -23,7 +23,7 @@ from .decomposition import (
     BranchDecomposition,
     TooWide,
     TreeDecomposition,
-    best_heuristic_bd,
+    _bags_by_vertex,
     branch_decompose,
     td_from_bd,
     tree_decompose,
@@ -193,9 +193,10 @@ def nice_tree(g: PlaneGraph, td: TreeDecomposition) -> tuple[list[_Nice], int]:
 
     kids = td.children()
     edge_home: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(td.bags))}
+    holding = _bags_by_vertex(td)
     for e in sorted(g.edges):
         u, v = e
-        home = min(i for i, bag in enumerate(td.bags) if u in bag and v in bag)
+        home = next(i for i in holding[u] if v in td.bags[i])  # lowest index
         edge_home[home].append(e)
 
     def chain_to(bag_from: frozenset[int], bag_to: frozenset[int], below: int) -> int:
@@ -647,7 +648,8 @@ def solve_pipeline(
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
-        out = branch_decompose(cur.graph, target, factor=factor)
+        minfill = tree_decompose(cur.graph)
+        out = branch_decompose(cur.graph, target, factor=factor, td=minfill)
         if isinstance(out, TooWide):
             cert = find_irrelevant_vertex(cur, out.grid_model, mode=mode)
             if cert is not None:
@@ -660,16 +662,19 @@ def solve_pipeline(
                 pairs2 = tuple((remap[s], remap[t]) for s, t in cur.pairs)
                 cur = DppInstance(g2, pairs2)
                 continue
-            bd = best_heuristic_bd(cur.graph)
+            bd = out.bd
         else:
             bd = out
         # Min-fill gives n bags, td_from_bd about 2m bags near full width, so
         # at equal width the DP is much cheaper on min-fill's. td_from_bd is
         # still strictly narrower on some inputs (unreduced grids of side >= 7).
-        from_bd = td_from_bd(cur.graph, bd)
-        td = tree_decompose(cur.graph)
-        if from_bd.width < td.width:
-            td = from_bd
+        # Its width is at least bd.width - 1 (see td_from_bd), so it is built
+        # only when that bound is below min-fill's width.
+        td = minfill
+        if bd.width - 1 < minfill.width:
+            from_bd = td_from_bd(cur.graph, bd)
+            if from_bd.width < minfill.width:
+                td = from_bd
         used = TreeDecomposition(
             td.parent,
             tuple(frozenset(to_original[v] for v in bag) for bag in td.bags),

@@ -1,7 +1,9 @@
+import math
 import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdpp.decomposition import (
     BranchDecomposition,
@@ -16,6 +18,7 @@ from pdpp.decomposition import (
     caterpillar_bd,
     find_grid_minor,
     grid_sweep_order,
+    minfill_order,
     order_sets,
     td_from_bd,
     tree_decompose,
@@ -346,3 +349,60 @@ def test_tree_verifier_matches_reference():
     # every kind of problem the verifier names was produced: a second root,
     # a vertex or an edge in no bag, disconnected bags and a wrong width
     assert seen == {"expected", "vertices", "edge", "bags", "declared"}
+
+
+def reference_minfill_order(g):
+    """The quadratic min-fill order: every step rescans every live vertex."""
+    adj = {v: set(g.rotation[v]) for v in g.vertices}
+    order = []
+    alive = set(g.vertices)
+    while alive:
+        best_v, best_fill = None, None
+        for v in sorted(alive):
+            lst = sorted(adj[v] & alive)
+            fill = 0
+            for i in range(len(lst)):
+                for j in range(i + 1, len(lst)):
+                    if lst[j] not in adj[lst[i]]:
+                        fill += 1
+            if best_fill is None or fill < best_fill:
+                best_v, best_fill = v, fill
+        lst = sorted(adj[best_v] & alive)
+        for i in range(len(lst)):
+            for j in range(i + 1, len(lst)):
+                adj[lst[i]].add(lst[j])
+                adj[lst[j]].add(lst[i])
+        order.append(best_v)
+        alive.discard(best_v)
+    return order
+
+
+def random_planar_graph(n, density, seed):
+    max_m = 3 * n - 6 if n >= 3 else n - 1
+    m = min(max_m, max(n - 1, math.ceil(density * n)))
+    return gen_random_planar(n, m, 1, seed).graph
+
+
+planar_graphs = st.one_of(
+    st.builds(
+        random_planar_graph,
+        st.integers(2, 80),
+        st.floats(1.0, 2.9),
+        st.integers(0, 2 ** 32 - 1),
+    ),
+    st.builds(make_grid, st.integers(1, 9), st.integers(1, 9)),
+)
+
+
+@settings(max_examples=150)
+@given(g=planar_graphs)
+def test_minfill_order_matches_reference(g):
+    assert minfill_order(g) == reference_minfill_order(g)
+
+
+@settings(max_examples=100)
+@given(g=planar_graphs)
+def test_td_from_bd_width_lower_bound(g):
+    # solve_pipeline skips td_from_bd when this bound rules out a win
+    bd = best_heuristic_bd(g)
+    assert td_from_bd(g, bd).width >= bd.width - 1

@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdpp import solver
+from pdpp import decomposition, solver
 from pdpp.concentric import lemma_side_requirement
-from pdpp.decomposition import best_heuristic_bd, td_from_bd, tree_decompose
+from pdpp.decomposition import TooWide, best_heuristic_bd, td_from_bd, tree_decompose
 from pdpp.instances import DppInstance, gen_grid_instance, gen_random_planar, parse_instance
 from pdpp.oracle import SolveOutcome, Status, solve_bruteforce, verify_solution
 from pdpp.plane import GridMinorModel, grid_vertex, make_grid, outer_cycle
@@ -336,6 +336,20 @@ class TestIrrelevantVertex:
         assert not (cert.cycles.outer_disc().vertices & inst.terminals())
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap `module.name`; the returned list gets (args, result) per call."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 class TestPipeline:
     def test_tree_instance_direct_dp(self):
         inst = gen_random_planar(8, 7, 2, 1)  # a tree
@@ -392,6 +406,64 @@ class TestPipeline:
         assert res.iterations == 1
         assert ran_on == [narrow]
         assert res.decomposition == narrow
+
+    @pytest.mark.parametrize(
+        "inst, iterations, widths, built",
+        [
+            # sparse: td_from_bd cannot be narrower than min-fill, so it is skipped
+            (gen_random_planar(12, 18, 2, 0), 1, (4, 3), 0),
+            # 5x5: a tie at width 5, so td_from_bd is built and then dropped
+            (gen_grid_instance(5, 2, 0), 1, (5, 5), 1),
+            # 7x7 reduced once; the DP iteration sees the reduced graph
+            (gen_grid_instance(7, 2, 0), 2, (6, 7), 1),
+        ],
+    )
+    def test_one_min_fill_pass_per_iteration(
+        self, monkeypatch, inst, iterations, widths, built
+    ):
+        orders = count_calls(monkeypatch, decomposition, "minfill_order")
+        elims = count_calls(monkeypatch, decomposition, "td_from_elimination")
+        heuristic = count_calls(monkeypatch, decomposition, "best_heuristic_bd")
+        from_bd = count_calls(monkeypatch, solver, "td_from_bd")
+        res = solve_pipeline(inst)
+        assert res.iterations == iterations
+        assert len(orders) == len(elims) == len(heuristic) == iterations
+        # the branch decomposition is built from the one min-fill pass
+        for (args, _), (_, minfill) in zip(heuristic, elims):
+            assert args[1] is minfill
+        # (bd width, min-fill width) where the DP runs; td_from_bd is built
+        # only when bd.width - 1 < min-fill's width
+        bd, minfill = heuristic[-1][1], elims[-1][1]
+        assert (bd.width, minfill.width) == widths
+        assert len(from_bd) == built == int(bd.width - 1 < minfill.width)
+        assert res.decomposition.parent == minfill.parent
+        assert res.decomposition.width == minfill.width
+
+    def test_too_wide_reuses_its_branch_decomposition(self, monkeypatch):
+        # 7x7 with k = 2 is too wide for the side-6 target; with no
+        # certificate the DP falls back to the decomposition already built
+        inst = gen_grid_instance(7, 2, 0)
+        outs = count_calls(monkeypatch, solver, "branch_decompose")
+        heuristic = count_calls(monkeypatch, decomposition, "best_heuristic_bd")
+        orders = count_calls(monkeypatch, decomposition, "minfill_order")
+        from_bd = count_calls(monkeypatch, solver, "td_from_bd")
+        monkeypatch.setattr(solver, "find_irrelevant_vertex", lambda *a, **kw: None)
+        ran_on = []
+
+        def record(inst, td, state_budget):
+            ran_on.append(td)
+            return SolveOutcome(Status.NO)
+
+        monkeypatch.setattr(solver, "dp_solve", record)
+        res = solve_pipeline(inst)
+        assert res.iterations == 1
+        ((_, out),) = outs
+        assert isinstance(out, TooWide)
+        assert len(heuristic) == len(orders) == 1
+        ((args, narrow),) = from_bd
+        assert args[1] is out.bd
+        assert narrow.width == 7 < tree_decompose(inst.graph).width
+        assert ran_on == [narrow]
 
     def test_pattern_preserved_after_reduction(self):
         # 8x8 forces at least one reduction in heuristic mode; the final
