@@ -419,6 +419,25 @@ def _td_exact_width(g: PlaneGraph, width: int) -> TreeDecomposition:
 # -- td -> bd translation (bw <= tw + 1 direction) -------------------------------
 
 
+def _euler_tour(kids: list[list[int]], root: int):
+    """Depth-first (node, entering) events over a rooted tree.
+
+    Each node yields True before its subtree and False after it, children
+    in the order of `kids`. Iterative, so a tree as deep as a path is fine.
+    """
+    yield root, True
+    stack = [(root, iter(kids[root]))]
+    while stack:
+        node, rest = stack[-1]
+        child = next(rest, None)
+        if child is None:
+            stack.pop()
+            yield node, False
+        else:
+            yield child, True
+            stack.append((child, iter(kids[child])))
+
+
 def _fresh(counter: list[int]) -> int:
     counter[0] += 1
     return counter[0]
@@ -445,31 +464,29 @@ def bd_from_td(g: PlaneGraph, td: TreeDecomposition) -> BranchDecomposition:
     tau: dict[int, Edge] = {}
     kids = td.children()
 
-    def build(node: int) -> Optional[int]:
-        """Returns a hook (tree node) representing this subtree, or None."""
-        hooks: list[int] = []
-        for e in assigned[node]:
-            leaf = _fresh(counter)
-            tau[leaf] = e
-            hooks.append(leaf)
-        for ch in kids[node]:
-            h = build(ch)
-            if h is not None:
-                hooks.append(h)
-        if not hooks:
-            return None
-        while len(hooks) > 1:
-            a = hooks.pop()
-            b = hooks.pop()
+    # Each node's edges become leaves when the walk enters it, and its hooks
+    # (those leaves, then one per child subtree holding edges) are combed
+    # into one when it leaves.
+    hooks: dict[int, list[int]] = {}
+    root = next(i for i, p in enumerate(td.parent) if p < 0)
+    for node, entering in _euler_tour(kids, root):
+        if entering:
+            hooks[node] = []
+            for e in assigned[node]:
+                leaf = _fresh(counter)
+                tau[leaf] = e
+                hooks[node].append(leaf)
+            continue
+        mine = hooks.pop(node)
+        while len(mine) > 1:
+            a = mine.pop()
+            b = mine.pop()
             j = _fresh(counter)
             tree_edges.append((j, a))
             tree_edges.append((j, b))
-            hooks.append(j)
-        return hooks[0]
-
-    root = next(i for i, p in enumerate(td.parent) if p < 0)
-    root_hook = build(root)
-    assert root_hook is not None
+            mine.append(j)
+        if mine and td.parent[node] >= 0:
+            hooks[td.parent[node]].append(mine[0])
     # The comb above may give the topmost joint degree 2; splice it away.
     bd = _normalize_bd(tree_edges, tau)
     width = max(map(len, order_sets(bd).values()), default=0)

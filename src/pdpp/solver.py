@@ -4,7 +4,7 @@ The DP runs over a nice tree decomposition with explicit edge-introduction
 nodes. States track, per bag vertex, whether it is untouched, a live end of
 a path fragment, or closed; live ends carry either their in-bag partner or
 the hidden terminal their fragment already reached. Completed terminal
-pairs accumulate in a done-set.
+pairs accumulate in a done bitmask.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .decomposition import (
     TooWide,
     TreeDecomposition,
     _bags_by_vertex,
+    _euler_tour,
     branch_decompose,
     td_from_bd,
     tree_decompose,
@@ -210,39 +211,49 @@ def nice_tree(g: PlaneGraph, td: TreeDecomposition) -> tuple[list[_Nice], int]:
             cur = add(_Nice("intro", tuple(sorted(cur_bag)), (cur,), vertex=v))
         return cur
 
-    def build(t: int) -> int:
+    # children's chains are hooked under a node in order, as the walk
+    # leaves each child's subtree
+    hooks: dict[int, list[int]] = {}
+    root_td = next(i for i, p in enumerate(td.parent) if p < 0)
+    for t, entering in _euler_tour(kids, root_td):
+        if entering:
+            hooks[t] = []
+            continue
         bag = td.bags[t]
-        hooks = []
-        for ch in kids[t]:
-            sub = build(ch)
-            hooks.append(chain_to(td.bags[ch], bag, sub))
-        if not hooks:
+        mine = hooks.pop(t)
+        if not mine:
             cur = add(_Nice("leaf", (), ()))
             cur = chain_to(frozenset(), bag, cur)
         else:
-            cur = hooks[0]
-            for other in hooks[1:]:
+            cur = mine[0]
+            for other in mine[1:]:
                 cur = add(_Nice("join", tuple(sorted(bag)), (cur, other)))
         for e in edge_home[t]:
             cur = add(_Nice("edge", tuple(sorted(bag)), (cur,), edge=e))
-        return cur
-
-    root_td = next(i for i, p in enumerate(td.parent) if p < 0)
-    top = build(root_td)
-    top = chain_to(td.bags[root_td], frozenset(), top)
+        parent = td.parent[t]
+        if parent >= 0:
+            hooks[parent].append(chain_to(bag, td.bags[parent], cur))
+    top = chain_to(td.bags[root_td], frozenset(), cur)
     return nodes, top
 
 
 # -- the dynamic program -----------------------------------------------------------------
 
-# per-vertex codes inside a state tuple:
-#   ("u",)            untouched
-#   ("c",)            closed (interior, or endpoint of a finished pair)
-#   ("p", w)          live end, partner end at bag vertex w
-#   ("h", x)          live end, partner end is the already-forgotten terminal x
-
-_U = ("u",)
-_C = ("c",)
+# A state is a flat tuple: one int code per bag position, in bag order,
+# then the done pairs as a bitmask over pair indices (bit i: pair i is
+# finished). Vertex ids are dense and start at 1, so the codes are
+#   0          untouched
+#   1          closed (interior, or endpoint of a finished pair)
+#   2*w        live end, partner end at bag vertex w
+#   2*x + 1    live end, partner end is the already-forgotten terminal x
+# The code of a live end is also how its partner end is named when two
+# ends are settled (`_settle_ends`).
+#
+# Each nice node has one table, a dict from state to back pointer in
+# insertion order: None at the leaf, the child state at intro, forget and
+# edge nodes, and (left state, right state) at joins. Taking an edge always
+# changes the code of one of its ends, so an edge node's state that equals
+# its back pointer skipped the edge, and any other took it.
 
 
 def dp_solve(
@@ -264,140 +275,126 @@ def dp_solve(
         terminal_pair[s] = terminal_pair[t] = i
         partner[s] = t
         partner[t] = s
-    all_pairs = frozenset(range(inst.k))
 
-    tables: list[dict] = [dict() for _ in nodes]
-    back: list[dict] = [dict() for _ in nodes]
+    tables: list[dict] = []
     total_states = 0
-
-    def put(idx: int, state, info) -> None:
-        nonlocal total_states
-        if state not in tables[idx]:
-            tables[idx][state] = True
-            back[idx][state] = info
-            total_states += 1
-            if total_states > state_budget:
-                raise DpBudgetExceeded(
-                    f"DP exceeded {state_budget} states at node {idx}"
-                )
-
     for idx, node in enumerate(nodes):
         bag = node.bag
-        if node.kind == "leaf":
-            put(idx, ((), frozenset()), ("leaf",))
-            continue
-        if node.kind == "intro":
-            (child,) = node.children
+        kind = node.kind
+        if kind == "leaf":
+            table = {(0,): None}
+        elif kind == "intro":
             p = bag.index(node.vertex)
-            for key in tables[child]:
-                cstate, done = key
-                put(idx, (cstate[:p] + (_U,) + cstate[p:], done), ("intro", key))
-            continue
-        pos = {v: i for i, v in enumerate(bag)}
-        if node.kind == "forget":
+            # distinct child states stay distinct, so nothing collides
+            table = {
+                cstate[:p] + (0,) + cstate[p:]: cstate
+                for cstate in tables[node.children[0]]
+            }
+        elif kind == "forget":
             (child,) = node.children
             v = node.vertex
             p = nodes[child].bag.index(v)
-            for key in tables[child]:
-                cstate, done = key
+            pos = {w: i for i, w in enumerate(bag)}
+            is_terminal = v in terminal_pair
+            table = {}
+            for cstate in tables[child]:
                 code = cstate[p]
                 state = cstate[:p] + cstate[p + 1 :]
-                if code == _U:
-                    if v in terminal_pair:
+                if code == 0:
+                    if is_terminal:
                         continue
-                elif code == _C:
+                elif code == 1:
                     pass
-                elif code[0] == "p":
-                    if v not in terminal_pair:
+                elif code & 1:  # two hidden ends can never meet again
+                    continue
+                else:
+                    if not is_terminal:
                         continue
                     out = list(state)
-                    out[pos[code[1]]] = ("h", v)
+                    out[pos[code >> 1]] = 2 * v + 1
                     state = tuple(out)
-                else:  # ("h", x): two hidden ends can never meet again
-                    continue
-                put(idx, (state, done), ("forget", key))
-            continue
-        if node.kind == "edge":
-            (child,) = node.children
+                if state not in table:
+                    table[state] = cstate
+        elif kind == "edge":
             u, v = node.edge
+            pos = {w: i for i, w in enumerate(bag)}
             iu, iv = pos[u], pos[v]
-            for key in tables[child]:
-                put(idx, key, ("skip", key))
-                cstate, done = key
+            u_terminal = u in terminal_pair
+            v_terminal = v in terminal_pair
+            table = {}
+            for cstate in tables[node.children[0]]:
+                if cstate not in table:  # skip the edge
+                    table[cstate] = cstate
                 cu, cv = cstate[iu], cstate[iv]
-                if cu == _C or cv == _C:
+                if cu == 1 or cv == 1:
                     continue
-                if u in terminal_pair and cu != _U:
+                if (u_terminal and cu) or (v_terminal and cv):
                     continue
-                if v in terminal_pair and cv != _U:
-                    continue
-                new_done = set(done)
                 out = list(cstate)
-                codes = _ByVertex(out, pos)
-                if cu == _U and cv == _U:
-                    ok = _settle_ends(
-                        codes, new_done, ("bag", u), ("bag", v), terminal_pair, partner
-                    )
-                elif cu == _U or cv == _U:
-                    if cu == _U:
-                        fresh, live, clive = u, v, cv
+                if not cu and not cv:
+                    bit = _settle_ends(out, pos, 2 * u, 2 * v, terminal_pair, partner)
+                elif not cu or not cv:
+                    if not cu:
+                        fresh, live, clive = u, iv, cv
                     else:
-                        fresh, live, clive = v, u, cu
+                        fresh, live, clive = v, iu, cu
                     # live end absorbs the edge; fresh vertex becomes the end
-                    codes[live] = _C
-                    if clive[0] == "p":
-                        w = clive[1]
-                        # w == fresh would close a cycle through the edge
-                        ok = w != fresh and _settle_ends(
-                            codes, new_done, ("bag", fresh), ("bag", w),
-                            terminal_pair, partner,
-                        )
-                    else:
-                        ok = _settle_ends(
-                            codes, new_done, ("bag", fresh), ("hid", clive[1]),
-                            terminal_pair, partner,
-                        )
-                elif cu[0] == "p" and cu[1] == v:
-                    ok = False  # both live ends of one fragment: a cycle
+                    out[live] = 1
+                    # a live end paired with fresh would close a cycle
+                    bit = -1 if clive == 2 * fresh else _settle_ends(
+                        out, pos, 2 * fresh, clive, terminal_pair, partner
+                    )
+                elif cu == 2 * v:
+                    continue  # both live ends of one fragment: a cycle
                 else:
                     # both live: merging two fragments
-                    end_u = ("bag", cu[1]) if cu[0] == "p" else ("hid", cu[1])
-                    end_v = ("bag", cv[1]) if cv[0] == "p" else ("hid", cv[1])
-                    codes[u] = _C
-                    codes[v] = _C
-                    ok = _settle_ends(codes, new_done, end_u, end_v, terminal_pair, partner)
-                if not ok:
+                    out[iu] = out[iv] = 1
+                    bit = _settle_ends(out, pos, cu, cv, terminal_pair, partner)
+                if bit < 0:
                     continue
-                put(idx, (tuple(out), frozenset(new_done)), ("take", key))
-            continue
-        if node.kind == "join":
+                out[-1] |= bit
+                state = tuple(out)
+                if state not in table:
+                    table[state] = cstate
+        elif kind == "join":
             left, right = node.children
+            pos = {w: i for i, w in enumerate(bag)}
             join = _join_pair  # read here, not at import, so tests can wrap it
-            lefts = [_prepare_join(key, pos) for key in tables[left]]
+            lefts = [_prepare_join(state, pos) for state in tables[left]]
             # the filter fields up front, so the inner loop unpacks them
             rights = [
                 (prep[0], prep[1], prep[2], prep[3], prep)
-                for prep in (_prepare_join(key, pos) for key in tables[right])
+                for prep in (_prepare_join(state, pos) for state in tables[right])
             ]
+            table = {}
             for lp in lefts:
-                lkey, lclosed, ltouched, ldone = lp[0], lp[1], lp[2], lp[3]
-                for rkey, rclosed, rtouched, rdone, rp in rights:
+                lstate, lclosed, ltouched, ldone = lp[0], lp[1], lp[2], lp[3]
+                for rstate, rclosed, rtouched, rdone, rp in rights:
                     # closed on one side must be untouched on the other
                     if (lclosed & rtouched) | (rclosed & ltouched):
                         continue
                     if ldone & rdone:
                         continue
                     merged = join(lp, rp, bag, pos, terminal_pair, partner)
-                    if merged is None:
+                    if merged is None or merged in table:
                         continue
-                    put(idx, merged, ("join", lkey, rkey))
-            continue
-        raise AssertionError(node.kind)
+                    table[merged] = (lstate, rstate)
+                # counted per row, so a runaway join stops early
+                if total_states + len(table) > state_budget:
+                    raise DpBudgetExceeded(
+                        f"DP exceeded {state_budget} states at node {idx}"
+                    )
+        else:
+            raise AssertionError(kind)
+        total_states += len(table)
+        if total_states > state_budget:
+            raise DpBudgetExceeded(f"DP exceeded {state_budget} states at node {idx}")
+        tables.append(table)
 
-    accept = ((), all_pairs)
+    accept = ((1 << inst.k) - 1,)
     if accept not in tables[root]:
         return SolveOutcome(Status.NO)
-    edges = _reconstruct(nodes, back, root, accept)
+    edges = _reconstruct(nodes, tables, root, accept)
     sol = _solution_from_edges(inst, edges)
     check = verify_solution(inst, sol)
     if not check:
@@ -405,48 +402,31 @@ def dp_solve(
     return SolveOutcome(Status.YES, sol)
 
 
-class _ByVertex:
-    """Lets `_settle_ends` write codes by vertex into a bag-position list."""
-
-    __slots__ = ("codes", "pos")
-
-    def __init__(self, codes: list, pos: dict[int, int]):
-        self.codes = codes
-        self.pos = pos
-
-    def __setitem__(self, v: int, code: tuple) -> None:
-        self.codes[self.pos[v]] = code
-
-
-def _prepare_join(key, pos):
+def _prepare_join(state, pos):
     """A child state of a join node, prepared once for all of its pairs.
 
-    Returns (key, closed, touched, done, live, touched_at, link): bitmasks
-    over bag positions (closed, touched, live) and over pair indices
-    (done), the touched positions in bag order, and per live position where
-    its fragment leads: the partner's bag position, or ~x for the hidden
+    Returns (state, closed, touched, done, live, touched_at, link):
+    bitmasks over bag positions (closed, touched, live) and the done mask,
+    the touched positions in bag order, and per live position where its
+    fragment leads: the partner's bag position, or ~x for the hidden
     terminal x.
     """
-    state, done = key
     closed = touched = 0
     touched_at = []
-    link = [0] * len(state)
-    for i, code in enumerate(state):
-        tag = code[0]
-        if tag == "u":
+    link = [0] * (len(state) - 1)
+    for i in range(len(state) - 1):
+        code = state[i]
+        if not code:
             continue
         touched |= 1 << i
         touched_at.append(i)
-        if tag == "c":
+        if code == 1:
             closed |= 1 << i
-        elif tag == "p":
-            link[i] = pos[code[1]]
+        elif code & 1:
+            link[i] = ~(code >> 1)
         else:
-            link[i] = ~code[1]
-    done_mask = 0
-    for p in done:
-        done_mask |= 1 << p
-    return (key, closed, touched, done_mask, touched & ~closed, tuple(touched_at), link)
+            link[i] = pos[code >> 1]
+    return (state, closed, touched, state[-1], touched & ~closed, tuple(touched_at), link)
 
 
 def _join_pair(lp, rp, bag, pos, terminal_pair, partner):
@@ -462,18 +442,18 @@ def _join_pair(lp, rp, bag, pos, terminal_pair, partner):
     both sides that no walk reaches lies on a cycle, so the pair is
     rejected.
     """
-    lkey, rkey = lp[0], rp[0]
-    out = list(lkey[0])
-    rstate = rkey[0]
+    out = list(lp[0])
+    rstate = rp[0]
     for i in rp[5]:
         out[i] = rstate[i]
-    done = lkey[1] | rkey[1]
+    done = lp[3] | rp[3]
     both = lp[4] & rp[4]
     if not both:
-        return (tuple(out), done)
+        out[-1] = done
+        return tuple(out)
     lives = (lp[4], rp[4])
     links = (lp[6], rp[6])
-    # walks as (position, start end, first vertex live on both, side to read)
+    # walks as (position, start end code, first vertex live on both, side to read)
     from_bag = []
     from_hidden = []
     for s, prep in ((0, lp), (1, rp)):
@@ -483,13 +463,11 @@ def _join_pair(lp, rp, bag, pos, terminal_pair, partner):
                 continue
             j = link[i]
             if both >> i & 1:
-                out[i] = _C
+                out[i] = 1
                 if j < 0:
-                    from_hidden.append((i, ("hid", ~j), i, 1 - s))
+                    from_hidden.append((i, 2 * ~j + 1, i, 1 - s))
             elif j >= 0 and both >> j & 1:
-                from_bag.append((i, ("bag", bag[i]), j, 1 - s))
-    codes = _ByVertex(out, pos)
-    added: set[int] = set()
+                from_bag.append((i, 2 * bag[i], j, 1 - s))
     seen = 0
     for walks in (from_bag, from_hidden):
         for i, start, j, t in walks:
@@ -500,79 +478,77 @@ def _join_pair(lp, rp, bag, pos, terminal_pair, partner):
                 seen |= 1 << j
                 k = links[t][j]
                 if k < 0:
-                    end = ("hid", ~k)
+                    end = 2 * ~k + 1
                     break
                 t = 1 - t
                 if not lives[t] >> k & 1:
                     seen |= 1 << k
-                    end = ("bag", bag[k])
+                    end = 2 * bag[k]
                     break
                 j = k
-            if not _settle_ends(codes, added, start, end, terminal_pair, partner):
+            bit = _settle_ends(out, pos, start, end, terminal_pair, partner)
+            if bit < 0:
                 return None
+            done |= bit
     if both & ~seen:
         return None  # a vertex live on both sides lies on a cycle
-    return (tuple(out), done | added if added else done)
+    out[-1] = done
+    return tuple(out)
 
 
-def _settle_ends(codes, done, end_a, end_b, terminal_pair, partner):
-    """Settle the two ends of one fragment; False when the state is dead.
+def _settle_ends(out, pos, end_a, end_b, terminal_pair, partner):
+    """Settle the two ends of one fragment: the done bit it adds, or -1.
 
-    Ends are ("bag", v) or ("hid", x). A finished terminal pair is added to
-    `done`; the bag ends' new codes are written into `codes` by vertex.
+    Ends are named by the codes of their partners: 2*v for bag vertex v,
+    2*x + 1 for the hidden terminal x. The bag ends' new codes are written
+    into `out` at their bag positions. Returns the bit of the terminal pair
+    the fragment finishes, 0 when it finishes none, and -1 when the state
+    is dead.
     """
-    ka, va = end_a
-    kb, vb = end_b
+    va, vb = end_a >> 1, end_b >> 1
     ta = terminal_pair.get(va)
     tb = terminal_pair.get(vb)
-    if ka == "hid" and kb == "hid":
+    if end_a & 1 and end_b & 1:
         if ta is not None and ta == tb and partner[va] == vb:
-            done.add(ta)
-            return True
-        return False
-    if ka == "hid":
-        ka, va, kb, vb, ta, tb = kb, vb, ka, va, tb, ta
-    if kb == "hid":
+            return 1 << ta
+        return -1
+    if end_a & 1:
+        end_a, end_b, va, vb, ta, tb = end_b, end_a, vb, va, tb, ta
+    if end_b & 1:
         if ta is not None:
             if ta == tb and partner[va] == vb:
-                done.add(ta)
-                codes[va] = _C
-                return True
-            return False
-        codes[va] = ("h", vb)
-        return True
+                out[pos[va]] = 1
+                return 1 << ta
+            return -1
+        out[pos[va]] = end_b
+        return 0
     if ta is not None and tb is not None:
         if ta == tb and partner[va] == vb:
-            done.add(ta)
-            codes[va] = _C
-            codes[vb] = _C
-            return True
-        return False
-    codes[va] = ("p", vb)
-    codes[vb] = ("p", va)
-    return True
+            out[pos[va]] = 1
+            out[pos[vb]] = 1
+            return 1 << ta
+        return -1
+    out[pos[va]] = end_b
+    out[pos[vb]] = end_a
+    return 0
 
 
-def _reconstruct(nodes, back, idx, state) -> set[tuple[int, int]]:
+def _reconstruct(nodes, tables, idx, state) -> set[tuple[int, int]]:
     edges: set[tuple[int, int]] = set()
     stack = [(idx, state)]
     while stack:
         i, st = stack.pop()
-        info = back[i][st]
-        tag = info[0]
+        info = tables[i][st]
         node = nodes[i]
-        if tag == "leaf":
+        if node.kind == "leaf":
             continue
-        if tag in ("intro", "forget", "skip"):
-            stack.append((node.children[0], info[1]))
-        elif tag == "take":
+        if node.kind == "join":
+            stack.append((node.children[0], info[0]))
+            stack.append((node.children[1], info[1]))
+            continue
+        if node.kind == "edge" and info != st:
             edges.add(norm_edge(*node.edge))
-            stack.append((node.children[0], info[1]))
-        elif tag == "join":
-            stack.append((node.children[0], info[1]))
-            stack.append((node.children[1], info[2]))
-        else:
-            raise AssertionError(tag)
+        stack.append((node.children[0], info))
     return edges
 
 

@@ -1,12 +1,19 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdpp import decomposition, solver
+from pdpp import cli, decomposition, solver
 from pdpp.concentric import lemma_side_requirement
 from pdpp.decomposition import TooWide, best_heuristic_bd, td_from_bd, tree_decompose
-from pdpp.instances import DppInstance, gen_grid_instance, gen_random_planar, parse_instance
+from pdpp.instances import (
+    DppInstance,
+    Solution,
+    gen_grid_instance,
+    gen_random_planar,
+    parse_instance,
+)
 from pdpp.oracle import SolveOutcome, Status, solve_bruteforce, verify_solution
 from pdpp.plane import GridMinorModel, grid_vertex, make_grid, outer_cycle
 from pdpp.solver import (
@@ -117,9 +124,60 @@ U = ("u",)
 C = ("c",)
 
 
+def decode_state(state):
+    """A flat integer DP state in the tuple form: (codes, done pair set)."""
+    codes = []
+    for c in state[:-1]:
+        if c <= 1:
+            codes.append(C if c else U)
+        else:
+            codes.append(("h" if c & 1 else "p", c >> 1))
+    done = state[-1]
+    return tuple(codes), frozenset(i for i in range(done.bit_length()) if done >> i & 1)
+
+
+def reference_settle_ends(codes, done, end_a, end_b, terminal_pair, partner):
+    """Settle the two ends of one fragment; False when the state is dead.
+
+    Ends are ("bag", v) or ("hid", x). A finished terminal pair is added to
+    `done`; the bag ends' new codes are written into `codes` by vertex.
+    """
+    ka, va = end_a
+    kb, vb = end_b
+    ta = terminal_pair.get(va)
+    tb = terminal_pair.get(vb)
+    if ka == "hid" and kb == "hid":
+        if ta is not None and ta == tb and partner[va] == vb:
+            done.add(ta)
+            return True
+        return False
+    if ka == "hid":
+        ka, va, kb, vb, ta, tb = kb, vb, ka, va, tb, ta
+    if kb == "hid":
+        if ta is not None:
+            if ta == tb and partner[va] == vb:
+                done.add(ta)
+                codes[va] = C
+                return True
+            return False
+        codes[va] = ("h", vb)
+        return True
+    if ta is not None and tb is not None:
+        if ta == tb and partner[va] == vb:
+            done.add(ta)
+            codes[va] = C
+            codes[vb] = C
+            return True
+        return False
+    codes[va] = ("p", vb)
+    codes[vb] = ("p", va)
+    return True
+
+
 def reference_merge_join(bag, lstate, rstate, done, terminal_pair, partner):
-    """The join before per-state preparation: one pair at a time, through
-    vertex dicts and a token adjacency. Kept as the reference for `_join_pair`."""
+    """The join before per-state preparation: one pair at a time, on tuple
+    codes, through vertex dicts and a token adjacency. Kept as the reference
+    for `_join_pair`."""
     lcodes = dict(zip(bag, lstate))
     rcodes = dict(zip(bag, rstate))
     for v in bag:
@@ -183,7 +241,7 @@ def reference_merge_join(bag, lstate, rstate, done, terminal_pair, partner):
         end_a, end_b = ends
         if end_a == end_b:
             return None
-        if not solver._settle_ends(codes, new_done, end_a, end_b, terminal_pair, partner):
+        if not reference_settle_ends(codes, new_done, end_a, end_b, terminal_pair, partner):
             return None
     return (tuple(codes[v] for v in bag), frozenset(new_done))
 
@@ -200,12 +258,12 @@ class TestJoin:
 
         def checked(lp, rp, bag, pos, terminal_pair, partner):
             got = real(lp, rp, bag, pos, terminal_pair, partner)
-            (lstate, ldone), (rstate, rdone) = lp[0], rp[0]
+            (lstate, ldone), (rstate, rdone) = decode_state(lp[0]), decode_state(rp[0])
             assert not ldone & rdone
             want = reference_merge_join(
                 bag, lstate, rstate, ldone | rdone, terminal_pair, partner
             )
-            assert got == want, (bag, lstate, rstate)
+            assert (None if got is None else decode_state(got)) == want, (bag, lstate, rstate)
             seen["merged" if want else "rejected"] += 1
             if any(a[0] in "ph" and b[0] in "ph" for a, b in zip(lstate, rstate)):
                 seen["interior"] += 1
@@ -245,6 +303,49 @@ class TestJoin:
         dp_solve(inst, td, state_budget=states)
         with pytest.raises(DpBudgetExceeded):
             dp_solve(inst, td, state_budget=states - 1)
+
+    @pytest.mark.parametrize(
+        "gen, args, minfill_paths, heavy_paths",
+        [
+            (
+                "grid", (5, 2, 0),
+                ((21, 22, 23, 18, 13, 14, 9, 8, 7, 12, 11, 6), (15, 10, 5, 4, 3, 2, 1)),
+                ((21, 22, 23, 24, 25, 20, 19, 14, 9, 8, 7, 6), (15, 10, 5, 4, 3, 2, 1)),
+            ),
+            (
+                "grid", (5, 2, 1),
+                ((5, 10, 15, 14, 13, 18, 23, 24), (16, 17, 22, 21)),
+                ((5, 10, 15, 20, 25, 24), (16, 17, 18, 23, 22, 21)),
+            ),
+            (
+                "grid", (5, 3, 1),
+                ((5, 10, 15, 14, 13, 18, 23, 24), (16, 17, 22, 21), (2, 7, 12, 11, 6)),
+                ((5, 10, 15, 20, 25, 24), (16, 17, 18, 23, 22, 21), (2, 3, 4, 9, 8, 7, 6)),
+            ),
+            (
+                "random", (14, 28, 2, 2),
+                ((12, 7, 2, 1, 9), (6, 4, 3, 11, 8, 10)),
+                ((12, 7, 14, 1, 9), (6, 4, 3, 11, 8, 10)),
+            ),
+            (
+                "random", (20, 40, 2, 0),
+                ((17, 2, 16), (4, 3, 18, 10)),
+                ((17, 2, 16), (4, 3, 18, 10)),
+            ),
+            (
+                "random", (20, 40, 2, 3),
+                ((19, 12, 14, 3, 9), (10, 7, 6, 8, 4)),
+                ((19, 12, 14, 3, 9), (10, 7, 13, 8, 15, 17, 4)),
+            ),
+        ],
+    )
+    def test_reconstructed_paths_pinned(self, gen, args, minfill_paths, heavy_paths):
+        # paths measured before the states became integers; any valid
+        # reconstruction passes verify_solution, so only a pin shows a
+        # change of back pointers (an edge node's first insertion wins)
+        inst = (gen_grid_instance if gen == "grid" else gen_random_planar)(*args)
+        assert dp_solve(inst).solution.paths == minfill_paths
+        assert dp_solve(inst, heavy_td(inst)).solution.paths == heavy_paths
 
 
 small_planar = st.builds(
@@ -464,6 +565,24 @@ class TestPipeline:
         assert args[1] is out.bd
         assert narrow.width == 7 < tree_decompose(inst.graph).width
         assert ran_on == [narrow]
+
+    def test_deep_decomposition(self, tmp_path, capsys):
+        # min-fill gives a path a decomposition as deep as the path, which
+        # the decomposition builders walk without recursing
+        n = 1200
+        edges = "".join(f"e {v} {v + 1}\n" for v in range(1, n))
+        text = f"p dpp {n} {n - 1} 2\n{edges}t 1 2\nt 3 {n}\n"
+        inst = parse_instance(text)
+        res = solve_pipeline(inst)
+        assert res.status is Status.YES
+        assert verify_solution(inst, res.outcome.solution)
+        f = tmp_path / "path.dpp"
+        f.write_text(text)
+        assert cli.main(["solve", "--json", str(f)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["answer"] == "yes"
+        paths = tuple(tuple(p) for p in payload["paths"])
+        assert verify_solution(inst, Solution(paths))
 
     def test_pattern_preserved_after_reduction(self):
         # 8x8 forces at least one reduction in heuristic mode; the final
