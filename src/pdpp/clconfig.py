@@ -9,7 +9,7 @@ with the relevant paths acting as barriers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .concentric import ConcentricCycles

@@ -28,7 +28,6 @@ from .concentric import make_concentric
 from .instances import (
     DppInstance,
     ParseError,
-    Solution,
     gen_grid_instance,
     gen_random_planar,
     parse_instance,
@@ -36,8 +35,8 @@ from .instances import (
     write_instance,
     write_solution,
 )
-from .oracle import Linkage, Status, solve_bruteforce, verify_solution
-from .plane import Cycle, GridMinorModel, PlaneGraphError, grid_ring, grid_vertex
+from .oracle import Linkage, SolveOutcome, Status, solve_bruteforce, verify_solution
+from .plane import Cycle, GridMinorModel, PlaneGraphError, grid_ring
 from .reroute import BoundaryPattern, PatternError, route_pattern
 from .solver import DpBudgetExceeded, dp_solve, find_irrelevant_vertex, solve_pipeline
 
@@ -53,6 +52,18 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _epsilon(text: str) -> float:
+    if 0 < (eps := float(text)) <= 1:
+        return eps
+    raise argparse.ArgumentTypeError(f"epsilon must lie in (0, 1], got {text!r}")
+
+
+def _budget(text: str) -> int:
+    if (n := int(text)) >= 0:
+        return n
+    raise argparse.ArgumentTypeError(f"budget must be an integer >= 0, got {text!r}")
 
 
 def _read(path: str) -> str:
@@ -92,8 +103,6 @@ def _solve_one(path: str, args) -> tuple[str, int, dict]:
         try:
             out = dp_solve(inst, state_budget=args.budget)
         except DpBudgetExceeded as exc:
-            from .oracle import SolveOutcome
-
             out = SolveOutcome(Status.UNKNOWN, reason=str(exc))
     else:
         res = solve_pipeline(
@@ -411,10 +420,10 @@ def build_parser() -> _Parser:
     sp.add_argument("instance", nargs="+")
     sp.add_argument("--engine", choices=("pipeline", "dp", "oracle"), default="pipeline")
     sp.add_argument("--mode", choices=("heuristic", "certified"), default="heuristic")
-    sp.add_argument("--epsilon", type=float, default=1.0)
+    sp.add_argument("--epsilon", type=_epsilon, default=1.0)
     sp.add_argument(
         "--budget",
-        type=int,
+        type=_budget,
         default=400_000,
         help="work limit: DP states for the pipeline and dp engines; for the "
         "oracle, search nodes plus edges scanned by its reachability checks "

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .plane import (
+    Budget,
+    BudgetExceeded,
     CheckResult,
     Cycle,
     DiskRegion,
@@ -22,7 +24,6 @@ from .plane import (
     PlaneGraph,
     PlaneGraphError,
     closed_interior,
-    norm_edge,
     verify_minor_model,
 )
 
@@ -31,12 +32,8 @@ class InsufficientGridError(ValueError):
     """Grid side too small for the requested concentric family."""
 
 
-class CycleBudgetExceeded(RuntimeError):
-    """Exhaustive cycle enumeration ran over budget.
-
-    A step is one vertex pushed onto the enumeration's DFS path; every root
-    the enumeration starts from counts as one step.
-    """
+class CycleBudgetExceeded(BudgetExceeded):
+    """Exhaustive cycle enumeration ran over budget (see `_iter_cycles`)."""
 
 
 @dataclass(frozen=True)
@@ -285,11 +282,10 @@ def _iter_cycles(adj: dict[int, list[int]], budget: int):
     of the current path; `budget` bounds the DFS steps, one per vertex
     pushed onto the path, each root included.
     """
-    spent = 0
+    message = f"over {budget} steps enumerating cycles"
+    spend = Budget(budget, lambda: CycleBudgetExceeded(message)).spend
     for root in sorted(adj):
-        spent += 1
-        if spent > budget:
-            raise CycleBudgetExceeded(f"over {budget} steps enumerating cycles")
+        spend()
         path = [root]
         on_path = {root}
         stack = [iter(adj[root])]
@@ -301,11 +297,7 @@ def _iter_cycles(adj: dict[int, list[int]], budget: int):
                     if len(path) >= 3 and path[1] < path[-1]:
                         yield Cycle(tuple(path))
                 elif w not in on_path:
-                    spent += 1
-                    if spent > budget:
-                        raise CycleBudgetExceeded(
-                            f"over {budget} steps enumerating cycles"
-                        )
+                    spend()
                     path.append(w)
                     on_path.add(w)
                     stack.append(iter(adj[w]))

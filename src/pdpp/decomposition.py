@@ -1,10 +1,10 @@
 """Branch and tree decompositions, exact widths, and grid-minor extraction.
 
-Decompositions are verified objects: every constructor re-checks its output
-with the independent verifier before handing it back. The exact branchwidth
-decision runs a budgeted closure over edge subsets with small boundary; exact
-treewidth uses the classic subset DP over elimination prefixes. Both are
-desk-scale tools, with heuristic (verified) constructions doing the bulk work.
+Decompositions are verified objects: every constructor runs the independent
+verifier's checks on its output (branch decompositions through one helper that
+reads the width off a single order-set pass). The exact branchwidth decision
+runs a budgeted closure over edge subsets with small boundary; exact treewidth
+uses the subset DP over elimination prefixes. Both are desk-scale tools.
 """
 
 from __future__ import annotations
@@ -15,22 +15,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .plane import (
+    Budget,
+    BudgetExceeded,
     CheckResult,
-    Cycle,
     Edge,
     GridMinorModel,
     PlaneGraph,
     PlaneGraphError,
     connected_components,
-    grid_vertex,
-    make_grid,
     norm_edge,
     verify_minor_model,
 )
-
-
-class WidthBudgetExceeded(RuntimeError):
-    """Exact width computation ran out of its search budget."""
 
 
 # -- tree decompositions --------------------------------------------------------
@@ -183,18 +178,11 @@ def order_sets(bd: BranchDecomposition) -> dict[tuple[int, int], frozenset[int]]
     }
 
 
-def verify_branch_decomposition(g: PlaneGraph, bd: BranchDecomposition) -> CheckResult:
+def _tree_problems(g: PlaneGraph, bd: BranchDecomposition) -> list[str]:
+    """Every check of `verify_branch_decomposition` but the width, for g.m >= 1."""
+    if sorted(bd.tau.values()) != sorted(g.edges):
+        return ["tau is not a bijection onto the host edges"]
     problems: list[str] = []
-    if g.m == 0:
-        if bd.tau or bd.tree_edges:
-            problems.append("edgeless graph needs an empty decomposition")
-        if bd.width != 0:
-            problems.append("edgeless graph has width 0")
-        return CheckResult(not problems, tuple(problems))
-    hosted = sorted(bd.tau.values())
-    if hosted != sorted(g.edges):
-        problems.append("tau is not a bijection onto the host edges")
-        return CheckResult(False, tuple(problems))
     adj = bd.adjacency()
     leaves = {v for v, nb in adj.items() if len(nb) == 1}
     if g.m == 1:
@@ -219,13 +207,22 @@ def verify_branch_decomposition(g: PlaneGraph, bd: BranchDecomposition) -> Check
                 stack.extend(adj[x])
             if seen != set(adj):
                 problems.append("tree is disconnected")
-    if problems:
-        return CheckResult(False, tuple(problems))
-    real_width = max(map(len, order_sets(bd).values()), default=0)
-    if g.m == 1:
-        real_width = 0
-    if real_width != bd.width:
-        problems.append(f"declared width {bd.width}, actual {real_width}")
+    return problems
+
+
+def verify_branch_decomposition(g: PlaneGraph, bd: BranchDecomposition) -> CheckResult:
+    if g.m == 0:
+        problems = []
+        if bd.tau or bd.tree_edges:
+            problems.append("edgeless graph needs an empty decomposition")
+        if bd.width != 0:
+            problems.append("edgeless graph has width 0")
+        return CheckResult(not problems, tuple(problems))
+    problems = _tree_problems(g, bd)
+    if not problems:  # a single-edge tree has no tree edges, so width 0
+        real_width = max(map(len, order_sets(bd).values()), default=0)
+        if real_width != bd.width:
+            problems.append(f"declared width {bd.width}, actual {real_width}")
     return CheckResult(not problems, tuple(problems))
 
 
@@ -238,7 +235,7 @@ def treewidth_exact(g: PlaneGraph) -> int:
     """Exact treewidth via DP over subsets; feasible for n <= ~17."""
     n = g.n
     if n > EXACT_TW_LIMIT:
-        raise WidthBudgetExceeded(f"exact treewidth limited to n <= {EXACT_TW_LIMIT}")
+        raise BudgetExceeded(f"exact treewidth limited to n <= {EXACT_TW_LIMIT}")
     if n == 0:
         return 0
     adj = [0] * (n + 1)
@@ -488,13 +485,15 @@ def bd_from_td(g: PlaneGraph, td: TreeDecomposition) -> BranchDecomposition:
         if mine and td.parent[node] >= 0:
             hooks[td.parent[node]].append(mine[0])
     # The comb above may give the topmost joint degree 2; splice it away.
-    bd = _normalize_bd(tree_edges, tau)
-    width = max(map(len, order_sets(bd).values()), default=0)
-    bd = BranchDecomposition(bd.tree_edges, bd.tau, width)
-    check = verify_branch_decomposition(g, bd)
-    if not check:
-        raise PlaneGraphError(f"internal: bad bd from td: {check.problems[:3]}")
-    return bd
+    return _checked_bd(g, _normalize_bd(tree_edges, tau), "bd from td")
+
+
+def _checked_bd(g: PlaneGraph, bd: BranchDecomposition, what: str) -> BranchDecomposition:
+    """`bd` of a host with >= 2 edges, checked, with its width from one order_sets pass."""
+    problems = _tree_problems(g, bd)
+    if problems:
+        raise PlaneGraphError(f"internal: bad {what}: {tuple(problems[:3])}")
+    return BranchDecomposition(bd.tree_edges, bd.tau, max(map(len, order_sets(bd).values())))
 
 
 def _normalize_bd(tree_edges: list[tuple[int, int]], tau: dict[int, Edge]) -> BranchDecomposition:
@@ -555,13 +554,7 @@ def caterpillar_bd(g: PlaneGraph, edge_order: list[Edge]) -> BranchDecomposition
         tree_edges.append((j, leaf))
         spine = j
     tree_edges.append((spine, leaves[-1]))
-    bd = BranchDecomposition(tuple(tree_edges), tau, 0)
-    width = max(map(len, order_sets(bd).values()))
-    bd = BranchDecomposition(bd.tree_edges, tau, width)
-    check = verify_branch_decomposition(g, bd)
-    if not check:
-        raise PlaneGraphError(f"internal: bad caterpillar: {check.problems[:3]}")
-    return bd
+    return _checked_bd(g, BranchDecomposition(tuple(tree_edges), tau, 0), "caterpillar")
 
 
 def grid_sweep_order(g: PlaneGraph) -> list[Edge]:
@@ -622,16 +615,15 @@ def branchwidth_decision(g: PlaneGraph, b: int, budget: int = BW_CLOSURE_BUDGET)
         if boundary(s) <= b:
             buildable.add(s)
             queue.append(s)
-    spent = 0
+    # one unit per (subset, buildable subset) pair the closure tries
+    spend = Budget(budget, lambda: BudgetExceeded("branchwidth closure budget exceeded")).spend
     while queue:
         s = queue.popleft()
         comp = full - s
         if comp in buildable:
             return True
         for t in list(buildable):
-            spent += 1
-            if spent > budget:
-                raise WidthBudgetExceeded("branchwidth closure budget exceeded")
+            spend()
             if s & t:
                 continue
             u = s | t
@@ -687,22 +679,20 @@ DEFAULT_APPROX_FACTOR = 5  # (2/eps + 3) at eps = 1
 def best_heuristic_bd(
     g: PlaneGraph, td: Optional[TreeDecomposition] = None
 ) -> BranchDecomposition:
-    """Verified branch decomposition: grid sweep when applicable, else via min-fill.
+    """Verified branch decomposition: the grid sweep on grids, else via min-fill.
 
     `td` is the min-fill decomposition of `g` when the caller already holds
-    it; None computes it here.
+    it; None computes it here. Grids do not use it.
     """
-    candidates: list[BranchDecomposition] = []
-    if g.grid_shape is not None and g.grid_shape[0] >= 1 and g.grid_shape[1] >= 1:
-        if g.m >= 1:
-            candidates.append(caterpillar_bd(g, grid_sweep_order(g)))
+    if g.grid_shape is not None and g.m >= 1:
+        # the sweep reaches min(rows, cols), a grid's exact branchwidth, so
+        # nothing built from a tree decomposition can be narrower
+        return caterpillar_bd(g, grid_sweep_order(g))
     if td is None and g.n:
         td = td_from_elimination(g, minfill_order(g))
-    if td is not None:
-        candidates.append(bd_from_td(g, td))
-    if not candidates:
+    if td is None:
         return BranchDecomposition((), {}, 0)
-    return min(candidates, key=lambda bd: bd.width)
+    return bd_from_td(g, td)
 
 
 def branch_decompose(
@@ -883,7 +873,7 @@ def _bruteforce_grid_minor(g: PlaneGraph, q: int, budget: int = 400_000) -> Opti
     if g.n > 20:
         return None
     positions = [(r, c) for r in range(1, q + 1) for c in range(1, q + 1)]
-    spent = [0]
+    spend = Budget(budget).spend  # one unit per candidate branch set
 
     def feasible(assignment: dict[tuple[int, int], frozenset[int]]) -> Optional[GridMinorModel]:
         idx = len(assignment)
@@ -897,9 +887,7 @@ def _bruteforce_grid_minor(g: PlaneGraph, q: int, budget: int = 400_000) -> Opti
         # Candidate branch sets: connected sets of size <= 3 (desk scale).
         for v in sorted(set(g.vertices) - used):
             for bs in _small_connected_sets(g, v, used, 3):
-                spent[0] += 1
-                if spent[0] > budget:
-                    return None
+                spend()
                 ok = True
                 r, c = pos
                 for nb in ((r - 1, c), (r, c - 1)):
@@ -918,7 +906,10 @@ def _bruteforce_grid_minor(g: PlaneGraph, q: int, budget: int = 400_000) -> Opti
                 del assignment[pos]
         return None
 
-    return feasible({})
+    try:
+        return feasible({})
+    except BudgetExceeded:  # gave up: reads as "no minor"
+        return None
 
 
 def _small_connected_sets(g: PlaneGraph, root: int, used: set[int], cap: int):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .clconfig import CLConfiguration
-from .concentric import ConcentricCycles, make_concentric
+from .concentric import make_concentric
 from .oracle import Linkage
 from .plane import Cycle, PlaneGraph, plane_graph_from_points
 

@@ -25,7 +25,6 @@ from .plane import (
     PlaneGraph,
     PlaneGraphError,
     detect_grid,
-    grid_vertex,
     make_grid,
     norm_edge,
     outer_cycle,

@@ -15,13 +15,10 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .instances import DppInstance, Solution
+from .plane import Budget, BudgetExceeded  # pdpp.oracle.BudgetExceeded stays importable
 from .plane import CheckResult, Cycle, Edge, PlaneGraph, PlaneGraphError, norm_edge
 
 DEFAULT_BUDGET = 10_000_000
-
-
-class BudgetExceeded(RuntimeError):
-    """The exhaustive search used up its work budget before finishing."""
 
 
 class Status(enum.Enum):
@@ -94,20 +91,6 @@ def linkage_cost(linkage: Linkage, cycles: list[Cycle]) -> int:
 # -- the backtracking engine ---------------------------------------------------
 
 
-class _Budget:
-    """Work units left; `_iter_path_systems` says what a unit counts."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, n: int):
-        self.left = n
-
-    def spend(self, n: int = 1) -> None:
-        self.left -= n
-        if self.left < 0:
-            raise BudgetExceeded()
-
-
 def _cycle_edges(cycles: list[Cycle]) -> frozenset[Edge]:
     return frozenset().union(*(c.edges for c in cycles))
 
@@ -115,7 +98,7 @@ def _cycle_edges(cycles: list[Cycle]) -> frozenset[Edge]:
 def _iter_path_systems(
     g: PlaneGraph,
     pairs: list[tuple[int, int]],
-    budget: _Budget,
+    budget: Budget,
     allowed: Optional[frozenset[int]] = None,
     cycle_edges: frozenset[Edge] = frozenset(),
     cap: Optional[list[float]] = None,
@@ -229,9 +212,8 @@ def _iter_path_systems(
 
 def solve_bruteforce(inst: DppInstance, budget: int = DEFAULT_BUDGET) -> SolveOutcome:
     """Exact decision by exhaustive backtracking over path systems."""
-    b = _Budget(budget)
     try:
-        for system, _ in _iter_path_systems(inst.graph, list(inst.pairs), b):
+        for system, _ in _iter_path_systems(inst.graph, list(inst.pairs), Budget(budget)):
             return SolveOutcome(Status.YES, Solution(tuple(tuple(p) for p in system)))
     except BudgetExceeded:
         return SolveOutcome(Status.UNKNOWN, reason="work budget exceeded")
@@ -289,7 +271,7 @@ def _cheapest_paths(
     best: Optional[list[list[int]]] = None
     best_cost, best_key = incumbent
     systems = _iter_path_systems(
-        g, pairs, _Budget(budget), allowed, _cycle_edges(cycles), cap
+        g, pairs, Budget(budget), allowed, _cycle_edges(cycles), cap
     )
     for system, cost in systems:
         if cost < best_cost:

@@ -12,7 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 Edge = tuple[int, int]
 Dart = tuple[int, int]
@@ -39,6 +39,30 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+class BudgetExceeded(RuntimeError):
+    """An exhaustive search used up its work budget before finishing."""
+
+
+class Budget:
+    """Work one exhaustive search has spent; the search says what a unit counts.
+
+    `spend` raises `error()` once `spent` passes `limit`, so a search that
+    needs S units decides with a limit of S and gives up with S - 1.
+    """
+
+    __slots__ = ("limit", "spent", "error")
+
+    def __init__(self, limit: int, error: Callable[[], BudgetExceeded] = BudgetExceeded):
+        self.limit = limit
+        self.spent = 0
+        self.error = error
+
+    def spend(self, n: int = 1) -> None:
+        self.spent += n
+        if self.spent > self.limit:
+            raise self.error()
 
 
 class PlaneGraph:

@@ -19,12 +19,11 @@ from typing import Optional
 from .clconfig import ConfigError, TiltedGrid, perimeter_cycle
 from .oracle import Linkage
 from .plane import (
+    Budget,
+    BudgetExceeded,
     CheckResult,
-    Cycle,
     DiskRegion,
-    Edge,
     PlaneGraph,
-    PlaneGraphError,
     TopologicalMinorModel,
     closed_interior,
     grid_vertex,
@@ -451,14 +450,15 @@ def untangle_disk(
         attach_points = sorted(set(crossing.up) | set(crossing.down))
     boundary_pts = [v for v in disk.cycle.vertices if v in set(attach_points)]
     pairs = [tuple(sorted(p)) for p in sorted((sorted(x) for x in pattern))]
-    spent = 0
+    tried = Budget(budget)  # one unit per matching tried
     candidates = sorted(
         _noncrossing_partial_matchings(boundary_pts),
         key=lambda m: (len(m), sorted(sorted(pair) for pair in m)),
     )
     for matching in candidates:
-        spent += 1
-        if spent > budget:
+        try:
+            tried.spend()
+        except BudgetExceeded:  # gave up: reads as "no untangling"
             return None
         if len(matching) >= r:
             continue

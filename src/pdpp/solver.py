@@ -20,7 +20,6 @@ from .concentric import (
     lemma_side_requirement,
 )
 from .decomposition import (
-    BranchDecomposition,
     TooWide,
     TreeDecomposition,
     _bags_by_vertex,
@@ -33,6 +32,8 @@ from .decomposition import (
 from .instances import DppInstance, Solution
 from .oracle import SolveOutcome, Status, solve_bruteforce, verify_solution
 from .plane import (
+    Budget,
+    BudgetExceeded,
     GridMinorModel,
     PlaneGraph,
     PlaneGraphError,
@@ -42,7 +43,7 @@ from .plane import (
 )
 
 
-class DpBudgetExceeded(RuntimeError):
+class DpBudgetExceeded(BudgetExceeded):
     """The DP table outgrew its configured state budget."""
 
 
@@ -277,10 +278,15 @@ def dp_solve(
         partner[t] = s
 
     tables: list[dict] = []
-    total_states = 0
-    for idx, node in enumerate(nodes):
+    # one unit per distinct state; len(tables) is the node being built
+    states = Budget(
+        state_budget,
+        lambda: DpBudgetExceeded(f"DP exceeded {state_budget} states at node {len(tables)}"),
+    )
+    for node in nodes:
         bag = node.bag
         kind = node.kind
+        counted = 0  # states of this node's table already spent
         if kind == "leaf":
             table = {(0,): None}
         elif kind == "intro":
@@ -380,15 +386,11 @@ def dp_solve(
                         continue
                     table[merged] = (lstate, rstate)
                 # counted per row, so a runaway join stops early
-                if total_states + len(table) > state_budget:
-                    raise DpBudgetExceeded(
-                        f"DP exceeded {state_budget} states at node {idx}"
-                    )
+                states.spend(len(table) - counted)
+                counted = len(table)
         else:
             raise AssertionError(kind)
-        total_states += len(table)
-        if total_states > state_budget:
-            raise DpBudgetExceeded(f"DP exceeded {state_budget} states at node {idx}")
+        states.spend(len(table) - counted)
         tables.append(table)
 
     accept = ((1 << inst.k) - 1,)

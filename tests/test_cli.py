@@ -68,6 +68,32 @@ class TestSolve:
     def test_usage_error_exit_64(self, capsys):
         assert main(["solve", "--engine", "wat", "x"]) == 64
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--epsilon", "0"),
+            ("--epsilon", "2"),
+            ("--epsilon", "nan"),
+            ("--epsilon", "-0.5"),
+            ("--epsilon", "abc"),
+            ("--budget", "-5"),
+            ("--budget", "abc"),
+        ],
+    )
+    def test_bad_epsilon_or_budget_is_a_usage_error(self, k2_file, capsys, option, value):
+        # once a crash with the NO exit code, or a DP "over budget" at node 0
+        assert main(["solve", k2_file, option, value]) == 64
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: argument {option}: ")
+        assert errors[0].endswith(repr(value))
+
+    def test_zero_budget_stays_valid(self, k2_file, capsys):
+        assert main(["solve", k2_file, "--engine", "dp", "--budget", "0"]) == 2
+        assert "# indeterminate: DP exceeded 0 states at node 0" in capsys.readouterr().out
+
     def test_shared_parser_after_usage_error(self, k2_file, capsys):
         # main reuses one parser: a failed parse and an earlier call's
         # options must not leak into the next call

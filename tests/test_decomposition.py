@@ -25,9 +25,16 @@ from pdpp.decomposition import (
     treewidth_exact,
     verify_branch_decomposition,
     verify_tree_decomposition,
+    _bruteforce_grid_minor,
 )
 from pdpp.instances import gen_random_planar
-from pdpp.plane import CheckResult, make_grid, plane_graph_from_edges, verify_minor_model
+from pdpp.plane import (
+    BudgetExceeded,
+    CheckResult,
+    make_grid,
+    plane_graph_from_edges,
+    verify_minor_model,
+)
 
 
 def tree_graph():
@@ -96,10 +103,25 @@ class TestBranchwidth:
             assert branchwidth_exact(g) == k
 
     def test_sweep_matches_exact_on_grids(self):
-        for k in (2, 3, 4):
-            g = make_grid(k, k)
-            bd = caterpillar_bd(g, grid_sweep_order(g))
-            assert bd.width == k
+        # the sweep reaches min(rows, cols), the grid's exact branchwidth, so
+        # best_heuristic_bd builds nothing else on a grid
+        for rows in range(2, 13):
+            for cols in range(2, 13):
+                g = make_grid(rows, cols)
+                bd = caterpillar_bd(g, grid_sweep_order(g))
+                assert bd.width == min(rows, cols)
+                if rows <= 4 and cols <= 4:
+                    assert bd.width == branchwidth_exact(g)
+                assert best_heuristic_bd(g).serialize() == bd.serialize()
+
+    def test_closure_budget_counts_pairs_tried(self):
+        # one unit per closure pair tried: each decision is made with exactly
+        # the pinned budget and gives up with one fewer
+        g = make_grid(3, 3)
+        for b, pairs, answer in ((3, 406, True), (2, 235, False)):
+            assert branchwidth_decision(g, b, budget=pairs) is answer
+            with pytest.raises(BudgetExceeded, match="^branchwidth closure budget exceeded$"):
+                branchwidth_decision(g, b, budget=pairs - 1)
 
     def test_tw_lower_bound_consistent(self):
         for k in (2, 3, 4):
@@ -181,6 +203,18 @@ class TestGridMinor:
         g = plane_graph_from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
         model = find_grid_minor(g, 2)
         assert model is not None and verify_minor_model(g, model)
+
+    def test_bruteforce_gives_up_silently(self):
+        # an untagged 3x3 grid with shuffled labels goes to the exhaustive
+        # search, which needs exactly 25251 candidate branch sets; with one
+        # fewer it returns None, as "no minor" does
+        edges = [(1, 3), (1, 4), (1, 8), (2, 3), (2, 4), (2, 9),
+                 (4, 5), (4, 7), (5, 6), (5, 9), (6, 7), (7, 8)]
+        g = plane_graph_from_edges(9, edges)
+        model = find_grid_minor(g, 3)
+        assert model is not None and verify_minor_model(g, model)
+        assert _bruteforce_grid_minor(g, 3, budget=25251) == model
+        assert _bruteforce_grid_minor(g, 3, budget=25250) is None
 
 
 class TestSandwich:

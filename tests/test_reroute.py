@@ -143,6 +143,13 @@ class TestUntangle:
         out = untangle_disk(g, link, disk, 1)
         assert len(out.chords) < 3
 
+    def test_budget_counts_matchings_tried(self):
+        # the snake is untangled by the sixth matching tried; with a budget
+        # of five the search gives up and returns None, as "no untangling" does
+        g, link, disk = snake_instance()
+        assert untangle_disk(g, link, disk, 1, budget=6) == untangle_disk(g, link, disk, 1)
+        assert untangle_disk(g, link, disk, 1, budget=5) is None
+
 
 class TestImprove:
     def tidy_snake(self):

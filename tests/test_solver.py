@@ -301,7 +301,9 @@ class TestJoin:
         inst = (gen_grid_instance if gen == "grid" else gen_random_planar)(*args)
         td = heavy_td(inst) if heavy else None
         dp_solve(inst, td, state_budget=states)
-        with pytest.raises(DpBudgetExceeded):
+        with pytest.raises(
+            DpBudgetExceeded, match=rf"^DP exceeded {states - 1} states at node \d+$"
+        ):
             dp_solve(inst, td, state_budget=states - 1)
 
     @pytest.mark.parametrize(

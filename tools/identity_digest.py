@@ -1,0 +1,148 @@
+"""Print one line per case of what pdpp answers, so two checkouts can be diffed.
+
+A refactor that must not change behaviour runs this on the checkout before
+and after it and compares the two outputs:
+
+    python3 tools/identity_digest.py OLD_CHECKOUT > old.txt
+    python3 tools/identity_digest.py . > new.txt
+    diff old.txt new.txt
+
+Each checkout's `src/` and `perfbench/` are imported. It takes about a
+minute. Cases:
+- solve_pipeline on the 600 grid-solve seed-7 items (every fourth also at a
+  DP budget of 2,000 states) and the 800 sparse-solve seed-7 items: status,
+  reason, paths, certificates, iterations, serialized decomposition;
+- verify_tight on every tight_pool host at budgets 5, 500 and 200,000:
+  the verdict and problems, or the exception's type and message;
+- the least work budget with which solve_bruteforce, best_linkage_for_pattern,
+  dp_solve, branchwidth_decision, the brute-force grid-minor search and
+  untangle_disk decide, with each answer at that budget and one below.
+"""
+
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+root = Path(sys.argv[1]).resolve()
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+
+import workloads  # noqa: E402
+from pdpp import concentric, decomposition, gallery, oracle, reroute, solver  # noqa: E402
+from pdpp.instances import gen_grid_instance, gen_random_planar, parse_instance  # noqa: E402
+from pdpp.plane import closed_interior, grid_ring, make_grid, plane_graph_from_edges  # noqa: E402
+
+if not Path(solver.__file__).resolve().is_relative_to(root):
+    sys.exit(f"error: imported pdpp from {solver.__file__}, not from {root}")
+
+
+def emit(*fields):
+    print(" | ".join(map(str, fields)), flush=True)
+
+
+def short(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def outcome(call):
+    try:
+        return repr(call())
+    except Exception as exc:  # noqa: BLE001
+        return f"raise {type(exc).__name__}: {exc}"
+
+
+def least_budget(decides, hi):
+    """Least budget b in [0, hi] with decides(b) true; decides is monotone."""
+    lo = 0
+    if not decides(hi):
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if decides(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def decided(call):
+    try:
+        call()
+        return True
+    except Exception as exc:  # older checkouts have no common budget base class
+        if type(exc).__name__.endswith("BudgetExceeded"):
+            return False
+        raise
+
+
+# -- solve_pipeline on the two solve corpora -------------------------------------
+for name, workload in (("grid", workloads.GridSolve()), ("sparse", workloads.SparseSolve())):
+    for i, (text, tag) in enumerate(workload.draw(7)):
+        res = solver.solve_pipeline(parse_instance(text))
+        out = res.outcome
+        paths = None if out.solution is None else out.solution.paths
+        dec = None if res.decomposition is None else short(res.decomposition.serialize())
+        certs = short("\n".join(c.log_line() for c in res.certificates))
+        emit(name, i, tag, out.status.value, out.reason, paths, certs, res.iterations, dec)
+        if name == "grid" and i % 4 == 0:
+            low = solver.solve_pipeline(parse_instance(text), dp_state_budget=2_000).outcome
+            emit("grid-low", i, low.status.value, low.reason)
+
+# -- verify_tight on the tight pool ------------------------------------------------
+hosts = workloads.read_pool(workloads.TIGHT_POOL)
+for row in hosts:
+    spec = workloads.HostSpec.parse(row[4:8])
+    g, vid = gallery.ring_lattice(3, spec.sectors, spokes=lambda ring, s: ring >= 1 or spec.spokes[s])
+    cc = concentric.make_concentric(g, [gallery.ring_cycle(vid, r, spec.sectors) for r in spec.family])
+    for budget in (5, 500, 200_000):
+        emit("tight", row[0], budget, outcome(lambda: (lambda r: (r.ok, r.problems))(concentric.verify_tight(g, cc, budget))))
+    if int(row[0]) % 8 == 0:
+        pairs = [(vid(2, a), vid(2, b)) for a, b in spec.pairs]
+        cycles = list(cc.cycles)
+
+        def best(b):
+            return oracle.best_linkage_for_pattern(g, pairs, cycles, budget=b)
+
+        s = least_budget(lambda b: decided(lambda: best(b)), 10_000_000)
+        emit("linkage", row[0], s, outcome(lambda: best(s)), outcome(lambda: best(s - 1)))
+
+# -- least deciding budgets ------------------------------------------------------
+for seed in range(40):
+    n = 8 + seed % 7
+    inst = gen_random_planar(n, min(3 * n - 6, n + 2 + seed % 6), 1 + seed % 3, seed)
+    s = least_budget(
+        lambda b: oracle.solve_bruteforce(inst, budget=b).status is not oracle.Status.UNKNOWN,
+        10_000_000,
+    )
+    emit("oracle", seed, s, oracle.solve_bruteforce(inst, budget=s), oracle.solve_bruteforce(inst, budget=s - 1))
+
+for seed in range(30):
+    inst = gen_grid_instance(4 + seed % 2, 2 + seed % 2, seed) if seed % 3 else gen_random_planar(
+        14, 24, 2, seed
+    )
+    s = least_budget(lambda b: decided(lambda: solver.dp_solve(inst, state_budget=b)), 400_000)
+    emit("dp", seed, s, outcome(lambda: solver.dp_solve(inst, state_budget=s)),
+         outcome(lambda: solver.dp_solve(inst, state_budget=s - 1)))
+
+for rows, cols in ((2, 2), (2, 3), (3, 3), (2, 5), (3, 4)):
+    g = make_grid(rows, cols)
+    for b in range(1, min(rows, cols) + 1):
+        s = least_budget(lambda x: decided(lambda: decomposition.branchwidth_decision(g, b, x)), 150_000)
+        emit("bw", rows, cols, b, s, outcome(lambda: decomposition.branchwidth_decision(g, b, s)),
+             outcome(lambda: decomposition.branchwidth_decision(g, b, s - 1)))
+
+for seed in range(6):
+    h = make_grid(3, 3)
+    perm = list(range(1, 10))
+    random.Random(seed).shuffle(perm)
+    g = plane_graph_from_edges(9, sorted(tuple(sorted((perm[a - 1], perm[b - 1]))) for a, b in h.edges))
+    s = least_budget(lambda b: decomposition._bruteforce_grid_minor(g, 3, b) is not None, 400_000)
+    emit("minor", seed, s, outcome(lambda: decomposition._bruteforce_grid_minor(g, 3, s)),
+         outcome(lambda: decomposition._bruteforce_grid_minor(g, 3, s - 1)))
+
+g = make_grid(5, 5)
+link = oracle.Linkage(((2, 7, 12, 17, 22, 23, 18, 13, 8, 3, 4, 9, 14, 19, 24),))
+disk = closed_interior(g, grid_ring(g, 1))
+s = least_budget(lambda b: reroute.untangle_disk(g, link, disk, 1, budget=b) is not None, 200_000)
+emit("untangle", s, outcome(lambda: reroute.untangle_disk(g, link, disk, 1, budget=s)),
+     outcome(lambda: reroute.untangle_disk(g, link, disk, 1, budget=s - 1)))
