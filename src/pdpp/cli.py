@@ -54,16 +54,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _epsilon(text: str) -> float:
-    if 0 < (eps := float(text)) <= 1:
-        return eps
-    raise argparse.ArgumentTypeError(f"epsilon must lie in (0, 1], got {text!r}")
-
-
 def _budget(text: str) -> int:
     if (n := int(text)) >= 0:
         return n
     raise argparse.ArgumentTypeError(f"budget must be an integer >= 0, got {text!r}")
+
+
+def _jobs(text: str) -> int:
+    if (n := int(text)) >= 1:
+        return n
+    raise argparse.ArgumentTypeError(f"jobs must be an integer >= 1, got {text!r}")
 
 
 def _read(path: str) -> str:
@@ -105,9 +105,7 @@ def _solve_one(path: str, args) -> tuple[str, int, dict]:
         except DpBudgetExceeded as exc:
             out = SolveOutcome(Status.UNKNOWN, reason=str(exc))
     else:
-        res = solve_pipeline(
-            inst, epsilon=args.epsilon, mode=args.mode, dp_state_budget=args.budget
-        )
+        res = solve_pipeline(inst, mode=args.mode, dp_state_budget=args.budget)
         certificates = [c.log_line() for c in res.certificates]
         out = res.outcome
         if args.emit_decomposition:
@@ -140,8 +138,11 @@ def _solve_one(path: str, args) -> tuple[str, int, dict]:
 def cmd_solve(args) -> int:
     worst = EXIT_YES
     results = []
-    if args.jobs > 1 and len(args.instance) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(args.instance))
+    if workers > 1:
+        # the pool forks all its workers at the first submit, so ask for no
+        # more than there are files
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_solve_one_star, [(p, args) for p in args.instance]))
     else:
         results = [_solve_one(p, args) for p in args.instance]
@@ -420,7 +421,6 @@ def build_parser() -> _Parser:
     sp.add_argument("instance", nargs="+")
     sp.add_argument("--engine", choices=("pipeline", "dp", "oracle"), default="pipeline")
     sp.add_argument("--mode", choices=("heuristic", "certified"), default="heuristic")
-    sp.add_argument("--epsilon", type=_epsilon, default=1.0)
     sp.add_argument(
         "--budget",
         type=_budget,
@@ -429,7 +429,7 @@ def build_parser() -> _Parser:
         "oracle, search nodes plus edges scanned by its reachability checks "
         "(default %(default)s)",
     )
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_jobs, default=1)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--emit-decomposition", metavar="FILE")
     sp.set_defaults(func=cmd_solve)

@@ -1,8 +1,9 @@
 """Branch and tree decompositions, exact widths, and grid-minor extraction.
 
-Decompositions are verified objects: every constructor runs the independent
-verifier's checks on its output (branch decompositions through one helper that
-reads the width off a single order-set pass). The exact branchwidth decision
+Branch decompositions are verified where they are built, through one helper
+that reads the width off a single order-set pass. Tree decompositions are
+verified once, where the DP takes them (`solver.dp_solve`); the constructors
+here do not repeat that check. The exact branchwidth decision
 runs a budgeted closure over edge subsets with small boundary; exact treewidth
 uses the subset DP over elimination prefixes. Both are desk-scale tools.
 """
@@ -366,11 +367,7 @@ def td_from_elimination(g: PlaneGraph, order: list[int]) -> TreeDecomposition:
         if parent[i] < 0 and i != root:
             parent[i] = root
     width = max(len(b) for b in bag_list) - 1 if bag_list else 0
-    td = TreeDecomposition(tuple(parent), tuple(bag_list), width)
-    check = verify_tree_decomposition(g, td)
-    if not check:
-        raise PlaneGraphError(f"internal: bad elimination TD: {check.problems[:3]}")
-    return td
+    return TreeDecomposition(tuple(parent), tuple(bag_list), width)
 
 
 def tree_decompose(g: PlaneGraph, exact: bool = False) -> TreeDecomposition:
@@ -657,7 +654,7 @@ def branchwidth_lower_bound_from_tw(tw: int) -> int:
     return -((-2 * (tw + 1)) // 3)
 
 
-# -- the either/or contract -----------------------------------------------------
+# -- a decomposition, or a grid minor when one is found --------------------------
 
 
 @dataclass(frozen=True)
@@ -669,11 +666,7 @@ class TooWide:
     """
 
     grid_model: GridMinorModel
-    target: int
     bd: BranchDecomposition
-
-
-DEFAULT_APPROX_FACTOR = 5  # (2/eps + 3) at eps = 1
 
 
 def best_heuristic_bd(
@@ -696,22 +689,21 @@ def best_heuristic_bd(
 
 
 def branch_decompose(
-    g: PlaneGraph,
-    target: int,
-    factor: int = DEFAULT_APPROX_FACTOR,
-    td: Optional[TreeDecomposition] = None,
+    g: PlaneGraph, target: int, td: Optional[TreeDecomposition] = None
 ) -> BranchDecomposition | TooWide:
-    """Width <= factor*target decomposition, or a grid-minor wideness certificate.
+    """A verified branch decomposition, or it with a verified grid minor.
 
-    TOO_WIDE is only ever reported with a verified (target x target)-grid
-    minor in hand, so the certificate is sound by construction. `td` is
-    passed on to `best_heuristic_bd`.
+    When the decomposition is wider than `target` (and target >= 2) and
+    `find_grid_minor` finds a (target x target)-grid minor, that minor comes
+    back as `TooWide`, carrying the decomposition. Otherwise the
+    decomposition comes back alone, whatever its width: no width bound is
+    promised. `td` is passed on to `best_heuristic_bd`.
     """
     bd = best_heuristic_bd(g, td)
     if bd.width > target and target >= 2:
         model = find_grid_minor(g, target)
         if model is not None:
-            return TooWide(model, target, bd)
+            return TooWide(model, bd)
     return bd
 
 
@@ -780,9 +772,6 @@ def td_from_bd(g: PlaneGraph, bd: BranchDecomposition) -> TreeDecomposition:
                 bags_list.append(frozenset({v}))
         width = max(len(b) for b in bags_list) - 1
         td = TreeDecomposition(tuple(parent_arr), tuple(bags_list), width)
-    check = verify_tree_decomposition(g, td)
-    if not check:
-        raise PlaneGraphError(f"internal: bad td from bd: {check.problems[:3]}")
     bound = -((-3 * bd.width) // 2) - 1  # ceil(1.5 w) - 1
     if bd.width >= 1 and td.width > bound:
         raise PlaneGraphError(
@@ -870,7 +859,8 @@ def _has_long_cycle(g: PlaneGraph) -> Optional[GridMinorModel]:
 
 def _bruteforce_grid_minor(g: PlaneGraph, q: int, budget: int = 400_000) -> Optional[GridMinorModel]:
     """Exhaustive minor search for tiny hosts: assign branch sets greedily."""
-    if g.n > 20:
+    # q*q disjoint non-empty branch sets need q*q vertices
+    if g.n > 20 or q * q > g.n:
         return None
     positions = [(r, c) for r in range(1, q + 1) for c in range(1, q + 1)]
     spend = Budget(budget).spend  # one unit per candidate branch set
@@ -934,7 +924,8 @@ def find_grid_minor(g: PlaneGraph, q: int) -> Optional[GridMinorModel]:
     """A verified (q x q)-grid minor model, or None.
 
     Strategy: block contraction on tagged grids, long-cycle detection for
-    q = 2, exhaustive search for tiny hosts. Every returned model has passed
+    q = 2, exhaustive search for tiny hosts (skipped when q*q > n). Every
+    returned model has passed
     verify_minor_model.
     """
     if q < 1:

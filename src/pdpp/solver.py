@@ -262,7 +262,11 @@ def dp_solve(
     td: Optional[TreeDecomposition] = None,
     state_budget: int = 400_000,
 ) -> SolveOutcome:
-    """Bag-state DP over a (nice) tree decomposition, with reconstruction."""
+    """Bag-state DP over a (nice) tree decomposition, with reconstruction.
+
+    `td` is verified here, whoever built it: this is the one check a tree
+    decomposition gets before it decides an answer.
+    """
     g = inst.graph
     if td is None:
         td = tree_decompose(g)
@@ -601,15 +605,14 @@ def heuristic_grid_target(k: int) -> int:
 
 def solve_pipeline(
     inst: DppInstance,
-    epsilon: float = 1.0,
     mode: str = "heuristic",
     dp_state_budget: int = 400_000,
-    max_iterations: int = 10_000,
 ) -> PipelineResult:
-    """Reduce while a big enough grid minor exists, then DP on a decomposition."""
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must lie in (0, 1]")
-    factor = int(2 / epsilon + 3)
+    """Reduce while a big enough grid minor exists, then DP on a decomposition.
+
+    Each round either returns or deletes one vertex, so the loop ends within
+    n + 1 rounds.
+    """
     k = inst.k
     if k == 1:
         s, t = inst.pairs[0]
@@ -624,10 +627,10 @@ def solve_pipeline(
     certificates: list[ReductionCertificate] = []
     removed: list[int] = []
     iterations = 0
-    while iterations < max_iterations:
+    while True:
         iterations += 1
         minfill = tree_decompose(cur.graph)
-        out = branch_decompose(cur.graph, target, factor=factor, td=minfill)
+        out = branch_decompose(cur.graph, target, td=minfill)
         if isinstance(out, TooWide):
             cert = find_irrelevant_vertex(cur, out.grid_model, mode=mode)
             if cert is not None:
@@ -685,9 +688,3 @@ def solve_pipeline(
         return PipelineResult(
             outcome, tuple(certificates), tuple(removed), iterations, used
         )
-    return PipelineResult(
-        SolveOutcome(Status.UNKNOWN, reason="iteration limit"),
-        tuple(certificates),
-        tuple(removed),
-        iterations,
-    )

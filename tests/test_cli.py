@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pdpp.cli
 from pdpp.cli import main
 from pdpp.gallery import nested_chord_showcase
 from pdpp.instances import (
@@ -28,6 +29,28 @@ def cross_file(tmp_path):
         "p dpp 4 4 2\ne 1 2\ne 1 3\ne 2 4\ne 3 4\nt 1 4\nt 2 3\n"
     )
     return str(f)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Swap in an executor that records max_workers and runs jobs inline."""
+    made = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pdpp.cli, "ProcessPoolExecutor", Inline)
+    return made
 
 
 class TestSolve:
@@ -71,13 +94,10 @@ class TestSolve:
     @pytest.mark.parametrize(
         "option, value",
         [
-            ("--epsilon", "0"),
-            ("--epsilon", "2"),
-            ("--epsilon", "nan"),
-            ("--epsilon", "-0.5"),
-            ("--epsilon", "abc"),
             ("--budget", "-5"),
             ("--budget", "abc"),
+            ("--jobs", "0"),
+            ("--jobs", "-3"),
         ],
     )
     def test_bad_epsilon_or_budget_is_a_usage_error(self, k2_file, capsys, option, value):
@@ -89,6 +109,14 @@ class TestSolve:
         assert len(errors) == 1
         assert errors[0].startswith(f"error: argument {option}: ")
         assert errors[0].endswith(repr(value))
+
+    def test_epsilon_is_gone(self, k2_file, capsys):
+        assert main(["solve", k2_file, "--epsilon", "1"]) == 64
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: unrecognized arguments")
 
     def test_zero_budget_stays_valid(self, k2_file, capsys):
         assert main(["solve", k2_file, "--engine", "dp", "--budget", "0"]) == 2
@@ -146,6 +174,20 @@ class TestSolve:
         assert code == 1  # worst of YES and NO
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+
+    @pytest.mark.parametrize(
+        "jobs, files, workers",
+        [(500, 2, [2]), (2, 3, [2]), (3, 3, [3]), (500, 1, []), (1, 3, [])],
+    )
+    def test_workers_capped_at_file_count(
+        self, pools, k2_file, cross_file, capsys, jobs, files, workers
+    ):
+        paths = [k2_file, cross_file, k2_file][:files]
+        code = main(["solve", *paths, "--jobs", str(jobs), "--json"])
+        assert pools == workers
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == files
+        assert code == (1 if files > 1 else 0)
 
 
 @settings(max_examples=150)

@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdpp import decomposition
 from pdpp.decomposition import (
     BranchDecomposition,
     TooWide,
@@ -215,6 +216,27 @@ class TestGridMinor:
         assert model is not None and verify_minor_model(g, model)
         assert _bruteforce_grid_minor(g, 3, budget=25251) == model
         assert _bruteforce_grid_minor(g, 3, budget=25250) is None
+
+    def test_bruteforce_skips_too_few_vertices(self, monkeypatch):
+        # a 5x5 minor needs 25 branch sets, more than 16 vertices can give,
+        # so no candidate is generated
+        grid = make_grid(4, 4)
+        relabel = list(range(1, 17))
+        random.Random(3).shuffle(relabel)
+        edges = [(relabel[u - 1], relabel[v - 1]) for u, v in grid.edges]
+        g = plane_graph_from_edges(16, edges)
+        assert g.grid_shape is None
+        calls = []
+        real = decomposition._small_connected_sets
+        monkeypatch.setattr(
+            decomposition,
+            "_small_connected_sets",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        assert find_grid_minor(g, 5) is None
+        assert calls == []
+        _bruteforce_grid_minor(g, 4, budget=1)  # q*q == n: the search starts
+        assert calls
 
 
 class TestSandwich:

@@ -1,12 +1,20 @@
 import json
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdpp import cli, decomposition, solver
 from pdpp.concentric import lemma_side_requirement
-from pdpp.decomposition import TooWide, best_heuristic_bd, td_from_bd, tree_decompose
+from pdpp.decomposition import (
+    TooWide,
+    TreeDecomposition,
+    best_heuristic_bd,
+    td_from_bd,
+    tree_decompose,
+)
 from pdpp.instances import (
     DppInstance,
     Solution,
@@ -15,7 +23,7 @@ from pdpp.instances import (
     parse_instance,
 )
 from pdpp.oracle import SolveOutcome, Status, solve_bruteforce, verify_solution
-from pdpp.plane import GridMinorModel, grid_vertex, make_grid, outer_cycle
+from pdpp.plane import GridMinorModel, PlaneGraphError, grid_vertex, make_grid, outer_cycle
 from pdpp.solver import (
     DpBudgetExceeded,
     ReductionCertificate,
@@ -97,6 +105,23 @@ class TestDp:
         g = make_grid(2, 2)
         inst = DppInstance(g, ((1, 4), (2, 3)))
         assert dp_solve(inst).status is Status.NO
+
+    @pytest.mark.parametrize(
+        "bags, parent, width, problem",
+        [
+            (({1, 2}, {2}, {3}, {3, 4}), (-1, 0, 1, 2), 1, "edge (2,3) in no bag"),
+            # vertex 1 sits at both ends of the bag path 0-1-2-3
+            (({1, 2}, {2, 3}, {3, 4}, {1}), (-1, 0, 1, 2), 1, "bags containing 1 are disconnected"),
+            (({1, 2}, {2, 3}, {3, 4}), (-1, 0, 1), 2, "declared width 2, actual 1"),
+        ],
+    )
+    def test_broken_decomposition_rejected(self, bags, parent, width, problem):
+        # the DP is the one place a tree decomposition is verified
+        inst = parse_instance("p dpp 4 3 1\ne 1 2\ne 2 3\ne 3 4\nt 1 4\n")
+        td = TreeDecomposition(parent, tuple(map(frozenset, bags)), width)
+        with pytest.raises(PlaneGraphError, match=re.escape(problem)) as info:
+            dp_solve(inst, td)
+        assert str(info.value).startswith("bad tree decomposition")
 
     def test_matches_oracle_on_random_corpus(self):
         for seed in range(40):
@@ -528,6 +553,14 @@ class TestPipeline:
         elims = count_calls(monkeypatch, decomposition, "td_from_elimination")
         heuristic = count_calls(monkeypatch, decomposition, "best_heuristic_bd")
         from_bd = count_calls(monkeypatch, solver, "td_from_bd")
+        real_verify = decomposition.verify_tree_decomposition
+        holders = [
+            m
+            for name, m in sorted(sys.modules.items())
+            if name.startswith("pdpp")
+            and getattr(m, "verify_tree_decomposition", None) is real_verify
+        ]
+        verified = [count_calls(monkeypatch, m, "verify_tree_decomposition") for m in holders]
         res = solve_pipeline(inst)
         assert res.iterations == iterations
         assert len(orders) == len(elims) == len(heuristic) == iterations
@@ -541,6 +574,10 @@ class TestPipeline:
         assert len(from_bd) == built == int(bd.width - 1 < minfill.width)
         assert res.decomposition.parent == minfill.parent
         assert res.decomposition.width == minfill.width
+        # one tree-decomposition check, by the DP on what it runs on; none in
+        # a round that reduces, nor for a td_from_bd that is dropped
+        ((args, _),) = [call for calls in verified for call in calls]
+        assert args[1] is minfill
 
     def test_too_wide_reuses_its_branch_decomposition(self, monkeypatch):
         # 7x7 with k = 2 is too wide for the side-6 target; with no
