@@ -30,6 +30,15 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _check_edges(n: int, edges: Iterable[Edge]) -> None:
+    """Reject the first edge that leaves 1..n or is a loop."""
+    for u, v in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise PlaneGraphError(f"edge ({u},{v}) out of vertex range 1..{n}")
+        if u == v:
+            raise PlaneGraphError(f"loop at vertex {u} not allowed")
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Boolean verdict plus a human-readable list of violations."""
@@ -119,11 +128,7 @@ class PlaneGraph:
     # -- validation ------------------------------------------------------
 
     def _validate(self) -> None:
-        for u, v in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise PlaneGraphError(f"edge ({u},{v}) out of vertex range 1..{self.n}")
-            if u == v:
-                raise PlaneGraphError(f"loop at vertex {u} not allowed")
+        _check_edges(self.n, self.edges)
         nbr_sets = {v: set() for v in self.vertices}
         for u, v in self.edges:
             nbr_sets[u].add(v)
@@ -734,34 +739,331 @@ def plane_graph_from_edges(
 ) -> PlaneGraph:
     """Build a plane graph, computing an embedding when none is given.
 
-    Non-planar input is a hard error.
+    Without a rotation system the left-right planarity test embeds the
+    graph; non-planar input is a hard error. Without an outer dart, the
+    least dart of a longest face is the outer one.
     """
     edge_list = sorted({norm_edge(u, v) for u, v in edges})
-    if rotation is not None:
-        if outer_dart is None and edge_list:
-            g0 = PlaneGraph(n, edge_list, rotation, edge_list[0])
-            outer_dart = _largest_face_dart(g0)
-        return PlaneGraph(n, edge_list, rotation, outer_dart)
-
-    import networkx as nx
-
-    G = nx.Graph()
-    G.add_nodes_from(range(1, n + 1))
-    G.add_edges_from(edge_list)
-    ok, emb = nx.check_planarity(G)
-    if not ok:
-        raise EmbeddingError("input graph is not planar")
-    rot = {v: list(emb.neighbors_cw_order(v)) for v in range(1, n + 1)}
-    if not edge_list:
-        return PlaneGraph(n, edge_list, rot, None)
-    g0 = PlaneGraph(n, edge_list, rot, edge_list[0])
-    return PlaneGraph(n, edge_list, rot, _largest_face_dart(g0), None)
+    if rotation is None:
+        _check_edges(n, edge_list)
+        rotation = _lr_rotation(n, edge_list)
+        if rotation is None:
+            raise EmbeddingError("input graph is not planar")
+    if outer_dart is None and edge_list:
+        outer_dart = _largest_face_dart(n, rotation)
+    return PlaneGraph(n, edge_list, rotation, outer_dart)
 
 
-def _largest_face_dart(g: PlaneGraph) -> Dart:
-    faces = g.faces()
-    best = max(range(len(faces)), key=lambda i: (len(faces[i]), -min(faces[i])[0]))
-    return min(faces[best])
+def _largest_face_dart(n: int, rotation: dict[int, Sequence[int]]) -> Optional[Dart]:
+    """The least dart of a longest face, from one walk of the face orbits.
+
+    None when the rotation of 1..n is not symmetric; `PlaneGraph` then
+    rejects that rotation before it reads the outer dart.
+    """
+    turn: dict[Dart, Dart] = {}
+    for v in range(1, n + 1):
+        rot = rotation.get(v, ())
+        k = len(rot)
+        for i, u in enumerate(rot):
+            turn[(u, v)] = (v, rot[(i + 1) % k])
+    seen: set[Dart] = set()
+    best: Optional[Dart] = None
+    best_len = 0
+    for d in turn:
+        if d in seen:
+            continue
+        low = d
+        length = 0
+        while d not in seen:
+            seen.add(d)
+            length += 1
+            if d < low:
+                low = d
+            d = turn.get(d)
+            if d is None:
+                return None
+        if length > best_len or (length == best_len and low < best):
+            best, best_len = low, length
+    return best
+
+
+def _lr_rotation(n: int, edge_list: list[Edge]) -> Optional[dict[int, list[int]]]:
+    """Clockwise rotation of every vertex 1..n, or None if the graph is not planar.
+
+    The left-right planarity test (Brandes, *The Left-Right Planarity
+    Test*, 2009, after de Fraysseix, Ossona de Mendez & Rosenstiehl, 2006)
+    on int arrays, with explicit stacks instead of recursion. `edge_list`
+    is sorted, loop-free and inside 1..n; edge ids are its positions. Every
+    choice (DFS order, stable sorts, where each half-edge is inserted and
+    where each rotation starts) follows networkx's `check_planarity`, so
+    the rotations are its `neighbors_cw_order` lists.
+    """
+    m = len(edge_list)
+    if n > 2 and m > 3 * n - 6:
+        return None
+    NONE = m  # "no edge"; per-edge arrays carry this spare slot
+    ends = [u + v for u, v in edge_list]  # other end of e at v: ends[e] - v
+    inc: list[list[int]] = [[] for _ in range(n + 1)]
+    for e, (u, v) in enumerate(edge_list):
+        inc[u].append(e)  # sorted edges list each vertex's neighbours ascending
+        inc[v].append(e)
+
+    # Phase 1: orient by DFS; heights, lowpoints and nesting depths.
+    src = [0] * m  # tail once oriented, 0 before
+    dst = [0] * m
+    height = [-1] * (n + 1)
+    parent = [NONE] * (n + 1)  # tree edge into v
+    lowpt = [0] * (m + 1)
+    lowpt2 = [0] * m
+    nesting = [0] * m
+    out: list[list[int]] = [[] for _ in range(n + 1)]  # edges oriented away from v
+    pos = [0] * (n + 1)
+    roots = []
+
+    def settle(e: int, v: int) -> None:
+        # e leaves v and its subtree is done: fix its nesting depth and fold
+        # its lowpoints into v's parent edge.
+        nesting[e] = 2 * lowpt[e] + (lowpt2[e] < height[v])
+        f = parent[v]
+        if f != NONE:
+            if lowpt[e] < lowpt[f]:
+                lowpt2[f] = min(lowpt[f], lowpt2[e])
+                lowpt[f] = lowpt[e]
+            elif lowpt[e] > lowpt[f]:
+                lowpt2[f] = min(lowpt2[f], lowpt[e])
+            else:
+                lowpt2[f] = min(lowpt2[f], lowpt2[e])
+
+    for r in range(1, n + 1):
+        if height[r] >= 0:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            row = inc[v]
+            i = pos[v]
+            while i < len(row):
+                e = row[i]
+                i += 1
+                if src[e]:
+                    continue
+                w = ends[e] - v
+                src[e], dst[e] = v, w
+                out[v].append(e)
+                lowpt[e] = lowpt2[e] = height[v]
+                if height[w] < 0:  # tree edge
+                    parent[w] = e
+                    height[w] = height[v] + 1
+                    stack.append(w)
+                    break
+                lowpt[e] = height[w]  # back edge
+                settle(e, v)
+            else:
+                stack.pop()
+                e = parent[v]
+                if e != NONE:
+                    settle(e, src[e])
+            pos[v] = i
+
+    # Phase 2: test for an LR partition. A conflict pair is a list
+    # [left.low, left.high, right.low, right.high] of return edges.
+    ordered = [sorted(es, key=nesting.__getitem__) for es in out]
+    ref = [NONE] * (m + 1)
+    side = [1] * (m + 1)
+    lowpt_edge = [NONE] * (m + 1)
+    bottom: list[Optional[list[int]]] = [None] * m  # top of S when e was reached
+    S: list[list[int]] = []
+
+    def conflicting(low: int, high: int, b: int) -> bool:
+        return (low != NONE or high != NONE) and lowpt[high] > lowpt[b]
+
+    def add_constraints(ei: int, e: int) -> bool:
+        P = [NONE, NONE, NONE, NONE]
+        while True:  # merge the return edges of ei into P.right
+            Q = S.pop()
+            if Q[0] != NONE or Q[1] != NONE:
+                Q = [Q[2], Q[3], Q[0], Q[1]]
+                if Q[0] != NONE or Q[1] != NONE:
+                    return False
+            if lowpt[Q[2]] > lowpt[e]:
+                if P[2] == NONE and P[3] == NONE:
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom[ei]:
+                break
+        # merge the conflicting return edges of earlier siblings into P.left
+        while conflicting(S[-1][0], S[-1][1], ei) or conflicting(S[-1][2], S[-1][3], ei):
+            Q = S.pop()
+            if conflicting(Q[2], Q[3], ei):
+                Q = [Q[2], Q[3], Q[0], Q[1]]
+                if conflicting(Q[2], Q[3], ei):
+                    return False
+            ref[P[2]] = Q[3]
+            if Q[2] != NONE:
+                P[2] = Q[2]
+            if P[0] == NONE and P[1] == NONE:
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P[0] != NONE or P[1] != NONE or P[2] != NONE or P[3] != NONE:
+            S.append(P)
+        return True
+
+    def lowest(P: list[int]) -> int:
+        if P[0] == NONE and P[1] == NONE:
+            return lowpt[P[2]]
+        if P[2] == NONE and P[3] == NONE:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
+
+    def remove_back_edges(e: int) -> None:
+        u = src[e]
+        while S and lowest(S[-1]) == height[u]:  # drop pairs returning to u
+            P = S.pop()
+            if P[0] != NONE:
+                side[P[0]] = -1
+        if S:  # trim the next pair's intervals
+            P = S[-1]
+            while P[1] != NONE and dst[P[1]] == u:
+                P[1] = ref[P[1]]
+            if P[1] == NONE and P[0] != NONE:
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = NONE
+            while P[3] != NONE and dst[P[3]] == u:
+                P[3] = ref[P[3]]
+            if P[3] == NONE and P[2] != NONE:
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = NONE
+        if lowpt[e] < height[u]:  # e's side is that of a highest return edge
+            hl, hr = S[-1][1], S[-1][3]
+            if hl != NONE and (hr == NONE or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
+
+    def integrate(ei: int, v: int) -> bool:
+        # ei leaves v and its subtree is tested: add its return edges
+        if lowpt[ei] < height[v]:
+            if ei == ordered[v][0]:
+                lowpt_edge[parent[v]] = lowpt_edge[ei]
+            elif not add_constraints(ei, parent[v]):
+                return False
+        return True
+
+    pos = [0] * (n + 1)
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            row = ordered[v]
+            i = pos[v]
+            while i < len(row):
+                ei = row[i]
+                i += 1
+                bottom[ei] = S[-1] if S else None
+                w = dst[ei]
+                if parent[w] == ei:  # tree edge
+                    stack.append(w)
+                    break
+                lowpt_edge[ei] = ei
+                S.append([NONE, NONE, ei, ei])
+                if not integrate(ei, v):
+                    return None
+            else:
+                stack.pop()
+                e = parent[v]
+                if e != NONE:
+                    remove_back_edges(e)
+                    if not integrate(e, src[e]):
+                        return None
+            pos[v] = i
+
+    # Phase 3: resolve relative sides to absolute ones and re-sort.
+    for e in range(m):
+        chain = []
+        x = e
+        while ref[x] != NONE:
+            chain.append(x)
+            x = ref[x]
+        s = side[x]
+        for y in reversed(chain):
+            s *= side[y]
+            side[y] = s
+            ref[y] = NONE
+        if side[e] < 0:
+            nesting[e] = -nesting[e]
+    ordered = [sorted(es, key=nesting.__getitem__) for es in out]
+
+    # Phase 4: embed. Dart 2e runs src -> dst, dart 2e + 1 back; cw/ccw
+    # link the darts leaving one vertex, and first[v] starts its rotation.
+    cw = [0] * (2 * m)
+    ccw = [0] * (2 * m)
+    first = [-1] * (n + 1)
+    for v in range(1, n + 1):
+        ds = [2 * e for e in ordered[v]]
+        if ds:
+            first[v] = ds[0]
+            for a, b in zip(ds, ds[1:] + ds[:1]):
+                cw[a] = b
+                ccw[b] = a
+    left_ref = [0] * (n + 1)
+    right_ref = [0] * (n + 1)
+
+    def insert_ccw_of(d: int, ref_dart: int) -> None:
+        p = ccw[ref_dart]
+        cw[p], ccw[d], cw[d], ccw[ref_dart] = d, p, ref_dart, d
+
+    pos = [0] * (n + 1)
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            row = ordered[v]
+            while pos[v] < len(row):
+                e = row[pos[v]]
+                pos[v] += 1
+                w = dst[e]
+                d = 2 * e + 1  # the half-edge w -> v
+                if parent[w] == e:  # tree edge: v becomes w's first neighbour
+                    if first[w] < 0:
+                        cw[d] = ccw[d] = d
+                    else:
+                        insert_ccw_of(d, first[w])
+                    first[w] = d
+                    left_ref[v] = right_ref[v] = 2 * e
+                    stack.append(v)
+                    stack.append(w)
+                    break
+                if side[e] == 1:  # right: just clockwise of right_ref[w]
+                    insert_ccw_of(d, cw[right_ref[w]])
+                else:  # left: just counter-clockwise of left_ref[w]
+                    if first[w] == left_ref[w]:
+                        first[w] = d
+                    insert_ccw_of(d, left_ref[w])
+                    left_ref[w] = d
+
+    rotation = {}
+    for v in range(1, n + 1):
+        rot = []
+        d = first[v]
+        if d >= 0:
+            while True:
+                e = d >> 1
+                rot.append(src[e] if d & 1 else dst[e])
+                d = cw[d]
+                if d == first[v]:
+                    break
+        rotation[v] = rot
+    return rotation
 
 
 def delete_vertices(g: PlaneGraph, doomed: Iterable[int]) -> tuple[PlaneGraph, dict[int, int]]:
@@ -784,8 +1086,7 @@ def delete_vertices(g: PlaneGraph, doomed: Iterable[int]) -> tuple[PlaneGraph, d
                     outer = (remap[u], remap[v])
                     break
         if outer is None:
-            g_tmp = PlaneGraph(len(keep), edges, rotation, sorted(edges)[0])
-            outer = _largest_face_dart(g_tmp)
+            outer = _largest_face_dart(len(keep), rotation)
     return PlaneGraph(len(keep), edges, rotation, outer), remap
 
 

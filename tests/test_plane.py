@@ -56,6 +56,29 @@ class TestFaces:
         with pytest.raises(EmbeddingError):
             plane_graph_from_edges(5, edges)
 
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, [(1, 1)], "loop at vertex 1 not allowed"),
+            (3, [(1, 2), (1, 1)], "loop at vertex 1 not allowed"),
+            (3, [(1, 4)], r"edge \(1,4\) out of vertex range 1\.\.3"),
+            (3, [(0, 1)], r"edge \(0,1\) out of vertex range 1\.\.3"),
+            (3, [(2, 3), (1, 0)], r"edge \(0,1\) out of vertex range 1\.\.3"),
+            (2, [(1, 2), (2, 5), (1, 5), (5, 6)], r"edge \(1,5\) out of vertex range 1\.\.2"),
+        ],
+    )
+    def test_bad_edges_rejected_before_embedding(self, n, edges, message):
+        # without a rotation system the embedding reads int arrays of size
+        # n + 1, so a loop or a vertex outside 1..n must be refused first
+        with pytest.raises(PlaneGraphError, match=f"^{message}$"):
+            plane_graph_from_edges(n, edges)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_edgeless_graphs_embed(self, n):
+        g = plane_graph_from_edges(n, [])
+        assert (g.n, g.m, g.outer_dart) == (n, 0, None)
+        assert g.rotation == {v: () for v in range(1, n + 1)}
+
     def test_rotation_must_match_neighbors(self):
         with pytest.raises(PlaneGraphError):
             PlaneGraph(3, [(1, 2)], {1: [2], 2: [1, 3], 3: []}, (1, 2))
@@ -198,3 +221,34 @@ class TestDelete:
         assert h.n == 8 and h.m == 8
         assert 5 not in remap
         assert h.num_faces() == 2
+
+    def test_outer_face_deleted_picks_longest_face(self):
+        # every dart of the triangle's outer face touches a deleted vertex,
+        # so the outer dart is picked afresh: the least dart of a longest face
+        g = plane_graph_from_points(
+            {1: (0.0, 0.0), 2: (4.0, 0.0), 3: (2.0, 4.0), 4: (2.0, 1.0), 5: (1.5, 2.0), 6: (2.5, 2.0)},
+            [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)],
+        )
+        h, remap = delete_vertices(g, [1, 2, 3])
+        assert (h.n, h.m) == (3, 3)
+        assert h.outer_dart == (1, 2)
+
+
+class TestOuterDart:
+    def test_longest_face_given_rotation(self):
+        # a square with a pendant path: the outer orbit (8 of the 12 darts)
+        # is the longest, and (1, 2) is its least dart
+        rot = {1: [2, 4], 2: [3, 1], 3: [4, 2, 5], 4: [1, 3], 5: [3, 6], 6: [5]}
+        edges = [(1, 2), (2, 3), (3, 4), (1, 4), (3, 5), (5, 6)]
+        g = plane_graph_from_edges(6, edges, rot)
+        assert g.outer_dart == (1, 2)
+        assert len(g.faces()[g.outer_face()]) == 8
+
+    def test_bad_rotation_keeps_its_message(self):
+        # without an outer dart, a rotation that is not a permutation of the
+        # neighbours is reported as such, not as a failed face walk
+        with pytest.raises(PlaneGraphError, match="^rotation at 2 is not a permutation"):
+            plane_graph_from_edges(3, [(1, 2), (2, 3)], {1: [2], 2: [1], 3: [2]})
+        with pytest.raises(EmbeddingError, match="^rotation system is not planar"):
+            edges = [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]
+            plane_graph_from_edges(5, edges, {v: [w for w in range(1, 6) if w != v] for v in range(1, 6)})

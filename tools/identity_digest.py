@@ -16,7 +16,11 @@ minute. Cases:
   the verdict and problems, or the exception's type and message;
 - the least work budget with which solve_bruteforce, best_linkage_for_pattern,
   dp_solve, branchwidth_decision, the brute-force grid-minor search and
-  untangle_disk decide, with each answer at that budget and one below.
+  untangle_disk decide, with each answer at that budget and one below;
+- the embedding computed for each of the 2,000 sparse_pool.txt graphs with
+  its rot/outer lines stripped (a hash of the rotation, the outer dart, and
+  the pipeline's status next to the pool's verdict), and for every r x c
+  grid with 2 <= r, c <= 12 under a seeded relabelling.
 """
 
 import hashlib
@@ -29,7 +33,7 @@ sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
 import workloads  # noqa: E402
 from pdpp import concentric, decomposition, gallery, oracle, reroute, solver  # noqa: E402
-from pdpp.instances import gen_grid_instance, gen_random_planar, parse_instance  # noqa: E402
+from pdpp.instances import gen_grid_instance, gen_random_planar, parse_instance, write_instance  # noqa: E402
 from pdpp.plane import closed_interior, grid_ring, make_grid, plane_graph_from_edges  # noqa: E402
 
 if not Path(solver.__file__).resolve().is_relative_to(root):
@@ -146,3 +150,25 @@ disk = closed_interior(g, grid_ring(g, 1))
 s = least_budget(lambda b: reroute.untangle_disk(g, link, disk, 1, budget=b) is not None, 200_000)
 emit("untangle", s, outcome(lambda: reroute.untangle_disk(g, link, disk, 1, budget=s)),
      outcome(lambda: reroute.untangle_disk(g, link, disk, 1, budget=s - 1)))
+
+# -- embeddings computed without a rotation system ----------------------------------
+
+
+def embedding(g):
+    return short(repr(sorted(g.rotation.items()))), g.outer_dart
+
+
+for row in workloads.read_pool(workloads.SPARSE_POOL):
+    pool_id, n, m, k, gen_seed = row[0], *map(int, row[1:5])
+    text = workloads.strip_embedding(write_instance(gen_random_planar(n, m, k, gen_seed)))
+    inst = parse_instance(text)
+    status = solver.solve_pipeline(inst).outcome.status.value
+    emit("embed", pool_id, *embedding(inst.graph), status, row[5])
+
+for rows in range(2, 13):
+    for cols in range(2, 13):
+        h = make_grid(rows, cols)
+        perm = list(range(1, h.n + 1))
+        random.Random(rows * 100 + cols).shuffle(perm)
+        g = plane_graph_from_edges(h.n, [(perm[a - 1], perm[b - 1]) for a, b in h.edges])
+        emit("embed-grid", rows, cols, *embedding(g))
