@@ -659,14 +659,9 @@ def branchwidth_lower_bound_from_tw(tw: int) -> int:
 
 @dataclass(frozen=True)
 class TooWide:
-    """Certificate that the graph is wide: a verified grid minor model.
-
-    `bd` is the verified branch decomposition that was too wide, for callers
-    that fall back to it when the grid minor yields no reduction.
-    """
+    """Certificate that the graph is wide: a verified grid minor model."""
 
     grid_model: GridMinorModel
-    bd: BranchDecomposition
 
 
 def best_heuristic_bd(
@@ -691,19 +686,19 @@ def best_heuristic_bd(
 def branch_decompose(
     g: PlaneGraph, target: int, td: Optional[TreeDecomposition] = None
 ) -> BranchDecomposition | TooWide:
-    """A verified branch decomposition, or it with a verified grid minor.
+    """A verified branch decomposition, or a verified grid minor.
 
     When the decomposition is wider than `target` (and target >= 2) and
-    `find_grid_minor` finds a (target x target)-grid minor, that minor comes
-    back as `TooWide`, carrying the decomposition. Otherwise the
-    decomposition comes back alone, whatever its width: no width bound is
-    promised. `td` is passed on to `best_heuristic_bd`.
+    `find_grid_minor` finds a (target x target)-grid minor, only that minor
+    comes back, as `TooWide`. Otherwise the decomposition comes back,
+    whatever its width: no width bound is promised. `td` is passed on to
+    `best_heuristic_bd`.
     """
     bd = best_heuristic_bd(g, td)
     if bd.width > target and target >= 2:
         model = find_grid_minor(g, target)
         if model is not None:
-            return TooWide(model, bd)
+            return TooWide(model)
     return bd
 
 
@@ -719,10 +714,7 @@ def td_from_bd(g: PlaneGraph, bd: BranchDecomposition) -> TreeDecomposition:
     the width is also at least width(bd) - 1.
 
     The result has one node per tree node, about 2m, and most internal bags
-    are near full width. A min-fill decomposition of the same width has n
-    bags, and the DP on it is several times faster, so `solve_pipeline`
-    uses this one only when it is strictly narrower, and builds it only when
-    the lower bound allows that.
+    are near full width.
     """
     if g.m == 0:
         bags = [frozenset()] + [frozenset({v}) for v in g.vertices]

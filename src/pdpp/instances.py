@@ -163,15 +163,7 @@ def parse_instance(text: str | bytes) -> DppInstance:
         graph = plane_graph_from_edges(n, edges, rotation, outer)
         found = detect_grid(graph)
         if found is not None:
-            shape, coords = found
-            graph = PlaneGraph(
-                graph.n,
-                graph.edges,
-                graph.rotation,
-                graph.outer_dart,
-                grid_shape=shape,
-                grid_coords=coords,
-            )
+            graph.grid_shape, graph.grid_coords = found
         inst = DppInstance(graph, tuple(pairs))
     except PlaneGraphError as exc:
         raise ParseError(header_line or 1, str(exc))

@@ -78,7 +78,9 @@ class PlaneGraph:
     """Simple undirected plane graph with dense vertex ids 1..n.
 
     Immutable after construction; every derived object (faces, regions)
-    is computed from the rotation system and cached.
+    is computed from the rotation system and cached. The exception is the
+    grid tags `grid_shape`/`grid_coords`: nothing derived reads them, so a
+    caller that recognises a grid attaches them to the built graph.
     """
 
     def __init__(

@@ -25,7 +25,6 @@ from .decomposition import (
     _bags_by_vertex,
     _euler_tour,
     branch_decompose,
-    td_from_bd,
     tree_decompose,
     verify_tree_decomposition,
 )
@@ -610,8 +609,9 @@ def solve_pipeline(
 ) -> PipelineResult:
     """Reduce while a big enough grid minor exists, then DP on a decomposition.
 
-    Each round either returns or deletes one vertex, so the loop ends within
-    n + 1 rounds.
+    Each round builds one min-fill tree decomposition; it feeds the branch
+    decomposition, and the DP runs on it. Each round either returns or
+    deletes one vertex, so the loop ends within n + 1 rounds.
     """
     k = inst.k
     if k == 1:
@@ -643,26 +643,13 @@ def solve_pipeline(
                 pairs2 = tuple((remap[s], remap[t]) for s, t in cur.pairs)
                 cur = DppInstance(g2, pairs2)
                 continue
-            bd = out.bd
-        else:
-            bd = out
-        # Min-fill gives n bags, td_from_bd about 2m bags near full width, so
-        # at equal width the DP is much cheaper on min-fill's. td_from_bd is
-        # still strictly narrower on some inputs (unreduced grids of side >= 7).
-        # Its width is at least bd.width - 1 (see td_from_bd), so it is built
-        # only when that bound is below min-fill's width.
-        td = minfill
-        if bd.width - 1 < minfill.width:
-            from_bd = td_from_bd(cur.graph, bd)
-            if from_bd.width < minfill.width:
-                td = from_bd
         used = TreeDecomposition(
-            td.parent,
-            tuple(frozenset(to_original[v] for v in bag) for bag in td.bags),
-            td.width,
+            minfill.parent,
+            tuple(frozenset(to_original[v] for v in bag) for bag in minfill.bags),
+            minfill.width,
         )
         try:
-            outcome = dp_solve(cur, td, state_budget=dp_state_budget)
+            outcome = dp_solve(cur, minfill, state_budget=dp_state_budget)
         except DpBudgetExceeded as exc:
             reason = (
                 "CERTIFIED_INFEASIBLE" if mode == "certified" else str(exc)

@@ -459,6 +459,6 @@ def test_minfill_order_matches_reference(g):
 @settings(max_examples=100)
 @given(g=planar_graphs)
 def test_td_from_bd_width_lower_bound(g):
-    # solve_pipeline skips td_from_bd when this bound rules out a win
+    # every order set of bd lies in some bag of the translation
     bd = best_heuristic_bd(g)
     assert td_from_bd(g, bd).width >= bd.width - 1

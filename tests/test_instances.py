@@ -12,7 +12,7 @@ from pdpp.instances import (
     write_instance,
     write_solution,
 )
-from pdpp.plane import PlaneGraphError
+from pdpp.plane import PlaneGraph, PlaneGraphError
 
 
 K2_TEXT = """\
@@ -64,6 +64,28 @@ class TestParse:
         assert again.graph.rotation == inst.graph.rotation
         assert again.graph.outer_dart == inst.graph.outer_dart
         assert write_instance(again) == write_instance(inst)
+
+    @pytest.mark.parametrize("embedded", [True, False])
+    def test_grid_tagged_on_the_one_graph_built(self, monkeypatch, embedded):
+        inst = gen_grid_instance(6, 2, 7)
+        text = write_instance(inst)
+        if not embedded:
+            text = "".join(
+                line for line in text.splitlines(keepends=True)
+                if not line.startswith(("rot", "outer"))
+            )
+        builds = []
+        real = PlaneGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlaneGraph, "__init__", counted)
+        again = parse_instance(text)
+        assert builds == [again.graph]
+        assert again.graph.grid_shape == inst.graph.grid_shape == (6, 6)
+        assert again.graph.grid_coords == inst.graph.grid_coords
 
 
 class TestSolutionFormat:

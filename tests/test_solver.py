@@ -22,7 +22,7 @@ from pdpp.instances import (
     gen_random_planar,
     parse_instance,
 )
-from pdpp.oracle import SolveOutcome, Status, solve_bruteforce, verify_solution
+from pdpp.oracle import Status, solve_bruteforce, verify_solution
 from pdpp.plane import GridMinorModel, PlaneGraphError, grid_vertex, make_grid, outer_cycle
 from pdpp.solver import (
     DpBudgetExceeded,
@@ -516,43 +516,47 @@ class TestPipeline:
         assert len(res.decomposition.bags) == g.n
         assert res.decomposition == tree_decompose(g)
 
-    def test_strictly_narrower_bd_decomposition_kept(self, monkeypatch):
-        # unreduced 7x7 (k = 5 raises the grid target to 8): the branch
-        # decomposition gives width 7, min-fill 8
-        inst = gen_grid_instance(7, 5, 0)
-        g = inst.graph
-        narrow = td_from_bd(g, best_heuristic_bd(g))
-        assert narrow.width < tree_decompose(g).width
-        ran_on = []
-
-        def record(inst, td, state_budget):  # the real DP here would be slow
-            ran_on.append(td)
-            return SolveOutcome(Status.NO)
-
-        monkeypatch.setattr(solver, "dp_solve", record)
-        res = solve_pipeline(inst)
-        assert res.iterations == 1
-        assert ran_on == [narrow]
-        assert res.decomposition == narrow
-
     @pytest.mark.parametrize(
-        "inst, iterations, widths, built",
+        "k, seed, mode, answer",
+        # each ran out of the state budget on td_from_bd's width-7
+        # decomposition (UNKNOWN, CERTIFIED_INFEASIBLE)
         [
-            # sparse: td_from_bd cannot be narrower than min-fill, so it is skipped
-            (gen_random_planar(12, 18, 2, 0), 1, (4, 3), 0),
-            # 5x5: a tie at width 5, so td_from_bd is built and then dropped
-            (gen_grid_instance(5, 2, 0), 1, (5, 5), 1),
-            # 7x7 reduced once; the DP iteration sees the reduced graph
-            (gen_grid_instance(7, 2, 0), 2, (6, 7), 1),
+            (5, 0, "heuristic", Status.NO),
+            (5, 2, "heuristic", Status.NO),
+            (3, 0, "certified", Status.YES),
         ],
     )
-    def test_one_min_fill_pass_per_iteration(
-        self, monkeypatch, inst, iterations, widths, built
-    ):
+    def test_min_fill_decomposition_when_bd_is_narrower(self, k, seed, mode, answer):
+        # unreduced 7x7 (k = 5 raises the heuristic grid target to 8, and
+        # certified mode never reduces it): the branch decomposition
+        # translates to width 7, min-fill gives 8, and the DP runs on min-fill's
+        inst = gen_grid_instance(7, k, seed)
+        g = inst.graph
+        minfill = tree_decompose(g)
+        assert td_from_bd(g, best_heuristic_bd(g)).width == 7 < minfill.width == 8
+        res = solve_pipeline(inst, mode=mode)
+        assert res.iterations == 1
+        assert res.decomposition == minfill
+        assert res.status is answer
+        assert boundary_answer(inst) is answer
+        assert solve_bruteforce(inst).status is answer
+        if answer is Status.YES:
+            assert verify_solution(inst, res.outcome.solution)
+
+    @pytest.mark.parametrize(
+        "inst, iterations, widths",
+        [
+            (gen_random_planar(12, 18, 2, 0), 1, (4, 3)),
+            (gen_grid_instance(5, 2, 0), 1, (5, 5)),
+            # 7x7 reduced once; the DP iteration sees the reduced graph
+            (gen_grid_instance(7, 2, 0), 2, (6, 7)),
+        ],
+    )
+    def test_one_min_fill_pass_per_iteration(self, monkeypatch, inst, iterations, widths):
         orders = count_calls(monkeypatch, decomposition, "minfill_order")
         elims = count_calls(monkeypatch, decomposition, "td_from_elimination")
         heuristic = count_calls(monkeypatch, decomposition, "best_heuristic_bd")
-        from_bd = count_calls(monkeypatch, solver, "td_from_bd")
+        from_bd = count_calls(monkeypatch, decomposition, "td_from_bd")
         real_verify = decomposition.verify_tree_decomposition
         holders = [
             m
@@ -567,43 +571,36 @@ class TestPipeline:
         # the branch decomposition is built from the one min-fill pass
         for (args, _), (_, minfill) in zip(heuristic, elims):
             assert args[1] is minfill
-        # (bd width, min-fill width) where the DP runs; td_from_bd is built
-        # only when bd.width - 1 < min-fill's width
+        # (bd width, min-fill width) where the DP runs; the DP runs on
+        # min-fill's whatever the widths, and no other decomposition is built
         bd, minfill = heuristic[-1][1], elims[-1][1]
         assert (bd.width, minfill.width) == widths
-        assert len(from_bd) == built == int(bd.width - 1 < minfill.width)
+        assert from_bd == []
+        assert not hasattr(solver, "td_from_bd")
         assert res.decomposition.parent == minfill.parent
         assert res.decomposition.width == minfill.width
         # one tree-decomposition check, by the DP on what it runs on; none in
-        # a round that reduces, nor for a td_from_bd that is dropped
+        # a round that reduces
         ((args, _),) = [call for calls in verified for call in calls]
         assert args[1] is minfill
 
-    def test_too_wide_reuses_its_branch_decomposition(self, monkeypatch):
+    def test_too_wide_without_certificate_runs_on_min_fill(self, monkeypatch):
         # 7x7 with k = 2 is too wide for the side-6 target; with no
-        # certificate the DP falls back to the decomposition already built
+        # certificate the DP runs on the round's min-fill decomposition
         inst = gen_grid_instance(7, 2, 0)
         outs = count_calls(monkeypatch, solver, "branch_decompose")
-        heuristic = count_calls(monkeypatch, decomposition, "best_heuristic_bd")
-        orders = count_calls(monkeypatch, decomposition, "minfill_order")
-        from_bd = count_calls(monkeypatch, solver, "td_from_bd")
+        elims = count_calls(monkeypatch, decomposition, "td_from_elimination")
+        ran = count_calls(monkeypatch, solver, "dp_solve")
         monkeypatch.setattr(solver, "find_irrelevant_vertex", lambda *a, **kw: None)
-        ran_on = []
-
-        def record(inst, td, state_budget):
-            ran_on.append(td)
-            return SolveOutcome(Status.NO)
-
-        monkeypatch.setattr(solver, "dp_solve", record)
         res = solve_pipeline(inst)
         assert res.iterations == 1
         ((_, out),) = outs
         assert isinstance(out, TooWide)
-        assert len(heuristic) == len(orders) == 1
-        ((args, narrow),) = from_bd
-        assert args[1] is out.bd
-        assert narrow.width == 7 < tree_decompose(inst.graph).width
-        assert ran_on == [narrow]
+        ((_, minfill),) = elims
+        ((args, _),) = ran
+        assert args[1] is minfill
+        assert res.decomposition == minfill
+        assert res.status is boundary_answer(inst)
 
     def test_deep_decomposition(self, tmp_path, capsys):
         # min-fill gives a path a decomposition as deep as the path, which

@@ -12,6 +12,9 @@ minute. Cases:
 - solve_pipeline on the 600 grid-solve seed-7 items (every fourth also at a
   DP budget of 2,000 states) and the 800 sparse-solve seed-7 items: status,
   reason, paths, certificates, iterations, serialized decomposition;
+- the same fields for solve_pipeline on gen_grid_instance grids with seeds
+  0-2: heuristic 7x7 and 8x8 with k in {5, 6}, and certified 7x7 with
+  k in {2, 3}, where the decomposition the DP runs on decides the verdict;
 - verify_tight on every tight_pool host at budgets 5, 500 and 200,000:
   the verdict and problems, or the exception's type and message;
 - the least work budget with which solve_bruteforce, best_linkage_for_pattern,
@@ -79,18 +82,30 @@ def decided(call):
         raise
 
 
-# -- solve_pipeline on the two solve corpora -------------------------------------
+# -- solve_pipeline on the two solve corpora and on wider grids -------------------
+
+
+def pipeline(res):
+    out = res.outcome
+    paths = None if out.solution is None else out.solution.paths
+    dec = None if res.decomposition is None else short(res.decomposition.serialize())
+    certs = short("\n".join(c.log_line() for c in res.certificates))
+    return out.status.value, out.reason, paths, certs, res.iterations, dec
+
+
 for name, workload in (("grid", workloads.GridSolve()), ("sparse", workloads.SparseSolve())):
     for i, (text, tag) in enumerate(workload.draw(7)):
-        res = solver.solve_pipeline(parse_instance(text))
-        out = res.outcome
-        paths = None if out.solution is None else out.solution.paths
-        dec = None if res.decomposition is None else short(res.decomposition.serialize())
-        certs = short("\n".join(c.log_line() for c in res.certificates))
-        emit(name, i, tag, out.status.value, out.reason, paths, certs, res.iterations, dec)
+        emit(name, i, tag, *pipeline(solver.solve_pipeline(parse_instance(text))))
         if name == "grid" and i % 4 == 0:
             low = solver.solve_pipeline(parse_instance(text), dp_state_budget=2_000).outcome
             emit("grid-low", i, low.status.value, low.reason)
+
+for mode, sides, ks in (("heuristic", (7, 8), (5, 6)), ("certified", (7,), (2, 3))):
+    for side in sides:
+        for k in ks:
+            for seed in range(3):
+                res = solver.solve_pipeline(gen_grid_instance(side, k, seed), mode=mode)
+                emit("wide", mode, side, k, seed, *pipeline(res))
 
 # -- verify_tight on the tight pool ------------------------------------------------
 hosts = workloads.read_pool(workloads.TIGHT_POOL)
