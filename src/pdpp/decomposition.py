@@ -664,37 +664,26 @@ class TooWide:
     grid_model: GridMinorModel
 
 
-def best_heuristic_bd(
-    g: PlaneGraph, td: Optional[TreeDecomposition] = None
-) -> BranchDecomposition:
-    """Verified branch decomposition: the grid sweep on grids, else via min-fill.
-
-    `td` is the min-fill decomposition of `g` when the caller already holds
-    it; None computes it here. Grids do not use it.
-    """
+def best_heuristic_bd(g: PlaneGraph) -> BranchDecomposition:
+    """Verified branch decomposition: the grid sweep on grids, else via min-fill."""
     if g.grid_shape is not None and g.m >= 1:
         # the sweep reaches min(rows, cols), a grid's exact branchwidth, so
         # nothing built from a tree decomposition can be narrower
         return caterpillar_bd(g, grid_sweep_order(g))
-    if td is None and g.n:
-        td = td_from_elimination(g, minfill_order(g))
-    if td is None:
+    if not g.n:
         return BranchDecomposition((), {}, 0)
-    return bd_from_td(g, td)
+    return bd_from_td(g, td_from_elimination(g, minfill_order(g)))
 
 
-def branch_decompose(
-    g: PlaneGraph, target: int, td: Optional[TreeDecomposition] = None
-) -> BranchDecomposition | TooWide:
+def branch_decompose(g: PlaneGraph, target: int) -> BranchDecomposition | TooWide:
     """A verified branch decomposition, or a verified grid minor.
 
     When the decomposition is wider than `target` (and target >= 2) and
     `find_grid_minor` finds a (target x target)-grid minor, only that minor
     comes back, as `TooWide`. Otherwise the decomposition comes back,
-    whatever its width: no width bound is promised. `td` is passed on to
-    `best_heuristic_bd`.
+    whatever its width: no width bound is promised.
     """
-    bd = best_heuristic_bd(g, td)
+    bd = best_heuristic_bd(g)
     if bd.width > target and target >= 2:
         model = find_grid_minor(g, target)
         if model is not None:

@@ -124,13 +124,17 @@ def parse_instance(text: str | bytes) -> DppInstance:
             vals = _ints(lineno, fields[1:], "rotation")
             if len(vals) < 2 or len(vals) != 2 + vals[1]:
                 raise ParseError(lineno, "expected 'rot <v> <d> <w1> ... <wd>'")
-            v, d = vals[0], vals[1]
+            v = vals[0]
+            if not 1 <= v <= n:
+                raise ParseError(lineno, f"rotation for vertex {v} outside 1..{n}")
             if v in rot:
                 raise ParseError(lineno, f"duplicate rotation for vertex {v}")
             rot[v] = vals[2:]
         elif tag == "outer":
             if len(fields) != 3:
                 raise ParseError(lineno, "expected 'outer <u> <v>'")
+            if outer is not None:
+                raise ParseError(lineno, "duplicate outer record")
             u, v = _ints(lineno, fields[1:], "outer")
             outer = (u, v)
         elif tag == "t":

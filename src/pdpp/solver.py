@@ -20,11 +20,11 @@ from .concentric import (
     lemma_side_requirement,
 )
 from .decomposition import (
-    TooWide,
     TreeDecomposition,
     _bags_by_vertex,
     _euler_tour,
-    branch_decompose,
+    best_heuristic_bd,
+    find_grid_minor,
     tree_decompose,
     verify_tree_decomposition,
 )
@@ -609,9 +609,11 @@ def solve_pipeline(
 ) -> PipelineResult:
     """Reduce while a big enough grid minor exists, then DP on a decomposition.
 
-    Each round builds one min-fill tree decomposition; it feeds the branch
-    decomposition, and the DP runs on it. Each round either returns or
-    deletes one vertex, so the loop ends within n + 1 rounds.
+    Each round builds one min-fill tree decomposition, and the DP runs on
+    it. A branch decomposition is built only in a round that finds a
+    (target x target)-grid minor, to check that the graph is wider than
+    target. Each round either returns or deletes one vertex, so the loop
+    ends within n + 1 rounds.
     """
     k = inst.k
     if k == 1:
@@ -630,9 +632,11 @@ def solve_pipeline(
     while True:
         iterations += 1
         minfill = tree_decompose(cur.graph)
-        out = branch_decompose(cur.graph, target, td=minfill)
-        if isinstance(out, TooWide):
-            cert = find_irrelevant_vertex(cur, out.grid_model, mode=mode)
+        # branch_decompose's rule with its two tests swapped: a minor is cheap
+        # to rule out, and the branch decomposition is built only for its width
+        model = find_grid_minor(cur.graph, target)
+        if model is not None and best_heuristic_bd(cur.graph).width > target:
+            cert = find_irrelevant_vertex(cur, model, mode=mode)
             if cert is not None:
                 certificates.append(cert)
                 removed.append(to_original[cert.removed_vertex])

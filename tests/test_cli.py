@@ -88,6 +88,18 @@ class TestSolve:
         f.write_text("p dpp 2 1 1\ne 1 9\nt 1 2\n")
         assert main(["solve", str(f)]) == 65
 
+    @pytest.mark.parametrize(
+        "extra, line",
+        # a rotation for a vertex out of range; a second outer record
+        [("rot 7 2 1 3\n", 7), ("outer 1 2\nouter 2 3\n", 8)],
+        ids=["rot-out-of-range", "second-outer"],
+    )
+    def test_stray_embedding_record_exit_65(self, tmp_path, capsys, extra, line):
+        f = tmp_path / "bad.dpp"
+        f.write_text("p dpp 3 2 1\ne 1 2\ne 2 3\nrot 1 1 2\nrot 2 2 1 3\nrot 3 1 2\n" + extra + "t 1 3\n")
+        assert main(["solve", str(f)]) == 65
+        assert f"line {line}:" in capsys.readouterr().err
+
     def test_usage_error_exit_64(self, capsys):
         assert main(["solve", "--engine", "wat", "x"]) == 64
 

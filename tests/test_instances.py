@@ -21,6 +21,9 @@ e 1 2
 t 1 2
 """
 
+# a 3-vertex path with a rotation for each vertex, before its outer and t records
+PATH3_ROT = "p dpp 3 2 1\ne 1 2\ne 2 3\nrot 1 1 2\nrot 2 2 1 3\nrot 3 1 2\n"
+
 
 class TestParse:
     def test_k2(self):
@@ -55,6 +58,20 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_instance("p dpp 2 1 1\ne 1 9\nt 1 2\n")
         assert err.value.line == 2
+
+    def test_rotation_vertex_out_of_range(self):
+        # every vertex of the 3-vertex path has its rotation; the extra one
+        # names a vertex the graph does not have
+        text = PATH3_ROT + "rot 7 2 1 3\nt 1 3\n"
+        with pytest.raises(ParseError, match="vertex 7 outside 1..3") as err:
+            parse_instance(text)
+        assert err.value.line == 7
+
+    def test_duplicate_outer(self):
+        assert parse_instance(PATH3_ROT + "outer 2 3\nt 1 3\n").graph.outer_dart == (2, 3)
+        with pytest.raises(ParseError, match="duplicate outer") as err:
+            parse_instance(PATH3_ROT + "outer 1 2\nouter 2 3\nt 1 3\n")
+        assert err.value.line == 8
 
     def test_roundtrip_identity(self):
         inst = gen_grid_instance(6, 2, 7)

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from pdpp import cli, decomposition, solver
 from pdpp.concentric import lemma_side_requirement
 from pdpp.decomposition import (
-    TooWide,
     TreeDecomposition,
     best_heuristic_bd,
+    find_grid_minor,
     td_from_bd,
     tree_decompose,
 )
@@ -22,8 +22,15 @@ from pdpp.instances import (
     gen_random_planar,
     parse_instance,
 )
-from pdpp.oracle import Status, solve_bruteforce, verify_solution
-from pdpp.plane import GridMinorModel, PlaneGraphError, grid_vertex, make_grid, outer_cycle
+from pdpp.oracle import SolveOutcome, Status, solve_bruteforce, verify_solution
+from pdpp.plane import (
+    GridMinorModel,
+    PlaneGraphError,
+    delete_vertices,
+    grid_vertex,
+    make_grid,
+    outer_cycle,
+)
 from pdpp.solver import (
     DpBudgetExceeded,
     ReductionCertificate,
@@ -478,6 +485,54 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+# every decomposition step a pipeline round could take, so that one that
+# should not run shows up in the record
+ROUND_STEPS = (
+    "minfill_order",
+    "td_from_elimination",
+    "find_grid_minor",
+    "best_heuristic_bd",
+    "bd_from_td",
+    "caterpillar_bd",
+    "td_from_bd",
+    "verify_tree_decomposition",
+)
+
+
+def record_calls(monkeypatch, names):
+    """Wrap each named `pdpp.decomposition` function in every `pdpp` module
+    holding it; the returned list gets [name, args, result] per call, in the
+    order the calls start."""
+    calls = []
+
+    def wrap(name, real):
+        def wrapper(*args, **kwargs):
+            entry = [name, args, None]
+            calls.append(entry)
+            entry[2] = real(*args, **kwargs)
+            return entry[2]
+
+        return wrapper
+
+    for name in names:
+        real = getattr(decomposition, name)
+        wrapper = wrap(name, real)
+        for module_name, module in sorted(sys.modules.items()):
+            if module_name.startswith("pdpp") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def split_rounds(calls):
+    """The recorded calls cut into pipeline rounds: each starts with min-fill."""
+    rounds = []
+    for call in calls:
+        if call[0] == "minfill_order":
+            rounds.append([])
+        rounds[-1].append(call)
+    return rounds
+
+
 class TestPipeline:
     def test_tree_instance_direct_dp(self):
         inst = gen_random_planar(8, 7, 2, 1)  # a tree
@@ -545,62 +600,120 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "inst, iterations, widths",
+        # widths: the min-fill width of each round
         [
-            (gen_random_planar(12, 18, 2, 0), 1, (4, 3)),
-            (gen_grid_instance(5, 2, 0), 1, (5, 5)),
-            # 7x7 reduced once; the DP iteration sees the reduced graph
-            (gen_grid_instance(7, 2, 0), 2, (6, 7)),
+            (gen_random_planar(12, 18, 2, 0), 1, (3,)),
+            (gen_grid_instance(5, 2, 0), 1, (5,)),
+            # 7x7 reduced once; the DP round sees the reduced graph
+            (gen_grid_instance(7, 2, 0), 2, (8, 7)),
         ],
     )
     def test_one_min_fill_pass_per_iteration(self, monkeypatch, inst, iterations, widths):
-        orders = count_calls(monkeypatch, decomposition, "minfill_order")
-        elims = count_calls(monkeypatch, decomposition, "td_from_elimination")
-        heuristic = count_calls(monkeypatch, decomposition, "best_heuristic_bd")
-        from_bd = count_calls(monkeypatch, decomposition, "td_from_bd")
-        real_verify = decomposition.verify_tree_decomposition
-        holders = [
-            m
-            for name, m in sorted(sys.modules.items())
-            if name.startswith("pdpp")
-            and getattr(m, "verify_tree_decomposition", None) is real_verify
-        ]
-        verified = [count_calls(monkeypatch, m, "verify_tree_decomposition") for m in holders]
+        calls = record_calls(monkeypatch, ROUND_STEPS)
         res = solve_pipeline(inst)
         assert res.iterations == iterations
-        assert len(orders) == len(elims) == len(heuristic) == iterations
-        # the branch decomposition is built from the one min-fill pass
-        for (args, _), (_, minfill) in zip(heuristic, elims):
-            assert args[1] is minfill
-        # (bd width, min-fill width) where the DP runs; the DP runs on
-        # min-fill's whatever the widths, and no other decomposition is built
-        bd, minfill = heuristic[-1][1], elims[-1][1]
-        assert (bd.width, minfill.width) == widths
-        assert from_bd == []
-        assert not hasattr(solver, "td_from_bd")
+        rounds = split_rounds(calls)
+        assert tuple(steps[1][2].width for steps in rounds) == widths
+        *reducing, last = rounds
+        # a round that reduces finds a minor and builds one branch
+        # decomposition, to read its width; the DP round finds none and
+        # builds none
+        for steps in reducing:
+            assert [name for name, _, _ in steps] == [
+                "minfill_order", "td_from_elimination", "find_grid_minor",
+                "best_heuristic_bd", "caterpillar_bd",
+            ]
+            assert steps[2][2] is not None
+        assert [name for name, _, _ in last] == [
+            "minfill_order", "td_from_elimination", "find_grid_minor", "verify_tree_decomposition",
+        ]
+        (_, _, model), (_, args, _) = last[2:]
+        assert model is None
+        # one tree-decomposition check, by the DP on the min-fill decomposition
+        minfill = last[1][2]
+        assert args[1] is minfill
         assert res.decomposition.parent == minfill.parent
         assert res.decomposition.width == minfill.width
-        # one tree-decomposition check, by the DP on what it runs on; none in
-        # a round that reduces
-        ((args, _),) = [call for calls in verified for call in calls]
-        assert args[1] is minfill
+        for name in ("td_from_bd", "branch_decompose", "TooWide"):
+            assert not hasattr(solver, name)
 
     def test_too_wide_without_certificate_runs_on_min_fill(self, monkeypatch):
-        # 7x7 with k = 2 is too wide for the side-6 target; with no
-        # certificate the DP runs on the round's min-fill decomposition
+        # 7x7 with k = 2 holds a 6x6 minor and is wider than the side-6
+        # target; with no certificate the DP runs on the round's min-fill
+        # decomposition
         inst = gen_grid_instance(7, 2, 0)
-        outs = count_calls(monkeypatch, solver, "branch_decompose")
-        elims = count_calls(monkeypatch, decomposition, "td_from_elimination")
+        calls = record_calls(monkeypatch, ROUND_STEPS)
+        asked = []
+        monkeypatch.setattr(
+            solver, "find_irrelevant_vertex", lambda cur, model, mode: asked.append(model)
+        )
         ran = count_calls(monkeypatch, solver, "dp_solve")
-        monkeypatch.setattr(solver, "find_irrelevant_vertex", lambda *a, **kw: None)
         res = solve_pipeline(inst)
         assert res.iterations == 1
-        ((_, out),) = outs
-        assert isinstance(out, TooWide)
-        ((_, minfill),) = elims
+        (steps,) = split_rounds(calls)
+        assert [name for name, _, _ in steps] == [
+            "minfill_order", "td_from_elimination", "find_grid_minor",
+            "best_heuristic_bd", "caterpillar_bd", "verify_tree_decomposition",
+        ]
+        minfill, model, bd = (out for _, _, out in steps[1:4])
+        assert (model.side(), bd.width) == (6, 7)
+        assert asked == [model]
         ((args, _),) = ran
         assert args[1] is minfill
         assert res.decomposition == minfill
         assert res.status is boundary_answer(inst)
+
+    def test_minor_at_target_width_runs_the_dp(self, monkeypatch):
+        # 6x6 with k = 2 holds a 6x6 minor but is not wider than the side-6
+        # target: one branch decomposition is built, nothing is reduced
+        inst = gen_grid_instance(6, 2, 0)
+        calls = record_calls(monkeypatch, ROUND_STEPS)
+        asked = count_calls(monkeypatch, solver, "find_irrelevant_vertex")
+        res = solve_pipeline(inst)
+        assert res.iterations == 1
+        assert res.certificates == ()
+        assert asked == []
+        (steps,) = split_rounds(calls)
+        assert [name for name, _, _ in steps] == [
+            "minfill_order", "td_from_elimination", "find_grid_minor",
+            "best_heuristic_bd", "caterpillar_bd", "verify_tree_decomposition",
+        ]
+        model, bd = steps[2][2], steps[3][2]
+        assert model.side() == bd.width == 6
+        assert res.status is boundary_answer(inst)
+
+    def test_grid_minor_rule_is_width_first(self, monkeypatch):
+        # the pipeline looks for the minor first; what it hands on must be
+        # what the width-first rule gives: a minor only when the branch
+        # decomposition is wider than target. Graphs with fewer than 2k
+        # vertices carry no k-pair instance and are skipped.
+        handed = []
+        monkeypatch.setattr(
+            solver, "find_irrelevant_vertex", lambda cur, model, mode: handed.append(model)
+        )
+        monkeypatch.setattr(solver, "dp_solve", lambda *a, **kw: SolveOutcome(Status.NO))
+        graphs = [make_grid(r, c) for r in range(1, 13) for c in range(1, 13)]
+        for side in range(6, 10):
+            grid = make_grid(side, side)
+            graphs += [delete_vertices(grid, [v])[0] for v in grid.vertices]
+        for seed in range(150):
+            n = 6 + seed % 35
+            graphs.append(gen_random_planar(n, n - 1 + 7 * seed % (2 * n - 4), 1, seed).graph)
+        found = 0
+        for g in graphs:
+            width = best_heuristic_bd(g).width
+            for k, target in ((2, 6), (5, 8)):
+                assert heuristic_grid_target(k) == target
+                if g.n < 2 * k:
+                    continue
+                handed.clear()
+                pairs = tuple((i, g.n + 1 - i) for i in range(1, k + 1))
+                solve_pipeline(DppInstance(g, pairs))
+                expected = find_grid_minor(g, target) if width > target else None
+                assert handed == ([] if expected is None else [expected]), (g.n, g.grid_shape, k)
+                found += expected is not None
+        # the r x c grids with min(r, c) > target: 36 at target 6, 16 at 8
+        assert found == 36 + 16
 
     def test_deep_decomposition(self, tmp_path, capsys):
         # min-fill gives a path a decomposition as deep as the path, which

@@ -15,6 +15,9 @@ minute. Cases:
 - the same fields for solve_pipeline on gen_grid_instance grids with seeds
   0-2: heuristic 7x7 and 8x8 with k in {5, 6}, and certified 7x7 with
   k in {2, 3}, where the decomposition the DP runs on decides the verdict;
+  heuristic 6x6 with k in {2, 3, 4}, which holds a grid minor of the
+  side-6 target but is not wider than it, and heuristic 7x7 with k = 2,
+  which is wider and reduces;
 - verify_tight on every tight_pool host at budgets 5, 500 and 200,000:
   the verdict and problems, or the exception's type and message;
 - the least work budget with which solve_bruteforce, best_linkage_for_pattern,
@@ -100,7 +103,12 @@ for name, workload in (("grid", workloads.GridSolve()), ("sparse", workloads.Spa
             low = solver.solve_pipeline(parse_instance(text), dp_state_budget=2_000).outcome
             emit("grid-low", i, low.status.value, low.reason)
 
-for mode, sides, ks in (("heuristic", (7, 8), (5, 6)), ("certified", (7,), (2, 3))):
+for mode, sides, ks in (
+    ("heuristic", (7, 8), (5, 6)),
+    ("certified", (7,), (2, 3)),
+    ("heuristic", (6,), (2, 3, 4)),
+    ("heuristic", (7,), (2,)),
+):
     for side in sides:
         for k in ks:
             for seed in range(3):
