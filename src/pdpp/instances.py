@@ -96,6 +96,7 @@ def parse_instance(text: str | bytes) -> DppInstance:
     rot: dict[int, list[int]] = {}
     outer: Dart | None = None
     pairs: list[tuple[int, int]] = []
+    terminals: set[int] = set()
     for lineno, fields in _records(text):
         tag = fields[0]
         if tag == "p":
@@ -143,6 +144,12 @@ def parse_instance(text: str | bytes) -> DppInstance:
             s, t = _ints(lineno, fields[1:], "terminal")
             if s == t:
                 raise ParseError(lineno, f"terminals not distinct in pair ({s},{t})")
+            for v in (s, t):
+                if not 1 <= v <= n:
+                    raise ParseError(lineno, f"terminal {v} outside 1..{n}")
+                if v in terminals:
+                    raise ParseError(lineno, f"terminal {v} used twice")
+                terminals.add(v)
             pairs.append((s, t))
         else:
             raise ParseError(lineno, f"unknown record '{tag}'")
@@ -171,12 +178,6 @@ def parse_instance(text: str | bytes) -> DppInstance:
         inst = DppInstance(graph, tuple(pairs))
     except PlaneGraphError as exc:
         raise ParseError(header_line or 1, str(exc))
-    seen_terminal: set[int] = set()
-    for lineno_pair, (s, t) in enumerate(pairs):
-        for v in (s, t):
-            if v in seen_terminal:
-                raise ParseError(header_line, f"terminal {v} used twice")
-            seen_terminal.add(v)
     return inst
 
 

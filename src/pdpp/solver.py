@@ -185,7 +185,15 @@ class _Nice:
 
 
 def nice_tree(g: PlaneGraph, td: TreeDecomposition) -> tuple[list[_Nice], int]:
-    """Nice decomposition with edge nodes; returns (nodes, root index)."""
+    """Nice decomposition with edge nodes; returns (nodes, root index).
+
+    Each edge uv is introduced at the bag nearest the root that holds both
+    u and v, after that bag's joins. The bags holding both ends form a
+    subtree, so that bag is unique, and the chain above it forgets u or v
+    before the next join: an edge is taken just before one of its ends is
+    forgotten. On a min-fill decomposition that bag is the one of whichever
+    end is eliminated first.
+    """
     nodes: list[_Nice] = []
 
     def add(node: _Nice) -> int:
@@ -193,11 +201,17 @@ def nice_tree(g: PlaneGraph, td: TreeDecomposition) -> tuple[list[_Nice], int]:
         return len(nodes) - 1
 
     kids = td.children()
+    root_td = next(i for i, p in enumerate(td.parent) if p < 0)
+    tour = list(_euler_tour(kids, root_td))
+    depth = [0] * len(td.bags)
+    for t, entering in tour:
+        if entering and t != root_td:
+            depth[t] = depth[td.parent[t]] + 1
     edge_home: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(td.bags))}
     holding = _bags_by_vertex(td)
     for e in sorted(g.edges):
         u, v = e
-        home = next(i for i in holding[u] if v in td.bags[i])  # lowest index
+        home = min((i for i in holding[u] if v in td.bags[i]), key=depth.__getitem__)
         edge_home[home].append(e)
 
     def chain_to(bag_from: frozenset[int], bag_to: frozenset[int], below: int) -> int:
@@ -214,8 +228,7 @@ def nice_tree(g: PlaneGraph, td: TreeDecomposition) -> tuple[list[_Nice], int]:
     # children's chains are hooked under a node in order, as the walk
     # leaves each child's subtree
     hooks: dict[int, list[int]] = {}
-    root_td = next(i for i, p in enumerate(td.parent) if p < 0)
-    for t, entering in _euler_tour(kids, root_td):
+    for t, entering in tour:
         if entering:
             hooks[t] = []
             continue
@@ -254,6 +267,11 @@ def nice_tree(g: PlaneGraph, td: TreeDecomposition) -> tuple[list[_Nice], int]:
 # edge nodes, and (left state, right state) at joins. Taking an edge always
 # changes the code of one of its ends, so an edge node's state that equals
 # its back pointer skipped the edge, and any other took it.
+#
+# `nice_tree` puts each edge node at the bag nearest the root that holds
+# both ends, after that bag's joins and before the forget of one end. So an
+# edge with both ends in a join's bag is taken above the join, and its
+# choice does not multiply the join's two child tables.
 
 
 def dp_solve(

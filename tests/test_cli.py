@@ -100,6 +100,15 @@ class TestSolve:
         assert main(["solve", str(f)]) == 65
         assert f"line {line}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "pairs, line", [("t 1 3\nt 3 4\n", 6), ("t 1 9\nt 2 3\n", 5)], ids=["reused", "out-of-range"]
+    )
+    def test_bad_terminal_exit_65(self, tmp_path, capsys, pairs, line):
+        f = tmp_path / "bad.dpp"
+        f.write_text("p dpp 4 3 2\ne 1 2\ne 2 3\ne 3 4\n" + pairs)
+        assert main(["solve", str(f)]) == 65
+        assert f"line {line}: terminal" in capsys.readouterr().err
+
     def test_usage_error_exit_64(self, capsys):
         assert main(["solve", "--engine", "wat", "x"]) == 64
 

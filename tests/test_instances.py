@@ -39,6 +39,22 @@ class TestParse:
         with pytest.raises(ParseError, match="not distinct"):
             parse_instance("p dpp 2 1 1\ne 1 2\nt 1 1\n")
 
+    @pytest.mark.parametrize(
+        "pairs, line, message",
+        [
+            ("t 1 3\nt 3 4\n", 6, "terminal 3 used twice"),
+            ("t 1 2\nt 4 1\n", 6, "terminal 1 used twice"),
+            ("t 1 5\nt 2 3\n", 5, "terminal 5 outside 1..4"),
+            ("t 1 2\nt 0 3\n", 6, "terminal 0 outside 1..4"),
+        ],
+        ids=["reused-in-second-pair", "reused-across-sides", "too-large", "zero"],
+    )
+    def test_bad_terminal_names_its_line(self, pairs, line, message):
+        # the t record is rejected where it stands, not at the p line
+        with pytest.raises(ParseError, match=rf"^line {line}: {message}$") as err:
+            parse_instance("p dpp 4 3 2\ne 1 2\ne 2 3\ne 3 4\n" + pairs)
+        assert err.value.line == line
+
     def test_duplicate_edge(self):
         with pytest.raises(ParseError, match="duplicate edge"):
             parse_instance("p dpp 3 2 1\ne 1 2\ne 2 1\nt 1 2\n")

@@ -283,6 +283,42 @@ def heavy_td(inst):
     return td_from_bd(inst.graph, best_heuristic_bd(inst.graph))
 
 
+class TestNiceTree:
+    @pytest.mark.parametrize(
+        "inst",
+        [gen_grid_instance(side, 2, 0) for side in (4, 5, 6)]
+        + [gen_random_planar(n, 2 * n, 2, seed) for n in (15, 30) for seed in range(3)],
+        ids=lambda inst: f"n{inst.graph.n}m{len(inst.graph.edges)}",
+    )
+    @pytest.mark.parametrize("which", ["minfill", "heavy", "td_from_bd"])
+    def test_each_edge_taken_just_before_an_end_is_forgotten(self, inst, which):
+        g = inst.graph
+        td = {
+            "minfill": lambda: tree_decompose(g),
+            "heavy": lambda: heavy_td(inst),
+            "td_from_bd": lambda: td_from_bd(g, decomposition.bd_from_td(g, tree_decompose(g))),
+        }[which]()
+        nodes, root = solver.nice_tree(g, td)
+        parent = [-1] * len(nodes)
+        for i, node in enumerate(nodes):
+            for c in node.children:
+                parent[c] = i
+        assert parent[root] == -1
+        edge_nodes = [i for i, node in enumerate(nodes) if node.kind == "edge"]
+        assert sorted(nodes[i].edge for i in edge_nodes) == sorted(g.edges)
+        joins = sum(node.kind == "join" for node in nodes)
+        for i in edge_nodes:
+            u, v = nodes[i].edge
+            assert u in nodes[i].bag and v in nodes[i].bag
+            # the walk up meets a forget of u or v before any join
+            j = parent[i]
+            while not (nodes[j].kind == "forget" and nodes[j].vertex in (u, v)):
+                assert j != root and nodes[j].kind != "join", (nodes[i].edge, which)
+                j = parent[j]
+        if which != "minfill":
+            assert joins > 0  # the rule is exercised below joins too
+
+
 class TestJoin:
     def test_join_matches_reference(self, monkeypatch):
         real = solver._join_pair
@@ -320,16 +356,21 @@ class TestJoin:
     @pytest.mark.parametrize(
         "gen, args, heavy, states",
         [
-            ("grid", (4, 2, 3), False, 540),
-            ("grid", (5, 2, 1), True, 14819),
-            ("grid", (5, 3, 4), True, 7332),
-            ("random", (20, 34, 3, 2), False, 363),
-            ("random", (25, 45, 2, 3), True, 985),
+            ("grid", (4, 2, 3), False, 264),
+            ("grid", (5, 2, 1), True, 4704),
+            ("grid", (5, 3, 4), True, 974),
+            ("random", (20, 34, 3, 2), False, 288),
+            ("random", (25, 45, 2, 3), True, 768),
         ],
+        # ids without the pinned count, so a re-pin keeps the test's name
+        ids=["grid-4-2-3-minfill", "grid-5-2-1-heavy", "grid-5-3-4-heavy",
+             "random-20-34-3-2-minfill", "random-25-45-2-3-heavy"],
     )
     def test_total_states_pinned(self, gen, args, heavy, states):
-        # state counts measured before the join was rewritten; any change
-        # to the state set moves the budget at which the DP gives up
+        # least deciding budgets with each edge introduced at the bag
+        # nearest the root holding both ends; any change to the state set
+        # or to where edges are introduced moves the budget at which the DP
+        # gives up
         inst = (gen_grid_instance if gen == "grid" else gen_random_planar)(*args)
         td = heavy_td(inst) if heavy else None
         dp_solve(inst, td, state_budget=states)
@@ -344,39 +385,40 @@ class TestJoin:
             (
                 "grid", (5, 2, 0),
                 ((21, 22, 23, 18, 13, 14, 9, 8, 7, 12, 11, 6), (15, 10, 5, 4, 3, 2, 1)),
-                ((21, 22, 23, 24, 25, 20, 19, 14, 9, 8, 7, 6), (15, 10, 5, 4, 3, 2, 1)),
+                ((21, 16, 11, 6), (15, 14, 13, 12, 7, 2, 1)),
             ),
             (
                 "grid", (5, 2, 1),
                 ((5, 10, 15, 14, 13, 18, 23, 24), (16, 17, 22, 21)),
-                ((5, 10, 15, 20, 25, 24), (16, 17, 18, 23, 22, 21)),
+                ((5, 4, 3, 2, 1, 6, 11, 12, 17, 22, 23, 24), (16, 21)),
             ),
             (
                 "grid", (5, 3, 1),
                 ((5, 10, 15, 14, 13, 18, 23, 24), (16, 17, 22, 21), (2, 7, 12, 11, 6)),
-                ((5, 10, 15, 20, 25, 24), (16, 17, 18, 23, 22, 21), (2, 3, 4, 9, 8, 7, 6)),
+                ((5, 4, 3, 8, 7, 12, 17, 22, 23, 24), (16, 21), (2, 1, 6)),
             ),
             (
                 "random", (14, 28, 2, 2),
-                ((12, 7, 2, 1, 9), (6, 4, 3, 11, 8, 10)),
-                ((12, 7, 14, 1, 9), (6, 4, 3, 11, 8, 10)),
+                ((12, 7, 1, 9), (6, 2, 3, 8, 10)),
+                ((12, 7, 1, 9), (6, 2, 3, 8, 10)),
             ),
             (
                 "random", (20, 40, 2, 0),
-                ((17, 2, 16), (4, 3, 18, 10)),
-                ((17, 2, 16), (4, 3, 18, 10)),
+                ((17, 2, 16), (4, 3, 10)),
+                ((17, 2, 16), (4, 3, 10)),
             ),
             (
                 "random", (20, 40, 2, 3),
-                ((19, 12, 14, 3, 9), (10, 7, 6, 8, 4)),
-                ((19, 12, 14, 3, 9), (10, 7, 13, 8, 15, 17, 4)),
+                ((19, 12, 14, 11, 3, 9), (10, 7, 4)),
+                ((19, 12, 14, 11, 2, 9), (10, 7, 4)),
             ),
         ],
     )
     def test_reconstructed_paths_pinned(self, gen, args, minfill_paths, heavy_paths):
-        # paths measured before the states became integers; any valid
-        # reconstruction passes verify_solution, so only a pin shows a
-        # change of back pointers (an edge node's first insertion wins)
+        # paths with each edge introduced at the bag nearest the root
+        # holding both ends; any valid reconstruction passes verify_solution,
+        # so only a pin shows a change of back pointers or of edge placement
+        # (an edge node's first insertion wins)
         inst = (gen_grid_instance if gen == "grid" else gen_random_planar)(*args)
         assert dp_solve(inst).solution.paths == minfill_paths
         assert dp_solve(inst, heavy_td(inst)).solution.paths == heavy_paths

@@ -23,6 +23,8 @@ minute. Cases:
 - the least work budget with which solve_bruteforce, best_linkage_for_pattern,
   dp_solve, branchwidth_decision, the brute-force grid-minor search and
   untangle_disk decide, with each answer at that budget and one below;
+  dp_solve's also on td_from_bd(g, best_heuristic_bd(g)) for each of its
+  30 instances, the decomposition with the most joins;
 - the embedding computed for each of the 2,000 sparse_pool.txt graphs with
   its rot/outer lines stripped (a hash of the rotation, the outer dart, and
   the pipeline's status next to the pool's verdict), and for every r x c
@@ -150,6 +152,11 @@ for seed in range(30):
     s = least_budget(lambda b: decided(lambda: solver.dp_solve(inst, state_budget=b)), 400_000)
     emit("dp", seed, s, outcome(lambda: solver.dp_solve(inst, state_budget=s)),
          outcome(lambda: solver.dp_solve(inst, state_budget=s - 1)))
+    # the branch-decomposition-derived decomposition has the most joins
+    td = decomposition.td_from_bd(inst.graph, decomposition.best_heuristic_bd(inst.graph))
+    s = least_budget(lambda b: decided(lambda: solver.dp_solve(inst, td, state_budget=b)), 400_000)
+    emit("dp-bd", seed, s, outcome(lambda: solver.dp_solve(inst, td, state_budget=s)),
+         outcome(lambda: solver.dp_solve(inst, td, state_budget=s - 1)))
 
 for rows, cols in ((2, 2), (2, 3), (3, 3), (2, 5), (3, 4)):
     g = make_grid(rows, cols)
