@@ -168,12 +168,6 @@ def cmd_reduce(args) -> int:
     inst = _load_instance(args.instance)
     model = _identity_grid_model(inst)
     if model is None:
-        from .decomposition import find_grid_minor
-        from .solver import heuristic_grid_target
-
-        target = heuristic_grid_target(inst.k) if inst.k >= 2 else 5
-        model = find_grid_minor(inst.graph, target)
-    if model is None:
         print("# no usable grid minor found", file=sys.stderr)
         return EXIT_INDETERMINATE
     cert = find_irrelevant_vertex(inst, model, mode=args.mode)

@@ -468,7 +468,6 @@ def concentric_from_grid(
     model: GridMinorModel,
     forbidden: frozenset[int],
     depth: int,
-    do_tighten: bool = True,
 ) -> ConcentricCycles:
     """depth+1 tight concentric cycles whose outer disc avoids `forbidden`.
 
@@ -520,10 +519,9 @@ def concentric_from_grid(
                     continue
             if cc.outer_disc().vertices & forbidden:
                 continue
-            if do_tighten:
-                cc = tighten(g, cc)
-                if cc.outer_disc().vertices & forbidden:
-                    continue
+            cc = tighten(g, cc)
+            if cc.outer_disc().vertices & forbidden:
+                continue
             return cc
     raise InsufficientGridError(
         "no block of the grid model yields a concentric family avoiding the forbidden set"

@@ -24,6 +24,7 @@ from .plane import (
     PlaneGraph,
     PlaneGraphError,
     connected_components,
+    grid_position_map,
     norm_edge,
     verify_minor_model,
 )
@@ -765,8 +766,6 @@ def td_from_bd(g: PlaneGraph, bd: BranchDecomposition) -> TreeDecomposition:
 
 
 def _grid_block_model(g: PlaneGraph, q: int) -> Optional[GridMinorModel]:
-    from .plane import grid_position_map
-
     rows, cols = g.grid_shape
     if q > min(rows, cols):
         return None
@@ -785,144 +784,19 @@ def _grid_block_model(g: PlaneGraph, q: int) -> Optional[GridMinorModel]:
     return GridMinorModel(q, q, phi)
 
 
-def _has_long_cycle(g: PlaneGraph) -> Optional[GridMinorModel]:
-    """A cycle of length >= 4 contracts onto the 2x2 grid."""
-    # DFS for any cycle, then shortcut check: a chordless cycle of length 3
-    # in a graph that has any vertex off the triangle with 2 triangle
-    # neighbors also yields C4; simplest exhaustive: BFS per edge for an
-    # alternate u-v path of length >= 3.
-    for u, v in sorted(g.edges):
-        # shortest u-v path avoiding the edge itself
-        prev = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for y in sorted(g.rotation[x]):
-                if (x, y) in ((u, v), (v, u)):
-                    continue
-                if y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        if v in prev:
-            path = [v]
-            while path[-1] != u:
-                path.append(prev[path[-1]])
-            if len(path) >= 4:
-                cyc = path
-                phi = {
-                    (1, 1): frozenset({cyc[0]}),
-                    (1, 2): frozenset({cyc[1]}),
-                    (2, 2): frozenset(cyc[2:-1]),
-                    (2, 1): frozenset({cyc[-1]}),
-                }
-                return GridMinorModel(2, 2, phi)
-            # length-3 cycle: try to grow it with a fourth vertex
-            a, b, c = path[0], path[1], path[2]
-            for w in sorted(g.vertices):
-                if w in (a, b, c):
-                    continue
-                nb = set(g.rotation[w])
-                touching = [x for x in (a, b, c) if x in nb]
-                if len(touching) >= 2:
-                    x, y = touching[:2]
-                    z = ({a, b, c} - {x, y}).pop()
-                    phi = {
-                        (1, 1): frozenset({x}),
-                        (1, 2): frozenset({y}),
-                        (2, 2): frozenset({w}),
-                        (2, 1): frozenset({z}),
-                    }
-                    model = GridMinorModel(2, 2, phi)
-                    if verify_minor_model(g, model):
-                        return model
-    return None
-
-
-def _bruteforce_grid_minor(g: PlaneGraph, q: int, budget: int = 400_000) -> Optional[GridMinorModel]:
-    """Exhaustive minor search for tiny hosts: assign branch sets greedily."""
-    # q*q disjoint non-empty branch sets need q*q vertices
-    if g.n > 20 or q * q > g.n:
-        return None
-    positions = [(r, c) for r in range(1, q + 1) for c in range(1, q + 1)]
-    spend = Budget(budget).spend  # one unit per candidate branch set
-
-    def feasible(assignment: dict[tuple[int, int], frozenset[int]]) -> Optional[GridMinorModel]:
-        idx = len(assignment)
-        if idx == len(positions):
-            model = GridMinorModel(q, q, dict(assignment))
-            if verify_minor_model(g, model):
-                return model
-            return None
-        pos = positions[idx]
-        used = set().union(*assignment.values()) if assignment else set()
-        # Candidate branch sets: connected sets of size <= 3 (desk scale).
-        for v in sorted(set(g.vertices) - used):
-            for bs in _small_connected_sets(g, v, used, 3):
-                spend()
-                ok = True
-                r, c = pos
-                for nb in ((r - 1, c), (r, c - 1)):
-                    if nb in assignment:
-                        if not any(
-                            g.has_edge(x, y) for x in assignment[nb] for y in bs
-                        ):
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                assignment[pos] = bs
-                got = feasible(assignment)
-                if got is not None:
-                    return got
-                del assignment[pos]
-        return None
-
-    try:
-        return feasible({})
-    except BudgetExceeded:  # gave up: reads as "no minor"
-        return None
-
-
-def _small_connected_sets(g: PlaneGraph, root: int, used: set[int], cap: int):
-    out = [frozenset({root})]
-    frontier = [frozenset({root})]
-    for _ in range(cap - 1):
-        nxt = []
-        for s in frontier:
-            for v in s:
-                for w in sorted(g.rotation[v]):
-                    if w in used or w in s or w < root:
-                        continue
-                    t = s | {w}
-                    if t not in nxt:
-                        nxt.append(t)
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 def find_grid_minor(g: PlaneGraph, q: int) -> Optional[GridMinorModel]:
-    """A verified (q x q)-grid minor model, or None.
+    """A verified (q x q)-grid minor model of a tagged grid, or None.
 
-    Strategy: block contraction on tagged grids, long-cycle detection for
-    q = 2, exhaustive search for tiny hosts (skipped when q*q > n). Every
-    returned model has passed
-    verify_minor_model.
+    Only tagged grids are searched: their rows and columns contract in
+    blocks onto a q x q grid whenever q <= min(rows, cols). Any other host
+    gets None, which says nothing about whether a minor exists. The
+    returned model has passed verify_minor_model.
     """
     if q < 1:
         raise PlaneGraphError("grid side must be positive")
-    if q == 1:
-        if g.n == 0:
-            return None
-        model = GridMinorModel(1, 1, {(1, 1): frozenset({1})})
-        return model
-    model: Optional[GridMinorModel] = None
-    if g.grid_shape is not None:
-        model = _grid_block_model(g, q)
-    if model is None and q == 2:
-        model = _has_long_cycle(g)
-    if model is None:
-        model = _bruteforce_grid_minor(g, q)
+    if g.grid_shape is None:
+        return None
+    model = _grid_block_model(g, q)
     if model is not None:
         check = verify_minor_model(g, model)
         if not check:

@@ -362,15 +362,6 @@ class DiskRegion:
     def open_vertices(self) -> frozenset[int]:
         return self.vertices - self.cycle.vertex_set
 
-    def open_edges(self) -> frozenset[Edge]:
-        return self.edges - self.cycle.edges
-
-    def contains_vertex(self, v: int) -> bool:
-        return v in self.vertices
-
-    def contains_edge(self, e: Edge) -> bool:
-        return norm_edge(*e) in self.edges
-
     def is_subset_of(self, other: "DiskRegion") -> bool:
         return self.faces <= other.faces and self.vertices <= other.vertices
 
@@ -628,12 +619,6 @@ class GridMinorModel:
             for r in range(1, self.grid_rows + 1)
             for c in range(1, self.grid_cols + 1)
         ]
-
-    def all_vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for s in self.phi.values():
-            out |= s
-        return frozenset(out)
 
 
 def _connected_in(g: PlaneGraph, vs: frozenset[int]) -> bool:

@@ -429,14 +429,15 @@ def untangle_disk(
     disk: DiskRegion,
     k: int,
     budget: int = 200_000,
-    attach_points: Optional[list[int]] = None,
 ) -> Optional[Untangling]:
     """Replace the disk trace by fewer non-crossing chords, or None.
 
     Exhaustively searches non-crossing partial matchings on the boundary
     attachment points (smallest first); a candidate is accepted when some
     sub-collection of the strictly-outside linkage runs plus the chords
-    forms disjoint paths realizing the original pattern.
+    forms disjoint paths realizing the original pattern. None means no
+    matching works; a search that needs more than `budget` matchings
+    raises BudgetExceeded instead.
     """
     crossing = vertical_crossing(g, linkage, disk)
     r = len(crossing.lines)
@@ -446,20 +447,16 @@ def untangle_disk(
         raise ConfigError(f"need more than 2^{k} lines, got {r}")
     atoms = _outside_atoms(linkage, disk)
     pattern = linkage.pattern
-    if attach_points is None:
-        attach_points = sorted(set(crossing.up) | set(crossing.down))
-    boundary_pts = [v for v in disk.cycle.vertices if v in set(attach_points)]
+    attach_points = set(crossing.up) | set(crossing.down)
+    boundary_pts = [v for v in disk.cycle.vertices if v in attach_points]
     pairs = [tuple(sorted(p)) for p in sorted((sorted(x) for x in pattern))]
-    tried = Budget(budget)  # one unit per matching tried
+    tried = Budget(budget, lambda: BudgetExceeded(f"over {budget} matchings tried untangling"))
     candidates = sorted(
         _noncrossing_partial_matchings(boundary_pts),
         key=lambda m: (len(m), sorted(sorted(pair) for pair in m)),
     )
     for matching in candidates:
-        try:
-            tried.spend()
-        except BudgetExceeded:  # gave up: reads as "no untangling"
-            return None
+        tried.spend()
         if len(matching) >= r:
             continue
         chords = tuple(tuple(sorted(pair)) for pair in sorted(matching, key=sorted))
@@ -583,6 +580,8 @@ def improve_over_tilted_grid(
     Requires the grid to be linkage-tidy with capacity above 2^(number of
     paths); composes untangling on the real disk with the staircase routing
     on the representation grid, lifted back through the intersections.
+    None means the disk has no untangling; the untangling's BudgetExceeded
+    passes through.
     """
     from .clconfig import verify_tilted_grid
 

@@ -7,7 +7,8 @@ from pdpp.concentric import CycleBudgetExceeded, make_concentric, verify_tight
 from pdpp.decomposition import branchwidth_decision, treewidth_exact
 from pdpp.gallery import ring_cycle, ring_lattice
 from pdpp.instances import gen_grid_instance
-from pdpp.plane import Budget, BudgetExceeded, make_grid
+from pdpp.plane import Budget, BudgetExceeded, closed_interior, grid_ring, make_grid
+from pdpp.reroute import untangle_disk
 from pdpp.solver import DpBudgetExceeded, dp_solve
 
 
@@ -37,6 +38,13 @@ def _verifier_gives_up():
     verify_tight(g, cc, budget=1)
 
 
+def _untangling_gives_up():
+    # a path crossing the 5x5 grid's central block three times
+    g = make_grid(5, 5)
+    link = oracle.Linkage(((2, 7, 12, 17, 22, 23, 18, 13, 8, 3, 4, 9, 14, 19, 24),))
+    untangle_disk(g, link, closed_interior(g, grid_ring(g, 1)), 1, budget=0)
+
+
 GIVE_UPS = [
     (_oracle_gives_up, oracle.BudgetExceeded, ""),
     (_verifier_gives_up, CycleBudgetExceeded, "over 1 steps enumerating cycles"),
@@ -51,11 +59,14 @@ GIVE_UPS = [
         "branchwidth closure budget exceeded",
     ),
     (lambda: treewidth_exact(make_grid(5, 5)), BudgetExceeded, "exact treewidth limited to n <= 17"),
+    (_untangling_gives_up, BudgetExceeded, "over 0 matchings tried untangling"),
 ]
 
 
 @pytest.mark.parametrize(
-    "give_up, kind, message", GIVE_UPS, ids=["oracle", "cycles", "dp", "branchwidth", "treewidth"]
+    "give_up, kind, message",
+    GIVE_UPS,
+    ids=["oracle", "cycles", "dp", "branchwidth", "treewidth", "untangle"],
 )
 def test_one_except_catches_every_give_up(give_up, kind, message):
     assert oracle.BudgetExceeded is BudgetExceeded

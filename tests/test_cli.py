@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +8,14 @@ import pdpp.cli
 from pdpp.cli import main
 from pdpp.gallery import nested_chord_showcase
 from pdpp.instances import (
+    DppInstance,
     Solution,
     gen_grid_instance,
     gen_random_planar,
     write_instance,
     write_solution,
 )
+from pdpp.plane import plane_graph_from_edges
 
 
 @pytest.fixture
@@ -283,6 +286,22 @@ class TestReduce:
         out = capsys.readouterr().out
         assert out.startswith("irrelevant ")
         assert " grid 6 " in out and " mode heuristic" in out
+
+    def test_untagged_graph_has_no_grid(self, tmp_path, capsys):
+        # parsing re-detects a relabelled grid, so one face chord is added
+        # to keep the 6x6 grid from being tagged
+        inst = gen_grid_instance(6, 2, 2)
+        perm = list(range(1, inst.graph.n + 1))
+        random.Random(3).shuffle(perm)
+        edges = [(perm[a - 1], perm[b - 1]) for a, b in (*inst.graph.edges, (1, 8))]
+        g = plane_graph_from_edges(inst.graph.n, edges)
+        pairs = tuple((perm[s - 1], perm[t - 1]) for s, t in inst.pairs)
+        f = tmp_path / "chorded.dpp"
+        f.write_text(write_instance(DppInstance(g, pairs)))
+        assert main(["reduce", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "# no usable grid minor found\n"
 
 
 class TestRoute:

@@ -5,7 +5,6 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdpp import decomposition
 from pdpp.decomposition import (
     BranchDecomposition,
     TooWide,
@@ -26,12 +25,12 @@ from pdpp.decomposition import (
     treewidth_exact,
     verify_branch_decomposition,
     verify_tree_decomposition,
-    _bruteforce_grid_minor,
 )
 from pdpp.instances import gen_random_planar
 from pdpp.plane import (
     BudgetExceeded,
     CheckResult,
+    PlaneGraphError,
     make_grid,
     plane_graph_from_edges,
     verify_minor_model,
@@ -184,59 +183,31 @@ class TestTranslation:
 
 
 class TestGridMinor:
-    def test_identity_grid(self):
-        g = make_grid(3, 3)
-        model = find_grid_minor(g, 3)
-        assert model is not None
-        assert verify_minor_model(g, model)
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_tagged_grid_contracts_up_to_its_side(self, q):
+        g = make_grid(5, 7)
+        model = find_grid_minor(g, q)
+        if q > 5:
+            assert model is None
+        else:
+            assert (model.grid_rows, model.grid_cols) == (q, q)
+            assert verify_minor_model(g, model)
 
-    def test_tree_has_no_2x2(self):
-        assert find_grid_minor(tree_graph(), 2) is None
-
-    def test_9x9_blocks(self):
-        g = make_grid(9, 9)
-        model = find_grid_minor(g, 3)
-        assert model is not None
-        assert verify_minor_model(g, model)
-        assert model.grid_rows == 3
-
-    def test_hexagon_c4(self):
-        g = plane_graph_from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
-        model = find_grid_minor(g, 2)
-        assert model is not None and verify_minor_model(g, model)
-
-    def test_bruteforce_gives_up_silently(self):
-        # an untagged 3x3 grid with shuffled labels goes to the exhaustive
-        # search, which needs exactly 25251 candidate branch sets; with one
-        # fewer it returns None, as "no minor" does
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_untagged_graph_gives_none(self, q):
+        # a 3x3 grid with shuffled labels holds every minor asked for here,
+        # but only tagged grids are searched
         edges = [(1, 3), (1, 4), (1, 8), (2, 3), (2, 4), (2, 9),
                  (4, 5), (4, 7), (5, 6), (5, 9), (6, 7), (7, 8)]
-        g = plane_graph_from_edges(9, edges)
-        model = find_grid_minor(g, 3)
-        assert model is not None and verify_minor_model(g, model)
-        assert _bruteforce_grid_minor(g, 3, budget=25251) == model
-        assert _bruteforce_grid_minor(g, 3, budget=25250) is None
+        relabelled = plane_graph_from_edges(9, edges)
+        assert relabelled.grid_shape is None
+        assert find_grid_minor(relabelled, q) is None
+        assert find_grid_minor(tree_graph(), q) is None
 
-    def test_bruteforce_skips_too_few_vertices(self, monkeypatch):
-        # a 5x5 minor needs 25 branch sets, more than 16 vertices can give,
-        # so no candidate is generated
-        grid = make_grid(4, 4)
-        relabel = list(range(1, 17))
-        random.Random(3).shuffle(relabel)
-        edges = [(relabel[u - 1], relabel[v - 1]) for u, v in grid.edges]
-        g = plane_graph_from_edges(16, edges)
-        assert g.grid_shape is None
-        calls = []
-        real = decomposition._small_connected_sets
-        monkeypatch.setattr(
-            decomposition,
-            "_small_connected_sets",
-            lambda *args: calls.append(args) or real(*args),
-        )
-        assert find_grid_minor(g, 5) is None
-        assert calls == []
-        _bruteforce_grid_minor(g, 4, budget=1)  # q*q == n: the search starts
-        assert calls
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_side_below_one_rejected(self, q):
+        with pytest.raises(PlaneGraphError, match="^grid side must be positive$"):
+            find_grid_minor(make_grid(3, 3), q)
 
 
 class TestSandwich:

@@ -4,7 +4,7 @@ import pytest
 
 from pdpp.clconfig import ConfigError, TiltedGrid, verify_tilted_grid
 from pdpp.oracle import Linkage
-from pdpp.plane import Cycle, closed_interior, grid_ring, grid_vertex, make_grid
+from pdpp.plane import BudgetExceeded, Cycle, closed_interior, grid_ring, grid_vertex, make_grid
 from pdpp.reroute import (
     BoundaryPattern,
     PatternError,
@@ -145,10 +145,11 @@ class TestUntangle:
 
     def test_budget_counts_matchings_tried(self):
         # the snake is untangled by the sixth matching tried; with a budget
-        # of five the search gives up and returns None, as "no untangling" does
+        # of five the search gives up and raises
         g, link, disk = snake_instance()
         assert untangle_disk(g, link, disk, 1, budget=6) == untangle_disk(g, link, disk, 1)
-        assert untangle_disk(g, link, disk, 1, budget=5) is None
+        with pytest.raises(BudgetExceeded, match="^over 5 matchings tried untangling$"):
+            untangle_disk(g, link, disk, 1, budget=5)
 
 
 class TestImprove:

@@ -21,8 +21,8 @@ minute. Cases:
 - verify_tight on every tight_pool host at budgets 5, 500 and 200,000:
   the verdict and problems, or the exception's type and message;
 - the least work budget with which solve_bruteforce, best_linkage_for_pattern,
-  dp_solve, branchwidth_decision, the brute-force grid-minor search and
-  untangle_disk decide, with each answer at that budget and one below;
+  dp_solve, branchwidth_decision and untangle_disk decide, with each answer
+  at that budget and one below;
   dp_solve's also on td_from_bd(g, best_heuristic_bd(g)) for each of its
   30 instances, the decomposition with the most joins;
 - the embedding computed for each of the 2,000 sparse_pool.txt graphs with
@@ -165,19 +165,10 @@ for rows, cols in ((2, 2), (2, 3), (3, 3), (2, 5), (3, 4)):
         emit("bw", rows, cols, b, s, outcome(lambda: decomposition.branchwidth_decision(g, b, s)),
              outcome(lambda: decomposition.branchwidth_decision(g, b, s - 1)))
 
-for seed in range(6):
-    h = make_grid(3, 3)
-    perm = list(range(1, 10))
-    random.Random(seed).shuffle(perm)
-    g = plane_graph_from_edges(9, sorted(tuple(sorted((perm[a - 1], perm[b - 1]))) for a, b in h.edges))
-    s = least_budget(lambda b: decomposition._bruteforce_grid_minor(g, 3, b) is not None, 400_000)
-    emit("minor", seed, s, outcome(lambda: decomposition._bruteforce_grid_minor(g, 3, s)),
-         outcome(lambda: decomposition._bruteforce_grid_minor(g, 3, s - 1)))
-
 g = make_grid(5, 5)
 link = oracle.Linkage(((2, 7, 12, 17, 22, 23, 18, 13, 8, 3, 4, 9, 14, 19, 24),))
 disk = closed_interior(g, grid_ring(g, 1))
-s = least_budget(lambda b: reroute.untangle_disk(g, link, disk, 1, budget=b) is not None, 200_000)
+s = least_budget(lambda b: decided(lambda: reroute.untangle_disk(g, link, disk, 1, budget=b)), 200_000)
 emit("untangle", s, outcome(lambda: reroute.untangle_disk(g, link, disk, 1, budget=s)),
      outcome(lambda: reroute.untangle_disk(g, link, disk, 1, budget=s - 1)))
 
