@@ -371,14 +371,118 @@ def td_from_elimination(g: PlaneGraph, order: list[int]) -> TreeDecomposition:
     return TreeDecomposition(tuple(parent), tuple(bag_list), width)
 
 
+# -- maximum cardinality search ---------------------------------------------------
+
+
+def _mcs_sweep(
+    g: PlaneGraph, first: int, limit: int, mirrored: bool
+) -> Optional[tuple[list[int], int]]:
+    """One MCS sweep from `first`: (elimination order, peak frontier), or None.
+
+    Each step visits the unvisited vertex with the most visited neighbours;
+    ties go to the vertex raised last. Neighbours are raised in rotation
+    order, or against it when `mirrored`. When no vertex has a visited
+    neighbour, the next component starts at the least unvisited id. The
+    order is the reverse of the visit order.
+
+    Eliminated in that order, a vertex's bag is itself and the earlier
+    visited vertices it reaches through later visited ones, each of which
+    still had an unvisited neighbour at its visit. So the bag lies inside the
+    vertex plus the frontier (visited vertices with unvisited neighbours),
+    the order's width is at most the frontier's peak, and the sweep gives up
+    as soon as the frontier outgrows `limit`. Counts are kept lazily in dicts
+    and buckets hold stale entries, so giving up costs only the steps taken.
+    """
+    rotation = g.rotation
+    count: dict[int, int] = {}  # unvisited vertex -> visited neighbours
+    open_nbrs: dict[int, int] = {}  # visited vertex -> unvisited neighbours
+    buckets: list[list[int]] = [[]]
+    top = frontier = peak = 0
+    visit = [first]
+    next_id = 1
+    v = first
+    while True:
+        open_nbrs[v] = len(rotation[v]) - count.pop(v, 0)
+        if open_nbrs[v]:
+            frontier += 1
+        for w in reversed(rotation[v]) if mirrored else rotation[v]:
+            if w in open_nbrs:
+                open_nbrs[w] -= 1
+                if not open_nbrs[w]:
+                    frontier -= 1
+                continue
+            c = count.get(w, 0) + 1
+            count[w] = c
+            if c == len(buckets):
+                buckets.append([])
+            buckets[c].append(w)
+            if c > top:
+                top = c
+        if frontier > limit:
+            return None
+        if frontier > peak:
+            peak = frontier
+        v = 0
+        while top:
+            bucket = buckets[top]
+            while bucket:
+                w = bucket.pop()
+                if count.get(w) == top:  # not visited, not raised since
+                    v = w
+                    break
+            if v:
+                break
+            top -= 1
+        if not v:
+            while next_id in open_nbrs:
+                next_id += 1
+            if next_id > g.n:
+                visit.reverse()
+                return visit, peak
+            v = next_id
+        visit.append(v)
+
+
+def mcs_order(g: PlaneGraph, limit: int) -> Optional[list[int]]:
+    """An MCS elimination order of width <= `limit`, or None.
+
+    Two sweeps start at a least-degree vertex (the smallest id on ties):
+    first the one raising neighbours in rotation order, then the one
+    against it, which must beat the first's peak frontier when the first
+    stayed within `limit`. The narrower one comes back. On a grid the two
+    run along perpendicular sides, so the narrower runs along the shorter
+    one. A sweep gives up as soon as it cannot stay within its limit (on a
+    grid, within a row longer than the limit), so a failed attempt costs
+    only its steps.
+    """
+    first = min(g.vertices, key=g.degree)
+    best = None
+    for mirrored in (False, True):
+        swept = _mcs_sweep(g, first, limit, mirrored)
+        if swept is not None:
+            best, peak = swept
+            limit = peak - 1
+    return best
+
+
 def tree_decompose(g: PlaneGraph, exact: bool = False) -> TreeDecomposition:
+    """A tree decomposition of `g`; `exact` asks for one of least width.
+
+    Otherwise the MCS sweep's decomposition whenever it is no wider than
+    min-fill's, and min-fill's when no sweep stays within that width. On
+    grids the sweep is a path decomposition of width min(rows, cols), where
+    min-fill's is up to 3 wider and has joins; off grids min-fill is usually
+    narrower, and a sweep that would be wider gives up early.
+    """
     if g.n == 0:
         return TreeDecomposition((-1,), (frozenset(),), 0)
     if exact:
         target = treewidth_exact(g)
         td = _td_exact_width(g, target)
         return td
-    return td_from_elimination(g, minfill_order(g))
+    minfill = td_from_elimination(g, minfill_order(g))
+    sweep = mcs_order(g, minfill.width)
+    return minfill if sweep is None else td_from_elimination(g, sweep)
 
 
 def _td_exact_width(g: PlaneGraph, width: int) -> TreeDecomposition:

@@ -276,8 +276,8 @@ def bfs_distances(g: PlaneGraph, sources: Iterable[int]) -> dict[int, int]:
     return dist
 
 
-def shortest_path(g: PlaneGraph, s: int, t: int, blocked: frozenset[int] = frozenset()) -> Optional[list[int]]:
-    """Shortest s-t path avoiding `blocked` internal vertices, or None."""
+def shortest_path(g: PlaneGraph, s: int, t: int) -> Optional[list[int]]:
+    """Shortest s-t path, or None."""
     if s == t:
         return [s]
     prev: dict[int, int] = {s: 0}
@@ -285,7 +285,7 @@ def shortest_path(g: PlaneGraph, s: int, t: int, blocked: frozenset[int] = froze
     while queue:
         v = queue.popleft()
         for w in sorted(g.rotation[v]):
-            if w in prev or (w in blocked and w != t):
+            if w in prev:
                 continue
             prev[w] = v
             if w == t:

@@ -191,8 +191,9 @@ def nice_tree(g: PlaneGraph, td: TreeDecomposition) -> tuple[list[_Nice], int]:
     u and v, after that bag's joins. The bags holding both ends form a
     subtree, so that bag is unique, and the chain above it forgets u or v
     before the next join: an edge is taken just before one of its ends is
-    forgotten. On a min-fill decomposition that bag is the one of whichever
-    end is eliminated first.
+    forgotten. On a decomposition built from an elimination order (min-fill's
+    or the MCS sweep's) that bag is the one of whichever end is eliminated
+    first.
     """
     nodes: list[_Nice] = []
 
@@ -627,11 +628,12 @@ def solve_pipeline(
 ) -> PipelineResult:
     """Reduce while a big enough grid minor exists, then DP on a decomposition.
 
-    Each round builds one min-fill tree decomposition, and the DP runs on
-    it. A branch decomposition is built only in a round that finds a
-    (target x target)-grid minor, to check that the graph is wider than
-    target. Each round either returns or deletes one vertex, so the loop
-    ends within n + 1 rounds.
+    Each round builds one tree decomposition (`tree_decompose`: the MCS
+    sweep's when it is no wider than min-fill's, else min-fill's), and the
+    DP runs on it. A branch decomposition is built only in a round that
+    finds a (target x target)-grid minor, to check that the graph is wider
+    than target. Each round either returns or deletes one vertex, so the
+    loop ends within n + 1 rounds.
     """
     k = inst.k
     if k == 1:
@@ -649,7 +651,7 @@ def solve_pipeline(
     iterations = 0
     while True:
         iterations += 1
-        minfill = tree_decompose(cur.graph)
+        td = tree_decompose(cur.graph)
         # branch_decompose's rule with its two tests swapped: a minor is cheap
         # to rule out, and the branch decomposition is built only for its width
         model = find_grid_minor(cur.graph, target)
@@ -666,12 +668,12 @@ def solve_pipeline(
                 cur = DppInstance(g2, pairs2)
                 continue
         used = TreeDecomposition(
-            minfill.parent,
-            tuple(frozenset(to_original[v] for v in bag) for bag in minfill.bags),
-            minfill.width,
+            td.parent,
+            tuple(frozenset(to_original[v] for v in bag) for bag in td.bags),
+            td.width,
         )
         try:
-            outcome = dp_solve(cur, minfill, state_budget=dp_state_budget)
+            outcome = dp_solve(cur, td, state_budget=dp_state_budget)
         except DpBudgetExceeded as exc:
             reason = (
                 "CERTIFIED_INFEASIBLE" if mode == "certified" else str(exc)

@@ -18,9 +18,11 @@ from pdpp.decomposition import (
     caterpillar_bd,
     find_grid_minor,
     grid_sweep_order,
+    mcs_order,
     minfill_order,
     order_sets,
     td_from_bd,
+    td_from_elimination,
     tree_decompose,
     treewidth_exact,
     verify_branch_decomposition,
@@ -58,6 +60,47 @@ class TestTreewidth:
         td = tree_decompose(g, exact=True)
         assert td.width == 3
         assert verify_tree_decomposition(g, td)
+
+
+def relabelled_grid(rows, cols, seed):
+    """make_grid(rows, cols) under a seeded relabelling, embedding and all,
+    without the grid tag."""
+    h = make_grid(rows, cols)
+    perm = list(h.vertices)
+    random.Random(seed).shuffle(perm)
+    new = dict(zip(h.vertices, perm))
+    rotation = {new[v]: [new[w] for w in h.rotation[v]] for v in h.vertices}
+    return plane_graph_from_edges(h.n, [(new[u], new[v]) for u, v in h.edges], rotation)
+
+
+def joins(td):
+    return sum(len(kids) > 1 for kids in td.children())
+
+
+class TestMcsSweep:
+    def test_relabelled_grids_get_their_side(self):
+        # the labelling puts the sweep's start at any corner; the two sweeps
+        # run along perpendicular sides, and the narrower one is kept
+        off = []
+        minfill_off = 0
+        for rows in range(2, 13):
+            for cols in range(2, 13):
+                for seed in range(3):
+                    g = relabelled_grid(rows, cols, 10_000 * seed + 100 * rows + cols)
+                    td = tree_decompose(g)
+                    if (td.width, joins(td)) != (min(rows, cols), 0):
+                        off.append((rows, cols, seed, td.width, joins(td)))
+                    minfill = td_from_elimination(g, minfill_order(g))
+                    minfill_off += minfill.width > min(rows, cols)
+        assert off == []
+        assert minfill_off > 100  # min-fill alone would fail this test
+
+    def test_ladder_gets_width_two(self):
+        # the sweep along the 1500-vertex rows gives up within a few steps
+        g = make_grid(2, 1500)
+        td = tree_decompose(g)
+        assert (td.width, joins(td)) == (2, 0)
+        assert mcs_order(g, 1) is None
 
 
 class TestVerifiers:

@@ -12,7 +12,10 @@ from pdpp.decomposition import (
     TreeDecomposition,
     best_heuristic_bd,
     find_grid_minor,
+    mcs_order,
+    minfill_order,
     td_from_bd,
+    td_from_elimination,
     tree_decompose,
 )
 from pdpp.instances import (
@@ -283,6 +286,16 @@ def heavy_td(inst):
     return td_from_bd(inst.graph, best_heuristic_bd(inst.graph))
 
 
+def minfill_td(inst):
+    """Min-fill's decomposition, which has joins on grids where the default
+    (the MCS sweep's) has none."""
+    return td_from_elimination(inst.graph, minfill_order(inst.graph))
+
+
+def joins(td):
+    return sum(len(kids) > 1 for kids in td.children())
+
+
 class TestNiceTree:
     @pytest.mark.parametrize(
         "inst",
@@ -290,13 +303,14 @@ class TestNiceTree:
         + [gen_random_planar(n, 2 * n, 2, seed) for n in (15, 30) for seed in range(3)],
         ids=lambda inst: f"n{inst.graph.n}m{len(inst.graph.edges)}",
     )
-    @pytest.mark.parametrize("which", ["minfill", "heavy", "td_from_bd"])
+    @pytest.mark.parametrize("which", ["minfill", "heavy", "td_from_bd", "default"])
     def test_each_edge_taken_just_before_an_end_is_forgotten(self, inst, which):
         g = inst.graph
         td = {
-            "minfill": lambda: tree_decompose(g),
+            "minfill": lambda: minfill_td(inst),
             "heavy": lambda: heavy_td(inst),
-            "td_from_bd": lambda: td_from_bd(g, decomposition.bd_from_td(g, tree_decompose(g))),
+            "td_from_bd": lambda: td_from_bd(g, decomposition.bd_from_td(g, minfill_td(inst))),
+            "default": lambda: tree_decompose(g),
         }[which]()
         nodes, root = solver.nice_tree(g, td)
         parent = [-1] * len(nodes)
@@ -306,7 +320,7 @@ class TestNiceTree:
         assert parent[root] == -1
         edge_nodes = [i for i, node in enumerate(nodes) if node.kind == "edge"]
         assert sorted(nodes[i].edge for i in edge_nodes) == sorted(g.edges)
-        joins = sum(node.kind == "join" for node in nodes)
+        join_nodes = sum(node.kind == "join" for node in nodes)
         for i in edge_nodes:
             u, v = nodes[i].edge
             assert u in nodes[i].bag and v in nodes[i].bag
@@ -315,8 +329,8 @@ class TestNiceTree:
             while not (nodes[j].kind == "forget" and nodes[j].vertex in (u, v)):
                 assert j != root and nodes[j].kind != "join", (nodes[i].edge, which)
                 j = parent[j]
-        if which != "minfill":
-            assert joins > 0  # the rule is exercised below joins too
+        if which in ("heavy", "td_from_bd"):
+            assert join_nodes > 0  # the rule is exercised below joins too
 
 
 class TestJoin:
@@ -342,13 +356,13 @@ class TestJoin:
             for k in (2, 3):
                 for seed in range(3):
                     inst = gen_grid_instance(side, k, seed)
-                    for td in (None, heavy_td(inst)):
+                    for td in (minfill_td(inst), heavy_td(inst)):
                         assert dp_solve(inst, td).status == boundary_answer(inst)
         for n in (12, 20):
             for k in (2, 3):
                 for seed in range(4):
                     inst = gen_random_planar(n, 2 * n, k, seed)
-                    for td in (None, heavy_td(inst)):
+                    for td in (minfill_td(inst), heavy_td(inst)):
                         dp_solve(inst, td)
         # merges through vertices live on both sides, and rejections, occur
         assert seen["merged"] > 1000 and seen["rejected"] > 100 and seen["interior"] > 1000
@@ -372,7 +386,7 @@ class TestJoin:
         # or to where edges are introduced moves the budget at which the DP
         # gives up
         inst = (gen_grid_instance if gen == "grid" else gen_random_planar)(*args)
-        td = heavy_td(inst) if heavy else None
+        td = heavy_td(inst) if heavy else minfill_td(inst)
         dp_solve(inst, td, state_budget=states)
         with pytest.raises(
             DpBudgetExceeded, match=rf"^DP exceeded {states - 1} states at node \d+$"
@@ -420,7 +434,7 @@ class TestJoin:
         # so only a pin shows a change of back pointers or of edge placement
         # (an edge node's first insertion wins)
         inst = (gen_grid_instance if gen == "grid" else gen_random_planar)(*args)
-        assert dp_solve(inst).solution.paths == minfill_paths
+        assert dp_solve(inst, minfill_td(inst)).solution.paths == minfill_paths
         assert dp_solve(inst, heavy_td(inst)).solution.paths == heavy_paths
 
 
@@ -441,6 +455,22 @@ def test_dp_agrees_with_oracle(inst):
     assert dp.status == oracle.status
     if dp.status is Status.YES:
         assert verify_solution(inst, dp.solution)
+
+
+@settings(max_examples=200)
+@given(inst=small_planar, slack=st.integers(-2, 1))
+def test_sweep_no_wider_than_min_fill_and_same_answer(inst, slack):
+    g = inst.graph
+    minfill = minfill_td(inst)
+    td = tree_decompose(g)
+    assert td.width <= minfill.width
+    limit = minfill.width + slack
+    order = mcs_order(g, limit)
+    if order is not None:
+        assert sorted(order) == list(g.vertices)
+        assert td_from_elimination(g, order).width <= limit
+    status = dp_solve(inst, td).status
+    assert status == dp_solve(inst, minfill).status == solve_bruteforce(inst).status
 
 
 @settings(max_examples=200)
@@ -532,6 +562,7 @@ def count_calls(monkeypatch, module, name):
 ROUND_STEPS = (
     "minfill_order",
     "td_from_elimination",
+    "mcs_order",
     "find_grid_minor",
     "best_heuristic_bd",
     "bd_from_td",
@@ -563,6 +594,25 @@ def record_calls(monkeypatch, names):
             if module_name.startswith("pdpp") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def decomposition_steps(steps):
+    """The round's `tree_decompose`: its calls, and the decomposition it chose.
+
+    Min-fill, then the sweep under min-fill's width, then a second
+    `td_from_elimination` only when the sweep was taken.
+    """
+    (_, (_, order), minfill), (_, (_, limit), sweep) = steps[1:3]
+    assert [name for name, _, _ in steps[:3]] == [
+        "minfill_order", "td_from_elimination", "mcs_order",
+    ]
+    assert order is steps[0][2] and limit == minfill.width
+    if sweep is None:
+        return 3, minfill
+    name, (_, order), td = steps[3]
+    assert name == "td_from_elimination" and order is sweep
+    assert td.width <= minfill.width
+    return 4, td
 
 
 def split_rounds(calls):
@@ -602,16 +652,19 @@ class TestPipeline:
         assert a.outcome.solution == b.outcome.solution
         assert a.removed_original_ids == b.removed_original_ids
 
-    def test_min_fill_decomposition_on_a_width_tie(self):
-        # 5x5 is not reduced; both decompositions have width 5, and the DP
-        # runs on min-fill's, with one bag per vertex
+    def test_sweep_decomposition_on_a_width_tie(self):
+        # 5x5 is not reduced; min-fill, the sweep and the branch
+        # decomposition's translation all have width 5, and the DP runs on
+        # the sweep's: one bag per vertex and no join
         inst = gen_grid_instance(5, 2, 0)
         g = inst.graph
-        assert td_from_bd(g, best_heuristic_bd(g)).width == tree_decompose(g).width
+        assert td_from_bd(g, best_heuristic_bd(g)).width == minfill_td(inst).width == 5
         res = solve_pipeline(inst)
         assert res.iterations == 1
         assert len(res.decomposition.bags) == g.n
         assert res.decomposition == tree_decompose(g)
+        assert res.decomposition == td_from_elimination(g, mcs_order(g, 5))
+        assert (res.decomposition.width, joins(res.decomposition)) == (5, 0)
 
     @pytest.mark.parametrize(
         "k, seed, mode, answer",
@@ -623,17 +676,20 @@ class TestPipeline:
             (3, 0, "certified", Status.YES),
         ],
     )
-    def test_min_fill_decomposition_when_bd_is_narrower(self, k, seed, mode, answer):
+    def test_sweep_decomposition_when_min_fill_is_wider(self, k, seed, mode, answer):
         # unreduced 7x7 (k = 5 raises the heuristic grid target to 8, and
-        # certified mode never reduces it): the branch decomposition
-        # translates to width 7, min-fill gives 8, and the DP runs on min-fill's
+        # certified mode never reduces it): min-fill gives width 8 with
+        # joins; the sweep and the branch decomposition's translation give 7,
+        # and the DP runs on the sweep's, at width 7 with no join
         inst = gen_grid_instance(7, k, seed)
         g = inst.graph
-        minfill = tree_decompose(g)
+        minfill = minfill_td(inst)
         assert td_from_bd(g, best_heuristic_bd(g)).width == 7 < minfill.width == 8
+        assert joins(minfill) > 0
         res = solve_pipeline(inst, mode=mode)
         assert res.iterations == 1
-        assert res.decomposition == minfill
+        assert res.decomposition == tree_decompose(g)
+        assert (res.decomposition.width, joins(res.decomposition)) == (7, 0)
         assert res.status is answer
         assert boundary_answer(inst) is answer
         assert solve_bruteforce(inst).status is answer
@@ -642,12 +698,14 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "inst, iterations, widths",
-        # widths: the min-fill width of each round
+        # widths: per round, min-fill's width and the sweep's (None when
+        # no sweep stays within min-fill's)
         [
-            (gen_random_planar(12, 18, 2, 0), 1, (3,)),
-            (gen_grid_instance(5, 2, 0), 1, (5,)),
-            # 7x7 reduced once; the DP round sees the reduced graph
-            (gen_grid_instance(7, 2, 0), 2, (8, 7)),
+            (gen_random_planar(12, 18, 2, 0), 1, ((3, 3),)),
+            (gen_grid_instance(5, 2, 0), 1, ((5, 5),)),
+            # 7x7 reduced once; the DP round sees the reduced graph, where
+            # both sweeps outgrow min-fill's width
+            (gen_grid_instance(7, 2, 0), 2, ((8, 7), (7, None))),
         ],
     )
     def test_one_min_fill_pass_per_iteration(self, monkeypatch, inst, iterations, widths):
@@ -655,34 +713,37 @@ class TestPipeline:
         res = solve_pipeline(inst)
         assert res.iterations == iterations
         rounds = split_rounds(calls)
-        assert tuple(steps[1][2].width for steps in rounds) == widths
-        *reducing, last = rounds
+        assert len(rounds) == iterations
+        chosen = []
+        for steps, (minfill_width, sweep_width) in zip(rounds, widths):
+            built, td = decomposition_steps(steps)
+            assert steps[1][2].width == minfill_width
+            assert built == (3 if sweep_width is None else 4)
+            assert td.width == (minfill_width if sweep_width is None else sweep_width)
+            chosen.append((td, steps[built:]))
+        *reducing, (td, last) = chosen
         # a round that reduces finds a minor and builds one branch
         # decomposition, to read its width; the DP round finds none and
         # builds none
-        for steps in reducing:
-            assert [name for name, _, _ in steps] == [
-                "minfill_order", "td_from_elimination", "find_grid_minor",
-                "best_heuristic_bd", "caterpillar_bd",
+        for _, rest in reducing:
+            assert [name for name, _, _ in rest] == [
+                "find_grid_minor", "best_heuristic_bd", "caterpillar_bd",
             ]
-            assert steps[2][2] is not None
-        assert [name for name, _, _ in last] == [
-            "minfill_order", "td_from_elimination", "find_grid_minor", "verify_tree_decomposition",
-        ]
-        (_, _, model), (_, args, _) = last[2:]
+            assert rest[0][2] is not None
+        assert [name for name, _, _ in last] == ["find_grid_minor", "verify_tree_decomposition"]
+        (_, _, model), (_, args, _) = last
         assert model is None
-        # one tree-decomposition check, by the DP on the min-fill decomposition
-        minfill = last[1][2]
-        assert args[1] is minfill
-        assert res.decomposition.parent == minfill.parent
-        assert res.decomposition.width == minfill.width
+        # one tree-decomposition check, by the DP on the round's decomposition
+        assert args[1] is td
+        assert res.decomposition.parent == td.parent
+        assert res.decomposition.width == td.width
         for name in ("td_from_bd", "branch_decompose", "TooWide"):
             assert not hasattr(solver, name)
 
-    def test_too_wide_without_certificate_runs_on_min_fill(self, monkeypatch):
+    def test_too_wide_without_certificate_runs_the_dp(self, monkeypatch):
         # 7x7 with k = 2 holds a 6x6 minor and is wider than the side-6
-        # target; with no certificate the DP runs on the round's min-fill
-        # decomposition
+        # target; with no certificate the DP runs on the round's
+        # decomposition, the sweep's (width 7, no join; min-fill's is 8)
         inst = gen_grid_instance(7, 2, 0)
         calls = record_calls(monkeypatch, ROUND_STEPS)
         asked = []
@@ -693,21 +754,24 @@ class TestPipeline:
         res = solve_pipeline(inst)
         assert res.iterations == 1
         (steps,) = split_rounds(calls)
-        assert [name for name, _, _ in steps] == [
-            "minfill_order", "td_from_elimination", "find_grid_minor",
-            "best_heuristic_bd", "caterpillar_bd", "verify_tree_decomposition",
+        built, td = decomposition_steps(steps)
+        assert built == 4
+        assert (steps[1][2].width, td.width, joins(td)) == (8, 7, 0)
+        assert [name for name, _, _ in steps[built:]] == [
+            "find_grid_minor", "best_heuristic_bd", "caterpillar_bd", "verify_tree_decomposition",
         ]
-        minfill, model, bd = (out for _, _, out in steps[1:4])
+        model, bd = steps[built][2], steps[built + 1][2]
         assert (model.side(), bd.width) == (6, 7)
         assert asked == [model]
         ((args, _),) = ran
-        assert args[1] is minfill
-        assert res.decomposition == minfill
+        assert args[1] is td
+        assert res.decomposition == td
         assert res.status is boundary_answer(inst)
 
     def test_minor_at_target_width_runs_the_dp(self, monkeypatch):
         # 6x6 with k = 2 holds a 6x6 minor but is not wider than the side-6
-        # target: one branch decomposition is built, nothing is reduced
+        # target: one branch decomposition is built, nothing is reduced, and
+        # the DP runs on the sweep's decomposition (width 6, no join)
         inst = gen_grid_instance(6, 2, 0)
         calls = record_calls(monkeypatch, ROUND_STEPS)
         asked = count_calls(monkeypatch, solver, "find_irrelevant_vertex")
@@ -716,12 +780,14 @@ class TestPipeline:
         assert res.certificates == ()
         assert asked == []
         (steps,) = split_rounds(calls)
-        assert [name for name, _, _ in steps] == [
-            "minfill_order", "td_from_elimination", "find_grid_minor",
-            "best_heuristic_bd", "caterpillar_bd", "verify_tree_decomposition",
+        built, td = decomposition_steps(steps)
+        assert (built, td.width, joins(td)) == (4, 6, 0)
+        assert [name for name, _, _ in steps[built:]] == [
+            "find_grid_minor", "best_heuristic_bd", "caterpillar_bd", "verify_tree_decomposition",
         ]
-        model, bd = steps[2][2], steps[3][2]
+        model, bd = steps[built][2], steps[built + 1][2]
         assert model.side() == bd.width == 6
+        assert steps[-1][1][1] is td
         assert res.status is boundary_answer(inst)
 
     def test_grid_minor_rule_is_width_first(self, monkeypatch):
@@ -758,8 +824,8 @@ class TestPipeline:
         assert found == 36 + 16
 
     def test_deep_decomposition(self, tmp_path, capsys):
-        # min-fill gives a path a decomposition as deep as the path, which
-        # the decomposition builders walk without recursing
+        # a path's tree decomposition (min-fill's or the sweep's) is as deep
+        # as the path, which the decomposition builders walk without recursing
         n = 1200
         edges = "".join(f"e {v} {v + 1}\n" for v in range(1, n))
         text = f"p dpp {n} {n - 1} 2\n{edges}t 1 2\nt 3 {n}\n"
@@ -786,6 +852,18 @@ class TestPipeline:
             assert cert.mode == "heuristic"
         for v in res.removed_original_ids:
             assert v not in inst.terminals()
+
+    @pytest.mark.parametrize("side, seed", [(9, 0), (9, 1), (10, 0), (10, 1)])
+    def test_sweep_decides_9x9_and_10x10(self, side, seed):
+        # one vertex is deleted first; on min-fill's decomposition of the
+        # reduced grid (width 11 on 9x9 and 13 on 10x10, with 21 and 28
+        # joins) these ran out of 3,000,000 states; the sweep's has width = side
+        inst = gen_grid_instance(side, 2, seed)
+        res = solve_pipeline(inst, dp_state_budget=3_000_000)
+        assert res.status is boundary_answer(inst)
+        assert res.decomposition.width == side
+        if res.status is Status.YES:
+            assert verify_solution(inst, res.outcome.solution)
 
     def test_certified_mode_small_graph_just_dps(self):
         inst = gen_random_planar(9, 12, 2, 3)
