@@ -876,11 +876,10 @@ def reduce_configuration(q: CLConfiguration) -> CLConfiguration:
         {norm_edge(mapped(a), mapped(b)) for a, b in g.edges if find(a) != find(b)}
     )
     outer = None
-    if g.outer_dart is not None:
-        for a, b in g.faces()[g.outer_face()]:
-            if find(a) != find(b):
-                outer = (mapped(a), mapped(b))
-                break
+    for a, b in g.faces()[g.outer_face()]:
+        if find(a) != find(b):
+            outer = (mapped(a), mapped(b))
+            break
     g2 = PlaneGraph(len(survivors), new_edges, new_rot, outer)
 
     def collapse(seq) -> tuple[int, ...]:

@@ -291,15 +291,17 @@ def treewidth_exact(g: PlaneGraph) -> int:
 # -- min-fill heuristic tree decomposition --------------------------------------
 
 
-def minfill_order(g: PlaneGraph) -> list[int]:
-    """Min-fill elimination order; ties go to the smallest vertex.
+def minfill_order(g: PlaneGraph) -> tuple[list[int], int]:
+    """Min-fill elimination order and its width; ties go to the smallest vertex.
 
     Each step eliminates the live vertex of least fill (pairs of its live
     neighbours not yet adjacent), turns its neighbourhood into a clique and
     drops it. Scores sit in a heap keyed (fill, vertex), and stale entries
     are skipped on pop. Eliminating v changes the neighbourhoods of N(v)
     only, and adds edges only inside N(v), so besides N(v) just the vertices
-    with two or more neighbours in N(v) are rescored.
+    with two or more neighbours in N(v) are rescored. The width is the most
+    live neighbours a vertex has when it is eliminated: the width of
+    `td_from_elimination` on the order, read without building its bags.
     """
     adj: dict[int, set[int]] = {v: set(g.rotation[v]) for v in g.vertices}
 
@@ -315,6 +317,7 @@ def minfill_order(g: PlaneGraph) -> list[int]:
     heap = [(f, v) for v, f in score.items()]
     heapq.heapify(heap)
     order = []
+    width = 0
     while heap:
         f, v = heapq.heappop(heap)
         if score.get(v) != f:
@@ -322,6 +325,8 @@ def minfill_order(g: PlaneGraph) -> list[int]:
         del score[v]
         order.append(v)
         nbrs = adj.pop(v)
+        if len(nbrs) > width:
+            width = len(nbrs)
         hits: dict[int, int] = {}
         for a in nbrs:
             near = adj[a]
@@ -338,7 +343,7 @@ def minfill_order(g: PlaneGraph) -> list[int]:
             if f != score[w]:
                 score[w] = f
                 heapq.heappush(heap, (f, w))
-    return order
+    return order, width
 
 
 def td_from_elimination(g: PlaneGraph, order: list[int]) -> TreeDecomposition:
@@ -465,54 +470,20 @@ def mcs_order(g: PlaneGraph, limit: int) -> Optional[list[int]]:
     return best
 
 
-def tree_decompose(g: PlaneGraph, exact: bool = False) -> TreeDecomposition:
-    """A tree decomposition of `g`; `exact` asks for one of least width.
+def tree_decompose(g: PlaneGraph) -> TreeDecomposition:
+    """A tree decomposition of `g`, built from one elimination order.
 
-    Otherwise the MCS sweep's decomposition whenever it is no wider than
-    min-fill's, and min-fill's when no sweep stays within that width. On
-    grids the sweep is a path decomposition of width min(rows, cols), where
-    min-fill's is up to 3 wider and has joins; off grids min-fill is usually
-    narrower, and a sweep that would be wider gives up early.
+    The MCS sweep's order whenever it is no wider than min-fill's, and
+    min-fill's when no sweep stays within that width. On grids the sweep
+    is a path decomposition of width min(rows, cols), where min-fill's is
+    up to 3 wider and has joins; off grids min-fill is usually narrower,
+    and a sweep that would be wider gives up early.
     """
     if g.n == 0:
         return TreeDecomposition((-1,), (frozenset(),), 0)
-    if exact:
-        target = treewidth_exact(g)
-        td = _td_exact_width(g, target)
-        return td
-    minfill = td_from_elimination(g, minfill_order(g))
-    sweep = mcs_order(g, minfill.width)
-    return minfill if sweep is None else td_from_elimination(g, sweep)
-
-
-def _td_exact_width(g: PlaneGraph, width: int) -> TreeDecomposition:
-    """An elimination order achieving the given width (branch and bound)."""
-    n = g.n
-    adj0 = {v: set(g.rotation[v]) for v in g.vertices}
-
-    order: list[int] = []
-
-    def search(adj: dict[int, set[int]], alive: set[int]) -> bool:
-        if not alive:
-            return True
-        for v in sorted(alive):
-            nbrs = adj[v] & alive
-            if len(nbrs) <= width:
-                lst = sorted(nbrs)
-                new_adj = {w: set(s) for w, s in adj.items()}
-                for i in range(len(lst)):
-                    for j in range(i + 1, len(lst)):
-                        new_adj[lst[i]].add(lst[j])
-                        new_adj[lst[j]].add(lst[i])
-                order.append(v)
-                if search(new_adj, alive - {v}):
-                    return True
-                order.pop()
-        return False
-
-    if not search(adj0, set(g.vertices)):
-        raise PlaneGraphError(f"no elimination order of width {width} (internal)")
-    return td_from_elimination(g, order)
+    order, width = minfill_order(g)
+    sweep = mcs_order(g, width)
+    return td_from_elimination(g, order if sweep is None else sweep)
 
 
 # -- td -> bd translation (bw <= tw + 1 direction) -------------------------------
@@ -777,7 +748,7 @@ def best_heuristic_bd(g: PlaneGraph) -> BranchDecomposition:
         return caterpillar_bd(g, grid_sweep_order(g))
     if not g.n:
         return BranchDecomposition((), {}, 0)
-    return bd_from_td(g, td_from_elimination(g, minfill_order(g)))
+    return bd_from_td(g, td_from_elimination(g, minfill_order(g)[0]))
 
 
 def branch_decompose(g: PlaneGraph, target: int) -> BranchDecomposition | TooWide:

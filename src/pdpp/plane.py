@@ -74,13 +74,46 @@ class Budget:
             raise self.error()
 
 
+def face_orbits(n: int, rotation: dict[int, Sequence[int]]) -> tuple[tuple[Dart, ...], ...]:
+    """The dart orbits of a rotation system of 1..n, sorted by least dart.
+
+    Dart (u, v) turns at v to (v, w), w the neighbour after u in v's
+    clockwise rotation. Each orbit starts at its first dart in vertex
+    order, then rotation order. The rotation must be symmetric: w in the
+    rotation of v exactly when v is in that of w.
+    """
+    turn: dict[Dart, Dart] = {}
+    for v in range(1, n + 1):
+        rot = rotation[v]
+        k = len(rot)
+        for i, u in enumerate(rot):
+            turn[(u, v)] = (v, rot[(i + 1) % k])
+    orbits = []
+    for u in range(1, n + 1):
+        for v in rotation[u]:
+            start = (u, v)
+            if start not in turn:
+                continue
+            orbit = [start]
+            d = turn.pop(start)
+            while d != start:
+                orbit.append(d)
+                d = turn.pop(d)
+            orbits.append(tuple(orbit))
+    orbits.sort(key=min)
+    return tuple(orbits)
+
+
 class PlaneGraph:
     """Simple undirected plane graph with dense vertex ids 1..n.
 
-    Immutable after construction; every derived object (faces, regions)
-    is computed from the rotation system and cached. The exception is the
-    grid tags `grid_shape`/`grid_coords`: nothing derived reads them, so a
-    caller that recognises a grid attaches them to the built graph.
+    Immutable after construction. The faces are traced once, at
+    construction, as the dart orbits of the rotation system; every derived
+    object (regions, grid detection) reads them. Without an outer dart, a
+    graph with edges takes the least dart of a longest face. The exception
+    to immutability is the grid tags `grid_shape`/`grid_coords`: nothing
+    derived reads them, so a caller that recognises a grid attaches them to
+    the built graph.
     """
 
     def __init__(
@@ -101,9 +134,6 @@ class PlaneGraph:
         self.grid_shape = grid_shape
         self.grid_coords = grid_coords
         self._validate()
-        self._faces: Optional[tuple[tuple[Dart, ...], ...]] = None
-        self._face_of: Optional[dict[Dart, int]] = None
-        self._outer_face_id: Optional[int] = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -130,6 +160,7 @@ class PlaneGraph:
     # -- validation ------------------------------------------------------
 
     def _validate(self) -> None:
+        """Check the rotation system and trace its faces."""
         _check_edges(self.n, self.edges)
         nbr_sets = {v: set() for v in self.vertices}
         for u, v in self.edges:
@@ -143,102 +174,56 @@ class PlaneGraph:
                 raise PlaneGraphError(
                     f"rotation at {v} is not a permutation of its neighbors"
                 )
+        self._faces = face_orbits(self.n, self.rotation)
+        self._face_of = {d: i for i, orbit in enumerate(self._faces) for d in orbit}
+        self._outer_face_id = -1
         if self.m > 0:
             if self.outer_dart is None:
-                raise PlaneGraphError("graphs with edges need an outer-face dart")
-            u, v = self.outer_dart
-            if not self.has_edge(u, v):
+                self.outer_dart = min(max(self._faces, key=len))
+            elif not self.has_edge(*self.outer_dart):
                 raise PlaneGraphError(f"outer dart {self.outer_dart} is not an edge")
+            self._outer_face_id = self._face_of[self.outer_dart]
         # Genus-0 check: Euler's formula with the unbounded face counted once.
         # Dart orbits repeat the unbounded face once per edge-bearing component;
         # isolated vertices trace no orbit at all.
-        f = self._count_faces_raw()
         comps = connected_components(self)
         c = len(comps)
         edged = sum(1 for comp in comps if any(self.rotation[v] for v in comp))
-        true_faces = f - (edged - 1) if edged else 1
-        if self.n - self.m + true_faces != 1 + c:
+        self._num_faces = len(self._faces) - (edged - 1) if edged else 1
+        if self.n - self.m + self._num_faces != 1 + c:
             raise EmbeddingError(
                 f"rotation system is not planar: n={self.n} m={self.m} "
-                f"faces={true_faces} components={c}"
+                f"faces={self._num_faces} components={c}"
             )
-
-    def _next_dart(self, dart: Dart) -> Dart:
-        u, v = dart
-        rot = self.rotation[v]
-        i = rot.index(u)
-        return (v, rot[(i + 1) % len(rot)])
-
-    def _count_faces_raw(self) -> int:
-        seen: set[Dart] = set()
-        count = 0
-        for u in self.vertices:
-            for v in self.rotation[u]:
-                if (u, v) in seen:
-                    continue
-                count += 1
-                d = (u, v)
-                while d not in seen:
-                    seen.add(d)
-                    d = self._next_dart(d)
-        return count
 
     # -- faces -----------------------------------------------------------
 
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
-        """All faces as dart orbits of the rotation system, deterministically ordered."""
-        if self._faces is None:
-            orbits: list[tuple[Dart, ...]] = []
-            seen: set[Dart] = set()
-            for u in self.vertices:
-                for v in self.rotation[u]:
-                    if (u, v) in seen:
-                        continue
-                    orbit = []
-                    d = (u, v)
-                    while d not in seen:
-                        seen.add(d)
-                        orbit.append(d)
-                        d = self._next_dart(d)
-                    orbits.append(tuple(orbit))
-            orbits.sort(key=lambda o: min(o))
-            self._faces = tuple(orbits)
-            self._face_of = {}
-            for i, orbit in enumerate(self._faces):
-                for d in orbit:
-                    self._face_of[d] = i
+        """All faces as dart orbits of the rotation system, sorted by least dart."""
         return self._faces
 
     def face_of_dart(self, dart: Dart) -> int:
-        self.faces()
-        assert self._face_of is not None
         return self._face_of[dart]
 
     def outer_face(self) -> int:
-        """Index of the unbounded face (the face containing the outer dart)."""
-        if self._outer_face_id is None:
-            if self.m == 0:
-                self._outer_face_id = 0 if self.faces() else -1
-            else:
-                assert self.outer_dart is not None
-                self._outer_face_id = self.face_of_dart(self.outer_dart)
+        """Index of the unbounded face (the face containing the outer dart);
+        -1 without edges."""
         return self._outer_face_id
 
     def face_vertices(self, face_id: int) -> frozenset[int]:
-        return frozenset(u for u, _ in self.faces()[face_id])
+        return frozenset(u for u, _ in self._faces[face_id])
 
     def face_edges(self, face_id: int) -> frozenset[Edge]:
-        return frozenset(norm_edge(u, v) for u, v in self.faces()[face_id])
+        return frozenset(norm_edge(u, v) for u, v in self._faces[face_id])
 
     def faces_of_edge(self, e: Edge) -> tuple[int, int]:
         """The (at most two distinct) face ids on either side of e."""
         u, v = e
-        return (self.face_of_dart((u, v)), self.face_of_dart((v, u)))
+        return (self._face_of[(u, v)], self._face_of[(v, u)])
 
     def num_faces(self) -> int:
-        comps = connected_components(self)
-        edged = sum(1 for comp in comps if any(self.rotation[v] for v in comp))
-        return len(self.faces()) - (edged - 1) if edged else 1
+        """Faces of the drawing: the unbounded one counted once."""
+        return self._num_faces
 
 
 # -- traversal helpers ---------------------------------------------------
@@ -495,7 +480,7 @@ def detect_grid(g: PlaneGraph) -> Optional[tuple[tuple[int, int], dict[int, tupl
             return None
         return (1, g.n), coords
     corners = [v for v in g.vertices if len(nbr[v]) == 2]
-    if len(corners) != 4 or g.outer_dart is None:
+    if len(corners) != 4:
         return None
     boundary = [u for u, _ in g.faces()[g.outer_face()]]
     if len(boundary) != len(set(boundary)):
@@ -727,8 +712,8 @@ def plane_graph_from_edges(
     """Build a plane graph, computing an embedding when none is given.
 
     Without a rotation system the left-right planarity test embeds the
-    graph; non-planar input is a hard error. Without an outer dart, the
-    least dart of a longest face is the outer one.
+    graph; non-planar input is a hard error. Without an outer dart,
+    `PlaneGraph` takes the least dart of a longest face.
     """
     edge_list = sorted({norm_edge(u, v) for u, v in edges})
     if rotation is None:
@@ -736,42 +721,7 @@ def plane_graph_from_edges(
         rotation = _lr_rotation(n, edge_list)
         if rotation is None:
             raise EmbeddingError("input graph is not planar")
-    if outer_dart is None and edge_list:
-        outer_dart = _largest_face_dart(n, rotation)
     return PlaneGraph(n, edge_list, rotation, outer_dart)
-
-
-def _largest_face_dart(n: int, rotation: dict[int, Sequence[int]]) -> Optional[Dart]:
-    """The least dart of a longest face, from one walk of the face orbits.
-
-    None when the rotation of 1..n is not symmetric; `PlaneGraph` then
-    rejects that rotation before it reads the outer dart.
-    """
-    turn: dict[Dart, Dart] = {}
-    for v in range(1, n + 1):
-        rot = rotation.get(v, ())
-        k = len(rot)
-        for i, u in enumerate(rot):
-            turn[(u, v)] = (v, rot[(i + 1) % k])
-    seen: set[Dart] = set()
-    best: Optional[Dart] = None
-    best_len = 0
-    for d in turn:
-        if d in seen:
-            continue
-        low = d
-        length = 0
-        while d not in seen:
-            seen.add(d)
-            length += 1
-            if d < low:
-                low = d
-            d = turn.get(d)
-            if d is None:
-                return None
-        if length > best_len or (length == best_len and low < best):
-            best, best_len = low, length
-    return best
 
 
 def _lr_rotation(n: int, edge_list: list[Edge]) -> Optional[dict[int, list[int]]]:
@@ -1064,16 +1014,13 @@ def delete_vertices(g: PlaneGraph, doomed: Iterable[int]) -> tuple[PlaneGraph, d
     rotation = {
         remap[v]: [remap[w] for w in g.rotation[v] if w not in doomed_set] for v in keep
     }
+    # the first surviving dart of the old outer orbit, else PlaneGraph's pick
     outer: Optional[Dart] = None
     if edges:
-        if g.outer_dart is not None:
-            of = g.faces()[g.outer_face()]
-            for u, v in of:
-                if u not in doomed_set and v not in doomed_set:
-                    outer = (remap[u], remap[v])
-                    break
-        if outer is None:
-            outer = _largest_face_dart(len(keep), rotation)
+        for u, v in g.faces()[g.outer_face()]:
+            if u not in doomed_set and v not in doomed_set:
+                outer = (remap[u], remap[v])
+                break
     return PlaneGraph(len(keep), edges, rotation, outer), remap
 
 
@@ -1093,6 +1040,7 @@ def plane_graph_from_points(
     if set(points) != set(range(1, n + 1)):
         raise PlaneGraphError("point ids must be dense 1..n")
     edge_list = sorted({norm_edge(u, v) for u, v in edges})
+    _check_edges(n, edge_list)  # the face trace below needs a loop-free rotation
     nbrs: dict[int, list[int]] = {v: [] for v in points}
     for u, v in edge_list:
         nbrs[u].append(v)
@@ -1104,23 +1052,21 @@ def plane_graph_from_points(
         rotation[v] = lst
     if not edge_list:
         return PlaneGraph(n, edge_list, rotation, None)
-    # Outer dart: trace the face of the dart leaving the lexicographically
-    # extreme point; the unbounded face is the one with the larger span.
+    # The unbounded face of a straight-line drawing attains the maximum
+    # x-coordinate and turns clockwise around it; the faces at the extreme
+    # vertex are compared by signed area of the traced polygon.
     ext = max(points, key=lambda v: (points[v][0], points[v][1]))
     if not rotation[ext]:
         raise PlaneGraphError("extreme point is isolated; cannot pick outer face")
-    g0 = PlaneGraph(n, edge_list, rotation, (ext, rotation[ext][0]))
-    faces = g0.faces()
-    # The unbounded face of a straight-line drawing attains the maximum
-    # x-coordinate and turns clockwise around it; both candidate faces at the
-    # extreme vertex are compared by signed area of the traced polygon.
-    cands = {g0.face_of_dart((ext, w)) for w in rotation[ext]}
-    cands |= {g0.face_of_dart((w, ext)) for w in rotation[ext]}
-    def signed_area(face_id: int) -> float:
-        poly = [points[u] for u, _ in faces[face_id]]
+    faces = face_orbits(n, rotation)
+
+    def signed_area(face: tuple[Dart, ...]) -> float:
+        poly = [points[u] for u, _ in face]
         s = 0.0
         for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
             s += x1 * y2 - x2 * y1
         return s
-    outer_id = min(cands, key=signed_area)  # clockwise trace => negative area
-    return PlaneGraph(n, edge_list, rotation, faces[outer_id][0])
+
+    cands = [face for face in faces if any(u == ext for u, _ in face)]
+    outer = min(cands, key=signed_area)  # clockwise trace => negative area
+    return PlaneGraph(n, edge_list, rotation, outer[0])

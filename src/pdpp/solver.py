@@ -628,11 +628,12 @@ def solve_pipeline(
 ) -> PipelineResult:
     """Reduce while a big enough grid minor exists, then DP on a decomposition.
 
-    Each round builds one tree decomposition (`tree_decompose`: the MCS
-    sweep's when it is no wider than min-fill's, else min-fill's), and the
-    DP runs on it. A branch decomposition is built only in a round that
-    finds a (target x target)-grid minor, to check that the graph is wider
-    than target. Each round either returns or deletes one vertex, so the
+    A round that does not reduce builds one tree decomposition
+    (`tree_decompose`: the MCS sweep's when it is no wider than min-fill's,
+    else min-fill's), and the DP runs on it; a round that reduces builds
+    none. A branch decomposition is built only in a round that finds a
+    (target x target)-grid minor, to check that the graph is wider than
+    target. Each round either returns or deletes one vertex, so the
     loop ends within n + 1 rounds.
     """
     k = inst.k
@@ -651,7 +652,6 @@ def solve_pipeline(
     iterations = 0
     while True:
         iterations += 1
-        td = tree_decompose(cur.graph)
         # branch_decompose's rule with its two tests swapped: a minor is cheap
         # to rule out, and the branch decomposition is built only for its width
         model = find_grid_minor(cur.graph, target)
@@ -667,6 +667,7 @@ def solve_pipeline(
                 pairs2 = tuple((remap[s], remap[t]) for s, t in cur.pairs)
                 cur = DppInstance(g2, pairs2)
                 continue
+        td = tree_decompose(cur.graph)
         used = TreeDecomposition(
             td.parent,
             tuple(frozenset(to_original[v] for v in bag) for bag in td.bags),

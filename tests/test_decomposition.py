@@ -55,12 +55,6 @@ class TestTreewidth:
             td = tree_decompose(inst.graph)
             assert verify_tree_decomposition(inst.graph, td)
 
-    def test_exact_td_achieves_width(self):
-        g = make_grid(3, 3)
-        td = tree_decompose(g, exact=True)
-        assert td.width == 3
-        assert verify_tree_decomposition(g, td)
-
 
 def relabelled_grid(rows, cols, seed):
     """make_grid(rows, cols) under a seeded relabelling, embedding and all,
@@ -90,7 +84,7 @@ class TestMcsSweep:
                     td = tree_decompose(g)
                     if (td.width, joins(td)) != (min(rows, cols), 0):
                         off.append((rows, cols, seed, td.width, joins(td)))
-                    minfill = td_from_elimination(g, minfill_order(g))
+                    minfill = td_from_elimination(g, minfill_order(g)[0])
                     minfill_off += minfill.width > min(rows, cols)
         assert off == []
         assert minfill_off > 100  # min-fill alone would fail this test
@@ -422,9 +416,11 @@ def test_tree_verifier_matches_reference():
 
 
 def reference_minfill_order(g):
-    """The quadratic min-fill order: every step rescans every live vertex."""
+    """The quadratic min-fill order and its width (most live neighbours at
+    an elimination): every step rescans every live vertex."""
     adj = {v: set(g.rotation[v]) for v in g.vertices}
     order = []
+    width = 0
     alive = set(g.vertices)
     while alive:
         best_v, best_fill = None, None
@@ -438,13 +434,14 @@ def reference_minfill_order(g):
             if best_fill is None or fill < best_fill:
                 best_v, best_fill = v, fill
         lst = sorted(adj[best_v] & alive)
+        width = max(width, len(lst))
         for i in range(len(lst)):
             for j in range(i + 1, len(lst)):
                 adj[lst[i]].add(lst[j])
                 adj[lst[j]].add(lst[i])
         order.append(best_v)
         alive.discard(best_v)
-    return order
+    return order, width
 
 
 def random_planar_graph(n, density, seed):
@@ -467,7 +464,9 @@ planar_graphs = st.one_of(
 @settings(max_examples=150)
 @given(g=planar_graphs)
 def test_minfill_order_matches_reference(g):
-    assert minfill_order(g) == reference_minfill_order(g)
+    order, width = minfill_order(g)
+    assert (order, width) == reference_minfill_order(g)
+    assert width == td_from_elimination(g, order).width
 
 
 @settings(max_examples=100)

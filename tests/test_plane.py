@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pdpp.gallery import ring_lattice
+from pdpp.instances import gen_random_planar
 from pdpp.plane import (
     Cycle,
     EmbeddingError,
@@ -252,3 +255,110 @@ class TestOuterDart:
         with pytest.raises(EmbeddingError, match="^rotation system is not planar"):
             edges = [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]
             plane_graph_from_edges(5, edges, {v: [w for w in range(1, 6) if w != v] for v in range(1, 6)})
+
+    def test_omitted_dart_is_picked_by_the_graph(self):
+        # PlaneGraph itself, not only its builders, takes the least dart of
+        # a longest face when none is given
+        rot = {1: [2, 4], 2: [3, 1], 3: [4, 2, 5], 4: [1, 3], 5: [3, 6], 6: [5]}
+        edges = [(1, 2), (2, 3), (3, 4), (1, 4), (3, 5), (5, 6)]
+        g = PlaneGraph(6, edges, rot, None)
+        assert g.outer_dart == (1, 2)
+        assert g.faces() == plane_graph_from_edges(6, edges, rot).faces()
+        assert len(g.faces()[g.outer_face()]) == 8
+
+
+def reference_faces(g):
+    """Every dart orbit, each from its first dart in vertex then rotation
+    order, sorted by least dart; each step looks the dart up in the
+    rotation."""
+
+    def next_dart(d):
+        u, v = d
+        rot = g.rotation[v]
+        return (v, rot[(rot.index(u) + 1) % len(rot)])
+
+    orbits = []
+    seen = set()
+    for u in g.vertices:
+        for v in g.rotation[u]:
+            if (u, v) in seen:
+                continue
+            orbit = []
+            d = (u, v)
+            while d not in seen:
+                seen.add(d)
+                orbit.append(d)
+                d = next_dart(d)
+            orbits.append(tuple(orbit))
+    orbits.sort(key=min)
+    return tuple(orbits)
+
+
+def reference_num_faces(g, orbits):
+    """Euler's count: the unbounded face once, not once per component."""
+    comp = {v: v for v in g.vertices}
+
+    def find(v):
+        while comp[v] != v:
+            v = comp[v]
+        return v
+
+    for u, v in g.edges:
+        comp[find(u)] = find(v)
+    edged = len({find(u) for u, _ in g.edges})
+    return len(orbits) - (edged - 1) if edged else 1
+
+
+def random_planar(n, extra, seed, embed):
+    g = gen_random_planar(n, min(3 * n - 6, n - 1 + extra), 1, seed).graph
+    return g if embed else plane_graph_from_edges(g.n, g.edges)
+
+
+def after_deletion(g, picks):
+    return delete_vertices(g, {1 + p % g.n for p in picks})[0]
+
+
+def ring_host(rings, sectors, spoke_bits, ring_bits):
+    return ring_lattice(
+        rings,
+        sectors,
+        spokes=lambda ring, s: spoke_bits >> (ring * sectors + s) % 60 & 1,
+        ring_edges=lambda ring: ring == rings - 1 or ring_bits >> ring & 1,
+    )[0]
+
+
+random_planar_graphs = st.builds(
+    random_planar, st.integers(3, 30), st.integers(0, 40), st.integers(0, 2**32 - 1), st.booleans()
+)
+plane_graphs = st.one_of(
+    random_planar_graphs,
+    st.builds(after_deletion, random_planar_graphs, st.lists(st.integers(0, 99), max_size=8)),
+    st.builds(
+        ring_host,
+        st.integers(1, 4),
+        st.integers(3, 9),
+        st.integers(0, 2**60 - 1),
+        st.integers(0, 15),
+    ),
+    st.builds(make_grid, st.integers(1, 7), st.integers(1, 7)),
+)
+
+
+@settings(max_examples=200)
+@given(g=plane_graphs)
+def test_faces_match_reference_walk(g):
+    orbits = reference_faces(g)
+    assert g.faces() == orbits
+    for i, orbit in enumerate(orbits):
+        assert all(g.face_of_dart(d) == i for d in orbit)
+    assert g.num_faces() == reference_num_faces(g, orbits)
+    if g.m:
+        assert g.outer_dart in orbits[g.outer_face()]
+    else:
+        assert g.outer_face() == -1
+    # without a dart, the least dart of a longest face, on the same orbits
+    h = PlaneGraph(g.n, g.edges, g.rotation, None)
+    assert h.faces() == orbits
+    want = min(max(orbits, key=len)) if orbits else None
+    assert h.outer_dart == want
+    assert h.outer_face() == (orbits.index(max(orbits, key=len)) if orbits else -1)

@@ -289,7 +289,7 @@ def heavy_td(inst):
 def minfill_td(inst):
     """Min-fill's decomposition, which has joins on grids where the default
     (the MCS sweep's) has none."""
-    return td_from_elimination(inst.graph, minfill_order(inst.graph))
+    return td_from_elimination(inst.graph, minfill_order(inst.graph)[0])
 
 
 def joins(td):
@@ -597,29 +597,26 @@ def record_calls(monkeypatch, names):
 
 
 def decomposition_steps(steps):
-    """The round's `tree_decompose`: its calls, and the decomposition it chose.
-
-    Min-fill, then the sweep under min-fill's width, then a second
-    `td_from_elimination` only when the sweep was taken.
-    """
-    (_, (_, order), minfill), (_, (_, limit), sweep) = steps[1:3]
+    """The `tree_decompose` that `steps` start with: min-fill's width, the
+    sweep's order (None when no sweep stays within that width), and the
+    decomposition built from the one order kept: the sweep's, else
+    min-fill's."""
     assert [name for name, _, _ in steps[:3]] == [
-        "minfill_order", "td_from_elimination", "mcs_order",
+        "minfill_order", "mcs_order", "td_from_elimination",
     ]
-    assert order is steps[0][2] and limit == minfill.width
-    if sweep is None:
-        return 3, minfill
-    name, (_, order), td = steps[3]
-    assert name == "td_from_elimination" and order is sweep
-    assert td.width <= minfill.width
-    return 4, td
+    (_, _, (order, width)), (_, (_, limit), sweep), (_, (_, kept), td) = steps[:3]
+    assert limit == width
+    assert kept is (order if sweep is None else sweep)
+    assert td.width <= width
+    return width, sweep, td
 
 
 def split_rounds(calls):
-    """The recorded calls cut into pipeline rounds: each starts with min-fill."""
+    """The recorded calls cut into pipeline rounds: each starts by looking
+    for the grid minor."""
     rounds = []
     for call in calls:
-        if call[0] == "minfill_order":
+        if call[0] == "find_grid_minor":
             rounds.append([])
         rounds[-1].append(call)
     return rounds
@@ -698,14 +695,15 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "inst, iterations, widths",
-        # widths: per round, min-fill's width and the sweep's (None when
+        # widths: per round, None when it reduces and so builds no tree
+        # decomposition, else min-fill's width and the sweep's (None when
         # no sweep stays within min-fill's)
         [
             (gen_random_planar(12, 18, 2, 0), 1, ((3, 3),)),
             (gen_grid_instance(5, 2, 0), 1, ((5, 5),)),
             # 7x7 reduced once; the DP round sees the reduced graph, where
             # both sweeps outgrow min-fill's width
-            (gen_grid_instance(7, 2, 0), 2, ((8, 7), (7, None))),
+            (gen_grid_instance(7, 2, 0), 2, (None, (7, None))),
         ],
     )
     def test_one_min_fill_pass_per_iteration(self, monkeypatch, inst, iterations, widths):
@@ -713,28 +711,28 @@ class TestPipeline:
         res = solve_pipeline(inst)
         assert res.iterations == iterations
         rounds = split_rounds(calls)
-        assert len(rounds) == iterations
-        chosen = []
-        for steps, (minfill_width, sweep_width) in zip(rounds, widths):
-            built, td = decomposition_steps(steps)
-            assert steps[1][2].width == minfill_width
-            assert built == (3 if sweep_width is None else 4)
-            assert td.width == (minfill_width if sweep_width is None else sweep_width)
-            chosen.append((td, steps[built:]))
-        *reducing, (td, last) = chosen
+        assert len(rounds) == len(widths) == iterations
+        *reducing, last = rounds
+        *reducing_widths, (minfill_width, sweep_width) = widths
         # a round that reduces finds a minor and builds one branch
-        # decomposition, to read its width; the DP round finds none and
-        # builds none
-        for _, rest in reducing:
-            assert [name for name, _, _ in rest] == [
+        # decomposition, to read its width, and no tree decomposition
+        for steps, want in zip(reducing, reducing_widths):
+            assert want is None
+            assert [name for name, _, _ in steps] == [
                 "find_grid_minor", "best_heuristic_bd", "caterpillar_bd",
             ]
-            assert rest[0][2] is not None
-        assert [name for name, _, _ in last] == ["find_grid_minor", "verify_tree_decomposition"]
-        (_, _, model), (_, args, _) = last
+            assert steps[0][2] is not None
+        # the DP round finds no minor, builds no branch decomposition, and
+        # builds its tree decomposition from one elimination order
+        (_, _, model), *rest = last
         assert model is None
+        width, sweep, td = decomposition_steps(rest)
+        assert width == minfill_width
+        assert (sweep is None) == (sweep_width is None)
+        assert td.width == (minfill_width if sweep_width is None else sweep_width)
+        assert [name for name, _, _ in rest[3:]] == ["verify_tree_decomposition"]
         # one tree-decomposition check, by the DP on the round's decomposition
-        assert args[1] is td
+        assert rest[3][1][1] is td
         assert res.decomposition.parent == td.parent
         assert res.decomposition.width == td.width
         for name in ("td_from_bd", "branch_decompose", "TooWide"):
@@ -754,15 +752,16 @@ class TestPipeline:
         res = solve_pipeline(inst)
         assert res.iterations == 1
         (steps,) = split_rounds(calls)
-        built, td = decomposition_steps(steps)
-        assert built == 4
-        assert (steps[1][2].width, td.width, joins(td)) == (8, 7, 0)
-        assert [name for name, _, _ in steps[built:]] == [
-            "find_grid_minor", "best_heuristic_bd", "caterpillar_bd", "verify_tree_decomposition",
+        assert [name for name, _, _ in steps[:3]] == [
+            "find_grid_minor", "best_heuristic_bd", "caterpillar_bd",
         ]
-        model, bd = steps[built][2], steps[built + 1][2]
+        model, bd = steps[0][2], steps[1][2]
         assert (model.side(), bd.width) == (6, 7)
         assert asked == [model]
+        width, sweep, td = decomposition_steps(steps[3:])
+        assert sweep is not None
+        assert (width, td.width, joins(td)) == (8, 7, 0)
+        assert [name for name, _, _ in steps[6:]] == ["verify_tree_decomposition"]
         ((args, _),) = ran
         assert args[1] is td
         assert res.decomposition == td
@@ -780,13 +779,14 @@ class TestPipeline:
         assert res.certificates == ()
         assert asked == []
         (steps,) = split_rounds(calls)
-        built, td = decomposition_steps(steps)
-        assert (built, td.width, joins(td)) == (4, 6, 0)
-        assert [name for name, _, _ in steps[built:]] == [
-            "find_grid_minor", "best_heuristic_bd", "caterpillar_bd", "verify_tree_decomposition",
+        assert [name for name, _, _ in steps[:3]] == [
+            "find_grid_minor", "best_heuristic_bd", "caterpillar_bd",
         ]
-        model, bd = steps[built][2], steps[built + 1][2]
+        model, bd = steps[0][2], steps[1][2]
         assert model.side() == bd.width == 6
+        _, sweep, td = decomposition_steps(steps[3:])
+        assert (sweep is not None, td.width, joins(td)) == (True, 6, 0)
+        assert [name for name, _, _ in steps[6:]] == ["verify_tree_decomposition"]
         assert steps[-1][1][1] is td
         assert res.status is boundary_answer(inst)
 

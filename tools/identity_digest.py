@@ -19,7 +19,8 @@ minute. Cases:
   side-6 target but is not wider than it, and heuristic 7x7 with k = 2,
   which is wider and reduces;
 - verify_tight on every tight_pool host at budgets 5, 500 and 200,000:
-  the verdict and problems, or the exception's type and message;
+  the verdict and problems, or the exception's type and message; and a
+  hash of each host's faces (orbits, outer face id, face count);
 - the least work budget with which solve_bruteforce, best_linkage_for_pattern,
   dp_solve, branchwidth_decision and untangle_disk decide, with each answer
   at that budget and one below;
@@ -28,7 +29,8 @@ minute. Cases:
 - the embedding computed for each of the 2,000 sparse_pool.txt graphs with
   its rot/outer lines stripped (a hash of the rotation, the outer dart, and
   the pipeline's status next to the pool's verdict), and for every r x c
-  grid with 2 <= r, c <= 12 under a seeded relabelling.
+  grid with 2 <= r, c <= 12 under a seeded relabelling; each also with a
+  hash of its faces.
 """
 
 import hashlib
@@ -61,6 +63,11 @@ def outcome(call):
         return repr(call())
     except Exception as exc:  # noqa: BLE001
         return f"raise {type(exc).__name__}: {exc}"
+
+
+def faces(g):
+    """A hash of the face orbits in order, the outer face id and the face count."""
+    return short(repr((g.faces(), g.outer_face(), g.num_faces())))
 
 
 def least_budget(decides, hi):
@@ -122,6 +129,7 @@ hosts = workloads.read_pool(workloads.TIGHT_POOL)
 for row in hosts:
     spec = workloads.HostSpec.parse(row[4:8])
     g, vid = gallery.ring_lattice(3, spec.sectors, spokes=lambda ring, s: ring >= 1 or spec.spokes[s])
+    emit("tight-faces", row[0], faces(g))
     cc = concentric.make_concentric(g, [gallery.ring_cycle(vid, r, spec.sectors) for r in spec.family])
     for budget in (5, 500, 200_000):
         emit("tight", row[0], budget, outcome(lambda: (lambda r: (r.ok, r.problems))(concentric.verify_tight(g, cc, budget))))
@@ -185,6 +193,7 @@ for row in workloads.read_pool(workloads.SPARSE_POOL):
     inst = parse_instance(text)
     status = solver.solve_pipeline(inst).outcome.status.value
     emit("embed", pool_id, *embedding(inst.graph), status, row[5])
+    emit("embed-faces", pool_id, faces(inst.graph))
 
 for rows in range(2, 13):
     for cols in range(2, 13):
@@ -193,3 +202,4 @@ for rows in range(2, 13):
         random.Random(rows * 100 + cols).shuffle(perm)
         g = plane_graph_from_edges(h.n, [(perm[a - 1], perm[b - 1]) for a, b in h.edges])
         emit("embed-grid", rows, cols, *embedding(g))
+        emit("embed-grid-faces", rows, cols, faces(g))
