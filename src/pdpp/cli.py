@@ -25,6 +25,7 @@ from .clconfig import (
     segments,
 )
 from .concentric import make_concentric
+from .decomposition import find_grid_minor
 from .instances import (
     DppInstance,
     ParseError,
@@ -36,7 +37,7 @@ from .instances import (
     write_solution,
 )
 from .oracle import Linkage, SolveOutcome, Status, solve_bruteforce, verify_solution
-from .plane import Cycle, GridMinorModel, PlaneGraphError, grid_ring
+from .plane import Cycle, PlaneGraphError, grid_ring
 from .reroute import BoundaryPattern, PatternError, route_pattern
 from .solver import DpBudgetExceeded, dp_solve, find_irrelevant_vertex, solve_pipeline
 
@@ -81,14 +82,6 @@ def _load_instance(path: str) -> DppInstance:
     except (ParseError, PlaneGraphError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
-
-
-def _identity_grid_model(inst: DppInstance) -> GridMinorModel | None:
-    if inst.graph.grid_shape is None or inst.graph.grid_coords is None:
-        return None
-    rows, cols = inst.graph.grid_shape
-    phi = {rc: frozenset({v}) for v, rc in inst.graph.grid_coords.items()}
-    return GridMinorModel(rows, cols, phi)
 
 
 # -- solve -------------------------------------------------------------------------
@@ -166,11 +159,11 @@ def _solve_one_star(pair):
 
 def cmd_reduce(args) -> int:
     inst = _load_instance(args.instance)
-    model = _identity_grid_model(inst)
-    if model is None:
+    shape = inst.graph.grid_shape
+    if shape is None:
         print("# no usable grid minor found", file=sys.stderr)
         return EXIT_INDETERMINATE
-    cert = find_irrelevant_vertex(inst, model, mode=args.mode)
+    cert = find_irrelevant_vertex(inst, find_grid_minor(inst.graph, min(shape)), mode=args.mode)
     if cert is None:
         print("# no certificate at this grid size", file=sys.stderr)
         return EXIT_INDETERMINATE

@@ -860,16 +860,18 @@ def _grid_block_model(g: PlaneGraph, q: int) -> Optional[GridMinorModel]:
 
 
 def find_grid_minor(g: PlaneGraph, q: int) -> Optional[GridMinorModel]:
-    """A verified (q x q)-grid minor model of a tagged grid, or None.
+    """A verified (q x q)-grid minor model of a grid, or None.
 
-    Only tagged grids are searched: their rows and columns contract in
-    blocks onto a q x q grid whenever q <= min(rows, cols). Any other host
-    gets None, which says nothing about whether a minor exists. The
-    returned model has passed verify_minor_model.
+    Only grids (`g.grid_shape`, derived by detect_grid) are searched: their
+    rows and columns contract in blocks onto a q x q grid whenever
+    q <= min(rows, cols). Any other host gets None, which says nothing
+    about whether a minor exists. A host with fewer than q*q vertices has
+    no room for the q*q disjoint branch sets and gets None before any grid
+    detection. The returned model has passed verify_minor_model.
     """
     if q < 1:
         raise PlaneGraphError("grid side must be positive")
-    if g.grid_shape is None:
+    if g.n < q * q or g.grid_shape is None:
         return None
     model = _grid_block_model(g, q)
     if model is not None:

@@ -24,10 +24,8 @@ from .plane import (
     Edge,
     PlaneGraph,
     PlaneGraphError,
-    detect_grid,
     make_grid,
     norm_edge,
-    outer_cycle,
     plane_graph_from_edges,
 )
 
@@ -171,11 +169,7 @@ def parse_instance(text: str | bytes) -> DppInstance:
             )
         rotation = {v: rot.get(v, []) for v in range(1, n + 1)}
     try:
-        graph = plane_graph_from_edges(n, edges, rotation, outer)
-        found = detect_grid(graph)
-        if found is not None:
-            graph.grid_shape, graph.grid_coords = found
-        inst = DppInstance(graph, tuple(pairs))
+        inst = DppInstance(plane_graph_from_edges(n, edges, rotation, outer), tuple(pairs))
     except PlaneGraphError as exc:
         raise ParseError(header_line or 1, str(exc))
     return inst
@@ -246,7 +240,8 @@ def gen_grid_instance(n: int, k: int, seed: int) -> DppInstance:
     if n < 2:
         raise PlaneGraphError("grid instances need n >= 2")
     g = make_grid(n, n)
-    boundary = list(outer_cycle(g).vertices)
+    # the outer face lists the outer cycle from vertex 1 clockwise
+    boundary = [u for u, _ in g.faces()[g.outer_face()]]
     if 2 * k > len(boundary):
         raise PlaneGraphError(
             f"cannot place {2 * k} terminals on a {len(boundary)}-vertex outer cycle"

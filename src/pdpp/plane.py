@@ -110,10 +110,9 @@ class PlaneGraph:
     Immutable after construction. The faces are traced once, at
     construction, as the dart orbits of the rotation system; every derived
     object (regions, grid detection) reads them. Without an outer dart, a
-    graph with edges takes the least dart of a longest face. The exception
-    to immutability is the grid tags `grid_shape`/`grid_coords`: nothing
-    derived reads them, so a caller that recognises a grid attaches them to
-    the built graph.
+    graph with edges takes the least dart of a longest face. Whether the
+    graph is a grid is derived from it, by `detect_grid` on the first read
+    of `grid_shape` or `grid_coords`, however the graph was built.
     """
 
     def __init__(
@@ -122,8 +121,6 @@ class PlaneGraph:
         edges: Iterable[Edge],
         rotation: dict[int, Sequence[int]],
         outer_dart: Optional[Dart],
-        grid_shape: Optional[tuple[int, int]] = None,
-        grid_coords: Optional[dict[int, tuple[int, int]]] = None,
     ):
         self.n = n
         self.edges: frozenset[Edge] = frozenset(norm_edge(u, v) for u, v in edges)
@@ -131,8 +128,6 @@ class PlaneGraph:
             v: tuple(rotation.get(v, ())) for v in range(1, n + 1)
         }
         self.outer_dart = outer_dart
-        self.grid_shape = grid_shape
-        self.grid_coords = grid_coords
         self._validate()
 
     # -- basic accessors -------------------------------------------------
@@ -156,6 +151,22 @@ class PlaneGraph:
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         return dict(self.rotation)
+
+    # -- grid structure ----------------------------------------------------
+
+    @cached_property
+    def _grid(self) -> Optional[tuple[tuple[int, int], dict[int, tuple[int, int]]]]:
+        return detect_grid(self)
+
+    @property
+    def grid_shape(self) -> Optional[tuple[int, int]]:
+        """(rows, cols) when the graph is a full grid, else None."""
+        return self._grid[0] if self._grid else None
+
+    @property
+    def grid_coords(self) -> Optional[dict[int, tuple[int, int]]]:
+        """Each vertex's (row, col) when the graph is a full grid, else None."""
+        return self._grid[1] if self._grid else None
 
     # -- validation ------------------------------------------------------
 
@@ -419,17 +430,18 @@ def make_grid(rows: int, cols: int) -> PlaneGraph:
 
     Vertex ids are row-major starting at 1; the unbounded face is the one
     bounded by the outer cycle whenever the grid has more than two faces.
+    Its derived `grid_shape` is (rows, cols) with row-major `grid_coords`,
+    except that a single column (cols = 1, rows > 1) is a path and reads
+    as (1, rows), like every other path.
     """
     if rows < 1 or cols < 1:
         raise PlaneGraphError("grid dimensions must be positive")
     n = rows * cols
     edges = []
     rotation: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    coords = {}
     for r in range(1, rows + 1):
         for c in range(1, cols + 1):
             v = grid_vertex(rows, cols, r, c)
-            coords[v] = (r, c)
             # clockwise when drawn with row 1 on top: up, right, down, left
             for rr, cc in ((r - 1, c), (r, c + 1), (r + 1, c), (r, c - 1)):
                 if 1 <= rr <= rows and 1 <= cc <= cols:
@@ -444,9 +456,7 @@ def make_grid(rows: int, cols: int) -> PlaneGraph:
         outer = (1, 2)
     elif rows >= 2:
         outer = (1, 1 + cols)
-    return PlaneGraph(
-        n, edges, rotation, outer, grid_shape=(rows, cols), grid_coords=coords
-    )
+    return PlaneGraph(n, edges, rotation, outer)
 
 
 def detect_grid(g: PlaneGraph) -> Optional[tuple[tuple[int, int], dict[int, tuple[int, int]]]]:
@@ -455,7 +465,8 @@ def detect_grid(g: PlaneGraph) -> Optional[tuple[tuple[int, int], dict[int, tupl
     The outer face boundary is split at its four degree-2 corners into the
     grid's sides, giving the first row and column; the interior fills
     diagonally (each cell is the common unseen neighbor of its north and
-    west cells). The final edge set is checked exactly.
+    west cells). The final edge set is checked exactly. A path is the
+    1 x n grid, numbered from its smaller end.
     """
     if g.n == 1:
         return (1, 1), {1: (1, 1)}
@@ -539,7 +550,7 @@ def detect_grid(g: PlaneGraph) -> Optional[tuple[tuple[int, int], dict[int, tupl
 
 def grid_corners(g: PlaneGraph) -> frozenset[int]:
     if g.grid_shape is None:
-        raise PlaneGraphError("not a grid built by make_grid")
+        raise PlaneGraphError("not a grid")
     rows, cols = g.grid_shape
     if rows < 2 or cols < 2:
         raise PlaneGraphError("corners are defined for grids with rows, cols >= 2")
@@ -555,15 +566,15 @@ def centers(g: PlaneGraph) -> frozenset[int]:
 
 
 def grid_position_map(g: PlaneGraph) -> dict[tuple[int, int], int]:
-    if g.grid_shape is None or g.grid_coords is None:
-        raise PlaneGraphError("not a recognized grid")
+    if g.grid_coords is None:
+        raise PlaneGraphError("not a grid")
     return {rc: v for v, rc in g.grid_coords.items()}
 
 
 def grid_ring(g: PlaneGraph, offset: int) -> Cycle:
     """The cycle at `offset` steps in from the grid boundary (offset 0 = outer cycle)."""
-    rows, cols = g.grid_shape if g.grid_shape else (0, 0)
     at = grid_position_map(g)
+    rows, cols = g.grid_shape
     r0, r1 = 1 + offset, rows - offset
     c0, c1 = 1 + offset, cols - offset
     if r1 - r0 < 1 or c1 - c0 < 1:
@@ -1040,7 +1051,7 @@ def plane_graph_from_points(
     if set(points) != set(range(1, n + 1)):
         raise PlaneGraphError("point ids must be dense 1..n")
     edge_list = sorted({norm_edge(u, v) for u, v in edges})
-    _check_edges(n, edge_list)  # the face trace below needs a loop-free rotation
+    _check_edges(n, edge_list)  # before the rotation is built from the ids
     nbrs: dict[int, list[int]] = {v: [] for v in points}
     for u, v in edge_list:
         nbrs[u].append(v)
@@ -1052,21 +1063,13 @@ def plane_graph_from_points(
         rotation[v] = lst
     if not edge_list:
         return PlaneGraph(n, edge_list, rotation, None)
-    # The unbounded face of a straight-line drawing attains the maximum
-    # x-coordinate and turns clockwise around it; the faces at the extreme
-    # vertex are compared by signed area of the traced polygon.
+    # The +x ray from the rightmost (then topmost) point lies in the
+    # unbounded face. That point's rotation runs clockwise by falling angle,
+    # so the face's corner there ends at the first neighbour below the ray,
+    # or wraps round to the first neighbour when none is below it.
     ext = max(points, key=lambda v: (points[v][0], points[v][1]))
     if not rotation[ext]:
         raise PlaneGraphError("extreme point is isolated; cannot pick outer face")
-    faces = face_orbits(n, rotation)
-
-    def signed_area(face: tuple[Dart, ...]) -> float:
-        poly = [points[u] for u, _ in face]
-        s = 0.0
-        for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
-            s += x1 * y2 - x2 * y1
-        return s
-
-    cands = [face for face in faces if any(u == ext for u, _ in face)]
-    outer = min(cands, key=signed_area)  # clockwise trace => negative area
-    return PlaneGraph(n, edge_list, rotation, outer[0])
+    x0, y0 = points[ext]
+    below = [w for w in rotation[ext] if math.atan2(points[w][1] - y0, points[w][0] - x0) < 0]
+    return PlaneGraph(n, edge_list, rotation, (ext, (below or rotation[ext])[0]))

@@ -23,7 +23,6 @@ from .decomposition import (
     TreeDecomposition,
     _bags_by_vertex,
     _euler_tour,
-    best_heuristic_bd,
     find_grid_minor,
     tree_decompose,
     verify_tree_decomposition,
@@ -631,10 +630,11 @@ def solve_pipeline(
     A round that does not reduce builds one tree decomposition
     (`tree_decompose`: the MCS sweep's when it is no wider than min-fill's,
     else min-fill's), and the DP runs on it; a round that reduces builds
-    none. A branch decomposition is built only in a round that finds a
-    (target x target)-grid minor, to check that the graph is wider than
-    target. Each round either returns or deletes one vertex, so the
-    loop ends within n + 1 rounds.
+    none. Only grids yield a (target x target)-grid minor, and such a round
+    reduces when the grid's side exceeds target: an r x c grid has
+    branchwidth min(r, c), and then holds a (target + 1)-grid minor. Each
+    round either returns or deletes one vertex, so the loop ends within
+    n + 1 rounds.
     """
     k = inst.k
     if k == 1:
@@ -653,9 +653,10 @@ def solve_pipeline(
     while True:
         iterations += 1
         # branch_decompose's rule with its two tests swapped: a minor is cheap
-        # to rule out, and the branch decomposition is built only for its width
+        # to rule out, and the grid it came from is wider than target exactly
+        # when its side is
         model = find_grid_minor(cur.graph, target)
-        if model is not None and best_heuristic_bd(cur.graph).width > target:
+        if model is not None and min(cur.graph.grid_shape) > target:
             cert = find_irrelevant_vertex(cur, model, mode=mode)
             if cert is not None:
                 certificates.append(cert)

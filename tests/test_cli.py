@@ -15,7 +15,7 @@ from pdpp.instances import (
     write_instance,
     write_solution,
 )
-from pdpp.plane import plane_graph_from_edges
+from pdpp.plane import make_grid, plane_graph_from_edges
 
 
 @pytest.fixture
@@ -287,9 +287,19 @@ class TestReduce:
         assert out.startswith("irrelevant ")
         assert " grid 6 " in out and " mode heuristic" in out
 
-    def test_untagged_graph_has_no_grid(self, tmp_path, capsys):
-        # parsing re-detects a relabelled grid, so one face chord is added
-        # to keep the 6x6 grid from being tagged
+    def test_rectangular_grid_certificate(self, tmp_path, capsys):
+        # find_grid_minor's 7 x 7 model of the 7 x 10 grid gives the
+        # certificate the grid's own 7 x 10 coordinates gave
+        f = tmp_path / "g7x10.dpp"
+        f.write_text(write_instance(DppInstance(make_grid(7, 10), ((68, 2), (3, 20)))))
+        assert main(["reduce", "--json", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "irrelevant": 5, "grid": 7, "cycles": 1, "mode": "heuristic", "oracle_checked": True,
+        }
+
+    def test_chorded_grid_has_no_grid(self, tmp_path, capsys):
+        # a relabelled grid is still a grid, so one face chord is added to
+        # keep the 6x6 grid from being recognised
         inst = gen_grid_instance(6, 2, 2)
         perm = list(range(1, inst.graph.n + 1))
         random.Random(3).shuffle(perm)

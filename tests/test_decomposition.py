@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdpp import plane
 from pdpp.decomposition import (
     BranchDecomposition,
     TooWide,
@@ -33,6 +34,7 @@ from pdpp.plane import (
     BudgetExceeded,
     CheckResult,
     PlaneGraphError,
+    delete_vertices,
     make_grid,
     plane_graph_from_edges,
     verify_minor_model,
@@ -57,8 +59,7 @@ class TestTreewidth:
 
 
 def relabelled_grid(rows, cols, seed):
-    """make_grid(rows, cols) under a seeded relabelling, embedding and all,
-    without the grid tag."""
+    """make_grid(rows, cols) under a seeded relabelling, embedding and all."""
     h = make_grid(rows, cols)
     perm = list(h.vertices)
     random.Random(seed).shuffle(perm)
@@ -221,7 +222,7 @@ class TestTranslation:
 
 class TestGridMinor:
     @pytest.mark.parametrize("q", range(1, 7))
-    def test_tagged_grid_contracts_up_to_its_side(self, q):
+    def test_grid_contracts_up_to_its_side(self, q):
         g = make_grid(5, 7)
         model = find_grid_minor(g, q)
         if q > 5:
@@ -231,15 +232,40 @@ class TestGridMinor:
             assert verify_minor_model(g, model)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
-    def test_untagged_graph_gives_none(self, q):
-        # a 3x3 grid with shuffled labels holds every minor asked for here,
-        # but only tagged grids are searched
+    def test_relabelled_grid_contracts(self, q):
+        # a 3x3 grid with shuffled labels, embedded from its edges alone, is
+        # recognised as a grid and searched like make_grid's
         edges = [(1, 3), (1, 4), (1, 8), (2, 3), (2, 4), (2, 9),
                  (4, 5), (4, 7), (5, 6), (5, 9), (6, 7), (7, 8)]
         relabelled = plane_graph_from_edges(9, edges)
-        assert relabelled.grid_shape is None
-        assert find_grid_minor(relabelled, q) is None
-        assert find_grid_minor(tree_graph(), q) is None
+        assert relabelled.grid_shape == (3, 3)
+        model = find_grid_minor(relabelled, q)
+        assert (model.grid_rows, model.grid_cols) == (q, q)
+        assert verify_minor_model(relabelled, model)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_non_grid_gives_none(self, q):
+        # only grids are searched: a 4x4 grid with a chord across a face
+        # holds every minor asked for here and still gets None, as do a 4x4
+        # grid less one vertex and a tree
+        grid = make_grid(4, 4)
+        short = delete_vertices(grid, [6])[0]
+        chorded = plane_graph_from_edges(16, [*grid.edges, (1, 6)])
+        for g in (tree_graph(), short, chorded):
+            assert g.grid_shape is None
+            assert find_grid_minor(g, q) is None
+
+    def test_too_few_vertices_skip_detection(self, monkeypatch):
+        # q*q disjoint branch sets need q*q vertices; a smaller host gets
+        # None without grid detection
+        calls = []
+        real = plane.detect_grid
+        monkeypatch.setattr(plane, "detect_grid", lambda g: calls.append(g) or real(g))
+        g = make_grid(5, 7)
+        assert find_grid_minor(g, 6) is None
+        assert calls == []
+        assert find_grid_minor(g, 5) is not None
+        assert calls == [g]
 
     @pytest.mark.parametrize("q", [0, -1])
     def test_side_below_one_rejected(self, q):

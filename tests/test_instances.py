@@ -99,7 +99,7 @@ class TestParse:
         assert write_instance(again) == write_instance(inst)
 
     @pytest.mark.parametrize("embedded", [True, False])
-    def test_grid_tagged_on_the_one_graph_built(self, monkeypatch, embedded):
+    def test_grid_derived_on_the_one_graph_built(self, monkeypatch, embedded):
         inst = gen_grid_instance(6, 2, 7)
         text = write_instance(inst)
         if not embedded:

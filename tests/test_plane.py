@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +18,7 @@ from pdpp.plane import (
     grid_ring,
     grid_vertex,
     make_grid,
+    norm_edge,
     outer_cycle,
     plane_graph_from_edges,
     plane_graph_from_points,
@@ -133,6 +137,62 @@ class TestGrid:
         ring = grid_ring(g, 1)
         assert len(ring) == 8
         assert grid_vertex(5, 5, 2, 2) in ring.vertex_set
+
+    def test_derived_grid_is_row_major(self):
+        # a single column is a path, and reads as one row like every path
+        for rows in range(1, 13):
+            for cols in range(1, 13):
+                g = make_grid(rows, cols)
+                if cols == 1 < rows:
+                    want = (1, rows), {v: (1, v) for v in g.vertices}
+                else:
+                    want = (rows, cols), {
+                        grid_vertex(rows, cols, r, c): (r, c)
+                        for r in range(1, rows + 1)
+                        for c in range(1, cols + 1)
+                    }
+                assert (g.grid_shape, g.grid_coords) == want, (rows, cols)
+
+    def test_relabelled_grids_are_recognised(self):
+        # with make_grid's embedding, and (from 3 x 3 up, where it is unique)
+        # with the one computed from the edges alone
+        for rows in range(2, 11):
+            for cols in range(2, 11):
+                h = make_grid(rows, cols)
+                perm = list(h.vertices)
+                random.Random(100 * rows + cols).shuffle(perm)
+                new = dict(zip(h.vertices, perm))
+                edges = [(new[u], new[v]) for u, v in h.edges]
+                rotation = {new[v]: [new[w] for w in h.rotation[v]] for v in h.vertices}
+                graphs = [plane_graph_from_edges(h.n, edges, rotation)]
+                if min(rows, cols) >= 3:
+                    graphs.append(plane_graph_from_edges(h.n, edges))
+                for g in graphs:
+                    r, c = g.grid_shape
+                    assert sorted((r, c)) == sorted((rows, cols))
+                    at = {rc: v for v, rc in g.grid_coords.items()}
+                    assert sorted(at) == [(i, j) for i in range(1, r + 1) for j in range(1, c + 1)]
+                    rebuilt = {
+                        norm_edge(at[(i, j)], at[nb])
+                        for (i, j) in at
+                        for nb in ((i + 1, j), (i, j + 1))
+                        if nb in at
+                    }
+                    assert rebuilt == g.edges
+
+    def test_deletions_are_not_grids(self):
+        for rows, cols in ((3, 3), (3, 5), (4, 4), (5, 6)):
+            g = make_grid(rows, cols)
+            for v in g.vertices:
+                h = delete_vertices(g, [v])[0]
+                assert (h.grid_shape, h.grid_coords) == (None, None), (rows, cols, v)
+
+    def test_grid_fields_are_read_only(self):
+        g = make_grid(3, 4)
+        for name in ("grid_shape", "grid_coords"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+        assert g.grid_shape == (3, 4)
 
 
 class TestInterior:
@@ -265,6 +325,65 @@ class TestOuterDart:
         assert g.outer_dart == (1, 2)
         assert g.faces() == plane_graph_from_edges(6, edges, rot).faces()
         assert len(g.faces()[g.outer_face()]) == 8
+
+
+def star_drawing(spokes, seed):
+    """A straight-line drawing: a centre joined to points at random angles
+    and radii, with random rims between angular neighbours less than a
+    half-turn apart; no two segments cross."""
+    rng = random.Random(seed)
+    cx, cy = rng.uniform(-1, 1), rng.uniform(-1, 1)
+    angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(spokes))
+    points = {1: (cx, cy)}
+    for i, a in enumerate(angles, start=2):
+        r = rng.uniform(0.5, 3)
+        points[i] = (cx + r * math.cos(a), cy + r * math.sin(a))
+    edges = [(1, v) for v in range(2, spokes + 2)]
+    for i in range(spokes):
+        gap = (angles[(i + 1) % spokes] - angles[i]) % (2 * math.pi)
+        if spokes > 2 and gap < math.pi - 0.01 and rng.random() < 0.7:
+            edges.append((i + 2, (i + 1) % spokes + 2))
+    return points, edges
+
+
+def ring_drawing(rings, sectors, bits):
+    """A polar grid's points with its outer ring and a random subset of its
+    other ring edges and spokes."""
+
+    def vid(ring, s):
+        return ring * sectors + s % sectors + 1
+
+    points = {
+        vid(r, s): ((1 + r) * math.cos(2 * math.pi * s / sectors), (1 + r) * math.sin(2 * math.pi * s / sectors))
+        for r in range(rings)
+        for s in range(sectors)
+    }
+    outer = [(vid(rings - 1, s), vid(rings - 1, s + 1)) for s in range(sectors)]
+    inner = [(vid(r, s), vid(r, s + 1)) for r in range(rings - 1) for s in range(sectors)]
+    spokes = [(vid(r, s), vid(r + 1, s)) for r in range(rings - 1) for s in range(sectors)]
+    return points, outer + [e for i, e in enumerate(inner + spokes) if bits >> i % 60 & 1]
+
+
+@settings(max_examples=200)
+@given(
+    drawing=st.one_of(
+        st.builds(star_drawing, st.integers(1, 12), st.integers(0, 2**32 - 1)),
+        st.builds(ring_drawing, st.integers(1, 4), st.integers(3, 9), st.integers(0, 2**60 - 1)),
+    )
+)
+def test_outer_face_from_points_has_least_signed_area(drawing):
+    # of the faces at the rightmost (then topmost) point, the unbounded one
+    # is traced clockwise: its polygon has the least signed area
+    points, edges = drawing
+    g = plane_graph_from_points(points, edges)
+    ext = max(points, key=lambda v: (points[v][0], points[v][1]))
+
+    def signed_area(orbit):
+        poly = [points[u] for u, _ in orbit]
+        return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]))
+
+    at_ext = [i for i, orbit in enumerate(g.faces()) if any(u == ext for u, _ in orbit)]
+    assert g.outer_face() == min(at_ext, key=lambda i: signed_area(g.faces()[i]))
 
 
 def reference_faces(g):

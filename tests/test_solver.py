@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import sys
 
@@ -24,6 +25,7 @@ from pdpp.instances import (
     gen_grid_instance,
     gen_random_planar,
     parse_instance,
+    write_instance,
 )
 from pdpp.oracle import SolveOutcome, Status, solve_bruteforce, verify_solution
 from pdpp.plane import (
@@ -33,6 +35,7 @@ from pdpp.plane import (
     grid_vertex,
     make_grid,
     outer_cycle,
+    plane_graph_from_edges,
 )
 from pdpp.solver import (
     DpBudgetExceeded,
@@ -55,6 +58,13 @@ def identity_model(n):
         for c in range(1, n + 1)
     }
     return GridMinorModel(n, n, phi)
+
+
+def shuffled(vertices, seed):
+    """A seeded relabelling of `vertices`, as an old -> new dict."""
+    perm = list(vertices)
+    random.Random(seed).shuffle(perm)
+    return dict(zip(vertices, perm))
 
 
 def boundary_answer(inst):
@@ -714,13 +724,11 @@ class TestPipeline:
         assert len(rounds) == len(widths) == iterations
         *reducing, last = rounds
         *reducing_widths, (minfill_width, sweep_width) = widths
-        # a round that reduces finds a minor and builds one branch
-        # decomposition, to read its width, and no tree decomposition
+        # a round that reduces finds a minor, reads the grid's side, and
+        # builds no decomposition of either kind
         for steps, want in zip(reducing, reducing_widths):
             assert want is None
-            assert [name for name, _, _ in steps] == [
-                "find_grid_minor", "best_heuristic_bd", "caterpillar_bd",
-            ]
+            assert [name for name, _, _ in steps] == ["find_grid_minor"]
             assert steps[0][2] is not None
         # the DP round finds no minor, builds no branch decomposition, and
         # builds its tree decomposition from one elimination order
@@ -735,11 +743,11 @@ class TestPipeline:
         assert rest[3][1][1] is td
         assert res.decomposition.parent == td.parent
         assert res.decomposition.width == td.width
-        for name in ("td_from_bd", "branch_decompose", "TooWide"):
+        for name in ("best_heuristic_bd", "td_from_bd", "branch_decompose", "TooWide"):
             assert not hasattr(solver, name)
 
     def test_too_wide_without_certificate_runs_the_dp(self, monkeypatch):
-        # 7x7 with k = 2 holds a 6x6 minor and is wider than the side-6
+        # 7x7 with k = 2 holds a 6x6 minor and its side exceeds the side-6
         # target; with no certificate the DP runs on the round's
         # decomposition, the sweep's (width 7, no join; min-fill's is 8)
         inst = gen_grid_instance(7, 2, 0)
@@ -752,25 +760,24 @@ class TestPipeline:
         res = solve_pipeline(inst)
         assert res.iterations == 1
         (steps,) = split_rounds(calls)
-        assert [name for name, _, _ in steps[:3]] == [
-            "find_grid_minor", "best_heuristic_bd", "caterpillar_bd",
-        ]
-        model, bd = steps[0][2], steps[1][2]
-        assert (model.side(), bd.width) == (6, 7)
+        assert steps[0][0] == "find_grid_minor"
+        model = steps[0][2]
+        assert (model.side(), inst.graph.grid_shape) == (6, (7, 7))
         assert asked == [model]
-        width, sweep, td = decomposition_steps(steps[3:])
+        width, sweep, td = decomposition_steps(steps[1:])
         assert sweep is not None
         assert (width, td.width, joins(td)) == (8, 7, 0)
-        assert [name for name, _, _ in steps[6:]] == ["verify_tree_decomposition"]
+        assert [name for name, _, _ in steps[4:]] == ["verify_tree_decomposition"]
         ((args, _),) = ran
         assert args[1] is td
         assert res.decomposition == td
         assert res.status is boundary_answer(inst)
 
     def test_minor_at_target_width_runs_the_dp(self, monkeypatch):
-        # 6x6 with k = 2 holds a 6x6 minor but is not wider than the side-6
-        # target: one branch decomposition is built, nothing is reduced, and
-        # the DP runs on the sweep's decomposition (width 6, no join)
+        # 6x6 with k = 2 holds a 6x6 minor but its side is not above the
+        # side-6 target: no branch decomposition is built, nothing is
+        # reduced, and the DP runs on the sweep's decomposition (width 6,
+        # no join)
         inst = gen_grid_instance(6, 2, 0)
         calls = record_calls(monkeypatch, ROUND_STEPS)
         asked = count_calls(monkeypatch, solver, "find_irrelevant_vertex")
@@ -779,14 +786,11 @@ class TestPipeline:
         assert res.certificates == ()
         assert asked == []
         (steps,) = split_rounds(calls)
-        assert [name for name, _, _ in steps[:3]] == [
-            "find_grid_minor", "best_heuristic_bd", "caterpillar_bd",
-        ]
-        model, bd = steps[0][2], steps[1][2]
-        assert model.side() == bd.width == 6
-        _, sweep, td = decomposition_steps(steps[3:])
+        assert steps[0][0] == "find_grid_minor"
+        assert (steps[0][2].side(), inst.graph.grid_shape) == (6, (6, 6))
+        _, sweep, td = decomposition_steps(steps[1:])
         assert (sweep is not None, td.width, joins(td)) == (True, 6, 0)
-        assert [name for name, _, _ in steps[6:]] == ["verify_tree_decomposition"]
+        assert [name for name, _, _ in steps[4:]] == ["verify_tree_decomposition"]
         assert steps[-1][1][1] is td
         assert res.status is boundary_answer(inst)
 
@@ -794,13 +798,19 @@ class TestPipeline:
         # the pipeline looks for the minor first; what it hands on must be
         # what the width-first rule gives: a minor only when the branch
         # decomposition is wider than target. Graphs with fewer than 2k
-        # vertices carry no k-pair instance and are skipped.
+        # vertices carry no k-pair instance and are skipped. Relabelled
+        # grids, embedded from their edges alone, count as grids too.
         handed = []
         monkeypatch.setattr(
             solver, "find_irrelevant_vertex", lambda cur, model, mode: handed.append(model)
         )
         monkeypatch.setattr(solver, "dp_solve", lambda *a, **kw: SolveOutcome(Status.NO))
         graphs = [make_grid(r, c) for r in range(1, 13) for c in range(1, 13)]
+        for r in range(3, 13):
+            for c in range(3, 13):
+                h = make_grid(r, c)
+                new = shuffled(h.vertices, 100 * r + c)
+                graphs.append(plane_graph_from_edges(h.n, [(new[u], new[v]) for u, v in h.edges]))
         for side in range(6, 10):
             grid = make_grid(side, side)
             graphs += [delete_vertices(grid, [v])[0] for v in grid.vertices]
@@ -820,8 +830,32 @@ class TestPipeline:
                 expected = find_grid_minor(g, target) if width > target else None
                 assert handed == ([] if expected is None else [expected]), (g.n, g.grid_shape, k)
                 found += expected is not None
-        # the r x c grids with min(r, c) > target: 36 at target 6, 16 at 8
-        assert found == 36 + 16
+        # the r x c grids with min(r, c) > target, each once as built and
+        # once relabelled: 36 at target 6, 16 at 8
+        assert found == 2 * (36 + 16)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_relabelled_grid_reduces_like_the_parsed_one(self, seed):
+        # a relabelled 7x7 built in-process is a grid from its edges, as the
+        # same instance read from a file is, and both reduce in round one
+        inst = gen_grid_instance(7, 2, seed)
+        g = inst.graph
+        new = shuffled(g.vertices, seed)
+        built = DppInstance(
+            plane_graph_from_edges(
+                g.n,
+                [(new[u], new[v]) for u, v in g.edges],
+                {new[v]: [new[w] for w in g.rotation[v]] for v in g.vertices},
+                (new[g.outer_dart[0]], new[g.outer_dart[1]]),
+            ),
+            tuple((new[s], new[t]) for s, t in inst.pairs),
+        )
+        parsed = parse_instance(write_instance(built))
+        res, again = solve_pipeline(built), solve_pipeline(parsed)
+        assert len(res.certificates) == 1
+        assert [c.log_line() for c in res.certificates] == [c.log_line() for c in again.certificates]
+        assert res.removed_original_ids == again.removed_original_ids
+        assert res.status is again.status is boundary_answer(inst)
 
     def test_deep_decomposition(self, tmp_path, capsys):
         # a path's tree decomposition (min-fill's or the sweep's) is as deep

@@ -17,7 +17,8 @@ minute. Cases:
   k in {2, 3}, where the decomposition the DP runs on decides the verdict;
   heuristic 6x6 with k in {2, 3, 4}, which holds a grid minor of the
   side-6 target but is not wider than it, and heuristic 7x7 with k = 2,
-  which is wider and reduces;
+  which is wider and reduces; and heuristic 7x7, 8x8 and 9x9 with k = 2,
+  seeds 0-1, relabelled and built in-process with their embedding;
 - verify_tight on every tight_pool host at budgets 5, 500 and 200,000:
   the verdict and problems, or the exception's type and message; and a
   hash of each host's faces (orbits, outer face id, face count);
@@ -29,8 +30,8 @@ minute. Cases:
 - the embedding computed for each of the 2,000 sparse_pool.txt graphs with
   its rot/outer lines stripped (a hash of the rotation, the outer dart, and
   the pipeline's status next to the pool's verdict), and for every r x c
-  grid with 2 <= r, c <= 12 under a seeded relabelling; each also with a
-  hash of its faces.
+  grid with 2 <= r, c <= 12 under a seeded relabelling, with the grid
+  shape it reads as; each also with a hash of its faces.
 """
 
 import hashlib
@@ -43,7 +44,13 @@ sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
 import workloads  # noqa: E402
 from pdpp import concentric, decomposition, gallery, oracle, reroute, solver  # noqa: E402
-from pdpp.instances import gen_grid_instance, gen_random_planar, parse_instance, write_instance  # noqa: E402
+from pdpp.instances import (  # noqa: E402
+    DppInstance,
+    gen_grid_instance,
+    gen_random_planar,
+    parse_instance,
+    write_instance,
+)
 from pdpp.plane import closed_interior, grid_ring, make_grid, plane_graph_from_edges  # noqa: E402
 
 if not Path(solver.__file__).resolve().is_relative_to(root):
@@ -124,6 +131,22 @@ for mode, sides, ks in (
                 res = solver.solve_pipeline(gen_grid_instance(side, k, seed), mode=mode)
                 emit("wide", mode, side, k, seed, *pipeline(res))
 
+for side in (7, 8, 9):
+    for seed in range(2):
+        inst = gen_grid_instance(side, 2, seed)
+        h = inst.graph
+        perm = list(range(1, h.n + 1))
+        random.Random(side * 100 + seed).shuffle(perm)
+        new = dict(zip(h.vertices, perm))
+        g = plane_graph_from_edges(
+            h.n,
+            [(new[u], new[v]) for u, v in h.edges],
+            {new[v]: [new[w] for w in h.rotation[v]] for v in h.vertices},
+            (new[h.outer_dart[0]], new[h.outer_dart[1]]),
+        )
+        inst = DppInstance(g, tuple((new[s], new[t]) for s, t in inst.pairs))
+        emit("wide-relabelled", side, 2, seed, *pipeline(solver.solve_pipeline(inst)))
+
 # -- verify_tight on the tight pool ------------------------------------------------
 hosts = workloads.read_pool(workloads.TIGHT_POOL)
 for row in hosts:
@@ -201,5 +224,5 @@ for rows in range(2, 13):
         perm = list(range(1, h.n + 1))
         random.Random(rows * 100 + cols).shuffle(perm)
         g = plane_graph_from_edges(h.n, [(perm[a - 1], perm[b - 1]) for a, b in h.edges])
-        emit("embed-grid", rows, cols, *embedding(g))
+        emit("embed-grid", rows, cols, *embedding(g), g.grid_shape)
         emit("embed-grid-faces", rows, cols, faces(g))
