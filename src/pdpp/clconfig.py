@@ -1,9 +1,11 @@
 """Cycle-and-linkage configurations: segments, convexity, segment trees,
 parallel segment classes, and tilted-grid extraction.
 
-All region reasoning happens on face sets of the host embedding: a segment's
-chords, its zone, and the tree of regions are computed by dual reachability
-with the relevant paths acting as barriers.
+All region reasoning happens on face sets of the host embedding, through
+`plane.face_regions` with the relevant paths as barriers: a segment's zone,
+the segment tree's regions, the region between two parallel segments and
+the out-structure's caves. `plane.face_closure` turns a face set back into
+its vertices and edges.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ from .plane import (
     Edge,
     PlaneGraph,
     PlaneGraphError,
+    closed_interior,
+    cycle_from_edges,
+    face_closure,
+    face_regions,
     norm_edge,
+    path_edges,
 )
 
 
@@ -83,9 +90,7 @@ class Segment:
 
     @property
     def edges(self) -> frozenset[Edge]:
-        return frozenset(
-            norm_edge(a, b) for a, b in zip(self.vertices, self.vertices[1:])
-        )
+        return path_edges(self.vertices)
 
     @property
     def endpoints(self) -> tuple[int, int]:
@@ -150,44 +155,12 @@ def _count_semichord_runs(seg, span, v_out, e_out) -> int:
     return count
 
 
-def _face_components(
-    g: PlaneGraph, faces: frozenset[int], barrier_edges: frozenset[Edge]
-) -> list[frozenset[int]]:
-    """Components of the face set under shared-edge adjacency minus barriers."""
-    comps = []
-    left = set(faces)
-    while left:
-        start = min(left)
-        comp = {start}
-        queue = deque([start])
-        left.discard(start)
-        while queue:
-            f = queue.popleft()
-            for u, v in g.faces()[f]:
-                e = norm_edge(u, v)
-                if e in barrier_edges:
-                    continue
-                other = g.face_of_dart((v, u))
-                if other in left:
-                    left.discard(other)
-                    comp.add(other)
-                    queue.append(other)
-        comps.append(frozenset(comp))
-    return comps
-
-
-def _closure_vertices(g: PlaneGraph, faces: frozenset[int]) -> frozenset[int]:
-    out: set[int] = set()
-    for f in faces:
-        out |= g.face_vertices(f)
-    return frozenset(out)
-
-
-def _closure_edges(g: PlaneGraph, faces: frozenset[int]) -> frozenset[Edge]:
-    out: set[Edge] = set()
-    for f in faces:
-        out |= g.face_edges(f)
-    return frozenset(out)
+def _region_faces(region: dict[int, int]) -> dict[int, frozenset[int]]:
+    """The faces of each region of a `face_regions` map, by label, in label order."""
+    groups: dict[int, set[int]] = {}
+    for f, label in region.items():
+        groups.setdefault(label, set()).add(f)
+    return {label: frozenset(groups[label]) for label in sorted(groups)}
 
 
 # -- segments ----------------------------------------------------------------------
@@ -201,6 +174,7 @@ def segments(q: CLConfiguration) -> list[Segment]:
     discs = q.cycles.discs
     cyc_vsets = [c.vertex_set for c in q.cycles.cycles]
     cyc_esets = [c.edges for c in q.cycles.cycles]
+    central_face = min(discs[0].faces)
     out: list[Segment] = []
     for pi, path in enumerate(q.linkage.paths):
         runs = _component_runs(
@@ -237,6 +211,11 @@ def segments(q: CLConfiguration) -> list[Segment]:
                             lambda x, y, d=inner: norm_edge(x, y) not in d.edges,
                         )
                     chords.append(Chord(lvl, span[0], span[1], semis))
+            # a 0-chord-free segment's zone: the outer disc's faces it cuts off
+            zone: Optional[frozenset[int]] = None
+            if not any(ch.level == 0 for ch in chords):
+                region = face_regions(g, outer.faces, path_edges(seg_vertices))
+                zone = frozenset(f for f, lab in region.items() if lab != region[central_face])
             seg = Segment(
                 index=len(out),
                 path_index=pi,
@@ -244,30 +223,10 @@ def segments(q: CLConfiguration) -> list[Segment]:
                 eccentricity=ecc,
                 extremal=(ecc == r),
                 chords=tuple(chords),
-                zone_faces=None,
+                zone_faces=zone,
             )
             out.append(seg)
-    # zones for 0-chord-free segments
-    central_face = min(q.cycles.discs[0].faces)
-    finished: list[Segment] = []
-    for seg in out:
-        zone: Optional[frozenset[int]] = None
-        if not seg.chords_at(0):
-            comps = _face_components(g, outer.faces, seg.edges)
-            non_central = [c for c in comps if central_face not in c]
-            zone = frozenset().union(*non_central) if non_central else frozenset()
-        finished.append(
-            Segment(
-                seg.index,
-                seg.path_index,
-                seg.vertices,
-                seg.eccentricity,
-                seg.extremal,
-                seg.chords,
-                zone,
-            )
-        )
-    return finished
+    return out
 
 
 # -- convexity ----------------------------------------------------------------------
@@ -307,8 +266,7 @@ def is_convex(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> Conve
                     return ConvexityReport(False, s.index, "ii.c", lvl)
         if s.eccentricity < r:
             assert s.zone_faces is not None
-            zone_v = _closure_vertices(g, s.zone_faces)
-            zone_e = _closure_edges(g, s.zone_faces)
+            zone_v, zone_e = face_closure(g, s.zone_faces)
             found = False
             for other in by_ecc.get(s.eccentricity + 1, ()):
                 if other.index == s.index:
@@ -417,29 +375,24 @@ def out_structure(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> O
                 continue
             sub = tuple(path[a : b + 1])
             internal = sub[1:-1]
-            sub_edges = {norm_edge(x, y) for x, y in zip(sub, sub[1:])}
             if any(v in outer_d.vertices for v in internal) or (
-                sub_edges & inside_only_edges
+                path_edges(sub) & inside_only_edges
             ):
                 continue
             out_segs.append(sub)
 
     # faces of out(L): group host faces crossing only non-out edges
-    all_faces = frozenset(range(len(g.faces())))
-    groups = _face_components(g, all_faces, frozenset(out_edges))
-    central_face = min(q.cycles.discs[0].faces)
-    disc_group = next(grp for grp in groups if central_face in grp)
+    region = face_regions(g, range(len(g.faces())), out_edges)
+    disc_group = region[min(q.cycles.discs[0].faces)]
     extremal_pieces = [s for s in segs if s.extremal]
     caves: list[frozenset[int]] = []
-    for grp in groups:
-        if grp == disc_group:
+    for label, grp in _region_faces(region).items():
+        if label == disc_group:
             continue
-        grp_edges = _closure_edges(g, grp)
-        grp_verts = _closure_vertices(g, grp)
+        grp_verts, grp_edges = face_closure(g, grp)
         boundary_pieces: list[tuple[int, ...]] = []
         for piece in out_segs:
-            pe = {norm_edge(a, b) for a, b in zip(piece, piece[1:])}
-            if pe <= grp_edges:
+            if path_edges(piece) <= grp_edges:
                 boundary_pieces.append(piece)
         for s in extremal_pieces:
             if len(s.vertices) == 1:
@@ -509,22 +462,18 @@ def segment_tree(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> Se
     g = q.graph
     outer = q.outer_disc()
     barriers = frozenset().union(*(s.edges for s in segs)) if segs else frozenset()
-    comps = _face_components(g, outer.faces, barriers)
-    comp_of: dict[int, int] = {}
-    for ci, comp in enumerate(comps):
-        for f in comp:
-            comp_of[f] = ci
-    central_face = min(q.cycles.discs[0].faces)
-    root_comp = comp_of[central_face]
+    # regions are named by their least face, and comps lists them in that order
+    comp_of = face_regions(g, outer.faces, barriers)
+    comps = _region_faces(comp_of)
+    root_comp = comp_of[min(q.cycles.discs[0].faces)]
 
-    tree_adj: dict[int, dict[int, int]] = {i: {} for i in range(len(comps))}
+    tree_adj: dict[int, dict[int, int]] = {c: {} for c in comps}
     for s in segs:
         if s.extremal:
             continue
         pairs: set[tuple[int, int]] = set()
         for u, v in s.edges:
-            fa = g.face_of_dart((u, v))
-            fb = g.face_of_dart((v, u))
+            fa, fb = g.faces_of_edge((u, v))
             if fa in comp_of and fb in comp_of:
                 ca, cb = comp_of[fa], comp_of[fb]
                 if ca != cb:
@@ -565,12 +514,11 @@ def segment_tree(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> Se
             seg_labels[node_of_comp[c]] = seg_to_parent[c]
 
     # extremal leaves hang under weak-dual leaf regions
-    tminus_degree = {c: len(tree_adj[c]) for c in range(len(comps))}
     for s in segs:
         if not s.extremal:
             continue
-        host_comp = _extremal_region(g, q, s, comp_of)
-        if host_comp is None or tminus_degree[host_comp] > 1:
+        host_comp = _extremal_region(g, s, comp_of)
+        if host_comp is None or len(tree_adj[host_comp]) > 1:
             continue
         parent.append(node_of_comp[host_comp])
         kinds.append("extremal")
@@ -597,7 +545,7 @@ def segment_tree(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> Se
                 cnt += 1
             x = parent[x]
         real_height = max(real_height, cnt + 1)
-    dilation = _dilation(parent, children, deg)
+    dilation = _dilation(parent, deg)
     return SegmentTree(
         tuple(parent),
         tuple(kinds),
@@ -610,7 +558,7 @@ def segment_tree(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> Se
     )
 
 
-def _extremal_region(g, q, s: Segment, comp_of: dict[int, int]) -> Optional[int]:
+def _extremal_region(g, s: Segment, comp_of: dict[int, int]) -> Optional[int]:
     if len(s.vertices) >= 2:
         for u, v in s.edges:
             for f in g.faces_of_edge((u, v)):
@@ -618,53 +566,30 @@ def _extremal_region(g, q, s: Segment, comp_of: dict[int, int]) -> Optional[int]
                     return comp_of[f]
         return None
     v = s.vertices[0]
-    for f, comp in comp_of.items():
-        if v in g.face_vertices(f):
-            return comp
-    return None
+    return min((c for f, c in comp_of.items() if v in g.face_vertices(f)), default=None)
 
 
-def _dilation(parent, children, deg) -> int:
-    n = len(parent)
+def _dilation(parent, deg) -> int:
+    """Edges on a longest chain: a tree path whose inner nodes have degree 2
+    and are not the root.
+
+    Such a node has one child, so every maximal chain runs straight up from
+    a node that is not inner to its nearest ancestor that is not inner.
+    """
     best = 0
-    # chains: maximal paths whose internal vertices have degree 2 and are not the root
-    for i in range(n):
-        for j in range(i + 1, n):
-            path = _tree_path(parent, i, j)
-            if path is None:
-                continue
-            internal = path[1:-1]
-            if all(deg[x] == 2 and x != 0 for x in internal):
-                best = max(best, len(path) - 1)
+    for x in range(len(parent)):
+        if deg[x] == 2 and x != 0:
+            continue
+        length, y = 1, parent[x]
+        if y < 0:
+            continue
+        while deg[y] == 2 and y != 0:
+            length, y = length + 1, parent[y]
+        best = max(best, length)
     return best
 
 
-def _tree_path(parent, a, b) -> Optional[list[int]]:
-    anc_a = []
-    x = a
-    while x != -1:
-        anc_a.append(x)
-        x = parent[x]
-    anc_set = set(anc_a)
-    x = b
-    path_b = []
-    while x not in anc_set:
-        path_b.append(x)
-        x = parent[x]
-    meet = x
-    path_a = []
-    y = a
-    while y != meet:
-        path_a.append(y)
-        y = parent[y]
-    return path_a + [meet] + list(reversed(path_b))
-
-
 # -- parallel segments and types --------------------------------------------------------
-
-
-def _cyclic_positions(q: CLConfiguration) -> dict[int, int]:
-    return {v: i for i, v in enumerate(q.outer_cycle().vertices)}
 
 
 def _arc_vertices(cyc: tuple[int, ...], a: int, b: int) -> frozenset[int]:
@@ -689,36 +614,36 @@ def _arc_edge(cyc: tuple[int, ...], a: int, b: int, skip: frozenset[Edge]) -> Op
     return None
 
 
-def parallel(
-    q: CLConfiguration,
-    s1: Segment,
-    s2: Segment,
-    segs: list[Segment],
-    _pos: Optional[dict[int, int]] = None,
-) -> bool:
+def _connecting_arcs(q: CLConfiguration, s1: Segment, s2: Segment) -> list[tuple[int, int]]:
+    """The two arcs of the outer cycle from one segment's endpoints to the
+    other's, as (start, end) positions; ConfigError if the segments interleave."""
+    pos = {v: i for i, v in enumerate(q.outer_cycle().vertices)}
+    pts = sorted((pos[v], owner) for owner, s in ((1, s1), (2, s2)) for v in set(s.endpoints))
+    # the two owner-change gaps are the connecting arcs
+    arcs = [(a, b) for (a, o), (b, p) in zip(pts, pts[1:] + pts[:1]) if o != p]
+    if len(arcs) != 2:
+        raise ConfigError(f"segments {s1.index} and {s2.index} interleave on the outer cycle")
+    return arcs
+
+
+def _region_between(
+    q: CLConfiguration, s1: Segment, s2: Segment, arc: tuple[int, int]
+) -> tuple[dict[int, int], Optional[int]]:
+    """The outer disc's regions with both segments as barriers, and the
+    region that `arc`'s first edge off the segments borders (None if none)."""
+    barriers = s1.edges | s2.edges
+    region = face_regions(q.graph, q.outer_disc().faces, barriers)
+    probe = _arc_edge(q.outer_cycle().vertices, *arc, barriers)
+    inner = [] if probe is None else [f for f in q.graph.faces_of_edge(probe) if f in region]
+    return region, (region[inner[0]] if inner else None)
+
+
+def parallel(q: CLConfiguration, s1: Segment, s2: Segment, segs: list[Segment]) -> bool:
     """The paper's three-clause parallelism test for two distinct segments."""
     if s1.index == s2.index:
         return True
-    g = q.graph
     cyc = q.outer_cycle().vertices
-    pos = _pos if _pos is not None else _cyclic_positions(q)
-    pts: list[tuple[int, int]] = []  # (position, owner)
-    for owner, s in ((1, s1), (2, s2)):
-        for v in set(s.endpoints):
-            pts.append((pos[v], owner))
-    pts.sort()
-    owners = [o for _, o in pts]
-    changes = sum(1 for i in range(len(pts)) if owners[i] != owners[(i + 1) % len(pts)])
-    if changes != 2:
-        raise ConfigError(
-            f"segments {s1.index} and {s2.index} interleave on the outer cycle"
-        )
-    # the two owner-change gaps are the connecting arcs
-    arcs: list[tuple[int, int]] = []
-    for i in range(len(pts)):
-        j = (i + 1) % len(pts)
-        if owners[i] != owners[j]:
-            arcs.append((pts[i][0], pts[j][0]))
+    arcs = _connecting_arcs(q, s1, s2)
     for a, b in arcs:
         arc_set = _arc_vertices(cyc, a, b)
         for other in segs:
@@ -728,23 +653,8 @@ def parallel(
             if x in arc_set and y in arc_set:
                 return False
     # clause (3): the region between the segments must not contain disc 0
-    barriers = s1.edges | s2.edges
-    outer_faces = q.outer_disc().faces
-    comps = _face_components(g, outer_faces, frozenset(barriers))
-    comp_of: dict[int, int] = {}
-    for ci, comp in enumerate(comps):
-        for f in comp:
-            comp_of[f] = ci
-    central = comp_of[min(q.cycles.discs[0].faces)]
-    a, b = arcs[0]
-    probe = _arc_edge(cyc, a, b, frozenset(barriers))
-    if probe is None:
-        return True
-    inner_faces = [f for f in g.faces_of_edge(probe) if f in comp_of]
-    if not inner_faces:
-        return True
-    between = comp_of[inner_faces[0]]
-    return between != central
+    region, between = _region_between(q, s1, s2, arcs[0])
+    return between is None or between != region[min(q.cycles.discs[0].faces)]
 
 
 def segment_types(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> list[list[Segment]]:
@@ -752,12 +662,11 @@ def segment_types(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> l
     if segs is None:
         segs = segments(q)
     n = len(segs)
-    pos = _cyclic_positions(q)
     rel = [[False] * n for _ in range(n)]
     for i in range(n):
         rel[i][i] = True
         for j in range(i + 1, n):
-            p = parallel(q, segs[i], segs[j], segs, pos)
+            p = parallel(q, segs[i], segs[j], segs)
             rel[i][j] = rel[j][i] = p
     for i in range(n):
         for j in range(n):
@@ -922,10 +831,7 @@ class TiltedGrid:
     def intersection(self, i: int, j: int) -> tuple[frozenset[int], frozenset[Edge]]:
         xi = self.x_paths[i - 1]
         zj = self.z_paths[j - 1]
-        xv, zv = set(xi), set(zj)
-        xe = {norm_edge(a, b) for a, b in zip(xi, xi[1:])}
-        ze = {norm_edge(a, b) for a, b in zip(zj, zj[1:])}
-        return frozenset(xv & zv), frozenset(xe & ze)
+        return frozenset(xi) & frozenset(zj), path_edges(xi) & path_edges(zj)
 
 
 def perimeter_cycle(u: TiltedGrid) -> Cycle:
@@ -936,26 +842,10 @@ def perimeter_cycle(u: TiltedGrid) -> Cycle:
     edge_set: set[Edge] = set()
     for p in (u.x_paths[0], u.x_paths[-1], u.z_paths[0], u.z_paths[-1]):
         edge_set.update(norm_edge(a, b) for a, b in zip(p, p[1:]))
-    deg: dict[int, list[int]] = {}
-    for a, b in edge_set:
-        deg.setdefault(a, []).append(b)
-        deg.setdefault(b, []).append(a)
-    if any(len(nb) != 2 for nb in deg.values()):
-        raise ConfigError("perimeter paths do not close into a cycle")
-    start = min(deg)
-    seq = [start]
-    prev = None
-    cur = start
-    while True:
-        a, b = deg[cur]
-        nxt = a if a != prev else b
-        if nxt == start:
-            break
-        seq.append(nxt)
-        prev, cur = cur, nxt
-    if len(seq) != len(deg):
-        raise ConfigError("perimeter is not a single cycle")
-    return Cycle(tuple(seq))
+    cyc = cycle_from_edges(edge_set)
+    if cyc is None:
+        raise ConfigError("perimeter paths do not close into a single cycle")
+    return cyc
 
 
 def verify_tilted_grid(
@@ -1028,13 +918,9 @@ def verify_tilted_grid(
     if problems:
         return CheckResult(False, tuple(problems))
     if linkage is not None and r >= 2:
-        from .plane import closed_interior
-
         disc = closed_interior(g, perimeter_cycle(u))
         zv = frozenset(v for p in u.z_paths for v in p)
-        ze = frozenset(
-            norm_edge(a, b) for p in u.z_paths for a, b in zip(p, p[1:])
-        )
+        ze = frozenset().union(*(path_edges(p) for p in u.z_paths))
         lv = linkage.vertices & disc.vertices
         le = linkage.edges & disc.edges
         if lv != zv:
@@ -1050,9 +936,7 @@ class TiltedGridConstructionError(ConfigError):
     pass
 
 
-def extract_tilted_grid(
-    q: CLConfiguration, cls: list[Segment], segs: Optional[list[Segment]] = None
-) -> TiltedGrid:
+def extract_tilted_grid(q: CLConfiguration, cls: list[Segment]) -> TiltedGrid:
     """Build an L-tidy tilted grid of capacity ceil(|cls|/2) from a parallel class."""
     if not cls:
         raise ConfigError("empty segment class")
@@ -1076,13 +960,7 @@ def extract_tilted_grid(
         u = TiltedGrid(((v,),), ((v,),))
         return u
     for s in ordered[:mprime]:
-        deepest = q.cycles.cycles[s.eccentricity]
-        hits = [v for v in s.vertices if v in deepest.vertex_set]
-        run = all(
-            g.has_edge(a, b) or a == b
-            for a, b in zip(hits, hits[1:])
-        )
-        if not hits:
+        if q.cycles.cycles[s.eccentricity].vertex_set.isdisjoint(s.vertices):
             raise TiltedGridConstructionError("segment misses its eccentricity cycle")
     s1, sm = ordered[0], ordered[mprime - 1]
     a_idx = eccs[mprime - 1]  # innermost annulus cycle index
@@ -1091,39 +969,15 @@ def extract_tilted_grid(
         raise TiltedGridConstructionError("annulus exceeds the cycle family")
     ann_faces = q.cycles.discs[b_idx].faces - q.cycles.discs[a_idx].faces
     # region between s1 and sm
-    barriers = s1.edges | sm.edges
-    outer_faces = q.outer_disc().faces
-    comps = _face_components(g, outer_faces, frozenset(barriers))
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for f in comp:
-            comp_of[f] = ci
-    pos = _cyclic_positions(q)
-    cyc = q.outer_cycle().vertices
-    pts = []
-    for owner, s in ((1, s1), (2, sm)):
-        for v in set(s.endpoints):
-            pts.append((pos[v], owner))
-    pts.sort()
-    owners = [o for _, o in pts]
-    arcs = []
-    for i in range(len(pts)):
-        j = (i + 1) % len(pts)
-        if owners[i] != owners[j]:
-            arcs.append((pts[i][0], pts[j][0]))
-    if len(arcs) != 2:
-        raise TiltedGridConstructionError("class endpoints interleave on the outer cycle")
-    probe = _arc_edge(cyc, arcs[0][0], arcs[0][1], frozenset(barriers))
-    if probe is None:
+    region, between = _region_between(q, s1, sm, _connecting_arcs(q, s1, sm)[0])
+    if between is None:
         raise TiltedGridConstructionError("degenerate between-region")
-    inner = [f for f in g.faces_of_edge(probe) if f in comp_of]
-    between = comps[comp_of[inner[0]]]
-    ds_and_ann = frozenset(between) & ann_faces
-    delta_comps = _face_components(g, ds_and_ann, frozenset())
-    if not delta_comps:
+    ds_and_ann = frozenset(f for f, lab in region.items() if lab == between) & ann_faces
+    if not ds_and_ann:
         raise TiltedGridConstructionError("empty annulus crossing")
-    delta = min(delta_comps, key=lambda c: min(c))
-    delta_edges = _closure_edges(g, delta)
+    # crop to the piece of it that holds its least face
+    pieces = face_regions(g, ds_and_ann, ())
+    _, delta_edges = face_closure(g, (f for f, lab in pieces.items() if lab == min(ds_and_ann)))
 
     def crop(path_vertices: tuple[int, ...], closed: bool) -> tuple[int, ...]:
         n = len(path_vertices)
@@ -1198,8 +1052,6 @@ def _orient_tilted(u: TiltedGrid) -> TiltedGrid:
 
     x_paths.sort(key=x_key)
     # flip paths so that intersections increase
-    x1 = x_paths[0]
-    posx1 = {v: k for k, v in enumerate(x1)}
     for j in range(len(z_paths)):
         zp = z_paths[j]
         hits = [k for k, v in enumerate(zp) if v in set(x_paths[0])]

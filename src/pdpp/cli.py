@@ -210,7 +210,7 @@ def _default_grid_cycles(inst: DppInstance) -> list[Cycle]:
     if shape is None:
         raise ParseError(1, "--cycles is required for non-grid instances")
     side = min(shape)
-    max_offset = (side - 1) // 2 if side % 2 else side // 2 - 1
+    max_offset = (side - 2) // 2  # the innermost ring spans two rows or more
     if max_offset < 1:
         raise ParseError(1, "grid too small for an inner cycle family")
     return [grid_ring(inst.graph, off) for off in range(max_offset, 0, -1)]
@@ -290,7 +290,7 @@ def cmd_analyze(args) -> int:
             caps = []
             for cls in classes:
                 try:
-                    caps.append(extract_tilted_grid(q, cls, segs).capacity)
+                    caps.append(extract_tilted_grid(q, cls).capacity)
                 except ConfigError:
                     caps.append(None)
             report["tilted_capacities"] = caps

@@ -3,7 +3,12 @@
 Tightening is constructive (dual min-cut searches for strictly smaller
 enclosing cycles, iterated to a fixed point); `verify_tight` is the
 independent oracle that re-checks both tightness clauses by exhaustive
-cycle enumeration. The two never share code paths.
+cycle enumeration. The two share only `closed_interior`.
+
+The min-cut searches run on the dual with the forbidden crossings
+contracted by `plane.face_regions`, and `plane.cycle_from_edges` reads
+each cut back as a cycle. Rings of a grid minor follow
+`plane.rectangle_border`, as the host grid's own rings do.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from .plane import (
     PlaneGraph,
     PlaneGraphError,
     closed_interior,
+    cycle_from_edges,
+    face_regions,
+    rectangle_border,
     verify_minor_model,
 )
 
@@ -89,38 +97,20 @@ class _DualCut:
     def __init__(self, g: PlaneGraph, allowed: frozenset[Edge]):
         self.g = g
         self.allowed = allowed
-        nfaces = len(g.faces())
-        self.parent = list(range(nfaces))
-        for e in g.edges:
-            if e not in allowed:
-                a, b = g.faces_of_edge(e)
-                self._union(a, b)
+        # each contracted node is named by the least face it holds
+        self.node = face_regions(g, range(len(g.faces())), allowed)
         self.arcs: dict[int, list[tuple[int, Edge]]] = {}
         for e in sorted(allowed):
-            a, b = (self._find(f) for f in g.faces_of_edge(e))
+            a, b = (self.node[f] for f in g.faces_of_edge(e))
             if a == b:
                 continue
             self.arcs.setdefault(a, []).append((b, e))
             self.arcs.setdefault(b, []).append((a, e))
 
-    def _find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def _union(self, a: int, b: int) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def node(self, face: int) -> int:
-        return self._find(face)
-
     def min_cut_cycle(self, sources: set[int], sinks: set[int]) -> Optional[set[Edge]]:
         """Edges of a minimum cut separating sources from sinks, or None."""
-        src = {self._find(f) for f in sources}
-        snk = {self._find(f) for f in sinks}
+        src = {self.node[f] for f in sources}
+        snk = {self.node[f] for f in sinks}
         if src & snk:
             return None
         flow: dict[tuple[int, int, Edge], int] = {}
@@ -164,32 +154,6 @@ class _DualCut:
         return cut or None
 
 
-def _cycle_from_edge_set(edges: set[Edge]) -> Optional[Cycle]:
-    """Order a 2-regular connected edge set into a Cycle, else None."""
-    deg: dict[int, list[int]] = {}
-    for u, v in edges:
-        deg.setdefault(u, []).append(v)
-        deg.setdefault(v, []).append(u)
-    if any(len(nb) != 2 for nb in deg.values()):
-        return None
-    start = min(deg)
-    seq = [start]
-    prev = None
-    cur = start
-    while True:
-        a, b = deg[cur]
-        nxt = a if a != prev else b
-        if nxt == start:
-            break
-        seq.append(nxt)
-        prev, cur = cur, nxt
-        if len(seq) > len(edges):
-            return None
-    if len(seq) != len(edges):
-        return None
-    return Cycle(tuple(seq))
-
-
 # -- tightening -------------------------------------------------------------------
 
 
@@ -207,7 +171,7 @@ def _shrink_innermost(g: PlaneGraph, d0: DiskRegion) -> Optional[Cycle]:
             cut = cutter.min_cut_cycle({f_in}, {f_out} | outside)
             if cut is None:
                 continue
-            cyc = _cycle_from_edge_set(cut)
+            cyc = cycle_from_edges(cut)
             if cyc is None:
                 continue
             region = closed_interior(g, cyc)
@@ -233,7 +197,7 @@ def _slip_between(
         cut = cutter.min_cut_cycle(set(inner.faces), {f_out} | outside)
         if cut is None:
             continue
-        cyc = _cycle_from_edge_set(cut)
+        cyc = cycle_from_edges(cut)
         if cyc is None:
             continue
         region = closed_interior(g, cyc)
@@ -391,25 +355,6 @@ def lemma_side_requirement(depth: int, forbidden_count: int) -> int:
     return 2 * (depth + 1) * ceil_sqrt(forbidden_count + 1)
 
 
-def _ring_positions(block_r0: int, block_c0: int, side: int, ring: int) -> list[tuple[int, int]]:
-    """Grid positions of the ring-th ring (0 innermost) of a side x side block."""
-    half = side // 2
-    r0 = block_r0 + half - ring - 1
-    c0 = block_c0 + half - ring - 1
-    r1 = block_r0 + half + ring
-    c1 = block_c0 + half + ring
-    out = []
-    for c in range(c0, c1 + 1):
-        out.append((r0, c))
-    for r in range(r0 + 1, r1 + 1):
-        out.append((r, c1))
-    for c in range(c1 - 1, c0 - 1, -1):
-        out.append((r1, c))
-    for r in range(r1 - 1, r0, -1):
-        out.append((r, c0))
-    return out
-
-
 def _cycle_through_branch_sets(
     g: PlaneGraph, sets: list[frozenset[int]]
 ) -> Optional[Cycle]:
@@ -500,8 +445,12 @@ def concentric_from_grid(
             cycles: list[Cycle] = []
             ok = True
             for ring in range(depth + 1):
+                # the ring-th ring out from the block's centre, ring 0 innermost
+                top, left = r0 + depth - ring, c0 + depth - ring
+                span = 2 * ring + 1
                 sets = [
-                    model.phi[pos] for pos in _ring_positions(r0, c0, block, ring)
+                    model.phi[pos]
+                    for pos in rectangle_border(top, left, top + span, left + span)
                 ]
                 cyc = _cycle_through_branch_sets(g, sets)
                 if cyc is None:

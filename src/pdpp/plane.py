@@ -3,7 +3,7 @@
 A plane graph is stored combinatorially as a rotation system (clockwise
 neighbor order per vertex) plus a designated dart on the unbounded face.
 All region queries (interior/exterior of a cycle) are answered by dual-graph
-reachability, never by coordinates.
+reachability, never by coordinates; `face_regions` is the one dual walk.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, Optional, Sequence
 
 Edge = tuple[int, int]
 Dart = tuple[int, int]
@@ -367,44 +367,59 @@ class DiskRegion:
         )
 
 
-def interior_faces(g: PlaneGraph, c: Cycle) -> frozenset[int]:
-    """Face ids strictly inside c, by dual reachability from the outer face."""
-    check_cycle(g, c)
-    cyc_edges = c.edges
-    nfaces = len(g.faces())
-    outside: set[int] = set()
-    start = g.outer_face()
-    queue = deque([start])
-    outside.add(start)
-    while queue:
-        f = queue.popleft()
+def face_regions(
+    g: PlaneGraph, faces: Iterable[int], barriers: Container[Edge]
+) -> dict[int, int]:
+    """Each of `faces` mapped to the least face id of its region.
+
+    Two of `faces` share a region when a walk through `faces` joins them,
+    each step crossing a shared edge not in `barriers`. This is the one
+    dual-graph walk: cycle interiors, segment zones and regions, and the
+    contracted dual of the min-cut searches all read it.
+    """
+    inside = set(faces)
+    region: dict[int, int] = {}
+    for start in sorted(inside):
+        if start in region:
+            continue
+        region[start] = start
+        stack = [start]
+        while stack:
+            for u, v in g.faces()[stack.pop()]:
+                other = g.face_of_dart((v, u))
+                if other not in region and other in inside and norm_edge(u, v) not in barriers:
+                    region[other] = start
+                    stack.append(other)
+    return region
+
+
+def face_closure(g: PlaneGraph, faces: Iterable[int]) -> tuple[frozenset[int], frozenset[Edge]]:
+    """The vertices and edges on the boundaries of `faces`."""
+    verts: set[int] = set()
+    edges: set[Edge] = set()
+    for f in faces:
         for u, v in g.faces()[f]:
-            e = norm_edge(u, v)
-            if e in cyc_edges:
-                continue
-            other = g.face_of_dart((v, u))
-            if other not in outside:
-                outside.add(other)
-                queue.append(other)
-    return frozenset(range(nfaces)) - frozenset(outside)
+            verts.add(u)
+            edges.add(norm_edge(u, v))
+    return frozenset(verts), frozenset(edges)
+
+
+def interior_faces(g: PlaneGraph, c: Cycle) -> frozenset[int]:
+    """Face ids strictly inside c: those outside the outer face's region."""
+    check_cycle(g, c)
+    region = face_regions(g, range(len(g.faces())), c.edges)
+    outside = region[g.outer_face()]
+    return frozenset(f for f, r in region.items() if r != outside)
 
 
 def closed_interior(g: PlaneGraph, c: Cycle) -> DiskRegion:
-    """Closed interior of c: everything drawn inside or on the cycle."""
+    """Closed interior of c: everything drawn inside or on the cycle.
+
+    Every edge of c borders one face inside it, so the closure of the
+    interior faces holds the cycle, and no edge drawn outside c.
+    """
     inner = interior_faces(g, c)
-    verts = set(c.vertex_set)
-    for f in inner:
-        verts |= g.face_vertices(f)
-    edges = set(c.edges)
-    for f in inner:
-        edges |= g.face_edges(f)
-    # Edges with both endpoints on the cycle but drawn outside must be dropped;
-    # an edge is interior iff one of its sides is an interior face.
-    edges = {
-        e
-        for e in edges
-        if e in c.edges or any(fi in inner for fi in g.faces_of_edge(e))
-    }
+    verts, edges = face_closure(g, inner)
     # Isolated components embedded elsewhere never enter a cycle's interior
     # unless face-tracing put them there; rotation systems place each extra
     # component in the unbounded face by convention.
@@ -412,10 +427,39 @@ def closed_interior(g: PlaneGraph, c: Cycle) -> DiskRegion:
         cycle=c,
         side="interior",
         closed=True,
-        vertices=frozenset(verts),
-        edges=frozenset(edges),
+        vertices=verts,
+        edges=edges,
         faces=inner,
     )
+
+
+def cycle_from_edges(edges: Iterable[Edge]) -> Optional[Cycle]:
+    """The cycle a connected 2-regular edge set forms, else None.
+
+    The walk starts at the least vertex and leaves it towards the first
+    neighbour `edges` lists for it.
+    """
+    nbrs: dict[int, list[int]] = {}
+    for u, v in edges:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    if not nbrs or any(len(nb) != 2 for nb in nbrs.values()):
+        return None
+    seq = [min(nbrs)]
+    prev = None
+    while True:
+        a, b = nbrs[seq[-1]]
+        nxt = a if a != prev else b
+        if nxt == seq[0]:
+            break
+        prev = seq[-1]
+        seq.append(nxt)
+    return Cycle(tuple(seq)) if len(seq) == len(nbrs) else None
+
+
+def path_edges(vertices: Sequence[int]) -> frozenset[Edge]:
+    """The edges between consecutive vertices of a path."""
+    return frozenset(norm_edge(a, b) for a, b in zip(vertices, vertices[1:]))
 
 
 # -- grids -----------------------------------------------------------------
@@ -462,11 +506,12 @@ def make_grid(rows: int, cols: int) -> PlaneGraph:
 def detect_grid(g: PlaneGraph) -> Optional[tuple[tuple[int, int], dict[int, tuple[int, int]]]]:
     """Recognize a full grid and recover coordinates, or None.
 
-    The outer face boundary is split at its four degree-2 corners into the
-    grid's sides, giving the first row and column; the interior fills
-    diagonally (each cell is the common unseen neighbor of its north and
-    west cells). The final edge set is checked exactly. A path is the
-    1 x n grid, numbered from its smaller end.
+    The boundary of the face through the four degree-2 corners, the outer
+    face or not, is split at those corners into the grid's sides, giving
+    the first row and column; the interior fills diagonally (each cell is
+    the common unseen neighbor of its north and west cells). The final
+    edge set is checked exactly. A path is the 1 x n grid, numbered from
+    its smaller end.
     """
     if g.n == 1:
         return (1, 1), {1: (1, 1)}
@@ -493,7 +538,13 @@ def detect_grid(g: PlaneGraph) -> Optional[tuple[tuple[int, int], dict[int, tupl
     corners = [v for v in g.vertices if len(nbr[v]) == 2]
     if len(corners) != 4:
         return None
-    boundary = [u for u, _ in g.faces()[g.outer_face()]]
+    # The border is the face through all four corners, whichever face is
+    # the unbounded one: the outer face if it qualifies, else a face at a corner.
+    around = [g.outer_face()] + [g.face_of_dart((corners[0], w)) for w in g.rotation[corners[0]]]
+    border = next((f for f in around if set(corners) <= g.face_vertices(f)), None)
+    if border is None:
+        return None
+    boundary = [u for u, _ in g.faces()[border]]
     if len(boundary) != len(set(boundary)):
         return None
     # split the boundary cycle at the corners into the four sides
@@ -579,16 +630,21 @@ def grid_ring(g: PlaneGraph, offset: int) -> Cycle:
     c0, c1 = 1 + offset, cols - offset
     if r1 - r0 < 1 or c1 - c0 < 1:
         raise PlaneGraphError(f"grid has no ring at offset {offset}")
-    seq: list[int] = []
-    for c in range(c0, c1 + 1):
-        seq.append(at[(r0, c)])
-    for r in range(r0 + 1, r1 + 1):
-        seq.append(at[(r, c1)])
-    for c in range(c1 - 1, c0 - 1, -1):
-        seq.append(at[(r1, c)])
-    for r in range(r1 - 1, r0, -1):
-        seq.append(at[(r, c0)])
-    return Cycle(tuple(seq))
+    return Cycle(tuple(at[p] for p in rectangle_border(r0, c0, r1, c1)))
+
+
+def rectangle_border(r0: int, c0: int, r1: int, c1: int) -> list[tuple[int, int]]:
+    """Positions round the border of rows r0..r1 and columns c0..c1.
+
+    Clockwise with row r0 on top, from (r0, c0): along row r0, down column
+    c1, back along row r1, up column c0.
+    """
+    return (
+        [(r0, c) for c in range(c0, c1 + 1)]
+        + [(r, c1) for r in range(r0 + 1, r1 + 1)]
+        + [(r1, c) for c in range(c1 - 1, c0 - 1, -1)]
+        + [(r, c0) for r in range(r1 - 1, r0, -1)]
+    )
 
 
 def outer_cycle(g: PlaneGraph) -> Cycle:

@@ -29,6 +29,7 @@ from .plane import (
     grid_vertex,
     make_grid,
     norm_edge,
+    path_edges,
     verify_topological_minor,
 )
 
@@ -639,9 +640,7 @@ def improve_over_tilted_grid(
     if new_linkage.pattern != linkage.pattern:
         raise ImprovementError("stitched linkage changed the pattern")
     new_linkage.check_in(g)
-    z_edges = frozenset(
-        norm_edge(a, b) for p in u.z_paths for a, b in zip(p, p[1:])
-    )
+    z_edges = frozenset().union(*(path_edges(p) for p in u.z_paths))
     before = len(z_edges & linkage.edges)
     after = len(z_edges & new_linkage.edges)
     if after >= before:

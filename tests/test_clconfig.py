@@ -1,11 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import cheap_configuration, corpus_host
 
 from pdpp.clconfig import (
     CLConfiguration,
+    _dilation,
     ConfigError,
     count_extremal,
     cyclically_connected,
@@ -234,6 +236,43 @@ class TestSegmentTree:
         tree = segment_tree(showcase)
         assert tree.height <= tree.dilation * tree.real_height
 
+    def test_showcase_dilation_matches_all_pairs_reference(self, showcase):
+        tree = segment_tree(showcase)
+        assert tree.dilation == reference_dilation(tree.parent)
+
+
+def reference_dilation(parent):
+    """Edges on a longest tree path whose inner nodes have degree 2 and are not
+    the root, over every pair of nodes (node 0 is the root)."""
+    n = len(parent)
+    deg = [(p >= 0) + parent.count(x) for x, p in enumerate(parent)]
+
+    def ancestors(x):
+        out = []
+        while x != -1:
+            out.append(x)
+            x = parent[x]
+        return out
+
+    best = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            up_i, up_j = ancestors(i), ancestors(j)
+            meet = next(x for x in up_i if x in up_j)
+            path = up_i[: up_i.index(meet) + 1] + up_j[: up_j.index(meet)][::-1]
+            if all(deg[x] == 2 and x != 0 for x in path[1:-1]):
+                best = max(best, len(path) - 1)
+    return best
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 10**6), max_size=30))
+def test_dilation_matches_all_pairs_reference(picks):
+    # node x + 1 hangs under an earlier node, as segment_tree numbers them
+    parent = [-1] + [p % (x + 1) for x, p in enumerate(picks)]
+    deg = [(p >= 0) + parent.count(x) for x, p in enumerate(parent)]
+    assert _dilation(parent, deg) == reference_dilation(parent)
+
 
 class TestTypes:
     def test_showcase_classes(self, showcase):
@@ -255,7 +294,7 @@ class TestTiltedGrid:
         classes = segment_types(showcase, segs)
         big = max(classes, key=len)
         assert len(big) == 4
-        u = extract_tilted_grid(showcase, big, segs)
+        u = extract_tilted_grid(showcase, big)
         assert u.capacity == 2
         assert verify_tilted_grid(showcase.graph, u, showcase.linkage)
 
@@ -263,7 +302,7 @@ class TestTiltedGrid:
         segs = segments(showcase)
         classes = segment_types(showcase, segs)
         single = next(c for c in classes if len(c) == 1)
-        u = extract_tilted_grid(showcase, single, segs)
+        u = extract_tilted_grid(showcase, single)
         assert u.capacity == 1
 
     def test_five_member_class_capacity_three(self):
@@ -292,7 +331,7 @@ class TestTiltedGrid:
         classes = segment_types(q, segs)
         big = max(classes, key=len)
         assert len(big) == 5
-        u = extract_tilted_grid(q, big, segs)
+        u = extract_tilted_grid(q, big)
         assert u.capacity == 3
         assert verify_tilted_grid(q.graph, u, q.linkage)
 

@@ -330,11 +330,13 @@ class TestRoute:
 
 
 class TestAnalyze:
-    def test_empty_linkage_grid_default_cycles(self, tmp_path, capsys):
+    @pytest.mark.parametrize("side", range(4, 10))
+    def test_empty_linkage_grid_default_cycles(self, tmp_path, capsys, side):
+        # odd sides too: the innermost default ring is at offset (side - 2) // 2
         from pdpp.instances import gen_grid_instance
 
-        f = tmp_path / "g6.dpp"
-        f.write_text(write_instance(gen_grid_instance(6, 2, 2)))
+        f = tmp_path / f"g{side}.dpp"
+        f.write_text(write_instance(gen_grid_instance(side, 2, 2)))
         assert main(["analyze", str(f), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["segments"] == 0

@@ -1,11 +1,12 @@
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdpp.gallery import ring_lattice
-from pdpp.instances import gen_random_planar
+from pdpp.instances import DppInstance, gen_grid_instance, gen_random_planar
 from pdpp.plane import (
     Cycle,
     EmbeddingError,
@@ -14,7 +15,9 @@ from pdpp.plane import (
     PlaneGraphError,
     centers,
     closed_interior,
+    cycle_from_edges,
     delete_vertices,
+    face_regions,
     grid_ring,
     grid_vertex,
     make_grid,
@@ -179,6 +182,24 @@ class TestGrid:
                         if nb in at
                     }
                     assert rebuilt == g.edges
+
+    @pytest.mark.parametrize("side, k, seed", [(7, 2, 0), (7, 2, 1), (8, 2, 5), (7, 3, 0)])
+    def test_grid_is_read_whichever_face_is_outer(self, side, k, seed):
+        # the border is the face through the four corners, outer or not; the
+        # first twelve faces of (7, 2, 0) include an inner cell, dart (9, 16)
+        from pdpp.solver import solve_pipeline
+
+        inst = gen_grid_instance(side, k, seed)
+        h = inst.graph
+        want = solve_pipeline(inst).outcome.status
+        for i, face in enumerate(h.faces()[:12]):
+            g = PlaneGraph(h.n, h.edges, h.rotation, face[0])
+            assert g.outer_face() == i
+            assert (g.grid_shape, g.grid_coords) == (h.grid_shape, h.grid_coords), face[0]
+            if i % 4 == 0:
+                res = solve_pipeline(DppInstance(g, inst.pairs))
+                assert res.outcome.status == want, face[0]
+                assert len(res.certificates) == 1, face[0]
 
     def test_deletions_are_not_grids(self):
         for rows, cols in ((3, 3), (3, 5), (4, 4), (5, 6)):
@@ -481,3 +502,93 @@ def test_faces_match_reference_walk(g):
     want = min(max(orbits, key=len)) if orbits else None
     assert h.outer_dart == want
     assert h.outer_face() == (orbits.index(max(orbits, key=len)) if orbits else -1)
+
+
+# -- one dual walk: face regions and cycle interiors against reference walks ----------
+
+
+def reference_components(g, faces, barriers):
+    """Components of `faces` across edges not in `barriers`, by breadth-first
+    search from the least face left over."""
+    comps = []
+    left = set(faces)
+    while left:
+        start = min(left)
+        comp = {start}
+        queue = deque([start])
+        left.discard(start)
+        while queue:
+            f = queue.popleft()
+            for u, v in g.faces()[f]:
+                if norm_edge(u, v) in barriers:
+                    continue
+                other = g.face_of_dart((v, u))
+                if other in left:
+                    left.discard(other)
+                    comp.add(other)
+                    queue.append(other)
+        comps.append(comp)
+    return comps
+
+
+def reference_union_find(g, allowed):
+    """Each face's root after joining the two faces of every edge not in `allowed`."""
+    parent = list(range(len(g.faces())))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in g.edges:
+        if e not in allowed:
+            ra, rb = (find(f) for f in g.faces_of_edge(e))
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return {f: find(f) for f in range(len(parent))}
+
+
+def reference_closed_interior(g, c):
+    """(faces, vertices, edges) of c's closed interior: faces not reached from
+    the outer face without crossing c, their closure with the cycle, and only
+    edges that border an interior face or lie on c."""
+    outside = {g.outer_face()}
+    queue = deque(outside)
+    while queue:
+        for u, v in g.faces()[queue.popleft()]:
+            other = g.face_of_dart((v, u))
+            if norm_edge(u, v) not in c.edges and other not in outside:
+                outside.add(other)
+                queue.append(other)
+    inner = frozenset(range(len(g.faces()))) - outside
+    verts = set(c.vertex_set).union(*(g.face_vertices(f) for f in inner))
+    edges = set(c.edges).union(*(g.face_edges(f) for f in inner))
+    edges = {e for e in edges if e in c.edges or any(f in inner for f in g.faces_of_edge(e))}
+    return inner, frozenset(verts), frozenset(edges)
+
+
+@settings(max_examples=150)
+@given(g=random_planar_graphs, data=st.data())
+def test_face_regions_match_reference_walks(g, data):
+    nfaces = len(g.faces())
+    faces = data.draw(st.sets(st.integers(0, nfaces - 1)))
+    barriers = frozenset(data.draw(st.sets(st.sampled_from(sorted(g.edges)))))
+    want = {f: min(comp) for comp in reference_components(g, faces, barriers) for f in comp}
+    assert face_regions(g, faces, barriers) == want
+    # over all faces, the least face of a region is the union-find root
+    assert face_regions(g, range(nfaces), barriers) == reference_union_find(g, barriers)
+
+
+@settings(max_examples=100)
+@given(g=random_planar_graphs)
+def test_closed_interior_matches_reference_walk(g):
+    for orbit in g.faces():
+        vs = tuple(u for u, _ in orbit)
+        if len(vs) < 3 or len(set(vs)) < len(vs):
+            continue
+        c = Cycle(vs)
+        got = closed_interior(g, c)
+        assert (got.faces, got.vertices, got.edges) == reference_closed_interior(g, c)
+        assert cycle_from_edges(c.edges).normalized() == c.normalized()
+        assert cycle_from_edges(set(c.edges) - {min(c.edges)}) is None

@@ -22,6 +22,17 @@ minute. Cases:
 - verify_tight on every tight_pool host at budgets 5, 500 and 200,000:
   the verdict and problems, or the exception's type and message; and a
   hash of each host's faces (orbits, outer face id, face count);
+- tighten on every tight_pool host's family: the cycles' vertex sequences;
+- on every tight tight_pool host with a cheapest linkage, and on
+  nested_chord_showcase: each segment (vertices, eccentricity, chords, a
+  hash of its zone), the is_convex report, touch-freeness, a hash of the
+  out-structure, the segment tree, the segment_types classes and, for each
+  class, the extracted tilted grid (capacity and a hash of its paths); the
+  same for five nested chords whose one class yields a capacity-3 grid;
+- concentric_from_grid on the identity and a 4 x 4 block model of the 7x7,
+  8x8 and 9x9 grids at depths 0 and 1, avoiding no vertex, a corner or a
+  centre, and tighten on families of the grid's own rings: the cycles'
+  vertex sequences;
 - the least work budget with which solve_bruteforce, best_linkage_for_pattern,
   dp_solve, branchwidth_decision and untangle_disk decide, with each answer
   at that budget and one below;
@@ -43,7 +54,7 @@ root = Path(sys.argv[1]).resolve()
 sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
 import workloads  # noqa: E402
-from pdpp import concentric, decomposition, gallery, oracle, reroute, solver  # noqa: E402
+from pdpp import clconfig, concentric, decomposition, gallery, oracle, reroute, solver  # noqa: E402
 from pdpp.instances import (  # noqa: E402
     DppInstance,
     gen_grid_instance,
@@ -51,7 +62,7 @@ from pdpp.instances import (  # noqa: E402
     parse_instance,
     write_instance,
 )
-from pdpp.plane import closed_interior, grid_ring, make_grid, plane_graph_from_edges  # noqa: E402
+from pdpp.plane import centers, closed_interior, grid_ring, make_grid, plane_graph_from_edges  # noqa: E402
 
 if not Path(solver.__file__).resolve().is_relative_to(root):
     sys.exit(f"error: imported pdpp from {solver.__file__}, not from {root}")
@@ -165,6 +176,83 @@ for row in hosts:
 
         s = least_budget(lambda b: decided(lambda: best(b)), 10_000_000)
         emit("linkage", row[0], s, outcome(lambda: best(s)), outcome(lambda: best(s - 1)))
+
+# -- configuration structure on tight hosts, and concentric extraction -------------
+
+
+def cycles_of(cc):
+    return [c.vertices for c in cc.cycles]
+
+
+def config_lines(tag, q):
+    """Segments, convexity, out-structure, segment tree, classes and tilted grids of q."""
+    segs = clconfig.segments(q)
+    for s in segs:
+        zone = None if s.zone_faces is None else short(repr(sorted(s.zone_faces)))
+        emit("seg", tag, s.index, s.path_index, s.vertices, s.eccentricity, s.extremal, s.chords, zone)
+    emit("convex", tag, clconfig.is_convex(q, segs), clconfig.is_touch_free(q))
+    out = clconfig.out_structure(q, segs)
+    caves = tuple(sorted(c) for c in out.caves)
+    terminals = [sorted(t) for t in (out.flying_terminals, out.invading_terminals, out.bouncing_terminals)]
+    emit("out", tag, short(repr((out.flying_hairs, out.hairs, out.out_segments, caves, terminals))))
+
+    def tree():
+        t = clconfig.segment_tree(q, segs)
+        regions = tuple(None if r is None else tuple(sorted(r)) for r in t.regions)
+        return (t.parent, t.kinds, short(repr(regions)), t.segment_of_edge,
+                t.height, t.real_height, t.dilation, t.leaves)
+
+    emit("tree", tag, outcome(tree))
+    try:
+        classes = clconfig.segment_types(q, segs)
+    except clconfig.ConfigError as exc:
+        emit("types", tag, f"raise {type(exc).__name__}: {exc}")
+        return
+    emit("types", tag, [[s.index for s in c] for c in classes])
+    for c in classes:
+        u = outcome(lambda: (lambda u: (u.capacity, short(repr((u.x_paths, u.z_paths)))))(
+            clconfig.extract_tilted_grid(q, c)))
+        emit("tilted", tag, [s.index for s in c], u)
+
+
+for row in hosts:
+    spec = workloads.HostSpec.parse(row[4:8])
+    g, vid = gallery.ring_lattice(3, spec.sectors, spokes=lambda ring, s: ring >= 1 or spec.spokes[s])
+    cc = concentric.make_concentric(g, [gallery.ring_cycle(vid, r, spec.sectors) for r in spec.family])
+    emit("tighten", row[0], outcome(lambda: cycles_of(concentric.tighten(g, cc))))
+    if row[2] != "tight":
+        continue
+    pairs = [(vid(2, a), vid(2, b)) for a, b in spec.pairs]
+    try:
+        best = oracle.best_linkage_for_pattern(g, pairs, list(cc.cycles))
+    except oracle.BudgetExceeded:
+        best = None
+    if best is not None:
+        config_lines(row[0], clconfig.CLConfiguration(g, cc, best))
+
+config_lines("showcase", gallery.nested_chord_showcase())
+# five nested chords of eccentricities 0..4 on seven rings: one class of capacity 3
+g, vid = gallery.ring_lattice(7, 16)
+chain = []
+for ecc in range(5):
+    a, b = ecc, 15 - ecc
+    chain.append(tuple([vid(r, a) for r in range(6, ecc - 1, -1)] + [vid(ecc, s) for s in range(a + 1, b + 1)]
+                       + [vid(r, b) for r in range(ecc + 1, 7)]))
+family = concentric.make_concentric(g, [gallery.ring_cycle(vid, r, 16) for r in range(6)])
+config_lines("chain", clconfig.CLConfiguration(g, family, oracle.Linkage(tuple(chain))))
+
+for side in (7, 8, 9):
+    g = make_grid(side, side)
+    for q in (4, side):
+        model = decomposition.find_grid_minor(g, q)
+        for depth in (0, 1):
+            for avoid in (frozenset(), frozenset({1}), frozenset({min(centers(g))})):
+                emit("concentric", side, q, depth, sorted(avoid), outcome(
+                    lambda: cycles_of(concentric.concentric_from_grid(g, model, avoid, depth))))
+    for offsets in ((1,), (2,), (2, 1), (3, 1), (3, 2, 1)):
+        if max(offsets) <= (side - 2) // 2:
+            family = concentric.make_concentric(g, [grid_ring(g, o) for o in offsets])
+            emit("tighten-grid", side, offsets, outcome(lambda: cycles_of(concentric.tighten(g, family))))
 
 # -- least deciding budgets ------------------------------------------------------
 for seed in range(40):
