@@ -90,6 +90,7 @@ def _load_instance(path: str) -> DppInstance:
 def _solve_one(path: str, args) -> tuple[str, int, dict]:
     inst = _load_instance(path)
     certificates: list[str] = []
+    no_certificate = None
     if args.engine == "oracle":
         out = solve_bruteforce(inst, budget=args.budget)
     elif args.engine == "dp":
@@ -100,6 +101,11 @@ def _solve_one(path: str, args) -> tuple[str, int, dict]:
     else:
         res = solve_pipeline(inst, mode=args.mode, dp_state_budget=args.budget)
         certificates = [c.log_line() for c in res.certificates]
+        if res.no_certificate is not None:
+            no_certificate = {
+                "dart": list(res.no_certificate.dart),
+                "pairs": list(res.no_certificate.pairs),
+            }
         out = res.outcome
         if args.emit_decomposition:
             if res.decomposition is None:
@@ -124,6 +130,7 @@ def _solve_one(path: str, args) -> tuple[str, int, dict]:
         "answer": out.status.value,
         "paths": [list(p) for p in out.solution.paths] if out.solution else None,
         "certificates": certificates,
+        "no_certificate": no_certificate,
     }
     return text, code, payload
 

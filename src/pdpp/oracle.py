@@ -1,10 +1,12 @@
-"""Exhaustive ground-truth solvers for desk-scale validation.
+"""Exhaustive ground-truth solvers for desk-scale validation, and checkers.
 
 A single backtracking engine enumerates vertex-disjoint path systems; it
 powers the exact yes/no decision, solution search, and exhaustive
 cheapest-linkage computation. It cuts only branches that hold no wanted
 system, so every answer equals plain enumeration's. A work budget makes
-indeterminacy explicit: the engine never silently gives up.
+indeterminacy explicit: the engine never silently gives up. The checkers
+(`verify_solution` for a YES, `verify_no_certificate` for a NO) read only
+the instance and share no code with the solvers whose answers they check.
 """
 
 from __future__ import annotations
@@ -243,6 +245,62 @@ def verify_solution(inst: DppInstance, sol: Solution) -> CheckResult:
                 problems.append(f"vertex {v} shared by paths {used[v]} and {i}")
             else:
                 used[v] = i
+    return CheckResult(not problems, tuple(problems))
+
+
+# -- NO certificates -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FaceCertificate:
+    """Proof of NO: two pairs whose terminals interleave on one face's walk.
+
+    The face is named by a dart `dart` on it; `pairs` are two indices into
+    the instance's pairs. If s1, s2, t1, t2 occur in that cyclic order on
+    the walk, each once, then a vertex drawn inside the face and joined to
+    the four occurrences closes any s1-t1 path into a cycle that separates
+    s2 from t2 (Jordan curve theorem), so the two pairs cannot be linked by
+    disjoint paths.
+    """
+
+    dart: tuple[int, int]
+    pairs: tuple[int, int]
+
+
+def verify_no_certificate(inst: DppInstance, cert: FaceCertificate) -> CheckResult:
+    """Check a face certificate on `inst`, walking the face from the rotation.
+
+    The walk is traced here from `inst.graph.rotation` alone: dart (u, v)
+    turns at v to (v, w), w the neighbour after u in v's clockwise rotation.
+    """
+    g = inst.graph
+    u0, v0 = cert.dart
+    if not (1 <= u0 <= g.n and v0 in g.rotation[u0]):
+        return CheckResult(False, (f"dart {cert.dart} is not an edge",))
+    i, j = cert.pairs
+    if i == j or not (0 <= i < inst.k and 0 <= j < inst.k):
+        return CheckResult(False, (f"pairs {cert.pairs} are not two pairs of the instance",))
+    walk = []
+    u, v = u0, v0
+    while True:
+        walk.append(u)
+        rot = g.rotation[v]
+        u, v = v, rot[(rot.index(u) + 1) % len(rot)]
+        if (u, v) == (u0, v0):
+            break
+    problems = []
+    where = {}
+    for x in (*inst.pairs[i], *inst.pairs[j]):
+        count = walk.count(x)
+        if count != 1:
+            problems.append(f"terminal {x} occurs {count} times on the face")
+        else:
+            where[x] = walk.index(x)
+    if not problems:
+        (s1, t1), (s2, t2) = inst.pairs[i], inst.pairs[j]
+        a, b = sorted((where[s1], where[t1]))
+        if (a < where[s2] < b) == (a < where[t2] < b):
+            problems.append(f"pairs {i} and {j} do not interleave on the face")
     return CheckResult(not problems, tuple(problems))
 
 

@@ -1,4 +1,5 @@
-"""Top-level algorithms: irrelevant-vertex reduction, decomposition DP, pipeline.
+"""Top-level algorithms: irrelevant-vertex reduction, one-face decisions,
+decomposition DP, pipeline.
 
 The DP runs over a nice tree decomposition with explicit edge-introduction
 nodes. States track, per bag vertex, whether it is untouched, a live end of
@@ -10,7 +11,7 @@ pairs accumulate in a done bitmask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .concentric import (
     ConcentricCycles,
@@ -28,10 +29,18 @@ from .decomposition import (
     verify_tree_decomposition,
 )
 from .instances import DppInstance, Solution
-from .oracle import SolveOutcome, Status, solve_bruteforce, verify_solution
+from .oracle import (
+    FaceCertificate,
+    SolveOutcome,
+    Status,
+    solve_bruteforce,
+    verify_no_certificate,
+    verify_solution,
+)
 from .plane import (
     Budget,
     BudgetExceeded,
+    Dart,
     GridMinorModel,
     PlaneGraph,
     PlaneGraphError,
@@ -597,6 +606,124 @@ def _solution_from_edges(inst: DppInstance, edges: set[tuple[int, int]]) -> Solu
     return Solution(tuple(paths))
 
 
+# -- instances with every terminal on one face -------------------------------------------
+
+
+def _terminal_face(g: PlaneGraph, terminals) -> Optional[tuple[Dart, ...]]:
+    """The walk of the least face on which each terminal occurs exactly once.
+
+    A vertex occurs on a face once per dart of its own on that face, so the
+    candidates are read off the terminals' darts; no face is scanned.
+    Returns None when no face qualifies.
+    """
+    common: Optional[set[int]] = None
+    for v in terminals:
+        count: dict[int, int] = {}
+        for w in g.rotation[v]:
+            f = g.face_of_dart((v, w))
+            count[f] = count.get(f, 0) + 1
+        once = {f for f, c in count.items() if c == 1}
+        common = once if common is None else common & once
+        if not common:
+            return None
+    return g.faces()[min(common)]
+
+
+def _interleaving(order: list[int]) -> Optional[tuple[int, int]]:
+    """Two pairs that interleave in a cyclic sequence of pair indices, each
+    index twice, or None when the sequence reduces to empty on a stack.
+
+    A pair met a second time below the top of the stack was opened before
+    the top's pair, which is still open: the two interleave.
+    """
+    stack: list[int] = []
+    for i in order:
+        if stack and stack[-1] == i:
+            stack.pop()
+        elif i in stack:
+            return (min(i, stack[-1]), max(i, stack[-1]))
+        else:
+            stack.append(i)
+    return None
+
+
+def _shortcut(walk: list[int]) -> list[int]:
+    """The walk with every closed sub-walk cut out: a path with the same ends."""
+    path: list[int] = []
+    at: dict[int, int] = {}
+    for v in walk:
+        if v in at:
+            for u in path[at[v] + 1 :]:
+                del at[u]
+            del path[at[v] + 1 :]
+        else:
+            at[v] = len(path)
+            path.append(v)
+    return path
+
+
+def one_face_decision(inst: DppInstance) -> Union[FaceCertificate, Solution, None]:
+    """Decide an instance whose terminals each occur once on one face.
+
+    Returns a `FaceCertificate` (NO) when two pairs interleave on that face,
+    a `Solution` (YES), or None when the instance is not of this kind or the
+    routing below gets stuck; None claims nothing.
+
+    YES is found by routing: two terminals of one pair that are neighbours
+    in the face's cyclic terminal order are joined along the face walk
+    between them, which holds no other terminal, and the path is deleted.
+    That loses no solution: with a vertex x drawn in the face and joined to
+    every terminal, any solution's path for the pair closes a cycle through
+    x whose far side holds every other terminal and whose near side holds
+    the walk's vertices, so the other paths never meet the walk. So any such
+    pair may go first; the first whose deletion leaves the other terminals
+    each once on one face is taken, and the routing goes on on that face.
+    The last pair is joined by a shortest path.
+    """
+    g = inst.graph
+    left = dict(enumerate(inst.pairs))  # the pairs not yet routed, in g's ids
+    to_inst: Optional[dict[int, int]] = None  # g's ids -> inst's, after a deletion
+    paths: dict[int, list[int]] = {}
+    walk = _terminal_face(g, inst.terminals())
+    if walk is None:
+        return None
+    while len(left) > 1:
+        owner = {v: i for i, pair in left.items() for v in pair}
+        at = [(n, owner[u]) for n, (u, _) in enumerate(walk) if u in owner]
+        crossing = _interleaving([i for _, i in at])
+        if crossing is not None:
+            return FaceCertificate(walk[0], crossing) if to_inst is None else None
+        # a sequence that reduces to empty has two neighbours of one pair;
+        # route the first such pair whose deletion leaves the other
+        # terminals each once on one face (the last pair needs no face)
+        for n in range(len(at)):
+            (a, i), (b, j) = at[n - 1], at[n]
+            if i != j:
+                continue
+            arc = walk[a : b + 1] if a < b else walk[a:] + walk[: b + 1]
+            path = _shortcut([u for u, _ in arc])
+            h, remap = delete_vertices(g, path)
+            rest = {m: (remap[s], remap[t]) for m, (s, t) in left.items() if m != i}
+            face = ()
+            if len(rest) > 1:
+                face = _terminal_face(h, [v for pair in rest.values() for v in pair])
+            if face is not None:
+                break
+        else:
+            return None
+        if path[0] != left[i][0]:
+            path.reverse()
+        paths[i] = path if to_inst is None else [to_inst[v] for v in path]
+        g, left, walk = h, rest, face
+        to_inst = {new: old if to_inst is None else to_inst[old] for old, new in remap.items()}
+    ((i, (s, t)),) = left.items()
+    path = shortest_path(g, s, t)
+    if path is None:
+        return None
+    paths[i] = [to_inst[v] for v in path]
+    return Solution(tuple(tuple(paths[j]) for j in range(inst.k)))
+
+
 # -- the full pipeline ----------------------------------------------------------------------
 
 
@@ -609,6 +736,10 @@ class PipelineResult:
     # the tree decomposition the final DP ran on, in original vertex ids;
     # None when no DP ran. After a reduction it covers the reduced graph.
     decomposition: Optional[TreeDecomposition] = None
+    # a NO's face certificate in original ids, only when it checks on the
+    # original instance; a NO without one rests on the DP, and on every
+    # heuristic deletion before it
+    no_certificate: Optional[FaceCertificate] = None
 
     @property
     def status(self) -> Status:
@@ -625,16 +756,19 @@ def solve_pipeline(
     mode: str = "heuristic",
     dp_state_budget: int = 400_000,
 ) -> PipelineResult:
-    """Reduce while a big enough grid minor exists, then DP on a decomposition.
+    """Reduce while a big enough grid minor exists, then decide one face or DP.
 
-    A round that does not reduce builds one tree decomposition
-    (`tree_decompose`: the MCS sweep's when it is no wider than min-fill's,
-    else min-fill's), and the DP runs on it; a round that reduces builds
-    none. Only grids yield a (target x target)-grid minor, and such a round
-    reduces when the grid's side exceeds target: an r x c grid has
-    branchwidth min(r, c), and then holds a (target + 1)-grid minor. Each
+    Each round first looks for a (target x target)-grid minor. Only grids
+    yield one, and the round deletes an irrelevant vertex when the grid's
+    side exceeds target: an r x c grid has branchwidth min(r, c), and then
+    holds a (target + 1)-grid minor. A round that does not reduce asks
+    `one_face_decision`, which decides an instance whose terminals each
+    occur once on one face. Only when it does not decide is one tree
+    decomposition built (`tree_decompose`: the MCS sweep's when it is no
+    wider than min-fill's, else min-fill's), and the DP runs on it. Each
     round either returns or deletes one vertex, so the loop ends within
-    n + 1 rounds.
+    n + 1 rounds. Every YES is checked on `inst`, and so is a face
+    certificate before it is reported.
     """
     k = inst.k
     if k == 1:
@@ -656,18 +790,30 @@ def solve_pipeline(
         # to rule out, and the grid it came from is wider than target exactly
         # when its side is
         model = find_grid_minor(cur.graph, target)
-        if model is not None and min(cur.graph.grid_shape) > target:
-            cert = find_irrelevant_vertex(cur, model, mode=mode)
-            if cert is not None:
-                certificates.append(cert)
-                removed.append(to_original[cert.removed_vertex])
-                g2, remap = delete_vertices(cur.graph, [cert.removed_vertex])
-                to_original = {
-                    new: to_original[old] for old, new in remap.items()
-                }
-                pairs2 = tuple((remap[s], remap[t]) for s, t in cur.pairs)
-                cur = DppInstance(g2, pairs2)
-                continue
+        if model is None or min(cur.graph.grid_shape) <= target:
+            break
+        cert = find_irrelevant_vertex(cur, model, mode=mode)
+        if cert is None:
+            break
+        certificates.append(cert)
+        removed.append(to_original[cert.removed_vertex])
+        g2, remap = delete_vertices(cur.graph, [cert.removed_vertex])
+        to_original = {new: to_original[old] for old, new in remap.items()}
+        pairs2 = tuple((remap[s], remap[t]) for s, t in cur.pairs)
+        cur = DppInstance(g2, pairs2)
+    used: Optional[TreeDecomposition] = None
+    no_certificate: Optional[FaceCertificate] = None
+    decided = one_face_decision(cur)
+    if isinstance(decided, FaceCertificate):
+        outcome = SolveOutcome(Status.NO)
+        u, v = decided.dart
+        face = FaceCertificate((to_original[u], to_original[v]), decided.pairs)
+        # after a deletion the face may not be one of inst's
+        if verify_no_certificate(inst, face):
+            no_certificate = face
+    elif decided is not None:
+        outcome = SolveOutcome(Status.YES, decided)
+    else:
         td = tree_decompose(cur.graph)
         used = TreeDecomposition(
             td.parent,
@@ -677,27 +823,15 @@ def solve_pipeline(
         try:
             outcome = dp_solve(cur, td, state_budget=dp_state_budget)
         except DpBudgetExceeded as exc:
-            reason = (
-                "CERTIFIED_INFEASIBLE" if mode == "certified" else str(exc)
-            )
-            return PipelineResult(
-                SolveOutcome(Status.UNKNOWN, reason=reason),
-                tuple(certificates),
-                tuple(removed),
-                iterations,
-                used,
-            )
-        if outcome.status is Status.YES:
-            paths = tuple(
-                tuple(to_original[v] for v in p) for p in outcome.solution.paths
-            )
-            sol = Solution(paths)
-            check = verify_solution(inst, sol)
-            if not check:
-                raise PlaneGraphError(
-                    f"internal: pipeline solution invalid: {check.problems[:3]}"
-                )
-            outcome = SolveOutcome(Status.YES, sol)
-        return PipelineResult(
-            outcome, tuple(certificates), tuple(removed), iterations, used
-        )
+            reason = "CERTIFIED_INFEASIBLE" if mode == "certified" else str(exc)
+            outcome = SolveOutcome(Status.UNKNOWN, reason=reason)
+    if outcome.status is Status.YES:
+        paths = tuple(tuple(to_original[v] for v in p) for p in outcome.solution.paths)
+        sol = Solution(paths)
+        check = verify_solution(inst, sol)
+        if not check:
+            raise PlaneGraphError(f"internal: pipeline solution invalid: {check.problems[:3]}")
+        outcome = SolveOutcome(Status.YES, sol)
+    return PipelineResult(
+        outcome, tuple(certificates), tuple(removed), iterations, used, no_certificate
+    )

@@ -159,11 +159,19 @@ class TestSolve:
         assert "path 1 1 2" in captured.out
         assert captured.err == ""
 
-    def test_emit_decomposition(self, k2_file, cross_file, tmp_path, capsys):
+    def test_emit_decomposition(self, monkeypatch, k2_file, cross_file, tmp_path, capsys):
+        from pdpp import solver
         from pdpp.decomposition import TreeDecomposition, verify_tree_decomposition
         from pdpp.instances import parse_instance
         from pdpp.solver import solve_pipeline
 
+        # the one-face stage decides the crossed 4-cycle before any DP
+        staged = tmp_path / "staged.txt"
+        assert main(["solve", cross_file, "--emit-decomposition", str(staged)]) == 1
+        assert not staged.exists()
+        assert "no decomposition written" in capsys.readouterr().err
+        # with the stage falling through, the DP runs
+        monkeypatch.setattr(solver, "one_face_decision", lambda inst: None)
         out = tmp_path / "dec.txt"
         assert main(["solve", cross_file, "--emit-decomposition", str(out)]) == 1
         text = out.read_text()
@@ -192,6 +200,20 @@ class TestSolve:
         assert main(["solve", k2_file, "--emit-decomposition", str(solo)]) == 0
         assert not solo.exists()
         assert "no decomposition written" in capsys.readouterr().err
+
+    def test_json_no_certificate(self, k2_file, cross_file, capsys):
+        # the crossed 4-cycle 1-2-4-3 is a NO by its face; `answer` and
+        # `paths` read as before, and a YES or a DP's NO carries null
+        assert main(["solve", cross_file, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["answer"], payload["paths"]) == ("no", None)
+        assert payload["no_certificate"] == {"dart": [1, 2], "pairs": [0, 1]}
+        assert main(["solve", cross_file, "--json", "--engine", "dp"]) == 1
+        assert json.loads(capsys.readouterr().out)["no_certificate"] is None
+        assert main(["solve", k2_file, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["answer"], payload["paths"]) == ("yes", [[1, 2]])
+        assert payload["no_certificate"] is None
 
     def test_multiple_files_jobs(self, k2_file, cross_file, capsys):
         code = main(["solve", k2_file, cross_file, "--jobs", "2", "--json"])

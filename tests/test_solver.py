@@ -27,7 +27,14 @@ from pdpp.instances import (
     parse_instance,
     write_instance,
 )
-from pdpp.oracle import SolveOutcome, Status, solve_bruteforce, verify_solution
+from pdpp.oracle import (
+    FaceCertificate,
+    SolveOutcome,
+    Status,
+    solve_bruteforce,
+    verify_no_certificate,
+    verify_solution,
+)
 from pdpp.plane import (
     GridMinorModel,
     PlaneGraphError,
@@ -583,9 +590,9 @@ ROUND_STEPS = (
 
 
 def record_calls(monkeypatch, names):
-    """Wrap each named `pdpp.decomposition` function in every `pdpp` module
-    holding it; the returned list gets [name, args, result] per call, in the
-    order the calls start."""
+    """Wrap each named `pdpp.decomposition` (else `pdpp.solver`) function in
+    every `pdpp` module holding it; the returned list gets [name, args,
+    result] per call, in the order the calls start."""
     calls = []
 
     def wrap(name, real):
@@ -598,7 +605,7 @@ def record_calls(monkeypatch, names):
         return wrapper
 
     for name in names:
-        real = getattr(decomposition, name)
+        real = getattr(decomposition, name, None) or getattr(solver, name)
         wrapper = wrap(name, real)
         for module_name, module in sorted(sys.modules.items()):
             if module_name.startswith("pdpp") and getattr(module, name, None) is real:
@@ -619,6 +626,24 @@ def decomposition_steps(steps):
     assert kept is (order if sweep is None else sweep)
     assert td.width <= width
     return width, sweep, td
+
+
+def one_face_undecided(monkeypatch):
+    """Make the pipeline's one-face stage fall through, so every round that
+    does not reduce reaches the DP."""
+    monkeypatch.setattr(solver, "one_face_decision", lambda inst: None)
+
+
+def round_instance(inst, res):
+    """The instance the pipeline's last round saw: `inst` less the removed
+    vertices, deleted one at a time in the pipeline's order."""
+    cur = inst
+    to_new = {v: v for v in inst.graph.vertices}
+    for v in res.removed_original_ids:
+        g, remap = delete_vertices(cur.graph, [to_new[v]])
+        to_new = {old: remap[new] for old, new in to_new.items() if new in remap}
+        cur = DppInstance(g, tuple((remap[s], remap[t]) for s, t in cur.pairs))
+    return cur, {new: old for old, new in to_new.items()}
 
 
 def split_rounds(calls):
@@ -661,17 +686,21 @@ class TestPipeline:
 
     def test_sweep_decomposition_on_a_width_tie(self):
         # 5x5 is not reduced; min-fill, the sweep and the branch
-        # decomposition's translation all have width 5, and the DP runs on
-        # the sweep's: one bag per vertex and no join
+        # decomposition's translation all have width 5, and the round's
+        # decomposition is the sweep's: one bag per vertex and no join. The
+        # DP decides on it; the pipeline decides by the one-face stage.
         inst = gen_grid_instance(5, 2, 0)
         g = inst.graph
         assert td_from_bd(g, best_heuristic_bd(g)).width == minfill_td(inst).width == 5
+        td = tree_decompose(g)
+        assert len(td.bags) == g.n
+        assert td == td_from_elimination(g, mcs_order(g, 5))
+        assert (td.width, joins(td)) == (5, 0)
+        assert dp_solve(inst, td).status is boundary_answer(inst)
         res = solve_pipeline(inst)
         assert res.iterations == 1
-        assert len(res.decomposition.bags) == g.n
-        assert res.decomposition == tree_decompose(g)
-        assert res.decomposition == td_from_elimination(g, mcs_order(g, 5))
-        assert (res.decomposition.width, joins(res.decomposition)) == (5, 0)
+        assert res.decomposition is None
+        assert res.status is boundary_answer(inst)
 
     @pytest.mark.parametrize(
         "k, seed, mode, answer",
@@ -687,20 +716,26 @@ class TestPipeline:
         # unreduced 7x7 (k = 5 raises the heuristic grid target to 8, and
         # certified mode never reduces it): min-fill gives width 8 with
         # joins; the sweep and the branch decomposition's translation give 7,
-        # and the DP runs on the sweep's, at width 7 with no join
+        # and the round's decomposition is the sweep's, at width 7 with no
+        # join. The DP decides on it within the pipeline's default budget;
+        # the pipeline decides by the one-face stage.
         inst = gen_grid_instance(7, k, seed)
         g = inst.graph
         minfill = minfill_td(inst)
         assert td_from_bd(g, best_heuristic_bd(g)).width == 7 < minfill.width == 8
         assert joins(minfill) > 0
+        td = tree_decompose(g)
+        assert (td.width, joins(td)) == (7, 0)
+        dp = dp_solve(inst, td)
+        assert dp.status is answer
         res = solve_pipeline(inst, mode=mode)
         assert res.iterations == 1
-        assert res.decomposition == tree_decompose(g)
-        assert (res.decomposition.width, joins(res.decomposition)) == (7, 0)
+        assert res.decomposition is None
         assert res.status is answer
         assert boundary_answer(inst) is answer
         assert solve_bruteforce(inst).status is answer
         if answer is Status.YES:
+            assert verify_solution(inst, dp.solution)
             assert verify_solution(inst, res.outcome.solution)
 
     @pytest.mark.parametrize(
@@ -717,6 +752,7 @@ class TestPipeline:
         ],
     )
     def test_one_min_fill_pass_per_iteration(self, monkeypatch, inst, iterations, widths):
+        one_face_undecided(monkeypatch)
         calls = record_calls(monkeypatch, ROUND_STEPS)
         res = solve_pipeline(inst)
         assert res.iterations == iterations
@@ -751,6 +787,7 @@ class TestPipeline:
         # target; with no certificate the DP runs on the round's
         # decomposition, the sweep's (width 7, no join; min-fill's is 8)
         inst = gen_grid_instance(7, 2, 0)
+        one_face_undecided(monkeypatch)
         calls = record_calls(monkeypatch, ROUND_STEPS)
         asked = []
         monkeypatch.setattr(
@@ -779,6 +816,7 @@ class TestPipeline:
         # reduced, and the DP runs on the sweep's decomposition (width 6,
         # no join)
         inst = gen_grid_instance(6, 2, 0)
+        one_face_undecided(monkeypatch)
         calls = record_calls(monkeypatch, ROUND_STEPS)
         asked = count_calls(monkeypatch, solver, "find_irrelevant_vertex")
         res = solve_pipeline(inst)
@@ -891,13 +929,81 @@ class TestPipeline:
     def test_sweep_decides_9x9_and_10x10(self, side, seed):
         # one vertex is deleted first; on min-fill's decomposition of the
         # reduced grid (width 11 on 9x9 and 13 on 10x10, with 21 and 28
-        # joins) these ran out of 3,000,000 states; the sweep's has width = side
+        # joins) these ran out of 3,000,000 states; the sweep's has width =
+        # side, and the DP decides on it. The pipeline decides the reduced
+        # grid by the one-face stage.
         inst = gen_grid_instance(side, 2, seed)
         res = solve_pipeline(inst, dp_state_budget=3_000_000)
         assert res.status is boundary_answer(inst)
-        assert res.decomposition.width == side
+        assert len(res.certificates) == 1
+        cur, to_original = round_instance(inst, res)
+        td = tree_decompose(cur.graph)
+        assert td.width == side
+        dp = dp_solve(cur, td, state_budget=3_000_000)
+        assert dp.status is boundary_answer(inst)
         if res.status is Status.YES:
             assert verify_solution(inst, res.outcome.solution)
+            paths = tuple(tuple(to_original[v] for v in p) for p in dp.solution.paths)
+            assert verify_solution(inst, Solution(paths))
+
+    @pytest.mark.parametrize(
+        "inst, order",
+        [
+            # 7x7 reduces once, and the stage decides the reduced grid
+            (
+                gen_grid_instance(7, 2, 0),
+                ["find_grid_minor", "find_irrelevant_vertex", "find_grid_minor", "one_face_decision"],
+            ),
+            # 5x5 holds no minor of the side-6 target; the stage decides it
+            (gen_grid_instance(5, 2, 0), ["find_grid_minor", "one_face_decision"]),
+            # no face holds all four terminals: the stage falls through
+            (
+                gen_random_planar(12, 18, 2, 1),
+                ["find_grid_minor", "one_face_decision", "tree_decompose", "dp_solve"],
+            ),
+        ],
+    )
+    def test_round_order(self, monkeypatch, inst, order):
+        # reduce while a round can, then the one-face stage, then a
+        # decomposition and the DP only when the stage does not decide
+        steps = ("find_grid_minor", "find_irrelevant_vertex", "one_face_decision", "tree_decompose", "dp_solve")
+        calls = record_calls(monkeypatch, steps)
+        res = solve_pipeline(inst)
+        assert [name for name, _, _ in calls] == order
+        (decided,) = [out for name, _, out in calls if name == "one_face_decision"]
+        assert (decided is None) == ("dp_solve" in order)
+        assert (res.decomposition is None) == (decided is not None)
+        assert res.status == solve_bruteforce(inst).status
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_9x9_decided_after_a_deletion(self, k, seed):
+        # one heuristic deletion first (no oracle cross-check above 70
+        # vertices); then the DP at 400,000 states ran out of states on
+        # most of these, while every terminal lies on the outer face
+        inst = gen_grid_instance(9, k, seed)
+        res = solve_pipeline(inst)
+        assert len(res.certificates) == 1
+        assert res.status is boundary_answer(inst)
+        if res.status is Status.YES:
+            assert verify_solution(inst, res.outcome.solution)
+        else:
+            # the deletion is inside the grid, so the outer face survives it
+            assert verify_no_certificate(inst, res.no_certificate)
+
+    def test_face_certificate_reported_only_when_it_checks(self, monkeypatch):
+        # a NO from the stage is reported with its certificate only when the
+        # certificate checks on the original instance
+        inst = gen_grid_instance(5, 2, 3)
+        assert boundary_answer(inst) is Status.NO
+        res = solve_pipeline(inst)
+        assert res.status is Status.NO
+        assert verify_no_certificate(inst, res.no_certificate)
+        wrong = FaceCertificate((1, 2), (0, 0))
+        monkeypatch.setattr(solver, "one_face_decision", lambda cur: wrong)
+        res = solve_pipeline(inst)
+        assert res.status is Status.NO
+        assert res.no_certificate is None
 
     def test_certified_mode_small_graph_just_dps(self):
         inst = gen_random_planar(9, 12, 2, 3)

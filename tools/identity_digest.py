@@ -11,7 +11,9 @@ Each checkout's `src/` and `perfbench/` are imported. It takes about a
 minute. Cases:
 - solve_pipeline on the 600 grid-solve seed-7 items (every fourth also at a
   DP budget of 2,000 states) and the 800 sparse-solve seed-7 items: status,
-  reason, paths, certificates, iterations, serialized decomposition;
+  reason, paths, certificates, iterations, serialized decomposition; and
+  for each grid item the stage that decided it (one-face or dp) with its
+  face certificate, None on checkouts without one;
 - the same fields for solve_pipeline on gen_grid_instance grids with seeds
   0-2: heuristic 7x7 and 8x8 with k in {5, 6}, and certified 7x7 with
   k in {2, 3}, where the decomposition the DP runs on decides the verdict;
@@ -125,8 +127,14 @@ def pipeline(res):
 
 for name, workload in (("grid", workloads.GridSolve()), ("sparse", workloads.SparseSolve())):
     for i, (text, tag) in enumerate(workload.draw(7)):
-        emit(name, i, tag, *pipeline(solver.solve_pipeline(parse_instance(text))))
-        if name == "grid" and i % 4 == 0:
+        res = solver.solve_pipeline(parse_instance(text))
+        emit(name, i, tag, *pipeline(res))
+        if name != "grid":
+            continue
+        # a pipeline that ran the DP keeps the decomposition it ran on
+        stage = "one-face" if res.decomposition is None else "dp"
+        emit("grid-stage", i, stage, getattr(res, "no_certificate", None))
+        if i % 4 == 0:
             low = solver.solve_pipeline(parse_instance(text), dp_state_budget=2_000).outcome
             emit("grid-low", i, low.status.value, low.reason)
 
