@@ -32,6 +32,7 @@ from .plane import (
     cycle_from_edges,
     face_regions,
     rectangle_border,
+    shortest_path,
     verify_minor_model,
 )
 
@@ -378,34 +379,13 @@ def _cycle_through_branch_sets(
     for i in range(k):
         entry = links[(i - 1) % k][1]
         exit_ = links[i][0]
-        sub = _path_within(g, sets[i], entry, exit_)
+        sub = shortest_path(g, entry, exit_, within=sets[i])
         if sub is None:
             return None
         seq.extend(sub)
     if len(seq) < 3 or len(set(seq)) != len(seq):
         return None
     return Cycle(tuple(seq))
-
-
-def _path_within(g: PlaneGraph, allowed: frozenset[int], s: int, t: int) -> Optional[list[int]]:
-    if s == t:
-        return [s]
-    prev = {s: 0}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(g.rotation[v]):
-            if w not in allowed or w in prev:
-                continue
-            prev[w] = v
-            if w == t:
-                path = [t]
-                while path[-1] != s:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                return path
-            queue.append(w)
-    return None
 
 
 def concentric_from_grid(

@@ -140,17 +140,11 @@ class PlaneGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.rotation[v]
-
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges
-
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.rotation)
 
     # -- grid structure ----------------------------------------------------
 
@@ -260,28 +254,42 @@ def connected_components(g: PlaneGraph) -> list[frozenset[int]]:
     return comps
 
 
-def bfs_distances(g: PlaneGraph, sources: Iterable[int]) -> dict[int, int]:
+def bfs_distances(
+    g: PlaneGraph, sources: Iterable[int], within: Optional[Container[int]] = None
+) -> dict[int, int]:
+    """Distance from the nearest source to each vertex it reaches.
+
+    With `within`, the search steps only onto vertices in `within`.
+    """
+    allowed = g.rotation if within is None else within
     dist = {s: 0 for s in sources}
     queue = deque(dist)
     while queue:
         v = queue.popleft()
         for w in g.rotation[v]:
-            if w not in dist:
+            if w not in dist and w in allowed:
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
 
 
-def shortest_path(g: PlaneGraph, s: int, t: int) -> Optional[list[int]]:
-    """Shortest s-t path, or None."""
+def shortest_path(
+    g: PlaneGraph, s: int, t: int, within: Optional[Container[int]] = None
+) -> Optional[list[int]]:
+    """Shortest s-t path, or None; with `within`, its steps stay in `within`.
+
+    Neighbours are scanned in increasing order, so ties break the same way
+    for every caller.
+    """
     if s == t:
         return [s]
+    allowed = g.rotation if within is None else within
     prev: dict[int, int] = {s: 0}
     queue = deque([s])
     while queue:
         v = queue.popleft()
         for w in sorted(g.rotation[v]):
-            if w in prev:
+            if w in prev or w not in allowed:
                 continue
             prev[w] = v
             if w == t:
@@ -342,15 +350,13 @@ def check_cycle(g: PlaneGraph, c: Cycle) -> None:
 
 @dataclass(frozen=True)
 class DiskRegion:
-    """Closed interior (or exterior) of a cycle: vertices, edges and faces.
+    """Closed interior of a cycle: vertices, edges and faces.
 
-    `vertices`/`edges` include the cycle itself when `closed` is True;
-    `faces` are the strictly enclosed face ids.
+    `vertices`/`edges` include the cycle itself; `faces` are the strictly
+    enclosed face ids.
     """
 
     cycle: Cycle
-    side: str  # "interior" | "exterior"
-    closed: bool
     vertices: frozenset[int]
     edges: frozenset[Edge]
     faces: frozenset[int]
@@ -423,14 +429,7 @@ def closed_interior(g: PlaneGraph, c: Cycle) -> DiskRegion:
     # Isolated components embedded elsewhere never enter a cycle's interior
     # unless face-tracing put them there; rotation systems place each extra
     # component in the unbounded face by convention.
-    return DiskRegion(
-        cycle=c,
-        side="interior",
-        closed=True,
-        vertices=verts,
-        edges=edges,
-        faces=inner,
-    )
+    return DiskRegion(cycle=c, vertices=verts, edges=edges, faces=inner)
 
 
 def cycle_from_edges(edges: Iterable[Edge]) -> Optional[Cycle]:
@@ -506,95 +505,61 @@ def make_grid(rows: int, cols: int) -> PlaneGraph:
 def detect_grid(g: PlaneGraph) -> Optional[tuple[tuple[int, int], dict[int, tuple[int, int]]]]:
     """Recognize a full grid and recover coordinates, or None.
 
-    The boundary of the face through the four degree-2 corners, the outer
-    face or not, is split at those corners into the grid's sides, giving
-    the first row and column; the interior fills diagonally (each cell is
-    the common unseen neighbor of its north and west cells). The final
-    edge set is checked exactly. A path is the 1 x n grid, numbered from
-    its smaller end.
+    A path is the 1 x n grid, numbered from its smaller end. Otherwise a
+    corner c (degree 2) and its neighbour w fix the orientation: c is at
+    (1, 1) and w at (1, 2). They are the first corner on the face through
+    all four corners (the outer face if it is one) and the vertex after
+    it on that face, else the least corner and its least neighbour. Row 1
+    ends at `far`, the corner nearest c that is nearer w; the distances d
+    from c and d2 from `far` give each vertex's column (d - d2 + cols + 1) / 2
+    and row d - col + 2. The final edge set is checked exactly.
     """
     if g.n == 1:
         return (1, 1), {1: (1, 1)}
-    nbr = {v: set(g.rotation[v]) for v in g.vertices}
-    degs = sorted(len(nbr[v]) for v in g.vertices)
-    if degs and degs[-1] > 4:
+    degs = [len(g.rotation[v]) for v in g.vertices]
+    if max(degs, default=0) > 4:
         return None
-    if degs and degs[-1] <= 2 and g.m == g.n - 1:
+    if max(degs, default=0) <= 2 and g.m == g.n - 1:
         # a path graph is a 1 x n grid
-        ends = [v for v in g.vertices if len(nbr[v]) == 1]
+        ends = [v for v in g.vertices if degs[v - 1] == 1]
         if len(ends) != 2:
             return None
-        coords = {}
-        prev, cur = None, min(ends)
-        for j in range(1, g.n + 1):
-            coords[cur] = (1, j)
-            nxt = [w for w in nbr[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-        if len(coords) != g.n:
-            return None
-        return (1, g.n), coords
-    corners = [v for v in g.vertices if len(nbr[v]) == 2]
+        d = bfs_distances(g, [ends[0]])
+        return ((1, g.n), {v: (1, i + 1) for v, i in d.items()}) if len(d) == g.n else None
+    corners = [v for v in g.vertices if degs[v - 1] == 2]
     if len(corners) != 4:
         return None
-    # The border is the face through all four corners, whichever face is
-    # the unbounded one: the outer face if it qualifies, else a face at a corner.
     around = [g.outer_face()] + [g.face_of_dart((corners[0], w)) for w in g.rotation[corners[0]]]
     border = next((f for f in around if set(corners) <= g.face_vertices(f)), None)
     if border is None:
+        c, w = corners[0], min(g.rotation[corners[0]])
+    else:
+        c, w = next((u, v) for u, v in g.faces()[border] if u in corners)
+    d, dw = bfs_distances(g, [c]), bfs_distances(g, [w])
+    if len(d) != g.n:
         return None
-    boundary = [u for u, _ in g.faces()[border]]
-    if len(boundary) != len(set(boundary)):
+    far = min((x for x in corners if dw[x] < d[x]), key=d.__getitem__, default=None)
+    if far is None or g.n % (d[far] + 1):
         return None
-    # split the boundary cycle at the corners into the four sides
-    corner_pos = [i for i, v in enumerate(boundary) if v in set(corners)]
-    if len(corner_pos) != 4:
-        return None
-    start = corner_pos[0]
-    boundary = boundary[start:] + boundary[:start]
-    corner_pos = [i for i, v in enumerate(boundary) if v in set(corners)]
-    sides = []
-    for a, b in zip(corner_pos, corner_pos[1:] + [len(boundary)]):
-        sides.append(boundary[a : b + 1] if b < len(boundary) else boundary[a:] + [boundary[0]])
-    if len(sides) != 4:
-        return None
-    if len(sides[0]) != len(sides[2]) or len(sides[1]) != len(sides[3]):
-        return None
-    cols = len(sides[0])
-    rows = len(sides[1])
-    if rows * cols != g.n:
-        return None
+    cols = d[far] + 1
+    rows = g.n // cols
+    d2 = bfs_distances(g, [far])
     coords: dict[int, tuple[int, int]] = {}
     at: dict[tuple[int, int], int] = {}
-    for j, v in enumerate(sides[0], start=1):
-        coords[v] = (1, j)
-        at[(1, j)] = v
-    for i, v in enumerate(sides[3][::-1], start=1):
-        if v in coords and coords[v] != (1, 1) and i > 1:
+    for v in g.vertices:
+        col, odd = divmod(d[v] - d2[v] + cols + 1, 2)
+        row = d[v] - col + 2
+        if odd or not (1 <= row <= rows and 1 <= col <= cols) or (row, col) in at:
             return None
-        coords[v] = (i, 1)
-        at[(i, 1)] = v
-    for r in range(2, rows + 1):
-        for c in range(2, cols + 1):
-            north = at.get((r - 1, c))
-            west = at.get((r, c - 1))
-            if north is None or west is None:
-                return None
-            common = [w for w in (nbr[north] & nbr[west]) if w not in coords]
-            if len(common) != 1:
-                return None
-            v = common[0]
-            coords[v] = (r, c)
-            at[(r, c)] = v
-    if len(coords) != g.n:
-        return None
-    want_edges = set()
-    for (r, c), v in at.items():
-        for rr, cc in ((r + 1, c), (r, c + 1)):
-            if (rr, cc) in at:
-                want_edges.add(norm_edge(v, at[(rr, cc)]))
-    if want_edges != set(g.edges):
+        coords[v] = (row, col)
+        at[(row, col)] = v
+    want_edges = {
+        norm_edge(v, at[nb])
+        for (r, col), v in at.items()
+        for nb in ((r + 1, col), (r, col + 1))
+        if nb in at
+    }
+    if want_edges != g.edges:
         return None
     return (rows, cols), coords
 
@@ -673,21 +638,6 @@ class GridMinorModel:
         ]
 
 
-def _connected_in(g: PlaneGraph, vs: frozenset[int]) -> bool:
-    if not vs:
-        return False
-    start = next(iter(vs))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.rotation[v]:
-            if w in vs and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(vs)
-
-
 def verify_minor_model(g: PlaneGraph, model: GridMinorModel) -> CheckResult:
     """Check disjointness, connectivity, and adjacency of a grid minor model."""
     problems: list[str] = []
@@ -711,7 +661,8 @@ def verify_minor_model(g: PlaneGraph, model: GridMinorModel) -> CheckResult:
     if problems:
         return CheckResult(False, tuple(problems))
     for pos in positions:
-        if not _connected_in(g, model.phi[pos]):
+        vs = model.phi[pos]
+        if len(bfs_distances(g, [min(vs)], within=vs)) != len(vs):
             problems.append(f"branch set at {pos} is not connected")
     for r, c in positions:
         for nb in ((r + 1, c), (r, c + 1)):

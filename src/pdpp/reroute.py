@@ -383,7 +383,7 @@ def _outside_atoms(linkage: Linkage, disk: DiskRegion) -> list[tuple[int, ...]]:
     return [a for a in atoms if len(a) >= 2 or a[0] not in bverts]
 
 
-def _abstract_disjoint_paths(adj: dict[int, list[tuple[int, int]]], pairs, n_edges: int):
+def _abstract_disjoint_paths(adj: dict[int, list[tuple[int, int]]], pairs):
     """Vertex-disjoint paths over labeled edges; returns used edge ids or None."""
     used_vertices: set[int] = set(v for p in pairs for v in p)
     used_edges: set[int] = set()
@@ -470,7 +470,7 @@ def untangle_disk(
             eid = len(atoms) + cid
             adj.setdefault(a, []).append((b, eid))
             adj.setdefault(b, []).append((a, eid))
-        used = _abstract_disjoint_paths(adj, pairs, len(atoms) + len(chords))
+        used = _abstract_disjoint_paths(adj, pairs)
         if used is None:
             continue
         if not all(len(atoms) + cid in used for cid in range(len(chords))):

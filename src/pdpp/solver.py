@@ -104,7 +104,6 @@ class ReductionCertificate:
     removed_vertex: int
     grid_side: int
     cycles: ConcentricCycles
-    k: int
     mode: str  # "certified" | "heuristic"
     oracle_checked: Optional[bool]  # None when no oracle cross-check finished
 
@@ -165,7 +164,7 @@ def find_irrelevant_vertex(
             checked = _oracle_confirms_irrelevant(inst, victim, oracle_budget)
             if checked is False:
                 return None
-    return ReductionCertificate(victim, side, cc, k, mode, checked)
+    return ReductionCertificate(victim, side, cc, mode, checked)
 
 
 def _oracle_confirms_irrelevant(inst: DppInstance, victim: int, budget: int) -> Optional[bool]:

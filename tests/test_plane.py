@@ -1,6 +1,6 @@
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +17,7 @@ from pdpp.plane import (
     closed_interior,
     cycle_from_edges,
     delete_vertices,
+    detect_grid,
     face_regions,
     grid_ring,
     grid_vertex,
@@ -31,6 +32,17 @@ from pdpp.plane import (
 
 def triangle():
     return plane_graph_from_edges(3, [(1, 2), (2, 3), (1, 3)])
+
+
+def rebuilds_grid(g, shape, coords):
+    """Whether `coords` puts g's vertices one to a cell of a `shape` grid
+    whose edges are exactly g's."""
+    rows, cols = shape
+    at = {rc: v for v, rc in coords.items()}
+    if sorted(at) != [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]:
+        return False
+    rebuilt = {norm_edge(at[(i, j)], at[nb]) for (i, j) in at for nb in ((i + 1, j), (i, j + 1)) if nb in at}
+    return rebuilt == g.edges
 
 
 class TestFaces:
@@ -157,8 +169,8 @@ class TestGrid:
                 assert (g.grid_shape, g.grid_coords) == want, (rows, cols)
 
     def test_relabelled_grids_are_recognised(self):
-        # with make_grid's embedding, and (from 3 x 3 up, where it is unique)
-        # with the one computed from the edges alone
+        # with make_grid's embedding, and with the one computed from the
+        # edges alone, which for a 2 x c ladder may flip a rung
         for rows in range(2, 11):
             for cols in range(2, 11):
                 h = make_grid(rows, cols)
@@ -167,21 +179,10 @@ class TestGrid:
                 new = dict(zip(h.vertices, perm))
                 edges = [(new[u], new[v]) for u, v in h.edges]
                 rotation = {new[v]: [new[w] for w in h.rotation[v]] for v in h.vertices}
-                graphs = [plane_graph_from_edges(h.n, edges, rotation)]
-                if min(rows, cols) >= 3:
-                    graphs.append(plane_graph_from_edges(h.n, edges))
-                for g in graphs:
+                for g in (plane_graph_from_edges(h.n, edges, rotation), plane_graph_from_edges(h.n, edges)):
                     r, c = g.grid_shape
                     assert sorted((r, c)) == sorted((rows, cols))
-                    at = {rc: v for v, rc in g.grid_coords.items()}
-                    assert sorted(at) == [(i, j) for i in range(1, r + 1) for j in range(1, c + 1)]
-                    rebuilt = {
-                        norm_edge(at[(i, j)], at[nb])
-                        for (i, j) in at
-                        for nb in ((i + 1, j), (i, j + 1))
-                        if nb in at
-                    }
-                    assert rebuilt == g.edges
+                    assert rebuilds_grid(g, g.grid_shape, g.grid_coords)
 
     @pytest.mark.parametrize("side, k, seed", [(7, 2, 0), (7, 2, 1), (8, 2, 5), (7, 3, 0)])
     def test_grid_is_read_whichever_face_is_outer(self, side, k, seed):
@@ -592,3 +593,151 @@ def test_closed_interior_matches_reference_walk(g):
         assert (got.faces, got.vertices, got.edges) == reference_closed_interior(g, c)
         assert cycle_from_edges(c.edges).normalized() == c.normalized()
         assert cycle_from_edges(set(c.edges) - {min(c.edges)}) is None
+
+
+# -- grid detection against the diagonal fill it replaced -----------------------------
+
+
+def reference_detect_grid(g):
+    """Grid shape and coordinates by diagonal fill, or None.
+
+    The boundary of the face through the four degree-2 corners, the outer
+    face or not, is split at those corners into the grid's sides, giving
+    the first row and column; the interior fills diagonally (each cell is
+    the common unseen neighbor of its north and west cells). The final
+    edge set is checked exactly. A path is the 1 x n grid, numbered from
+    its smaller end.
+    """
+    if g.n == 1:
+        return (1, 1), {1: (1, 1)}
+    nbr = {v: set(g.rotation[v]) for v in g.vertices}
+    degs = sorted(len(nbr[v]) for v in g.vertices)
+    if degs and degs[-1] > 4:
+        return None
+    if degs and degs[-1] <= 2 and g.m == g.n - 1:
+        ends = [v for v in g.vertices if len(nbr[v]) == 1]
+        if len(ends) != 2:
+            return None
+        coords = {}
+        prev, cur = None, min(ends)
+        for j in range(1, g.n + 1):
+            coords[cur] = (1, j)
+            nxt = [w for w in nbr[cur] if w != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+        if len(coords) != g.n:
+            return None
+        return (1, g.n), coords
+    corners = [v for v in g.vertices if len(nbr[v]) == 2]
+    if len(corners) != 4:
+        return None
+    around = [g.outer_face()] + [g.face_of_dart((corners[0], w)) for w in g.rotation[corners[0]]]
+    border = next((f for f in around if set(corners) <= g.face_vertices(f)), None)
+    if border is None:
+        return None
+    boundary = [u for u, _ in g.faces()[border]]
+    if len(boundary) != len(set(boundary)):
+        return None
+    corner_pos = [i for i, v in enumerate(boundary) if v in set(corners)]
+    if len(corner_pos) != 4:
+        return None
+    start = corner_pos[0]
+    boundary = boundary[start:] + boundary[:start]
+    corner_pos = [i for i, v in enumerate(boundary) if v in set(corners)]
+    sides = []
+    for a, b in zip(corner_pos, corner_pos[1:] + [len(boundary)]):
+        sides.append(boundary[a : b + 1] if b < len(boundary) else boundary[a:] + [boundary[0]])
+    if len(sides[0]) != len(sides[2]) or len(sides[1]) != len(sides[3]):
+        return None
+    cols = len(sides[0])
+    rows = len(sides[1])
+    if rows * cols != g.n:
+        return None
+    coords: dict[int, tuple[int, int]] = {}
+    at: dict[tuple[int, int], int] = {}
+    for j, v in enumerate(sides[0], start=1):
+        coords[v] = (1, j)
+        at[(1, j)] = v
+    for i, v in enumerate(sides[3][::-1], start=1):
+        if v in coords and coords[v] != (1, 1) and i > 1:
+            return None
+        coords[v] = (i, 1)
+        at[(i, 1)] = v
+    for r in range(2, rows + 1):
+        for c in range(2, cols + 1):
+            north = at.get((r - 1, c))
+            west = at.get((r, c - 1))
+            if north is None or west is None:
+                return None
+            common = [w for w in (nbr[north] & nbr[west]) if w not in coords]
+            if len(common) != 1:
+                return None
+            v = common[0]
+            coords[v] = (r, c)
+            at[(r, c)] = v
+    if len(coords) != g.n:
+        return None
+    want_edges = set()
+    for (r, c), v in at.items():
+        for rr, cc in ((r + 1, c), (r, c + 1)):
+            if (rr, cc) in at:
+                want_edges.add(norm_edge(v, at[(rr, cc)]))
+    if want_edges != set(g.edges):
+        return None
+    return (rows, cols), coords
+
+
+def reads_like_reference(g):
+    """"same" when detect_grid gives the reference's answer on g, "ladder"
+    when it reads a grid with a side of 2 where the reference reads None
+    (the reference's border walk misses a ladder embedded with a flipped
+    rung); any other difference fails."""
+    got, want = detect_grid(g), reference_detect_grid(g)
+    if got == want:
+        return "same"
+    assert want is None and min(got[0]) == 2 and rebuilds_grid(g, *got), (want, got)
+    return "ladder"
+
+
+def grid_detection_corpus():
+    """make_grid r x c for 1 <= r, c <= 13; three seeded relabellings of
+    each, with make_grid's rotation and with the computed one, each also
+    with its first six faces as outer; every one-vertex deletion of the
+    grids up to 40 vertices; and 1,140 random planar graphs, with their
+    rotation and with the computed one."""
+    for rows in range(1, 14):
+        for cols in range(1, 14):
+            h = make_grid(rows, cols)
+            yield h
+            for seed in range(3):
+                perm = list(h.vertices)
+                random.Random(1000 * seed + 100 * rows + cols).shuffle(perm)
+                new = dict(zip(h.vertices, perm))
+                edges = [(new[u], new[v]) for u, v in h.edges]
+                rotation = {new[v]: [new[w] for w in h.rotation[v]] for v in h.vertices}
+                for g in (plane_graph_from_edges(h.n, edges, rotation), plane_graph_from_edges(h.n, edges)):
+                    yield g
+                    for face in g.faces()[:6]:
+                        yield PlaneGraph(g.n, g.edges, g.rotation, face[0])
+            if rows * cols <= 40:
+                for v in h.vertices:
+                    yield delete_vertices(h, [v])[0]
+    for n in range(3, 41):
+        for seed in range(30):
+            g = gen_random_planar(n, min(3 * n - 6, n - 1 + seed % 20), 1, seed).graph
+            yield g
+            yield plane_graph_from_edges(g.n, g.edges)
+
+
+def test_grid_detection_matches_reference_on_corpus():
+    # the ladders are the 2 x c and c x 2 grids whose computed embedding
+    # flips a rung, each with its first faces as outer
+    counts = Counter(reads_like_reference(g) for g in grid_detection_corpus())
+    assert counts == {"same": 10037, "ladder": 355}
+
+
+@settings(max_examples=200)
+@given(g=plane_graphs)
+def test_grid_detection_matches_reference(g):
+    reads_like_reference(g)

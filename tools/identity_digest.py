@@ -9,11 +9,13 @@ and after it and compares the two outputs:
 
 Each checkout's `src/` and `perfbench/` are imported. It takes about a
 minute. Cases:
-- solve_pipeline on the 600 grid-solve seed-7 items (every fourth also at a
-  DP budget of 2,000 states) and the 800 sparse-solve seed-7 items: status,
-  reason, paths, certificates, iterations, serialized decomposition; and
-  for each grid item the stage that decided it (one-face or dp) with its
-  face certificate, None on checkouts without one;
+- solve_pipeline on the 600 grid-solve seed-7 items and the 800 sparse-solve
+  seed-7 items: status, reason, paths, certificates, iterations, serialized
+  decomposition; for each grid item the stage that decided it (one-face or
+  dp) with its face certificate, None on checkouts without one; and every
+  fourth grid item through dp_solve alone, on tree_decompose's
+  decomposition at a budget of 2,000 states, to show the DP's reach (the
+  pipeline's one-face stage decides these items before any DP);
 - the same fields for solve_pipeline on gen_grid_instance grids with seeds
   0-2: heuristic 7x7 and 8x8 with k in {5, 6}, and certified 7x7 with
   k in {2, 3}, where the decomposition the DP runs on decides the verdict;
@@ -135,8 +137,9 @@ for name, workload in (("grid", workloads.GridSolve()), ("sparse", workloads.Spa
         stage = "one-face" if res.decomposition is None else "dp"
         emit("grid-stage", i, stage, getattr(res, "no_certificate", None))
         if i % 4 == 0:
-            low = solver.solve_pipeline(parse_instance(text), dp_state_budget=2_000).outcome
-            emit("grid-low", i, low.status.value, low.reason)
+            inst = parse_instance(text)
+            emit("grid-low", i, outcome(lambda: (lambda low: (low.status.value, low.reason))(
+                solver.dp_solve(inst, decomposition.tree_decompose(inst.graph), state_budget=2_000))))
 
 for mode, sides, ks in (
     ("heuristic", (7, 8), (5, 6)),
