@@ -10,11 +10,10 @@ its vertices and edges.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .concentric import ConcentricCycles
+from .concentric import ConcentricCycles, make_concentric
 from .oracle import Linkage
 from .plane import (
     CheckResult,
@@ -23,6 +22,7 @@ from .plane import (
     Edge,
     PlaneGraph,
     PlaneGraphError,
+    bfs_distances,
     closed_interior,
     cycle_from_edges,
     face_closure,
@@ -415,17 +415,8 @@ def out_structure(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> O
 
 def _pieces_connected(pieces: list[tuple[int, ...]]) -> bool:
     verts = [set(p) for p in pieces]
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in range(len(pieces)):
-            if j not in seen and verts[i] & verts[j]:
-                seen.add(j)
-                queue.append(j)
-    if len(seen) != len(pieces):
-        return False
-    return True
+    touching = {i: [j for j, b in enumerate(verts) if a & b] for i, a in enumerate(verts)}
+    return len(bfs_distances(touching, [0])) == len(pieces)
 
 
 # -- segment tree ---------------------------------------------------------------------
@@ -487,31 +478,20 @@ def segment_tree(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> Se
         tree_adj[a][b] = s.index
         tree_adj[b][a] = s.index
 
-    # orient from the root
-    order = [root_comp]
-    parent_comp: dict[int, Optional[int]] = {root_comp: None}
-    seg_to_parent: dict[int, Optional[int]] = {root_comp: None}
-    queue = deque([root_comp])
-    while queue:
-        x = queue.popleft()
-        for y, sidx in sorted(tree_adj[x].items()):
-            if y not in parent_comp:
-                parent_comp[y] = x
-                seg_to_parent[y] = sidx
-                order.append(y)
-                queue.append(y)
-    if len(order) != len(comps):
+    # orient from the root: a region's parent is its neighbour one layer up
+    # that comes first in BFS order, the one that reached it first
+    dist = bfs_distances({c: sorted(tree_adj[c]) for c in comps}, [root_comp])
+    if len(dist) != len(comps):
         raise ConfigError("inside regions are not connected through segments")
-
+    order = list(dist)
     node_of_comp = {c: i for i, c in enumerate(order)}
     parent = [-1] * len(order)
     kinds = ["face"] * len(order)
     regions: list[Optional[frozenset[int]]] = [comps[c] for c in order]
     seg_labels: list[Optional[int]] = [None] * len(order)
-    for c in order:
-        if parent_comp[c] is not None:
-            parent[node_of_comp[c]] = node_of_comp[parent_comp[c]]
-            seg_labels[node_of_comp[c]] = seg_to_parent[c]
+    for i, c in enumerate(order[1:], 1):
+        parent[i] = min(node_of_comp[y] for y in tree_adj[c] if dist[y] == dist[c] - 1)
+        seg_labels[i] = tree_adj[c][order[parent[i]]]
 
     # extremal leaves hang under weak-dual leaf regions
     for s in segs:
@@ -710,15 +690,7 @@ def cyclically_connected(g: PlaneGraph, edge_set: frozenset[Edge]) -> bool:
             if e1 in adj and e2 in adj and e1 != e2:
                 adj[e1].add(e2)
                 adj[e2].add(e1)
-    seen = {edges[0]}
-    queue = deque([edges[0]])
-    while queue:
-        e = queue.popleft()
-        for f in adj[e]:
-            if f not in seen:
-                seen.add(f)
-                queue.append(f)
-    return len(seen) == len(edges)
+    return len(bfs_distances(adj, [edges[0]])) == len(edges)
 
 
 # -- reduced pairs ------------------------------------------------------------------------
@@ -807,8 +779,6 @@ def reduce_configuration(q: CLConfiguration) -> CLConfiguration:
         if len(seq) < 3:
             raise ReductionUnsupported("a cycle degenerates under contraction")
         new_cycles.append(Cycle(tuple(seq)))
-    from .concentric import make_concentric
-
     cc2 = make_concentric(g2, new_cycles)
     new_paths = tuple(collapse(p) for p in q.linkage.paths)
     return CLConfiguration(g2, cc2, Linkage(new_paths))

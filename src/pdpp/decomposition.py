@@ -23,6 +23,7 @@ from .plane import (
     GridMinorModel,
     PlaneGraph,
     PlaneGraphError,
+    bfs_distances,
     connected_components,
     grid_position_map,
     norm_edge,
@@ -35,7 +36,7 @@ from .plane import (
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """Rooted tree decomposition: parent[0] == -1, bags indexed by node."""
+    """Rooted tree decomposition: parent[i] is node i's parent, -1 at the one root."""
 
     parent: tuple[int, ...]
     bags: tuple[frozenset[int], ...]
@@ -72,9 +73,16 @@ def verify_tree_decomposition(g: PlaneGraph, td: TreeDecomposition) -> CheckResu
     nodes = len(td.bags)
     if len(td.parent) != nodes:
         return CheckResult(False, ("parent/bag arrays differ in length",))
+    stray = [i for i, p in enumerate(td.parent) if not -1 <= p < nodes]
+    if stray:
+        return CheckResult(False, (f"nodes {stray[:5]} have a parent out of range",))
     roots = [i for i, p in enumerate(td.parent) if p < 0]
     if len(roots) != 1:
         problems.append(f"expected one root, found {len(roots)}")
+    # every node hangs below a root unless the parent links close a cycle
+    if len(bfs_distances(dict(enumerate(td.children())), roots)) != nodes:
+        problems.append("parent links do not form one tree")
+        return CheckResult(False, tuple(problems))
     holding = _bags_by_vertex(td)
     missing = set(g.vertices) - holding.keys()
     if missing:
@@ -82,21 +90,13 @@ def verify_tree_decomposition(g: PlaneGraph, td: TreeDecomposition) -> CheckResu
     for u, v in sorted(g.edges):
         if not any(v in td.bags[i] for i in holding.get(u, ())):
             problems.append(f"edge ({u},{v}) in no bag")
-    kids = td.children()
+    # in a forest, the nodes holding v form one subtree exactly when one of
+    # them is a root or has a parent without v
     for v in g.vertices:
-        if v not in holding:
-            continue
-        holding_set = set(holding[v])
-        first = holding[v][0]
-        seen = {first}
-        queue = deque([first])
-        while queue:
-            x = queue.popleft()
-            for y in kids[x] + ([td.parent[x]] if td.parent[x] >= 0 else []):
-                if y in holding_set and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if seen != holding_set:
+        tops = sum(
+            td.parent[i] < 0 or v not in td.bags[td.parent[i]] for i in holding.get(v, ())
+        )
+        if tops > 1:
             problems.append(f"bags containing {v} are disconnected")
     real_width = max((len(b) for b in td.bags), default=1) - 1
     if real_width != td.width:
@@ -632,8 +632,6 @@ def caterpillar_bd(g: PlaneGraph, edge_order: list[Edge]) -> BranchDecomposition
 
 def grid_sweep_order(g: PlaneGraph) -> list[Edge]:
     """Column-sweep edge order achieving width min(rows, cols) on grids."""
-    from .plane import grid_position_map
-
     rows, cols = g.grid_shape
     at = grid_position_map(g)
     if cols < rows:

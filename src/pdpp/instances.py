@@ -24,6 +24,7 @@ from .plane import (
     Edge,
     PlaneGraph,
     PlaneGraphError,
+    bfs_distances,
     make_grid,
     norm_edge,
     plane_graph_from_edges,
@@ -291,28 +292,17 @@ def gen_random_planar(n: int, m: int, k: int, seed: int) -> DppInstance:
         edge_set = {norm_edge(u, v) for u, v in edges}
         adj = {v: set(rotation[v]) for v in rotation}
 
-        def is_bridge(u: int, v: int) -> bool:
-            seen = {u}
-            stack = [u]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if (x, y) in ((u, v), (v, u)):
-                        continue
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            return v not in seen
-
         candidates = sorted(edge_set)
         rng.shuffle(candidates)
         while len(edge_set) > m and candidates:
             u, v = candidates.pop()
-            if is_bridge(u, v):
-                continue
-            edge_set.discard((u, v))
             adj[u].discard(v)
             adj[v].discard(u)
+            if v not in bfs_distances(adj, [u]):  # uv is a bridge: keep it
+                adj[u].add(v)
+                adj[v].add(u)
+                continue
+            edge_set.discard((u, v))
             rotation[u].remove(v)
             rotation[v].remove(u)
         if len(edge_set) > m:

@@ -12,10 +12,11 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Container, Iterable, Optional, Sequence
+from typing import Callable, Container, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 Edge = tuple[int, int]
 Dart = tuple[int, int]
+N = TypeVar("N", bound=Hashable)
 
 
 class PlaneGraphError(ValueError):
@@ -235,38 +236,30 @@ class PlaneGraph:
 
 
 def connected_components(g: PlaneGraph) -> list[frozenset[int]]:
+    comps: list[frozenset[int]] = []
     seen: set[int] = set()
-    comps = []
     for s in g.vertices:
-        if s in seen:
-            continue
-        comp = {s}
-        queue = deque([s])
-        seen.add(s)
-        while queue:
-            v = queue.popleft()
-            for w in g.rotation[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(frozenset(comp))
+        if s not in seen:
+            comps.append(frozenset(bfs_distances(g.rotation, [s])))
+            seen |= comps[-1]
     return comps
 
 
 def bfs_distances(
-    g: PlaneGraph, sources: Iterable[int], within: Optional[Container[int]] = None
-) -> dict[int, int]:
-    """Distance from the nearest source to each vertex it reaches.
+    adj: Mapping[N, Iterable[N]], sources: Iterable[N], within: Optional[Container[N]] = None
+) -> dict[N, int]:
+    """Distance from the nearest source to each node it reaches, in the order reached.
 
-    With `within`, the search steps only onto vertices in `within`.
+    `adj` maps each node to its neighbours: a plane graph's `rotation`, a
+    tree's child lists, any adjacency. With `within`, the search steps only
+    onto nodes in `within`.
     """
-    allowed = g.rotation if within is None else within
+    allowed = adj if within is None else within
     dist = {s: 0 for s in sources}
     queue = deque(dist)
     while queue:
         v = queue.popleft()
-        for w in g.rotation[v]:
+        for w in adj[v]:
             if w not in dist and w in allowed:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -524,7 +517,7 @@ def detect_grid(g: PlaneGraph) -> Optional[tuple[tuple[int, int], dict[int, tupl
         ends = [v for v in g.vertices if degs[v - 1] == 1]
         if len(ends) != 2:
             return None
-        d = bfs_distances(g, [ends[0]])
+        d = bfs_distances(g.rotation, [ends[0]])
         return ((1, g.n), {v: (1, i + 1) for v, i in d.items()}) if len(d) == g.n else None
     corners = [v for v in g.vertices if degs[v - 1] == 2]
     if len(corners) != 4:
@@ -535,7 +528,7 @@ def detect_grid(g: PlaneGraph) -> Optional[tuple[tuple[int, int], dict[int, tupl
         c, w = corners[0], min(g.rotation[corners[0]])
     else:
         c, w = next((u, v) for u, v in g.faces()[border] if u in corners)
-    d, dw = bfs_distances(g, [c]), bfs_distances(g, [w])
+    d, dw = bfs_distances(g.rotation, [c]), bfs_distances(g.rotation, [w])
     if len(d) != g.n:
         return None
     far = min((x for x in corners if dw[x] < d[x]), key=d.__getitem__, default=None)
@@ -543,7 +536,7 @@ def detect_grid(g: PlaneGraph) -> Optional[tuple[tuple[int, int], dict[int, tupl
         return None
     cols = d[far] + 1
     rows = g.n // cols
-    d2 = bfs_distances(g, [far])
+    d2 = bfs_distances(g.rotation, [far])
     coords: dict[int, tuple[int, int]] = {}
     at: dict[tuple[int, int], int] = {}
     for v in g.vertices:
@@ -576,7 +569,7 @@ def grid_corners(g: PlaneGraph) -> frozenset[int]:
 def centers(g: PlaneGraph) -> frozenset[int]:
     """Vertices at maximum distance from the grid's corner set."""
     corners = grid_corners(g)
-    dist = bfs_distances(g, corners)
+    dist = bfs_distances(g.rotation, corners)
     best = max(dist.values())
     return frozenset(v for v, d in dist.items() if d == best)
 
@@ -662,7 +655,7 @@ def verify_minor_model(g: PlaneGraph, model: GridMinorModel) -> CheckResult:
         return CheckResult(False, tuple(problems))
     for pos in positions:
         vs = model.phi[pos]
-        if len(bfs_distances(g, [min(vs)], within=vs)) != len(vs):
+        if len(bfs_distances(g.rotation, [min(vs)], within=vs)) != len(vs):
             problems.append(f"branch set at {pos} is not connected")
     for r, c in positions:
         for nb in ((r + 1, c), (r, c + 1)):

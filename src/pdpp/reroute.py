@@ -16,7 +16,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .clconfig import ConfigError, TiltedGrid, perimeter_cycle
+from .clconfig import (
+    ConfigError,
+    TiltedGrid,
+    _component_runs,
+    perimeter_cycle,
+    verify_tilted_grid,
+)
 from .oracle import Linkage
 from .plane import (
     Budget,
@@ -265,8 +271,6 @@ def vertical_crossing(g: PlaneGraph, linkage: Linkage, disk: DiskRegion) -> Vert
     bverts = boundary.vertex_set
     lines: list[tuple[int, ...]] = []
     for path in linkage.paths:
-        from .clconfig import _component_runs
-
         runs = _component_runs(
             tuple(path),
             lambda v: v in disk.vertices,
@@ -584,8 +588,6 @@ def improve_over_tilted_grid(
     None means the disk has no untangling; the untangling's BudgetExceeded
     passes through.
     """
-    from .clconfig import verify_tilted_grid
-
     k = len(linkage.paths)
     m = u.capacity
     if m <= 2 ** k:

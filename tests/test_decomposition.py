@@ -2,6 +2,7 @@ import math
 import random
 from collections import deque
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +30,8 @@ from pdpp.decomposition import (
     verify_branch_decomposition,
     verify_tree_decomposition,
 )
-from pdpp.instances import gen_random_planar
+from pdpp.instances import DppInstance, gen_random_planar
+from pdpp.oracle import Status, solve_bruteforce
 from pdpp.plane import (
     BudgetExceeded,
     CheckResult,
@@ -39,6 +41,7 @@ from pdpp.plane import (
     plane_graph_from_edges,
     verify_minor_model,
 )
+from pdpp.solver import dp_solve
 
 
 def tree_graph():
@@ -320,9 +323,22 @@ def reference_verify_tree_decomposition(g, td):
     nodes = len(td.bags)
     if len(td.parent) != nodes:
         return CheckResult(False, ("parent/bag arrays differ in length",))
+    stray = [i for i, p in enumerate(td.parent) if p not in range(-1, nodes)]
+    if stray:
+        return CheckResult(False, (f"nodes {stray[:5]} have a parent out of range",))
     roots = [i for i, p in enumerate(td.parent) if p < 0]
     if len(roots) != 1:
         problems.append(f"expected one root, found {len(roots)}")
+    # a node below no root climbs its parent links for more steps than
+    # there are nodes: the links close a cycle
+    for x in range(nodes):
+        for _ in range(nodes):
+            if x < 0:
+                break
+            x = td.parent[x]
+        if x >= 0:
+            problems.append("parent links do not form one tree")
+            return CheckResult(False, tuple(problems))
     covered = set()
     for bag in td.bags:
         covered |= bag
@@ -418,12 +434,20 @@ def td_mutants(g, td, rng):
             moved = parent[:]
             moved[x] = rng.choice(targets)
             yield TreeDecomposition(tuple(moved), td.bags, td.width)
+        # a node re-parented into its own subtree: a cycle cut off from the root
+        looped = parent[:]
+        looped[x] = rng.choice(sorted(below(x)))
+        yield TreeDecomposition(tuple(looped), td.bags, td.width)
         # a second root
         cut = parent[:]
         cut[x] = -1
         yield TreeDecomposition(tuple(cut), td.bags, td.width)
     # a wrong declared width
     yield TreeDecomposition(td.parent, td.bags, td.width + rng.choice((-1, 1)))
+    # a parent index out of range
+    stray = parent[:]
+    stray[rng.randrange(len(stray))] = rng.choice((-2, len(stray)))
+    yield TreeDecomposition(tuple(stray), td.bags, td.width)
 
 
 def test_tree_verifier_matches_reference():
@@ -436,9 +460,87 @@ def test_tree_verifier_matches_reference():
                 got = verify_tree_decomposition(g, bad)
                 assert got == reference_verify_tree_decomposition(g, bad)
                 seen.update(p.split(" ", 1)[0] for p in got.problems)
-    # every kind of problem the verifier names was produced: a second root,
-    # a vertex or an edge in no bag, disconnected bags and a wrong width
-    assert seen == {"expected", "vertices", "edge", "bags", "declared"}
+    # every kind of problem the verifier names was produced: a parent out of
+    # range, a second root, a cycle of parent links, a vertex or an edge in no
+    # bag, disconnected bags and a wrong width
+    assert seen == {"nodes", "expected", "parent", "vertices", "edge", "bags", "declared"}
+
+
+def test_tree_verifier_rejects_a_cycle_of_parent_links():
+    # nodes 1 and 2 are each other's parent, cut off from the root; the DP
+    # once answered NO on this instance, which has the two paths 2-3 and 1-4
+    g = plane_graph_from_edges(4, [(2, 3), (1, 4)])
+    inst = DppInstance(g, ((2, 3), (1, 4)))
+    bags = (frozenset({1, 4}), frozenset({2, 3}), frozenset({2, 3}))
+    looped = TreeDecomposition((-1, 2, 1), bags, 1)
+    assert verify_tree_decomposition(g, looped) == CheckResult(
+        False, ("parent links do not form one tree",)
+    )
+    with pytest.raises(PlaneGraphError, match="parent links do not form one tree"):
+        dp_solve(inst, looped)
+    assert solve_bruteforce(inst).status is Status.YES
+    assert dp_solve(inst, TreeDecomposition((-1, 0, 1), bags, 1)).status is Status.YES
+    stray = TreeDecomposition((-1, 3, 1), bags, 1)
+    assert verify_tree_decomposition(g, stray) == CheckResult(
+        False, ("nodes [1] have a parent out of range",)
+    )
+
+
+# a path, a triangle with a pendant vertex and a 4-cycle with a chord: the
+# random bags below are drawn over one of them
+SMALL_GRAPHS = (
+    plane_graph_from_edges(4, [(1, 2), (2, 3), (3, 4)]),
+    plane_graph_from_edges(4, [(1, 2), (2, 3), (1, 3), (3, 4)]),
+    plane_graph_from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]),
+)
+
+
+@st.composite
+def raw_decompositions(draw):
+    """Parent arrays on 1-8 nodes with cycles, extra roots and out-of-range
+    indices, bags over a small graph, and a width off by at most one."""
+    g = draw(st.sampled_from(SMALL_GRAPHS))
+    nodes = draw(st.integers(1, 8))
+    # a random tree under a random numbering, then up to two links redrawn
+    label = draw(st.permutations(range(nodes)))
+    parent = [-1] * nodes
+    for i in range(1, nodes):
+        parent[label[i]] = label[draw(st.integers(0, i - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        parent[draw(st.integers(0, nodes - 1))] = draw(st.integers(-2, nodes))
+    # each bag misses at most two vertices, so that some draws are valid
+    missed = st.frozensets(st.sampled_from(g.vertices), max_size=2)
+    bags = tuple(frozenset(g.vertices) - draw(missed) for _ in range(nodes))
+    width = max(len(b) for b in bags) - 1 + draw(st.sampled_from((0, 0, -1, 1)))
+    return g, TreeDecomposition(tuple(parent), bags, width)
+
+
+def networkx_is_tree_decomposition(g, td):
+    nodes = len(td.bags)
+    if any(p not in range(-1, nodes) for p in td.parent):
+        return False
+    # a multigraph keeps a 2-cycle of parent links as two edges and a node
+    # that is its own parent as a loop, so neither passes for a tree
+    tree = nx.MultiGraph()
+    tree.add_nodes_from(range(nodes))
+    tree.add_edges_from((i, p) for i, p in enumerate(td.parent) if p >= 0)
+    if not nx.is_tree(tree):
+        return False
+    for u, v in g.edges:
+        if not any(u in bag and v in bag for bag in td.bags):
+            return False
+    for v in g.vertices:
+        holding = [i for i, bag in enumerate(td.bags) if v in bag]
+        if not holding or not nx.is_connected(tree.subgraph(holding)):
+            return False
+    return td.width == max(len(bag) for bag in td.bags) - 1
+
+
+@settings(max_examples=400)
+@given(case=raw_decompositions())
+def test_tree_verifier_matches_networkx(case):
+    g, td = case
+    assert verify_tree_decomposition(g, td).ok == networkx_is_tree_decomposition(g, td)
 
 
 def reference_minfill_order(g):

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +26,9 @@ t 1 2
 
 # a 3-vertex path with a rotation for each vertex, before its outer and t records
 PATH3_ROT = "p dpp 3 2 1\ne 1 2\ne 2 3\nrot 1 1 2\nrot 2 2 1 3\nrot 3 1 2\n"
+
+# the benchmark's sparse pool pins the verdicts of gen_random_planar(n, m, k, seed)
+SPARSE_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "sparse_pool.txt"
 
 
 class TestParse:
@@ -189,6 +195,22 @@ class TestGenerators:
         for seed in range(20):
             inst = gen_random_planar(10, 14, 2, seed)
             assert inst.graph.n == 10 and inst.graph.m == 14
+
+    def test_random_planar_matches_the_sparse_pool(self):
+        # the pool's verdicts hold only for the instances it was pinned on:
+        # the first 200 rows must still generate byte for byte the same text
+        rows = [
+            line.split()
+            for line in SPARSE_POOL.read_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        digest = hashlib.sha256()
+        for row in rows[:200]:
+            n, m, k, seed = map(int, row[1:5])
+            digest.update(write_instance(gen_random_planar(n, m, k, seed)).encode())
+        assert digest.hexdigest() == (
+            "6fecd868fb8881ac460ddee12906607100aaab578b63e80e56825ec4e6c8432f"
+        )
 
 
 @st.composite
