@@ -15,7 +15,7 @@ from pdpp.instances import (
     write_instance,
     write_solution,
 )
-from pdpp.plane import PlaneGraph, PlaneGraphError
+from pdpp.plane import PlaneGraph, PlaneGraphError, connected_components
 
 
 K2_TEXT = """\
@@ -178,8 +178,6 @@ class TestGenerators:
     def test_random_planar_tree(self):
         inst = gen_random_planar(5, 4, 2, 1)
         assert inst.graph.m == 4
-        from pdpp.plane import connected_components
-
         assert len(connected_components(inst.graph)) == 1
 
     def test_random_planar_m_too_big(self):
