@@ -100,59 +100,57 @@ class Segment:
         return [c for c in self.chords if c.level == level]
 
 
-# -- element-walk helpers ---------------------------------------------------------
+# -- element walk -------------------------------------------------------------------
+#
+# A path of n vertices has 2n - 1 elements: element 2i is vertex i and element
+# 2i + 1 is the edge from vertex i to vertex i + 1.
 
 
-def _component_runs(path: tuple[int, ...], v_in, e_in) -> list[tuple[int, int]]:
-    """Maximal runs [a,b] of included vertices joined by included edges."""
-    runs = []
-    i = 0
-    n = len(path)
-    while i < n:
-        if not v_in(path[i]):
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and e_in(path[j], path[j + 1]) and v_in(path[j + 1]):
-            j += 1
-        runs.append((i, j))
-        i = j + 1
+def _element_runs(
+    path, v_ok, e_ok, lo: int = 0, hi: Optional[int] = None
+) -> list[tuple[int, int]]:
+    """Maximal runs (x, y) of the elements lo..hi whose vertex passes `v_ok`
+    or whose normalized edge passes `e_ok`; hi defaults to the last element."""
+    if hi is None:
+        hi = 2 * len(path) - 2
+    runs: list[tuple[int, int]] = []
+    start = None
+    for x in range(lo, hi + 1):
+        i = x // 2
+        ok = e_ok(norm_edge(path[i], path[i + 1])) if x % 2 else v_ok(path[i])
+        if ok and start is None:
+            start = x
+        elif not ok and start is not None:
+            runs.append((start, x - 1))
+            start = None
+    if start is not None:
+        runs.append((start, hi))
     return runs
 
 
-def _chord_runs(seg: tuple[int, ...], v_inside, e_inside) -> list[tuple[int, int]]:
-    """Closed spans [a,b] of maximal open components; runs start and end on edges."""
-    n = len(seg)
-    runs = []
-    i = 0
-    while i < n - 1:
-        if not e_inside(seg[i], seg[i + 1]):
-            i += 1
-            continue
-        j = i
-        while j + 1 < n - 1 and v_inside(seg[j + 1]) and e_inside(seg[j + 1], seg[j + 2]):
-            j += 1
-        runs.append((i, j + 1))
-        i = j + 1
-    return runs
+def _vertex_spans(path, v_ok, e_ok) -> list[tuple[int, int]]:
+    """Vertex spans [a, b] of the runs that hold a vertex."""
+    runs = _element_runs(path, v_ok, e_ok)
+    return [((x + 1) // 2, y // 2) for x, y in runs if x < y or x % 2 == 0]
 
 
-def _count_semichord_runs(seg, span, v_out, e_out) -> int:
-    """Components of the open chord minus the inner disc, counted element-wise."""
-    a, b = span
-    elements = []
-    for i in range(a, b):
-        elements.append(("e", (seg[i], seg[i + 1])))
-        if i + 1 < b:
-            elements.append(("v", seg[i + 1]))
-    count = 0
-    prev_out = False
-    for kind, item in elements:
-        is_out = e_out(*item) if kind == "e" else v_out(item)
-        if is_out and not prev_out:
-            count += 1
-        prev_out = is_out
-    return count
+def _outside_pieces(path, disc: DiskRegion) -> list[tuple[int, ...]]:
+    """The path's pieces outside the disc's open interior, cut at every
+    boundary contact; each piece keeps the contacts at its ends.
+
+    Pieces without an edge are dropped, except a whole one-vertex path.
+    """
+    rim = disc.cycle.vertex_set
+    pieces = []
+    spans = _vertex_spans(
+        path, lambda v: v in rim or v not in disc.vertices, lambda e: e not in disc.edges
+    )
+    for a, b in spans:
+        cuts = [a, *(i for i in range(a + 1, b) if path[i] in rim), b]
+        pieces += [
+            tuple(path[i : j + 1]) for i, j in zip(cuts, cuts[1:]) if i < j or len(path) == 1
+        ]
+    return pieces
 
 
 def _region_faces(region: dict[int, int]) -> dict[int, frozenset[int]]:
@@ -177,12 +175,7 @@ def segments(q: CLConfiguration) -> list[Segment]:
     central_face = min(discs[0].faces)
     out: list[Segment] = []
     for pi, path in enumerate(q.linkage.paths):
-        runs = _component_runs(
-            tuple(path),
-            lambda v: v in outer.vertices,
-            lambda a, b: norm_edge(a, b) in outer.edges,
-        )
-        for a, b in runs:
+        for a, b in _vertex_spans(path, outer.vertices.__contains__, outer.edges.__contains__):
             seg_vertices = tuple(path[a : b + 1])
             if not (seg_vertices[0] in cyc_vsets[r] and seg_vertices[-1] in cyc_vsets[r]):
                 raise ConfigError(
@@ -196,21 +189,26 @@ def segments(q: CLConfiguration) -> list[Segment]:
             for lvl in range(r + 1):
                 disc = discs[lvl]
                 v_inside = lambda v, d=disc, cv=cyc_vsets[lvl]: v in d.vertices and v not in cv
-                e_inside = (
-                    lambda x, y, d=disc, ce=cyc_esets[lvl]: norm_edge(x, y) in d.edges
-                    and norm_edge(x, y) not in ce
-                )
-                for span in _chord_runs(seg_vertices, v_inside, e_inside):
+                e_inside = lambda e, d=disc, ce=cyc_esets[lvl]: e in d.edges and e not in ce
+                # a run that holds an edge is a chord; its semichords are the
+                # runs of its open elements outside the next disc in
+                for x, y in _element_runs(seg_vertices, v_inside, e_inside):
+                    if x == y and x % 2 == 0:
+                        continue
+                    start, end = x // 2, (y + 1) // 2
                     semis = 0
                     if lvl >= 1:
                         inner = discs[lvl - 1]
-                        semis = _count_semichord_runs(
-                            seg_vertices,
-                            span,
-                            lambda v, d=inner: v not in d.vertices,
-                            lambda x, y, d=inner: norm_edge(x, y) not in d.edges,
+                        semis = len(
+                            _element_runs(
+                                seg_vertices,
+                                lambda v, d=inner: v not in d.vertices,
+                                lambda e, d=inner: e not in d.edges,
+                                2 * start + 1,
+                                2 * end - 1,
+                            )
                         )
-                    chords.append(Chord(lvl, span[0], span[1], semis))
+                    chords.append(Chord(lvl, start, end, semis))
             # a 0-chord-free segment's zone: the outer disc's faces it cuts off
             zone: Optional[frozenset[int]] = None
             if not any(ch.level == 0 for ch in chords):
@@ -284,13 +282,10 @@ def is_touch_free(q: CLConfiguration) -> bool:
     outer = q.outer_cycle()
     vset = outer.vertex_set
     eset = outer.edges
-    for path in q.linkage.paths:
-        runs = _component_runs(
-            tuple(path), lambda v: v in vset, lambda a, b: norm_edge(a, b) in eset
-        )
-        if len(runs) == 1:
-            return False
-    return True
+    return all(
+        len(_vertex_spans(path, vset.__contains__, eset.__contains__)) != 1
+        for path in q.linkage.paths
+    )
 
 
 def count_extremal(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> int:
@@ -329,7 +324,6 @@ def out_structure(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> O
     outer_d = q.outer_disc()
     if segs is None:
         segs = segments(q)
-    cyc_v = outer_c.vertex_set
     cyc_e = outer_c.edges
     inside_only_edges = outer_d.edges - cyc_e
     out_edges = set(cyc_e)
@@ -348,38 +342,23 @@ def out_structure(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> O
     t1: set[int] = set()
     t2: set[int] = set()
     for pi, path in enumerate(q.linkage.paths):
-        contacts = [i for i, v in enumerate(path) if v in cyc_v]
-        if not contacts:
-            flying.append(tuple(path))
+        pieces = _outside_pieces(path, outer_d)
+        if pieces == [tuple(path)]:
+            flying.append(pieces[0])
             t0.update((path[0], path[-1]))
             continue
-        first, last = contacts[0], contacts[-1]
-        for end_idx, term_idx in ((first, 0), (last, len(path) - 1)):
-            term = path[term_idx]
-            piece = (
-                tuple(path[term_idx : end_idx + 1])
-                if term_idx < end_idx
-                else tuple(path[end_idx : term_idx + 1])
-            )
-            attach = path[end_idx]
-            deg = degree.get(attach, 0)
-            if deg >= 4:
+        # the end pieces run from a terminal to its first contact; the rest
+        # join two contacts outside the disc
+        ends = ((pieces[0], path[0], pieces[0][-1]), (pieces[-1], path[-1], pieces[-1][0]))
+        for piece, term, attach in ends:
+            if degree.get(attach, 0) >= 4:
                 kind = "bouncing"
                 t2.add(term)
             else:
                 kind = "invading"
                 t1.add(term)
             hairs.append(Hair(pi, piece, term, attach, kind))
-        for a, b in zip(contacts, contacts[1:]):
-            if b == a + 1 and norm_edge(path[a], path[b]) in cyc_e:
-                continue
-            sub = tuple(path[a : b + 1])
-            internal = sub[1:-1]
-            if any(v in outer_d.vertices for v in internal) or (
-                path_edges(sub) & inside_only_edges
-            ):
-                continue
-            out_segs.append(sub)
+        out_segs += pieces[1:-1]
 
     # faces of out(L): group host faces crossing only non-out edges
     region = face_regions(g, range(len(g.faces())), out_edges)
@@ -572,26 +551,10 @@ def _dilation(parent, deg) -> int:
 # -- parallel segments and types --------------------------------------------------------
 
 
-def _arc_vertices(cyc: tuple[int, ...], a: int, b: int) -> frozenset[int]:
+def _arc(cyc: tuple[int, ...], a: int, b: int) -> list[int]:
     """Vertices of the outer cycle from position a to b inclusive, forward."""
     n = len(cyc)
-    out = [cyc[a % n]]
-    i = a
-    while i % n != b % n:
-        i += 1
-        out.append(cyc[i % n])
-    return frozenset(out)
-
-
-def _arc_edge(cyc: tuple[int, ...], a: int, b: int, skip: frozenset[Edge]) -> Optional[Edge]:
-    n = len(cyc)
-    i = a
-    while i % n != b % n:
-        e = norm_edge(cyc[i % n], cyc[(i + 1) % n])
-        if e not in skip:
-            return e
-        i += 1
-    return None
+    return [cyc[i % n] for i in range(a, a + (b - a) % n + 1)]
 
 
 def _connecting_arcs(q: CLConfiguration, s1: Segment, s2: Segment) -> list[tuple[int, int]]:
@@ -613,7 +576,8 @@ def _region_between(
     region that `arc`'s first edge off the segments borders (None if none)."""
     barriers = s1.edges | s2.edges
     region = face_regions(q.graph, q.outer_disc().faces, barriers)
-    probe = _arc_edge(q.outer_cycle().vertices, *arc, barriers)
+    walk = _arc(q.outer_cycle().vertices, *arc)
+    probe = next((e for e in map(norm_edge, walk, walk[1:]) if e not in barriers), None)
     inner = [] if probe is None else [f for f in q.graph.faces_of_edge(probe) if f in region]
     return region, (region[inner[0]] if inner else None)
 
@@ -625,7 +589,7 @@ def parallel(q: CLConfiguration, s1: Segment, s2: Segment, segs: list[Segment]) 
     cyc = q.outer_cycle().vertices
     arcs = _connecting_arcs(q, s1, s2)
     for a, b in arcs:
-        arc_set = _arc_vertices(cyc, a, b)
+        arc_set = frozenset(_arc(cyc, a, b))
         for other in segs:
             if other.index in (s1.index, s2.index):
                 continue
@@ -839,52 +803,35 @@ def verify_tilted_grid(
             used |= set(p)
     if problems:
         return CheckResult(False, tuple(problems))
-    spans_x: dict[tuple[int, int], tuple[int, int]] = {}
-    spans_z: dict[tuple[int, int], tuple[int, int]] = {}
+    # spans[(name, p, o)]: where the intersection with the other family's
+    # path o lies along path p of family name
+    spans: dict[tuple[str, int, int], tuple[int, int]] = {}
     for i in range(1, r + 1):
         for j in range(1, r + 1):
             vs, es = u.intersection(i, j)
             if not vs:
                 problems.append(f"intersection ({i},{j}) is empty")
                 continue
-            xi = u.x_paths[i - 1]
-            idxs = sorted(k for k, v in enumerate(xi) if v in vs)
-            if idxs[-1] - idxs[0] != len(idxs) - 1:
-                problems.append(f"intersection ({i},{j}) is not contiguous along X_{i}")
-            zj = u.z_paths[j - 1]
-            jdxs = sorted(k for k, v in enumerate(zj) if v in vs)
-            if jdxs[-1] - jdxs[0] != len(jdxs) - 1:
-                problems.append(f"intersection ({i},{j}) is not contiguous along Z_{j}")
+            for name, p, o, path in (("X", i, j, u.x_paths[i - 1]), ("Z", j, i, u.z_paths[j - 1])):
+                idxs = sorted(k for k, v in enumerate(path) if v in vs)
+                if idxs[-1] - idxs[0] != len(idxs) - 1:
+                    problems.append(f"intersection ({i},{j}) is not contiguous along {name}_{p}")
+                spans[(name, p, o)] = (idxs[0], idxs[-1])
             if len(es) != len(vs) - 1:
                 problems.append(f"intersection ({i},{j}) is not a path")
-            spans_x[(i, j)] = (idxs[0], idxs[-1])
-            spans_z[(i, j)] = (jdxs[0], jdxs[-1])
             if (i in (1, r)) and (j in (1, r)) and es:
                 problems.append(f"corner intersection ({i},{j}) has edges")
     if problems:
         return CheckResult(False, tuple(problems))
-    for i in range(1, r + 1):
-        spans = [spans_x[(i, j)] for j in range(1, r + 1)]
-        fwd = all(spans[j][1] < spans[j + 1][0] for j in range(r - 1))
-        rev = all(spans[j][0] > spans[j + 1][1] for j in range(r - 1))
-        if not (fwd or rev):
-            problems.append(f"intersections along X_{i} are out of order")
-        xi = u.x_paths[i - 1]
-        lo = min(s[0] for s in spans)
-        hi = max(s[1] for s in spans)
-        if lo != 0 or hi != len(xi) - 1:
-            problems.append(f"X_{i} has a tail beyond its extreme intersections")
-    for j in range(1, r + 1):
-        spans = [spans_z[(i, j)] for i in range(1, r + 1)]
-        fwd = all(spans[i][1] < spans[i + 1][0] for i in range(r - 1))
-        rev = all(spans[i][0] > spans[i + 1][1] for i in range(r - 1))
-        if not (fwd or rev):
-            problems.append(f"intersections along Z_{j} are out of order")
-        zj = u.z_paths[j - 1]
-        lo = min(s[0] for s in spans)
-        hi = max(s[1] for s in spans)
-        if lo != 0 or hi != len(zj) - 1:
-            problems.append(f"Z_{j} has a tail beyond its extreme intersections")
+    for name, fam in (("X", u.x_paths), ("Z", u.z_paths)):
+        for p, path in enumerate(fam, 1):
+            seq = [spans[(name, p, o)] for o in range(1, r + 1)]
+            fwd = all(seq[o][1] < seq[o + 1][0] for o in range(r - 1))
+            rev = all(seq[o][0] > seq[o + 1][1] for o in range(r - 1))
+            if not (fwd or rev):
+                problems.append(f"intersections along {name}_{p} are out of order")
+            if min(sp[0] for sp in seq) != 0 or max(sp[1] for sp in seq) != len(path) - 1:
+                problems.append(f"{name}_{p} has a tail beyond its extreme intersections")
     if problems:
         return CheckResult(False, tuple(problems))
     if linkage is not None and r >= 2:
@@ -999,38 +946,28 @@ def extract_tilted_grid(q: CLConfiguration, cls: list[Segment]) -> TiltedGrid:
 
 def _orient_tilted(u: TiltedGrid) -> TiltedGrid:
     """Normalize path directions so intersections run in increasing order."""
-    r = u.capacity
-    x_paths = list(u.x_paths)
-    z_paths = list(u.z_paths)
-    if r < 2:
+    if u.capacity < 2:
         return u
-    # order Z along X_1: sort z indices by position of intersection on X_1
-    x1 = x_paths[0]
-    posx1 = {v: k for k, v in enumerate(x1)}
+    # order Z along X_1 and X along the first Z, then turn each path to start
+    # nearer the first path of the other family
+    z_paths = _sorted_along(u.z_paths, u.x_paths[0])
+    x_paths = _sorted_along(u.x_paths, z_paths[0])
+    z_paths = _turned_toward(z_paths, x_paths[0])
+    x_paths = _turned_toward(x_paths, z_paths[0])
+    return TiltedGrid(x_paths, z_paths)
 
-    def z_key(zp):
-        hits = [posx1[v] for v in zp if v in posx1]
-        return min(hits) if hits else 1 << 30
 
-    z_paths.sort(key=z_key)
-    z1 = z_paths[0]
-    posz1 = {v: k for k, v in enumerate(z1)}
+def _sorted_along(fam, ref: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The family's paths by the first position along `ref` where each meets it."""
+    pos = {v: k for k, v in enumerate(ref)}
+    return sorted(fam, key=lambda p: min((pos[v] for v in p if v in pos), default=1 << 30))
 
-    def x_key(xp):
-        hits = [posz1[v] for v in xp if v in posz1]
-        return min(hits) if hits else 1 << 30
 
-    x_paths.sort(key=x_key)
-    # flip paths so that intersections increase
-    for j in range(len(z_paths)):
-        zp = z_paths[j]
-        hits = [k for k, v in enumerate(zp) if v in set(x_paths[0])]
-        if hits and hits[0] > len(zp) - 1 - hits[-1]:
-            z_paths[j] = tuple(reversed(zp))
-    zset0 = set(z_paths[0])
-    for i in range(len(x_paths)):
-        xp = x_paths[i]
-        hits = [k for k, v in enumerate(xp) if v in zset0]
-        if hits and hits[0] > len(xp) - 1 - hits[-1]:
-            x_paths[i] = tuple(reversed(xp))
-    return TiltedGrid(tuple(x_paths), tuple(z_paths))
+def _turned_toward(fam, ref: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Each path reversed if it meets `ref` nearer its far end than its start."""
+    ref_set = set(ref)
+    out = []
+    for p in fam:
+        hits = [k for k, v in enumerate(p) if v in ref_set]
+        out.append(tuple(reversed(p)) if hits and hits[0] > len(p) - 1 - hits[-1] else p)
+    return tuple(out)

@@ -19,7 +19,8 @@ from typing import Optional
 from .clconfig import (
     ConfigError,
     TiltedGrid,
-    _component_runs,
+    _outside_pieces,
+    _vertex_spans,
     perimeter_cycle,
     verify_tilted_grid,
 )
@@ -34,7 +35,6 @@ from .plane import (
     closed_interior,
     grid_vertex,
     make_grid,
-    norm_edge,
     path_edges,
     verify_topological_minor,
 )
@@ -271,12 +271,7 @@ def vertical_crossing(g: PlaneGraph, linkage: Linkage, disk: DiskRegion) -> Vert
     bverts = boundary.vertex_set
     lines: list[tuple[int, ...]] = []
     for path in linkage.paths:
-        runs = _component_runs(
-            tuple(path),
-            lambda v: v in disk.vertices,
-            lambda a, b: norm_edge(a, b) in disk.edges,
-        )
-        for a, b in runs:
+        for a, b in _vertex_spans(path, disk.vertices.__contains__, disk.edges.__contains__):
             piece = tuple(path[a : b + 1])
             if piece[0] not in bverts or piece[-1] not in bverts:
                 raise ConfigError(f"disk trace {piece} does not join boundary points")
@@ -332,59 +327,14 @@ def _noncrossing_partial_matchings(points: list[int]):
                 for b in rec(outside):
                     yield a | b | {frozenset({first, partner})}
 
-    seen = set()
     for m in rec(tuple(range(n))):
-        if m in seen:
-            continue
-        seen.add(m)
-        yield frozenset(
-            frozenset({points[i] for i in pair}) for pair in m
-        )
+        yield frozenset(frozenset({points[i] for i in pair}) for pair in m)
 
 
 @dataclass(frozen=True)
 class Untangling:
     chords: tuple[tuple[int, int], ...]  # non-crossing boundary connections
     kept_pieces: tuple[tuple[int, ...], ...]  # outside sub-linkage R
-
-
-def _outside_atoms(linkage: Linkage, disk: DiskRegion) -> list[tuple[int, ...]]:
-    """Maximal linkage runs outside the closed disk, split at boundary contacts.
-
-    Atoms keep their boundary endpoints but contain no disk edges; runs
-    along the boundary cycle itself are dropped (the kept sub-linkage must
-    live in the graph with the closed disk removed).
-    """
-    atoms: list[tuple[int, ...]] = []
-    bverts = disk.cycle.vertex_set
-    for path in linkage.paths:
-        cur: list[int] = []
-        for v in path:
-            if v in disk.vertices and v not in bverts:
-                if len(cur) >= 2:
-                    atoms.append(tuple(cur))
-                cur = []
-                continue
-            if cur:
-                e = norm_edge(cur[-1], v)
-                if e in disk.edges:
-                    if len(cur) >= 2:
-                        atoms.append(tuple(cur))
-                    cur = []
-                elif v in bverts:
-                    cur.append(v)
-                    atoms.append(tuple(cur))
-                    cur = []
-                    continue
-            if not cur and v in bverts:
-                cur = [v]
-                continue
-            cur.append(v)
-        if len(cur) >= 2:
-            atoms.append(tuple(cur))
-        elif len(cur) == 1 and cur[0] not in bverts:
-            atoms.append(tuple(cur))
-    return [a for a in atoms if len(a) >= 2 or a[0] not in bverts]
 
 
 def _abstract_disjoint_paths(adj: dict[int, list[tuple[int, int]]], pairs):
@@ -450,7 +400,7 @@ def untangle_disk(
         raise ConfigError(f"linkage has {len(linkage.paths)} paths, caller said {k}")
     if r <= 2 ** k:
         raise ConfigError(f"need more than 2^{k} lines, got {r}")
-    atoms = _outside_atoms(linkage, disk)
+    atoms = [piece for path in linkage.paths for piece in _outside_pieces(path, disk)]
     pattern = linkage.pattern
     attach_points = set(crossing.up) | set(crossing.down)
     boundary_pts = [v for v in disk.cycle.vertices if v in attach_points]
@@ -508,20 +458,14 @@ def tilted_grid_structure(g: PlaneGraph, u: TiltedGrid):
             run = [v for v in xi if v in vs]
             ipaths[(i, j)] = tuple(run)
     connectors: dict[tuple, tuple[int, ...]] = {}
-    for i in range(1, r + 1):
-        xi = u.x_paths[i - 1]
-        pos = {v: t for t, v in enumerate(xi)}
-        for j in range(1, r):
-            a_end = max(ipaths[(i, j)], key=lambda v: pos[v])
-            b_start = min(ipaths[(i, j + 1)], key=lambda v: pos[v])
-            connectors[("x", i, j)] = tuple(xi[pos[a_end] : pos[b_start] + 1])
-    for j in range(1, r + 1):
-        zj = u.z_paths[j - 1]
-        pos = {v: t for t, v in enumerate(zj)}
-        for i in range(1, r):
-            a_end = max(ipaths[(i, j)], key=lambda v: pos[v])
-            b_start = min(ipaths[(i + 1, j)], key=lambda v: pos[v])
-            connectors[("z", j, i)] = tuple(zj[pos[a_end] : pos[b_start] + 1])
+    for name, fam in (("x", u.x_paths), ("z", u.z_paths)):
+        for p, path in enumerate(fam, 1):
+            pos = {v: t for t, v in enumerate(path)}
+            cells = [ipaths[(p, o) if name == "x" else (o, p)] for o in range(1, r + 1)]
+            for o in range(1, r):
+                a_end = max(cells[o - 1], key=pos.__getitem__)
+                b_start = min(cells[o], key=pos.__getitem__)
+                connectors[(name, p, o)] = tuple(path[pos[a_end] : pos[b_start] + 1])
     return ipaths, connectors
 
 

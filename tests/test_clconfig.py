@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import cheap_configuration, corpus_host
 
 from pdpp.clconfig import (
+    Chord,
     CLConfiguration,
     _dilation,
     ConfigError,
@@ -24,7 +25,7 @@ from pdpp.clconfig import (
 from pdpp.concentric import make_concentric, tighten, verify_tight
 from pdpp.gallery import ring_cycle, ring_lattice, shortcut_annulus_host
 from pdpp.oracle import Linkage, linkage_cost
-from pdpp.plane import Cycle, plane_graph_from_points
+from pdpp.plane import Cycle, bfs_distances, path_edges, plane_graph_from_points
 
 
 def two_ring_host(sectors=6):
@@ -208,6 +209,143 @@ class TestOutStructure:
         assert len(out.flying_hairs) == 1
         assert len(out.flying_terminals) == 2
         assert len(out.invading_terminals) == 2
+
+
+# -- the readings against a reference computed from sets -----------------------------
+
+
+def apex_host(sectors, cycle_rings, seed, apexes):
+    """`corpus_host`'s lattice with an apex in the annulus face above ring r
+    between sectors s and s + 1 for each (r, s) in `apexes`, joined to both.
+
+    A ring vertex of the plain lattice has one spoke outward, so no path
+    meets a ring at a lone vertex between two edges outside it; a path
+    through an apex does: it bounces off the ring below.
+    """
+    g, vid, _ = corpus_host(sectors, cycle_rings, seed)
+
+    def polar(radius, s):
+        angle = 2 * math.pi * s / sectors
+        return (radius * math.cos(angle), radius * math.sin(angle))
+
+    points = {vid(r, s): polar(1 + r, s) for r in range(cycle_rings + 1) for s in range(sectors)}
+    edges = list(g.edges)
+    for r, s in sorted(apexes):
+        apex = len(points) + 1
+        # halfway between the two rings' chords, inside the sector's trapezoid
+        points[apex] = polar((1.5 + r) * math.cos(math.pi / sectors), s + 0.5)
+        edges += [(vid(r, s), apex), (apex, vid(r, s + 1))]
+    return plane_graph_from_points(points, edges), vid
+
+
+def random_path(g, s, t, rng):
+    """A simple path from s to t: a depth-first search in random order.
+
+    `todo` holds each entered vertex's shuffled neighbours; no vertex is
+    entered twice.
+    """
+    stack = [s]
+    todo = {s: rng.sample(g.rotation[s], len(g.rotation[s]))}
+    while stack[-1] != t:
+        w = next((w for w in todo[stack[-1]] if w not in todo), None)
+        if w is None:
+            stack.pop()
+            continue
+        todo[w] = rng.sample(g.rotation[w], len(g.rotation[w]))
+        stack.append(w)
+    return tuple(stack)
+
+
+@st.composite
+def ring_configurations(draw):
+    """One random path between platform vertices, read against a random
+    sub-family of the rings, so that rings without a cycle leave room for
+    chords of three semichords."""
+    sectors = draw(st.integers(5, 9))
+    rings = draw(st.integers(2, 4))
+    faces = st.tuples(st.integers(0, rings - 1), st.integers(0, sectors - 1))
+    apexes = draw(st.sets(faces, max_size=5))
+    g, vid = apex_host(sectors, rings, draw(st.integers(0, 10**6)), apexes)
+    family = draw(st.sets(st.integers(0, rings - 1), min_size=1))
+    cc = make_concentric(g, [ring_cycle(vid, r, sectors) for r in sorted(family)])
+    rng = draw(st.randoms(use_true_random=False))
+    s, t = rng.sample([vid(rings, x) for x in range(sectors)], 2)
+    return CLConfiguration(g, cc, Linkage((random_path(g, s, t, rng),)))
+
+
+def set_pieces(path, vertices, edges, cut=frozenset()):
+    """The connected pieces of the path's vertices in `vertices` and edges in
+    `edges`, from sets: vertices in `cut` belong to no piece and so split
+    pieces apart. Each piece is (whether it holds an edge, the sorted path
+    positions of its vertices and its edges' ends)."""
+    pos = {v: i for i, v in enumerate(path)}
+    kept = {("v", v) for v in path if v in vertices and v not in cut}
+    kept |= {("e", e) for e in path_edges(path) if e in edges}
+    adj = {x: [("v", v) for v in x[1] if ("v", v) in kept] if x[0] == "e" else [] for x in kept}
+    for x, ends in list(adj.items()):
+        for end in ends:
+            adj[end].append(x)
+    pieces, seen = [], set()
+    for x in kept:
+        if x not in seen:
+            piece = set(bfs_distances(adj, [x]))
+            seen |= piece
+            ends = {v for kind, item in piece for v in ((item,) if kind == "v" else item)}
+            pieces.append((any(kind == "e" for kind, _ in piece), sorted(pos[v] for v in ends)))
+    return sorted(pieces, key=lambda piece: piece[1])
+
+
+@settings(max_examples=150)
+@given(ring_configurations())
+def test_readings_match_pieces_from_sets(q):
+    path = q.linkage.paths[0]
+    discs, cycles = q.cycles.discs, q.cycles.cycles
+    outer, rim = discs[-1], cycles[-1]
+    segs = segments(q)
+    # segments: the pieces of the path in the closed outer disc
+    assert [s.vertices for s in segs] == [
+        path[p[0] : p[-1] + 1] for _, p in set_pieces(path, outer.vertices, outer.edges)
+    ]
+    # chords: the pieces with an edge in a disc's open interior; semichords:
+    # the pieces of an open chord outside the next disc in
+    for s in segs:
+        chords = []
+        for lvl, (disc, cyc) in enumerate(zip(discs, cycles)):
+            open_v, open_e = disc.vertices - cyc.vertex_set, disc.edges - cyc.edges
+            for has_edge, p in set_pieces(s.vertices, open_v, open_e):
+                if not has_edge:
+                    continue
+                a, b = p[0], p[-1]
+                semis = 0
+                if lvl:
+                    inner = discs[lvl - 1]
+                    chord_v = set(s.vertices[a + 1 : b]) - inner.vertices
+                    chord_e = path_edges(s.vertices[a : b + 1]) - inner.edges
+                    semis = len(set_pieces(s.vertices, chord_v, chord_e))
+                chords.append(Chord(lvl, a, b, semis))
+        assert s.chords == tuple(chords)
+    assert is_touch_free(q) == (len(set_pieces(path, rim.vertex_set, rim.edges)) != 1)
+    # out(L): the pieces outside the open disc, split at the outer cycle
+    out = out_structure(q, segs)
+    if rim.vertex_set.isdisjoint(path):
+        assert (out.flying_hairs, out.hairs, out.out_segments) == ((path,), (), ())
+        return
+    outside_v = set(path) - (outer.vertices - rim.vertex_set)
+    outside_e = path_edges(path) - outer.edges
+    pieces = [
+        path[p[0] : p[-1] + 1]
+        for has_edge, p in set_pieces(path, outside_v, outside_e, rim.vertex_set)
+        if has_edge
+    ]
+    hairs = [
+        (0, piece, term, next(v for v in piece if v in rim.vertex_set))
+        for piece in pieces
+        for term in (path[0], path[-1])
+        if term in piece
+    ]
+    assert out.flying_hairs == ()
+    assert [(h.path_index, h.vertices, h.terminal, h.attach) for h in out.hairs] == hairs
+    assert out.out_segments == tuple(p for p in pieces if path[0] not in p and path[-1] not in p)
 
 
 class TestSegmentTree:

@@ -7,6 +7,7 @@ from pdpp.oracle import Linkage
 from pdpp.plane import BudgetExceeded, Cycle, closed_interior, grid_ring, grid_vertex, make_grid
 from pdpp.reroute import (
     BoundaryPattern,
+    _noncrossing_partial_matchings,
     PatternError,
     all_boundary_patterns,
     improve_over_tilted_grid,
@@ -150,6 +151,19 @@ class TestUntangle:
         assert untangle_disk(g, link, disk, 1, budget=6) == untangle_disk(g, link, disk, 1)
         with pytest.raises(BudgetExceeded, match="^over 5 matchings tried untangling$"):
             untangle_disk(g, link, disk, 1, budget=5)
+
+
+@pytest.mark.parametrize(
+    "n, motzkin", enumerate((1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798))
+)
+def test_partial_matchings_are_the_motzkin_count_without_repeats(n, motzkin):
+    # non-crossing partial matchings of n points in a row are counted by the
+    # Motzkin numbers; the generator yields each of them once
+    matchings = list(_noncrossing_partial_matchings(list(range(10, 10 + n))))
+    assert len(matchings) == len(set(matchings)) == motzkin
+    for m in matchings:
+        for (a, b), (c, d) in itertools.combinations(sorted(sorted(pair) for pair in m), 2):
+            assert not a < c < b < d
 
 
 class TestImprove:

@@ -31,8 +31,10 @@ minute. Cases:
   nested_chord_showcase: each segment (vertices, eccentricity, chords, a
   hash of its zone), the is_convex report, touch-freeness, a hash of the
   out-structure, the segment tree, the segment_types classes and, for each
-  class, the extracted tilted grid (capacity and a hash of its paths); the
-  same for five nested chords whose one class yields a capacity-3 grid;
+  class, the extracted tilted grid (capacity and a hash of its paths), and
+  the vertical crossing and untangling of the outer disc; the same for five
+  nested chords whose one class yields a capacity-3 grid, and for a path
+  that bounces off the outer cycle at an apex detour;
 - concentric_from_grid on the identity and a 4 x 4 block model of the 7x7,
   8x8 and 9x9 grids at depths 0 and 1, avoiding no vertex, a corner or a
   centre, and tighten on families of the grid's own rings: the cycles'
@@ -40,6 +42,11 @@ minute. Cases:
 - the least work budget with which solve_bruteforce, best_linkage_for_pattern,
   dp_solve, branchwidth_decision and untangle_disk decide, with each answer
   at that budget and one below;
+- on a 5x5 grid's central disc, for a snake crossing it three times and for
+  two straight columns: the vertical crossing (lines, up and down ends) and
+  the untangling (chords and kept pieces), or the exception raised; and
+  improve_over_tilted_grid on the snake with its capacity-3 and capacity-2
+  tilted grids: the new linkage's paths, or the exception raised;
   dp_solve's also on td_from_bd(g, best_heuristic_bd(g)) for each of its
   30 instances, the decomposition with the most joins;
 - the embedding computed for each of the 2,000 sparse_pool.txt graphs with
@@ -50,6 +57,7 @@ minute. Cases:
 """
 
 import hashlib
+import math
 import random
 import sys
 from pathlib import Path
@@ -66,7 +74,14 @@ from pdpp.instances import (  # noqa: E402
     parse_instance,
     write_instance,
 )
-from pdpp.plane import centers, closed_interior, grid_ring, make_grid, plane_graph_from_edges  # noqa: E402
+from pdpp.plane import (  # noqa: E402
+    centers,
+    closed_interior,
+    grid_ring,
+    make_grid,
+    plane_graph_from_edges,
+    plane_graph_from_points,
+)
 
 if not Path(solver.__file__).resolve().is_relative_to(root):
     sys.exit(f"error: imported pdpp from {solver.__file__}, not from {root}")
@@ -195,6 +210,16 @@ def cycles_of(cc):
     return [c.vertices for c in cc.cycles]
 
 
+def crossing(g, link, disk):
+    c = reroute.vertical_crossing(g, link, disk)
+    return c.lines, c.up, c.down
+
+
+def untangled(g, link, disk):
+    u = reroute.untangle_disk(g, link, disk, len(link.paths))
+    return None if u is None else (u.chords, u.kept_pieces)
+
+
 def config_lines(tag, q):
     """Segments, convexity, out-structure, segment tree, classes and tilted grids of q."""
     segs = clconfig.segments(q)
@@ -206,6 +231,8 @@ def config_lines(tag, q):
     caves = tuple(sorted(c) for c in out.caves)
     terminals = [sorted(t) for t in (out.flying_terminals, out.invading_terminals, out.bouncing_terminals)]
     emit("out", tag, short(repr((out.flying_hairs, out.hairs, out.out_segments, caves, terminals))))
+    emit("crossing", tag, outcome(lambda: crossing(q.graph, q.linkage, q.outer_disc())))
+    emit("untangled", tag, outcome(lambda: untangled(q.graph, q.linkage, q.outer_disc())))
 
     def tree():
         t = clconfig.segment_tree(q, segs)
@@ -251,6 +278,24 @@ for ecc in range(5):
                        + [vid(r, b) for r in range(ecc + 1, 7)]))
 family = concentric.make_concentric(g, [gallery.ring_cycle(vid, r, 16) for r in range(6)])
 config_lines("chain", clconfig.CLConfiguration(g, family, oracle.Linkage(tuple(chain))))
+
+
+def polar(radius, s):
+    return radius * math.cos(math.pi * s / 3), radius * math.sin(math.pi * s / 3)
+
+
+# two rings of six inside a platform ring, with an apex outside ring 1 between
+# sectors 0 and 1; the path bounces off the outer cycle at vid(1, 0) and vid(1, 1)
+vid = lambda ring, s: ring * 6 + s % 6 + 1  # noqa: E731
+points = {vid(ring, s): polar(1 + ring, s) for ring in range(3) for s in range(6)}
+points[19] = polar(2.6, 0.5)
+edges = [(vid(ring, s), vid(ring, s + 1)) for ring in range(3) for s in range(6)]
+edges += [(vid(ring, s), vid(ring + 1, s)) for ring in range(2) for s in range(6)]
+edges += [(vid(1, 0), 19), (19, vid(1, 1))]
+g = plane_graph_from_points(points, edges)
+family = concentric.make_concentric(g, [gallery.ring_cycle(vid, r, 6) for r in range(2)])
+bounce = oracle.Linkage(((vid(2, 0), vid(1, 0), 19, vid(1, 1), vid(2, 1)),))
+config_lines("bounce", clconfig.CLConfiguration(g, family, bounce))
 
 for side in (7, 8, 9):
     g = make_grid(side, side)
@@ -301,6 +346,15 @@ disk = closed_interior(g, grid_ring(g, 1))
 s = least_budget(lambda b: decided(lambda: reroute.untangle_disk(g, link, disk, 1, budget=b)), 200_000)
 emit("untangle", s, outcome(lambda: reroute.untangle_disk(g, link, disk, 1, budget=s)),
      outcome(lambda: reroute.untangle_disk(g, link, disk, 1, budget=s - 1)))
+straight = oracle.Linkage(((2, 7, 12, 17, 22), (4, 9, 14, 19, 24)))
+for tag, lk in (("snake", link), ("straight", straight)):
+    emit("crossing", tag, outcome(lambda: crossing(g, lk, disk)))
+    emit("untangled", tag, outcome(lambda: untangled(g, lk, disk)))
+tidy = clconfig.TiltedGrid(((7, 8, 9), (12, 13, 14), (17, 18, 19)),
+                           ((7, 12, 17), (8, 13, 18), (9, 14, 19)))
+for u in (tidy, clconfig.TiltedGrid(tidy.x_paths[:2], tidy.z_paths[:2])):
+    emit("improve", u.capacity, outcome(
+        lambda: (lambda lk: lk and lk.paths)(reroute.improve_over_tilted_grid(g, link, u))))
 
 # -- embeddings computed without a rotation system ----------------------------------
 
