@@ -13,10 +13,12 @@ each cut back as a cycle. Rings of a grid minor follow
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import repeat
+from typing import Callable, Iterable, Optional
 
 from .plane import (
     Budget,
@@ -42,7 +44,7 @@ class InsufficientGridError(ValueError):
 
 
 class CycleBudgetExceeded(BudgetExceeded):
-    """Exhaustive cycle enumeration ran over budget (see `_iter_cycles`)."""
+    """`verify_tight` ran over its DFS steps in disc 0 and the annuli (see `_iter_cycles`)."""
 
 
 @dataclass(frozen=True)
@@ -239,16 +241,18 @@ def tighten(g: PlaneGraph, cc: ConcentricCycles) -> ConcentricCycles:
 # -- the independent exhaustive tightness check -----------------------------------
 
 
-def _iter_cycles(adj: dict[int, list[int]], budget: int):
-    """Every simple cycle of the graph `adj` exactly once.
+def _iter_cycles(adj: dict[int, list[int]], spend: Callable[[], None]):
+    """Every simple cycle of the graph `adj` exactly once, in lexicographic order.
 
     `adj` maps each vertex to its sorted neighbours. DFS with minimum-root
     canonicity on an explicit stack of neighbour iterators, one per vertex
-    of the current path; `budget` bounds the DFS steps, one per vertex
-    pushed onto the path, each root included.
+    of the current path. Each cycle's `vertices` start at its least vertex
+    and go first to the smaller of that vertex's two cycle neighbours, and
+    cycles come in lexicographic order of that tuple; so a subgraph yields
+    the cycles it holds with the same tuples and in the same relative order
+    as the whole graph. `spend` is called once per vertex pushed onto the
+    path, each root included.
     """
-    message = f"over {budget} steps enumerating cycles"
-    spend = Budget(budget, lambda: CycleBudgetExceeded(message)).spend
     for root in sorted(adj):
         spend()
         path = [root]
@@ -272,75 +276,75 @@ def _iter_cycles(adj: dict[int, list[int]], budget: int):
                 on_path.discard(path.pop())
 
 
-def _disc_adjacency(disc: DiskRegion) -> dict[int, list[int]]:
-    """Sorted adjacency of the subgraph formed by a disc's vertices and edges."""
-    adj: dict[int, list[int]] = {v: [] for v in disc.vertices}
-    for u, v in disc.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+def _subgraph_adjacency(vertices: frozenset[int], edges: Iterable[Edge]) -> dict[int, list[int]]:
+    """Sorted adjacency of `vertices` with those of `edges` that join two of them."""
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in edges:
+        if u in adj and v in adj:
+            adj[u].append(v)
+            adj[v].append(u)
     for nbrs in adj.values():
         nbrs.sort()
     return adj
 
 
+def _layer_cycles(discs: tuple[DiskRegion, ...], spend: Callable[[], None]):
+    """(k, cycle) for each cycle of layer k, in lexicographic order of the cycles.
+
+    Layer 0 is disc 0's subgraph and layer i + 1 is annulus i: the vertices
+    of discs[i + 1] outside discs[i], with the edges of discs[i + 1] between
+    them. `spend` is called once per DFS push in any layer.
+    """
+    layers = [_subgraph_adjacency(discs[0].vertices, discs[0].edges)] + [
+        _subgraph_adjacency(outer.vertices - inner.vertices, outer.edges)
+        for inner, outer in zip(discs, discs[1:])
+    ]
+    streams = [zip(repeat(k), _iter_cycles(adj, spend)) for k, adj in enumerate(layers)]
+    return heapq.merge(*streams, key=lambda kc: kc[1].vertices)
+
+
 def verify_tight(g: PlaneGraph, cc: ConcentricCycles, budget: int = 200_000) -> CheckResult:
     """Exhaustively re-check surface minimality and the annulus condition.
 
-    Every simple cycle of the outer closed disc's subgraph is examined.
-    `budget` counts DFS steps in that subgraph: one per vertex pushed onto
-    the DFS path, each root of the enumeration included. A cycle's closed
-    interior is derived only when a check can read it, that is, when the
-    cycle's cheap vertex and edge tests leave one of the checks open.
+    Every simple cycle that a check can fail is examined: for minimality
+    the cycles of disc 0's subgraph, and for the slip check of pair i those
+    of annulus i, the vertices of disc i + 1 outside disc i with the edges
+    of disc i + 1 between them. `budget` counts DFS steps in all these
+    subgraphs together: one per vertex pushed onto a DFS path, each root
+    included. A cycle's closed interior is derived only when its check
+    reads it, and the first problem reported is the one an enumeration of
+    every cycle in lexicographic order would meet first.
     """
-    problems: list[str] = []
     discs = cc.discs
-    d0_vertices = discs[0].vertices
     later = [c.normalized() for c in cc.cycles[1:]]
-    # Only cycles inside the outer closed disc discs[-1] can fail a check;
-    # make_concentric nests every disc inside the next, faces and vertices.
-    # - The slip check skips any cycle not inside discs[i+1], and discs[i+1]
-    #   lies inside discs[-1].
+    message = f"over {budget} steps enumerating cycles"
+    spend = Budget(budget, lambda: CycleBudgetExceeded(message)).spend
+    # Each check can fail only the cycles of its own layer; make_concentric
+    # nests every disc inside the next, faces and vertices.
     # - The minimality check fires only when region.faces <= discs[0].faces.
     #   Each edge of a cycle borders at least one interior face of that
-    #   cycle, so that face lies in discs[0].faces <= discs[-1].faces. A
-    #   closed interior holds every edge bordering one of its faces, so the
-    #   edge and its ends lie in discs[-1].
-    for cyc in _iter_cycles(_disc_adjacency(discs[-1]), budget):
-        # The region is derived only where a check reads it:
-        # - The minimality check needs region.vertices <= discs[0].vertices,
-        #   and a closed interior holds its own cycle's vertices. So it can
-        #   fire only if cyc.vertex_set <= discs[0].vertices.
-        # - The slip check for pair i reads the region only after its three
-        #   vertex and edge tests have passed.
-        # Neither check has any other effect, so skipping the region
-        # elsewhere changes no verdict, and the minimality check still runs
-        # before the slip checks for every cycle.
-        region = None
-        if cyc.vertex_set <= d0_vertices:
-            region = closed_interior(g, cyc)
-            if region.is_proper_subset_of(discs[0]):
-                problems.append(
-                    f"disc 0 is not surface minimal: cycle {cyc.vertices} fits inside"
-                )
-                break
-        for i in range(len(discs) - 1):
-            inner, outer = discs[i], discs[i + 1]
-            if cyc.vertex_set & inner.vertices:
-                continue
-            if not (cyc.vertex_set <= outer.vertices and cyc.edges <= outer.edges):
-                continue
-            if cyc.normalized() == later[i]:
-                continue
-            if region is None:
-                region = closed_interior(g, cyc)
-            if inner.faces <= region.faces and region.faces < outer.faces:
-                problems.append(
-                    f"cycle {cyc.vertices} slips between discs {i} and {i + 1}"
-                )
-                break
-        if problems:
-            break
-    return CheckResult(not problems, tuple(problems))
+    #   cycle, so that face lies in discs[0].faces. A closed interior holds
+    #   every edge bordering one of its faces, so the edge and its ends lie
+    #   in disc 0: the cycle is one of layer 0.
+    # - The slip check for pair i reads only cycles that avoid the vertices
+    #   of discs[i] and lie in discs[i + 1], vertices and edges: the cycles
+    #   of layer i + 1.
+    # The layers' vertex sets are pairwise disjoint, so each cycle is read
+    # by exactly one check, and the merged stream meets the cycles in the
+    # order of one enumeration over the outer disc.
+    for k, cyc in _layer_cycles(discs, spend):
+        if k == 0:
+            if closed_interior(g, cyc).is_proper_subset_of(discs[0]):
+                problem = f"disc 0 is not surface minimal: cycle {cyc.vertices} fits inside"
+                return CheckResult(False, (problem,))
+            continue
+        if cyc.normalized() == later[k - 1]:
+            continue
+        region = closed_interior(g, cyc)
+        if discs[k - 1].faces <= region.faces and region.faces < discs[k].faces:
+            problem = f"cycle {cyc.vertices} slips between discs {k - 1} and {k}"
+            return CheckResult(False, (problem,))
+    return CheckResult(True, ())
 
 
 # -- extraction from a grid minor ---------------------------------------------------

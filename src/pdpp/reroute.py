@@ -410,20 +410,21 @@ def untangle_disk(
         _noncrossing_partial_matchings(boundary_pts),
         key=lambda m: (len(m), sorted(sorted(pair) for pair in m)),
     )
+    outside: dict[int, list[tuple[int, int]]] = {}
+    for eid, atom in enumerate(atoms):
+        a, b = atom[0], atom[-1]
+        outside.setdefault(a, []).append((b, eid))
+        outside.setdefault(b, []).append((a, eid))
     for matching in candidates:
         tried.spend()
         if len(matching) >= r:
             continue
         chords = tuple(tuple(sorted(pair)) for pair in sorted(matching, key=sorted))
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for eid, atom in enumerate(atoms):
-            a, b = atom[0], atom[-1]
-            adj.setdefault(a, []).append((b, eid))
-            adj.setdefault(b, []).append((a, eid))
-        for cid, (a, b) in enumerate(chords):
-            eid = len(atoms) + cid
-            adj.setdefault(a, []).append((b, eid))
-            adj.setdefault(b, []).append((a, eid))
+        # each chord end gets a fresh list, so `outside` stays as built
+        adj = dict(outside)
+        for eid, (a, b) in enumerate(chords, len(atoms)):
+            adj[a] = [*adj.get(a, ()), (b, eid)]
+            adj[b] = [*adj.get(b, ()), (a, eid)]
         used = _abstract_disjoint_paths(adj, pairs)
         if used is None:
             continue

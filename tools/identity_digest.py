@@ -24,8 +24,10 @@ minute. Cases:
   which is wider and reduces; and heuristic 7x7, 8x8 and 9x9 with k = 2,
   seeds 0-1, relabelled and built in-process with their embedding;
 - verify_tight on every tight_pool host at budgets 5, 500 and 200,000:
-  the verdict and problems, or the exception's type and message; and a
-  hash of each host's faces (orbits, outer face id, face count);
+  the verdict and problems, or the exception's type and message; a hash
+  of each host's faces (orbits, outer face id, face count); and on every
+  eighth host the least budget with which verify_tight decides, with its
+  answer at that budget and one below;
 - tighten on every tight_pool host's family: the cycles' vertex sequences;
 - on every tight tight_pool host with a cheapest linkage, and on
   nested_chord_showcase: each segment (vertices, eccentricity, chords, a
@@ -191,9 +193,16 @@ for row in hosts:
     g, vid = gallery.ring_lattice(3, spec.sectors, spokes=lambda ring, s: ring >= 1 or spec.spokes[s])
     emit("tight-faces", row[0], faces(g))
     cc = concentric.make_concentric(g, [gallery.ring_cycle(vid, r, spec.sectors) for r in spec.family])
+
+    def tight(b):
+        r = concentric.verify_tight(g, cc, b)
+        return r.ok, r.problems
+
     for budget in (5, 500, 200_000):
-        emit("tight", row[0], budget, outcome(lambda: (lambda r: (r.ok, r.problems))(concentric.verify_tight(g, cc, budget))))
+        emit("tight", row[0], budget, outcome(lambda: tight(budget)))
     if int(row[0]) % 8 == 0:
+        s = least_budget(lambda b: decided(lambda: tight(b)), 10_000_000)
+        emit("tight-least", row[0], s, outcome(lambda: tight(s)), outcome(lambda: tight(s - 1)))
         pairs = [(vid(2, a), vid(2, b)) for a, b in spec.pairs]
         cycles = list(cc.cycles)
 
