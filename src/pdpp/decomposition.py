@@ -661,7 +661,10 @@ BW_CLOSURE_BUDGET = 150_000
 
 
 def branchwidth_decision(g: PlaneGraph, b: int, budget: int = BW_CLOSURE_BUDGET) -> bool:
-    """Is bw(g) <= b? Exhaustive closure over buildable edge subsets."""
+    """Is bw(g) <= b? Exhaustive closure over buildable edge subsets.
+
+    One budget unit is one (subset, buildable subset) pair the closure tries.
+    """
     edge_list = sorted(g.edges)
     m = len(edge_list)
     if m <= 1:
@@ -686,7 +689,6 @@ def branchwidth_decision(g: PlaneGraph, b: int, budget: int = BW_CLOSURE_BUDGET)
         if boundary(s) <= b:
             buildable.add(s)
             queue.append(s)
-    # one unit per (subset, buildable subset) pair the closure tries
     spend = Budget(budget, lambda: BudgetExceeded("branchwidth closure budget exceeded")).spend
     while queue:
         s = queue.popleft()

@@ -219,27 +219,46 @@ def verify_route(k: int, pattern: BoundaryPattern, model: TopologicalMinorModel)
     return CheckResult(not problems, tuple(problems))
 
 
+def _noncrossing_matchings(points, size: int):
+    """Non-crossing matchings of exactly `size` pairs on points in cyclic order.
+
+    Each matching is a tuple of sorted pairs, and they come in lexicographic
+    order of those tuples: the least matched point rises in id order, then
+    its partner, and the other pairs recurse on the larger points. A chord
+    splits its region of the cycle in two, and a branch is entered only when
+    the regions left can still hold the pairs it needs, so each matching
+    costs polynomial work.
+    """
+
+    def rec(regions: list[tuple], need: int):
+        if need == 0:
+            yield ()
+            return
+        for a in sorted(p for region in regions for p in region):
+            # the points below a stay unmatched
+            regions = [tuple(p for p in region if p >= a) for region in regions]
+            if sum(len(region) // 2 for region in regions) < need:
+                return
+            (home,) = (region for region in regions if a in region)
+            rest = [region for region in regions if region is not home]
+            i = home.index(a)
+            for b in sorted(home[:i] + home[i + 1 :]):
+                lo, hi = sorted((i, home.index(b)))
+                split = [*rest, home[lo + 1 : hi], home[hi + 1 :] + home[:lo]]
+                if sum(len(region) // 2 for region in split) >= need - 1:
+                    for tail in rec(split, need - 1):
+                        yield ((a, b), *tail)
+
+    yield from rec([tuple(points)], size)
+
+
 def all_boundary_patterns(k: int):
     """Every valid perfect pattern on grid side k (non-crossing matchings)."""
     order = [("up", i) for i in range(1, k + 1)] + [
         ("down", i) for i in range(k, 0, -1)
     ]
-
-    def rec(labels: tuple[Label, ...]):
-        if not labels:
-            yield frozenset()
-            return
-        first = labels[0]
-        for idx in range(1, len(labels), 2):
-            partner = labels[idx]
-            left = labels[1:idx]
-            right = labels[idx + 1 :]
-            for a in rec(left):
-                for b in rec(right):
-                    yield a | b | {frozenset({first, partner})}
-
-    for edges in rec(tuple(order)):
-        p = BoundaryPattern(k, edges)
+    for matching in _noncrossing_matchings(order, k):
+        p = BoundaryPattern(k, frozenset(frozenset(pair) for pair in matching))
         try:
             validate_pattern(p)
         except PatternError:
@@ -307,75 +326,10 @@ def vertical_crossing(g: PlaneGraph, linkage: Linkage, disk: DiskRegion) -> Vert
     raise ConfigError("lines do not stack: the crossing is not vertical")
 
 
-def _noncrossing_partial_matchings(points: list[int]):
-    """All non-crossing partial matchings on points in cyclic order, by size."""
-    n = len(points)
-
-    def rec(idx: tuple[int, ...]):
-        if not idx:
-            yield frozenset()
-            return
-        first = idx[0]
-        # first stays unmatched
-        for rest in rec(idx[1:]):
-            yield rest
-        for pos in range(1, len(idx)):
-            partner = idx[pos]
-            inside = idx[1:pos]
-            outside = idx[pos + 1 :]
-            for a in rec(inside):
-                for b in rec(outside):
-                    yield a | b | {frozenset({first, partner})}
-
-    for m in rec(tuple(range(n))):
-        yield frozenset(frozenset({points[i] for i in pair}) for pair in m)
-
-
 @dataclass(frozen=True)
 class Untangling:
     chords: tuple[tuple[int, int], ...]  # non-crossing boundary connections
     kept_pieces: tuple[tuple[int, ...], ...]  # outside sub-linkage R
-
-
-def _abstract_disjoint_paths(adj: dict[int, list[tuple[int, int]]], pairs):
-    """Vertex-disjoint paths over labeled edges; returns used edge ids or None."""
-    used_vertices: set[int] = set(v for p in pairs for v in p)
-    used_edges: set[int] = set()
-    order = list(pairs)
-
-    def route(i: int):
-        if i == len(order):
-            return True
-        s, t = order[i]
-
-        def walk(v: int) -> bool:
-            if v == t:
-                return route(i + 1)
-            for w, eid in sorted(adj.get(v, ())):
-                if eid in used_edges:
-                    continue
-                if w != t and (w in used_vertices):
-                    continue
-                used_edges.add(eid)
-                if w != t:
-                    used_vertices.add(w)
-                if walk(w):
-                    return True
-                used_edges.discard(eid)
-                if w != t:
-                    used_vertices.discard(w)
-            return False
-
-        if walk(s):
-            return True
-        return False
-
-    for s, t in order:
-        if s not in adj or t not in adj:
-            return None
-    if route(0):
-        return used_edges
-    return None
 
 
 def untangle_disk(
@@ -387,12 +341,14 @@ def untangle_disk(
 ) -> Optional[Untangling]:
     """Replace the disk trace by fewer non-crossing chords, or None.
 
-    Exhaustively searches non-crossing partial matchings on the boundary
-    attachment points (smallest first); a candidate is accepted when some
-    sub-collection of the strictly-outside linkage runs plus the chords
-    forms disjoint paths realizing the original pattern. None means no
-    matching works; a search that needs more than `budget` matchings
-    raises BudgetExceeded instead.
+    Tries the non-crossing matchings of fewer than r chords on the r lines'
+    boundary ends, fewest chords first and then lexicographically by vertex
+    id. A matching is accepted when the strictly-outside pieces and its
+    chords join every path's terminals to each other and cross every chord;
+    the kept pieces are those on the joining walks. One budget unit is one
+    matching tried: None means no matching of fewer than r chords untangles
+    the disk, and a search that needs more than `budget` matchings raises
+    BudgetExceeded instead.
     """
     crossing = vertical_crossing(g, linkage, disk)
     r = len(crossing.lines)
@@ -400,38 +356,42 @@ def untangle_disk(
         raise ConfigError(f"linkage has {len(linkage.paths)} paths, caller said {k}")
     if r <= 2 ** k:
         raise ConfigError(f"need more than 2^{k} lines, got {r}")
-    atoms = [piece for path in linkage.paths for piece in _outside_pieces(path, disk)]
-    pattern = linkage.pattern
+    pieces = [piece for path in linkage.paths for piece in _outside_pieces(path, disk)]
     attach_points = set(crossing.up) | set(crossing.down)
     boundary_pts = [v for v in disk.cycle.vertices if v in attach_points]
-    pairs = [tuple(sorted(p)) for p in sorted((sorted(x) for x in pattern))]
+    # vertical_crossing rejects a bounce (a one-vertex line), so each line end
+    # ends at most one outside piece, and so does each terminal; the chords
+    # are a matching, so pieces and chords make vertex-disjoint paths and
+    # cycles, and the walk from a terminal, alternating pieces and chords,
+    # is forced
+    piece_end: dict[int, tuple[int, int]] = {}
+    for i, piece in enumerate(pieces):
+        piece_end[piece[0]] = (piece[-1], i)
+        piece_end[piece[-1]] = (piece[0], i)
+
+    def walk(v: int, partner: dict[int, int]):
+        """The end of the forced walk from v, the pieces it takes and its chord count."""
+        taken, crossed, on_piece = [], 0, v in piece_end
+        while v in (piece_end if on_piece else partner):
+            if on_piece:
+                v, i = piece_end[v]
+                taken.append(i)
+            else:
+                v = partner[v]
+                crossed += 1
+            on_piece = not on_piece
+        return v, taken, crossed
+
     tried = Budget(budget, lambda: BudgetExceeded(f"over {budget} matchings tried untangling"))
-    candidates = sorted(
-        _noncrossing_partial_matchings(boundary_pts),
-        key=lambda m: (len(m), sorted(sorted(pair) for pair in m)),
-    )
-    outside: dict[int, list[tuple[int, int]]] = {}
-    for eid, atom in enumerate(atoms):
-        a, b = atom[0], atom[-1]
-        outside.setdefault(a, []).append((b, eid))
-        outside.setdefault(b, []).append((a, eid))
-    for matching in candidates:
-        tried.spend()
-        if len(matching) >= r:
-            continue
-        chords = tuple(tuple(sorted(pair)) for pair in sorted(matching, key=sorted))
-        # each chord end gets a fresh list, so `outside` stays as built
-        adj = dict(outside)
-        for eid, (a, b) in enumerate(chords, len(atoms)):
-            adj[a] = [*adj.get(a, ()), (b, eid)]
-            adj[b] = [*adj.get(b, ()), (a, eid)]
-        used = _abstract_disjoint_paths(adj, pairs)
-        if used is None:
-            continue
-        if not all(len(atoms) + cid in used for cid in range(len(chords))):
-            continue  # prefer matchings with no redundant chords
-        kept = tuple(atoms[eid] for eid in sorted(used) if eid < len(atoms))
-        return Untangling(chords, kept)
+    for size in range(r):
+        for chords in _noncrossing_matchings(boundary_pts, size):
+            tried.spend()
+            partner = dict(chords) | {b: a for a, b in chords}
+            walks = [walk(path[0], partner) for path in linkage.paths]
+            joined = all(end == path[-1] for (end, _, _), path in zip(walks, linkage.paths))
+            if joined and sum(crossed for _, _, crossed in walks) == size:
+                kept = sorted(i for _, taken, _ in walks for i in taken)
+                return Untangling(chords, tuple(pieces[i] for i in kept))
     return None
 
 

@@ -130,7 +130,10 @@ def find_irrelevant_vertex(
     family the formulas prescribe. Heuristic mode uses the deepest family
     the grid affords and cross-checks the removal against the exhaustive
     oracle whenever the host is small enough; a failed cross-check
-    withholds the certificate.
+    withholds the certificate. The cross-check makes two `solve_bruteforce`
+    calls, before and after the deletion, each with its own `oracle_budget`,
+    so its work is bounded by 2 * `oracle_budget` units (search nodes plus
+    edges scanned).
     """
     g = inst.graph
     k = inst.k

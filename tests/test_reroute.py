@@ -1,13 +1,15 @@
 import itertools
+import random
 
 import pytest
 
+from pdpp import reroute
 from pdpp.clconfig import ConfigError, TiltedGrid, verify_tilted_grid
 from pdpp.oracle import Linkage
 from pdpp.plane import BudgetExceeded, Cycle, closed_interior, grid_ring, grid_vertex, make_grid
 from pdpp.reroute import (
     BoundaryPattern,
-    _noncrossing_partial_matchings,
+    _noncrossing_matchings,
     PatternError,
     all_boundary_patterns,
     improve_over_tilted_grid,
@@ -107,10 +109,18 @@ class TestRouting:
         assert grid_vertex(4, 4, 2, 2) in outer  # staircase depth 2
 
 
-def snake_instance():
-    """5x5 grid; one path crossing the central 3x3 block three times."""
-    g = make_grid(5, 5)
-    path = (2, 7, 12, 17, 22, 23, 18, 13, 8, 3, 4, 9, 14, 19, 24)
+def snake_instance(r=3):
+    """5 x (r+2) grid; one path crossing the central 3 x r block r times.
+
+    It runs down column 2, up column 3, and so on; for r = 3 it is
+    2, 7, 12, 17, 22, 23, 18, 13, 8, 3, 4, 9, 14, 19, 24.
+    """
+    g = make_grid(5, r + 2)
+    path = tuple(
+        grid_vertex(5, r + 2, row, col)
+        for col in range(2, r + 2)
+        for row in (range(1, 6) if col % 2 == 0 else range(5, 0, -1))
+    )
     link = Linkage((path,))
     disk = closed_interior(g, grid_ring(g, 1))
     return g, link, disk
@@ -152,18 +162,67 @@ class TestUntangle:
         with pytest.raises(BudgetExceeded, match="^over 5 matchings tried untangling$"):
             untangle_disk(g, link, disk, 1, budget=5)
 
+    def test_budget_bounds_the_matchings_built(self, monkeypatch):
+        # the 2 * 7 line ends of a seven-line snake have Motzkin(14) = 113,634
+        # non-crossing matchings; at a budget of one the search raises on the
+        # second matching tried, so it must not build the others first
+        generate = reroute._noncrossing_matchings
+        yielded = 0
+
+        def counting(points, size):
+            nonlocal yielded
+            for matching in generate(points, size):
+                yielded += 1
+                yield matching
+
+        monkeypatch.setattr(reroute, "_noncrossing_matchings", counting)
+        g, link, disk = snake_instance(7)
+        with pytest.raises(BudgetExceeded, match="^over 1 matchings tried untangling$"):
+            untangle_disk(g, link, disk, 1, budget=1)
+        assert yielded <= 2
+
+
+def brute_noncrossing_matchings(points):
+    """Every non-crossing partial matching of points in cyclic order, as pair lists."""
+    position = {p: i for i, p in enumerate(points)}
+
+    def matchings(rest):
+        if not rest:
+            yield []
+            return
+        first, *others = rest
+        yield from matchings(others)
+        for j, partner in enumerate(others):
+            for m in matchings(others[:j] + others[j + 1 :]):
+                yield [(first, partner), *m]
+
+    for m in matchings(list(points)):
+        spans = [sorted((position[a], position[b])) for a, b in m]
+        if not any(
+            a < c < b < d or c < a < d < b
+            for (a, b), (c, d) in itertools.combinations(spans, 2)
+        ):
+            yield m
+
 
 @pytest.mark.parametrize(
     "n, motzkin", enumerate((1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798))
 )
 def test_partial_matchings_are_the_motzkin_count_without_repeats(n, motzkin):
-    # non-crossing partial matchings of n points in a row are counted by the
-    # Motzkin numbers; the generator yields each of them once
-    matchings = list(_noncrossing_partial_matchings(list(range(10, 10 + n))))
-    assert len(matchings) == len(set(matchings)) == motzkin
-    for m in matchings:
-        for (a, b), (c, d) in itertools.combinations(sorted(sorted(pair) for pair in m), 2):
-            assert not a < c < b < d
+    # non-crossing partial matchings of n points on a cycle are counted by the
+    # Motzkin numbers; untangle_disk's budget pins count them by size, then
+    # by their sorted pair lists of vertex ids, so the generator, taken size
+    # by size, must yield exactly that sorted list
+    points = random.Random(n).sample(range(10, 10 + 3 * n), n)
+    want = sorted(
+        brute_noncrossing_matchings(points),
+        key=lambda m: (len(m), sorted(sorted(pair) for pair in m)),
+    )
+    got = [m for size in range(n // 2 + 1) for m in _noncrossing_matchings(points, size)]
+    assert len(got) == motzkin
+    assert [[list(pair) for pair in m] for m in got] == [
+        sorted(sorted(pair) for pair in m) for m in want
+    ]
 
 
 class TestImprove:

@@ -49,6 +49,10 @@ minute. Cases:
   the untangling (chords and kept pieces), or the exception raised; and
   improve_over_tilted_grid on the snake with its capacity-3 and capacity-2
   tilted grids: the new linkage's paths, or the exception raised;
+- on the central disc of a 5 x (r+2) grid, for a snake crossing it r times
+  with r = 4-7: the untangling at the default budget and, for r = 4-6, the
+  least budget with which untangle_disk decides, with its answer at that
+  budget and one below;
   dp_solve's also on td_from_bd(g, best_heuristic_bd(g)) for each of its
   30 instances, the decomposition with the most joins;
 - the embedding computed for each of the 2,000 sparse_pool.txt graphs with
@@ -80,6 +84,7 @@ from pdpp.plane import (  # noqa: E402
     centers,
     closed_interior,
     grid_ring,
+    grid_vertex,
     make_grid,
     plane_graph_from_edges,
     plane_graph_from_points,
@@ -364,6 +369,20 @@ tidy = clconfig.TiltedGrid(((7, 8, 9), (12, 13, 14), (17, 18, 19)),
 for u in (tidy, clconfig.TiltedGrid(tidy.x_paths[:2], tidy.z_paths[:2])):
     emit("improve", u.capacity, outcome(
         lambda: (lambda lk: lk and lk.paths)(reroute.improve_over_tilted_grid(g, link, u))))
+
+for r in range(4, 8):
+    # down column 2, up column 3, ...: r lines across rows 2-4
+    g = make_grid(5, r + 2)
+    link = oracle.Linkage((tuple(
+        grid_vertex(5, r + 2, row, col)
+        for col in range(2, r + 2)
+        for row in (range(1, 6) if col % 2 == 0 else range(5, 0, -1))),))
+    disk = closed_interior(g, grid_ring(g, 1))
+    emit("snake-untangled", r, outcome(lambda: untangled(g, link, disk)))
+    if r <= 6:  # one call at r = 7 takes seconds on checkouts that sort every matching
+        s = least_budget(lambda b: decided(lambda: reroute.untangle_disk(g, link, disk, 1, budget=b)), 200_000)
+        emit("snake-least", r, s, outcome(lambda: reroute.untangle_disk(g, link, disk, 1, budget=s)),
+             outcome(lambda: reroute.untangle_disk(g, link, disk, 1, budget=s - 1)))
 
 # -- embeddings computed without a rotation system ----------------------------------
 
