@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -112,21 +113,31 @@ def _iter_path_systems(
     matching the disjointness requirement. `allowed` restricts usable
     vertices.
 
-    Two cuts drop only branches that hold no wanted system, so the systems
-    that are yielded come in the same order as without them:
-    - before a path is extended, one search through the free (unoccupied,
-      usable, non-terminal) vertices checks that the head can still reach
-      its target and that every later pair can still be joined;
-    - with `cap`, a one-element list the caller may lower between systems,
-      a step that takes the partial cost above `cap[0]` is not taken. Paths
-      of a system share no edge, so the partial cost is the cost of the
-      edges so far and never falls.
+    Without `cap` the systems come in plain enumeration order: paths in
+    pair order, each grown by stepping to neighbours in vertex order. One
+    cut drops only branches that hold no system, so the order is that of
+    enumeration without it: before a path is extended, one search through
+    the free (unoccupied, usable, non-terminal) vertices checks that the
+    head can still reach its target and that every later pair can still be
+    joined.
 
-    The budget is charged one unit per search node and one per edge the
-    reachability check scans.
+    With `cap`, a one-element list the caller may lower between systems,
+    the search is goal-directed: it yields every system whose cost is at
+    most `cap[0]` as the search ends, perhaps some dearer ones, in no
+    promised order. For each pair a 0-1 BFS from its target, expanding
+    only the target and the initially free vertices, gives h(v), a lower
+    bound on what the rest of a path from v pays: free vertices are only
+    ever taken away. A step to w is taken only if the cost so far, the
+    step's cost, h(w) and h(s) of every later pair's source add up to at
+    most `cap[0]`; paths of a system share no edge, so costs add. Steps
+    are tried in order of that sum, then of w, so the first step over the
+    cap ends a vertex's steps, cheap systems come first and the cap falls
+    early. A vertex from which the target cannot be reached is never
+    stepped to. The reachability check above runs in this mode too.
+
+    The budget is charged one unit per search node, one per edge the
+    reachability check scans, and one per edge the bound's BFS scans.
     """
-    if cap is None:
-        cap = [math.inf]
     # vertex sets are bitmasks with vertex v as bit 1 << v; adj and degree
     # are keyed by that bit
     terminals = {v for p in pairs for v in p}
@@ -138,6 +149,49 @@ def _iter_path_systems(
         v: [(w, 1 << w, norm_edge(v, w) not in cycle_edges) for w in sorted(nbrs)]
         for v, nbrs in g.rotation.items()
     }
+
+    def lower_bounds(t: int) -> dict[int, int]:
+        """0-1 BFS distances to t through t and the initially free vertices."""
+        dist = {t: 0}
+        queue = deque([(0, t)])
+        scanned = 0
+        while queue:
+            d, u = queue.popleft()
+            if d > dist[u]:
+                continue
+            scanned += len(steps_from[u])
+            for w, bit, paid in steps_from[u]:
+                if d + paid < dist.get(w, math.inf):
+                    dist[w] = d + paid
+                    if free0 & bit:
+                        if paid:
+                            queue.append((d + 1, w))
+                        else:
+                            queue.appendleft((d, w))
+        budget.spend(scanned)
+        return dist
+
+    # per pair, each vertex's steps as (ahead, w, bit, paid); a vertex's
+    # steps end at the first with cost + ahead above cap[0], which without
+    # a cap never comes
+    if cap is None:
+        cap = [math.inf]
+        plain = {v: [(paid, w, bit, paid) for w, bit, paid in out] for v, out in steps_from.items()}
+        ranked = [plain] * len(pairs)
+    else:
+        ranked = []
+        rest = 0  # the bound of the pairs after the current one
+        for s, t in reversed(pairs):
+            h = lower_bounds(t)
+            if s not in h:
+                return
+            ranked.append({
+                v: sorted((paid + h[w] + rest, w, bit, paid) for w, bit, paid in steps_from[v] if w in h)
+                for v in h
+                if v == s or free0 >> v & 1
+            })
+            rest += h[s]
+        ranked.reverse()
     done: list[list[int]] = []
 
     def joinable(ends: list[tuple[int, int]], free: int) -> bool:
@@ -187,6 +241,7 @@ def _iter_path_systems(
             return
         s, t = pairs[i]
         later = pairs[i + 1 :]
+        steps = ranked[i]
         path = [s]
 
         def extend(v: int, cost: int, free: int) -> Iterator[tuple[list[list[int]], int]]:
@@ -198,10 +253,10 @@ def _iter_path_systems(
                 return
             if not joinable([(v, t)] + later, free):
                 return
-            for w, bit, paid in steps_from[v]:
+            for ahead, w, bit, paid in steps[v]:
+                if cost + ahead > cap[0]:
+                    break
                 if w != t and not free & bit:
-                    continue
-                if cost + paid > cap[0]:
                     continue
                 path.append(w)
                 yield from extend(w, cost + paid, free & ~bit)
@@ -321,9 +376,12 @@ def _cheapest_paths(
 ) -> Optional[list[list[int]]]:
     """Paths of the cheapest system that beats `incumbent`, or None.
 
-    Systems compare by (cost, sorted edge list); the incumbent's cost
-    seeds the engine's cost cap, which drops only strictly dearer
-    branches, so every tie still reaches the comparison.
+    Systems compare by (cost, sorted edge list), and no two systems share
+    an edge list, so the answer does not depend on the order in which the
+    engine's goal-directed cost mode finds them. The incumbent's cost seeds
+    the engine's cost cap and each cheaper system lowers it; the cap drops
+    only branches whose cost bound is strictly above it, so every tie still
+    reaches the comparison.
     """
     cap = [incumbent[0]]
     best: Optional[list[list[int]]] = None

@@ -253,17 +253,16 @@ def _noncrossing_matchings(points, size: int):
 
 
 def all_boundary_patterns(k: int):
-    """Every valid perfect pattern on grid side k (non-crossing matchings)."""
+    """Every valid perfect pattern on grid side k (non-crossing matchings).
+
+    Each is valid: a chord of a non-crossing perfect matching leaves an even
+    number of labels on either side, so a same-side edge has an odd gap.
+    """
     order = [("up", i) for i in range(1, k + 1)] + [
         ("down", i) for i in range(k, 0, -1)
     ]
     for matching in _noncrossing_matchings(order, k):
-        p = BoundaryPattern(k, frozenset(frozenset(pair) for pair in matching))
-        try:
-            validate_pattern(p)
-        except PatternError:
-            continue
-        yield p
+        yield BoundaryPattern(k, frozenset(frozenset(pair) for pair in matching))
 
 
 # -- vertical crossings and untangling --------------------------------------------------

@@ -328,6 +328,13 @@ def ring_host(sectors, k, seed):
     return g, pairs, cycles, rng
 
 
+def pool_host(spokes, family, pairs):
+    """A 6-sector host shaped like the tight pool's: ring-0 spokes as a
+    0/1 string, the family's rings, and pairs of sectors on ring 2."""
+    g, vid = ring_lattice(3, 6, spokes=lambda ring, s: ring >= 1 or spokes[s] == "1")
+    return g, [(vid(2, a), vid(2, b)) for a, b in pairs], [ring_cycle(vid, r, 6) for r in family]
+
+
 def criterion_2_grids():
     """The criterion-2 instances, each with and without its certified vertex."""
     from pdpp.solver import find_irrelevant_vertex
@@ -399,6 +406,22 @@ class TestPrunedEngine:
         start = best_linkage_for_pattern(g, pairs, cycles)
         with pytest.raises(BudgetExceeded):
             cheapest_equivalent_linkage(g, start, cycles, budget=5)
+
+    @pytest.mark.parametrize(
+        "host, work",
+        [
+            (lambda: ring_host(8, 3, 1)[:3], 1152),
+            (lambda: pool_host("110111", (0, 1), ((5, 0), (2, 3))), 105),
+            (lambda: pool_host("101101", (0, 1), ((2, 1), (5, 0), (4, 3))), 133),
+        ],
+    )
+    def test_cheapest_linkage_work_pinned(self, host, work):
+        # one unit per search node, per edge the reachability check scans
+        # and per edge the distance bound's BFS scans
+        g, pairs, cycles = host()
+        assert best_linkage_for_pattern(g, pairs, cycles, budget=work) is not None
+        with pytest.raises(BudgetExceeded):
+            best_linkage_for_pattern(g, pairs, cycles, budget=work - 1)
 
 
 def _grid_edges(side, first):
@@ -487,4 +510,26 @@ def test_engine_equals_reference_on_random_instances(n, density, k, seed, keep, 
 def test_engine_equals_reference_on_ring_hosts(sectors, k, seed, restrict):
     g, pairs, cycles, rng = ring_host(sectors, k, seed)
     allowed = random_allowed(g, pairs, rng) if restrict else None
+    assert_engine_matches_reference(g, pairs, cycles, allowed)
+
+
+@settings(max_examples=60)
+@given(
+    sectors=st.integers(4, 8),
+    data=st.data(),
+    family=st.sampled_from(((0,), (1,), (0, 1))),
+    restrict=st.booleans(),
+)
+def test_cheapest_linkage_equals_reference_on_random_ring_hosts(sectors, data, family, restrict):
+    spokes = data.draw(st.lists(st.booleans(), min_size=sectors, max_size=sectors))
+    g, vid = ring_lattice(3, sectors, spokes=lambda ring, s: ring >= 1 or spokes[s])
+    k = data.draw(st.integers(1, min(3, sectors // 2)))
+    sides = data.draw(st.permutations(range(sectors)))[: 2 * k]
+    pairs = [(vid(2, sides[2 * i]), vid(2, sides[2 * i + 1])) for i in range(k)]
+    allowed = None
+    if restrict:
+        terminals = {v for p in pairs for v in p}
+        others = sorted(set(g.vertices) - terminals)
+        allowed = frozenset(terminals) | data.draw(st.frozensets(st.sampled_from(others)))
+    cycles = [ring_cycle(vid, r, sectors) for r in family]
     assert_engine_matches_reference(g, pairs, cycles, allowed)

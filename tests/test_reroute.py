@@ -60,10 +60,12 @@ class TestPatterns:
             validate_pattern(p)
 
     def test_pattern_count_is_catalan(self):
-        # 1, 2, 5, 14, 42, 132 for k = 1..6
-        want = {1: 1, 2: 2, 3: 5, 4: 14}
+        want = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429}
         for k, count in want.items():
-            assert sum(1 for _ in all_boundary_patterns(k)) == count
+            patterns = list(all_boundary_patterns(k))
+            assert len(patterns) == count
+            for p in patterns:
+                validate_pattern(p)
 
 
 class TestRouting:

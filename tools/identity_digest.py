@@ -28,6 +28,9 @@ minute. Cases:
   of each host's faces (orbits, outer face id, face count); and on every
   eighth host the least budget with which verify_tight decides, with its
   answer at that budget and one below;
+- on every tight_pool host, the paths and cost of best_linkage_for_pattern's
+  linkage and of cheapest_equivalent_linkage's from solve_bruteforce's
+  solution (plain enumeration's first system), or None when none exists;
 - tighten on every tight_pool host's family: the cycles' vertex sequences;
 - on every tight tight_pool host with a cheapest linkage, and on
   nested_chord_showcase: each segment (vertices, eccentricity, chords, a
@@ -191,7 +194,21 @@ for side in (7, 8, 9):
         inst = DppInstance(g, tuple((new[s], new[t]) for s, t in inst.pairs))
         emit("wide-relabelled", side, 2, seed, *pipeline(solver.solve_pipeline(inst)))
 
-# -- verify_tight on the tight pool ------------------------------------------------
+# -- verify_tight and cheapest linkages on the tight pool -----------------------------
+
+
+def cheapest(g, pairs, cycles):
+    """Paths and cost of best_linkage_for_pattern's linkage, and of
+    cheapest_equivalent_linkage's from the first system plain enumeration
+    finds (solve_bruteforce's solution); None when the pattern has none."""
+    best = oracle.best_linkage_for_pattern(g, pairs, cycles)
+    if best is None:
+        return None
+    first = oracle.solve_bruteforce(DppInstance(g, tuple(pairs))).solution
+    again = oracle.cheapest_equivalent_linkage(g, oracle.Linkage(first.paths), cycles)
+    return [(lk.paths, oracle.linkage_cost(lk, cycles)) for lk in (best, again)]
+
+
 hosts = workloads.read_pool(workloads.TIGHT_POOL)
 for row in hosts:
     spec = workloads.HostSpec.parse(row[4:8])
@@ -205,11 +222,12 @@ for row in hosts:
 
     for budget in (5, 500, 200_000):
         emit("tight", row[0], budget, outcome(lambda: tight(budget)))
+    pairs = [(vid(2, a), vid(2, b)) for a, b in spec.pairs]
+    cycles = list(cc.cycles)
+    emit("cheapest", row[0], outcome(lambda: cheapest(g, pairs, cycles)))
     if int(row[0]) % 8 == 0:
         s = least_budget(lambda b: decided(lambda: tight(b)), 10_000_000)
         emit("tight-least", row[0], s, outcome(lambda: tight(s)), outcome(lambda: tight(s - 1)))
-        pairs = [(vid(2, a), vid(2, b)) for a, b in spec.pairs]
-        cycles = list(cc.cycles)
 
         def best(b):
             return oracle.best_linkage_for_pattern(g, pairs, cycles, budget=b)
