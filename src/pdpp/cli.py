@@ -29,6 +29,7 @@ from .decomposition import find_grid_minor
 from .instances import (
     DppInstance,
     ParseError,
+    _records,
     gen_grid_instance,
     gen_random_planar,
     parse_instance,
@@ -194,13 +195,9 @@ def cmd_reduce(args) -> int:
 # -- analyze -----------------------------------------------------------------------
 
 
-def _parse_cycles(text: str, inst: DppInstance) -> list[Cycle]:
+def _parse_cycles(text: str) -> list[Cycle]:
     cycles = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, fields in _records(text):
         if fields[0] != "cycle":
             raise ParseError(lineno, f"expected 'cycle v1 v2 ...', got {fields[0]!r}")
         try:
@@ -227,7 +224,7 @@ def cmd_analyze(args) -> int:
     inst = _load_instance(args.instance)
     try:
         if args.cycles:
-            cycles = _parse_cycles(_read(args.cycles), inst)
+            cycles = _parse_cycles(_read(args.cycles))
         else:
             cycles = _default_grid_cycles(inst)
         cc = make_concentric(inst.graph, cycles)
@@ -249,6 +246,9 @@ def cmd_analyze(args) -> int:
     except (ParseError, PlaneGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except DpBudgetExceeded as exc:
+        print(f"# indeterminate: {exc}", file=sys.stderr)
+        return EXIT_INDETERMINATE
     segs = segments(q)
     conv = is_convex(q, segs)
     report: dict = {
@@ -320,11 +320,7 @@ def cmd_analyze(args) -> int:
 
 def _parse_pattern(text: str, k: int) -> BoundaryPattern:
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, fields in _records(text):
         if len(fields) != 4 or fields[0] not in ("up", "down") or fields[2] not in (
             "up",
             "down",

@@ -102,7 +102,6 @@ def _iter_path_systems(
     g: PlaneGraph,
     pairs: list[tuple[int, int]],
     budget: Budget,
-    allowed: Optional[frozenset[int]] = None,
     cycle_edges: frozenset[Edge] = frozenset(),
     cap: Optional[list[float]] = None,
 ) -> Iterator[tuple[list[list[int]], int]]:
@@ -110,16 +109,14 @@ def _iter_path_systems(
 
     Each system comes with its cost, the number of its edges not in
     `cycle_edges`. Every terminal is blocked for all paths except its own,
-    matching the disjointness requirement. `allowed` restricts usable
-    vertices.
+    matching the disjointness requirement.
 
     Without `cap` the systems come in plain enumeration order: paths in
     pair order, each grown by stepping to neighbours in vertex order. One
     cut drops only branches that hold no system, so the order is that of
     enumeration without it: before a path is extended, one search through
-    the free (unoccupied, usable, non-terminal) vertices checks that the
-    head can still reach its target and that every later pair can still be
-    joined.
+    the free (unoccupied, non-terminal) vertices checks that the head can
+    still reach its target and that every later pair can still be joined.
 
     With `cap`, a one-element list the caller may lower between systems,
     the search is goal-directed: it yields every system whose cost is at
@@ -141,8 +138,7 @@ def _iter_path_systems(
     # vertex sets are bitmasks with vertex v as bit 1 << v; adj and degree
     # are keyed by that bit
     terminals = {v for p in pairs for v in p}
-    usable = g.rotation.keys() if allowed is None else allowed
-    free0 = sum(1 << v for v in usable if v not in terminals)
+    free0 = sum(1 << v for v in g.rotation if v not in terminals)
     adj = {1 << v: sum(1 << w for w in nbrs) for v, nbrs in g.rotation.items()}
     degree = {1 << v: len(nbrs) for v, nbrs in g.rotation.items()}
     steps_from = {
@@ -371,7 +367,6 @@ def _cheapest_paths(
     pairs: list[tuple[int, int]],
     cycles: list[Cycle],
     budget: int,
-    allowed: Optional[frozenset[int]],
     incumbent: tuple[float, tuple[Edge, ...]] = (math.inf, ()),
 ) -> Optional[list[list[int]]]:
     """Paths of the cheapest system that beats `incumbent`, or None.
@@ -387,7 +382,7 @@ def _cheapest_paths(
     best: Optional[list[list[int]]] = None
     best_cost, best_key = incumbent
     systems = _iter_path_systems(
-        g, pairs, Budget(budget), allowed, _cycle_edges(cycles), cap
+        g, pairs, Budget(budget), _cycle_edges(cycles), cap
     )
     for system, cost in systems:
         if cost < best_cost:
@@ -407,7 +402,6 @@ def cheapest_equivalent_linkage(
     start: Linkage,
     cycles: list[Cycle],
     budget: int = DEFAULT_BUDGET,
-    allowed: Optional[frozenset[int]] = None,
 ) -> Linkage:
     """Minimum-cost linkage with the same pattern, by exhaustive enumeration.
 
@@ -419,7 +413,7 @@ def cheapest_equivalent_linkage(
     start.check_in(g)
     pairs = sorted((min(p[0], p[-1]), max(p[0], p[-1])) for p in start.paths)
     incumbent = (linkage_cost(start, cycles), _edge_key(start.paths))
-    paths = _cheapest_paths(g, pairs, cycles, budget, allowed, incumbent)
+    paths = _cheapest_paths(g, pairs, cycles, budget, incumbent)
     return start if paths is None else Linkage(tuple(tuple(p) for p in paths))
 
 
@@ -428,11 +422,10 @@ def best_linkage_for_pattern(
     pairs: list[tuple[int, int]],
     cycles: list[Cycle],
     budget: int = DEFAULT_BUDGET,
-    allowed: Optional[frozenset[int]] = None,
 ) -> Optional[Linkage]:
     """Cheapest linkage realizing the pattern, or None if none exists."""
     terminals = [v for p in pairs for v in p]
     if len(set(terminals)) != len(terminals):
         raise PlaneGraphError("pattern terminals are not pairwise distinct")
-    paths = _cheapest_paths(g, sorted(pairs), cycles, budget, allowed)
+    paths = _cheapest_paths(g, sorted(pairs), cycles, budget)
     return None if paths is None else Linkage(tuple(tuple(p) for p in paths))

@@ -4,10 +4,11 @@ linkage improvement over tilted grids.
 `route_pattern` realizes a non-crossing boundary matching inside a square
 grid with the explicit staircase construction (down/right/up for side edges,
 rank-staggered descents for crossing edges). `untangle_disk` replaces the
-lines of a vertical crossing by fewer non-crossing chords, checked by
-reassembling the outside linkage. `improve_over_tilted_grid` composes the
-two through the contraction/lift between a tilted grid and its
-representation grid.
+lines of a vertical crossing by fewer non-crossing chords and returns each
+path's route: its kept outside pieces joined by its chords.
+`improve_over_tilted_grid` composes the two: it routes the chords' pattern
+in the representation grid and walks each route, lifting each chord by
+sliding along the tilted grid's own paths.
 """
 
 from __future__ import annotations
@@ -121,20 +122,16 @@ def route_pattern(k: int, pattern: BoundaryPattern) -> TopologicalMinorModel:
         raise PatternError(f"pattern is for side {pattern.k}, not {k}")
     validate_pattern(pattern)
     g = make_grid(k, k)
-    up_edges, down_edges, crossing = [], [], []
+    same_side: dict[str, list] = {"up": [], "down": []}
+    crossing = []
     for e in pattern.edges:
-        sides = sorted(e)
-        (sa, ia), (sb, ib) = sides
-        if sa == sb == "up":
-            up_edges.append((min(ia, ib), max(ia, ib), e))
-        elif sa == sb == "down":
-            down_edges.append((min(ia, ib), max(ia, ib), e))
-        else:
-            down_i = ia if sa == "down" else ib
-            up_i = ib if sa == "down" else ia
-            crossing.append((up_i, down_i, e))
+        (sa, ia), (sb, ib) = sorted(e)
+        if sa == sb:
+            same_side[sa].append((min(ia, ib), max(ia, ib), e))
+        else:  # sorted puts down before up
+            crossing.append((ib, ia, e))
     b_c = len(crossing)
-    q = max(len(up_edges), len(down_edges))
+    q = max(len(edges) for edges in same_side.values())
     if 2 * q + b_c > k:
         raise PatternError(
             f"pattern needs {2 * q + b_c} rows but the grid has only {k}"
@@ -151,28 +148,18 @@ def route_pattern(k: int, pattern: BoundaryPattern) -> TopologicalMinorModel:
     def realize(coords: list[tuple[int, int]]) -> tuple[int, ...]:
         return tuple(grid_vertex(k, k, r, c) for r, c in coords)
 
-    for i, j, e in up_edges:
-        if pattern.is_perfect():
-            l = (j - i + 1) // 2
-        else:
-            l = depth(up_edges, i, j)
-        coords = (
-            [(r, i) for r in range(1, l + 1)]
-            + [(l, c) for c in range(i + 1, j + 1)]
-            + [(r, j) for r in range(l - 1, 0, -1)]
-        )
-        phi1[e] = realize(coords)
-    for i, j, e in down_edges:
-        if pattern.is_perfect():
-            l = (j - i + 1) // 2
-        else:
-            l = depth(down_edges, i, j)
-        coords = (
-            [(r, i) for r in range(k, k - l, -1)]
-            + [(k - l + 1, c) for c in range(i + 1, j + 1)]
-            + [(r, j) for r in range(k - l + 2, k + 1)]
-        )
-        phi1[e] = realize(coords)
+    # a down staircase is the up one with row r mapped to k + 1 - r
+    for side, edges in same_side.items():
+        for i, j, e in edges:
+            l = (j - i + 1) // 2 if pattern.is_perfect() else depth(edges, i, j)
+            coords = (
+                [(r, i) for r in range(1, l + 1)]
+                + [(l, c) for c in range(i + 1, j + 1)]
+                + [(r, j) for r in range(l - 1, 0, -1)]
+            )
+            if side == "down":
+                coords = [(k + 1 - r, c) for r, c in coords]
+            phi1[e] = realize(coords)
     cross_up_cols = sorted(u for u, _, _ in crossing)
     for up_i, down_j, e in crossing:
         rank = cross_up_cols.index(up_i) + 1
@@ -327,8 +314,14 @@ def vertical_crossing(g: PlaneGraph, linkage: Linkage, disk: DiskRegion) -> Vert
 
 @dataclass(frozen=True)
 class Untangling:
+    """Chords that replace a disk's trace, and each path's route through them.
+
+    A route runs between the path's terminals through its kept outside
+    pieces, each chord taken as a single step between its two ends.
+    """
+
     chords: tuple[tuple[int, int], ...]  # non-crossing boundary connections
-    kept_pieces: tuple[tuple[int, ...], ...]  # outside sub-linkage R
+    routes: tuple[tuple[int, ...], ...]  # one per linkage path, in its order
 
 
 def untangle_disk(
@@ -344,9 +337,9 @@ def untangle_disk(
     boundary ends, fewest chords first and then lexicographically by vertex
     id. A matching is accepted when the strictly-outside pieces and its
     chords join every path's terminals to each other and cross every chord;
-    the kept pieces are those on the joining walks. One budget unit is one
-    matching tried: None means no matching of fewer than r chords untangles
-    the disk, and a search that needs more than `budget` matchings raises
+    the routes are those joining walks. One budget unit is one matching
+    tried: None means no matching of fewer than r chords untangles the
+    disk, and a search that needs more than `budget` matchings raises
     BudgetExceeded instead.
     """
     crossing = vertical_crossing(g, linkage, disk)
@@ -355,31 +348,31 @@ def untangle_disk(
         raise ConfigError(f"linkage has {len(linkage.paths)} paths, caller said {k}")
     if r <= 2 ** k:
         raise ConfigError(f"need more than 2^{k} lines, got {r}")
-    pieces = [piece for path in linkage.paths for piece in _outside_pieces(path, disk)]
     attach_points = set(crossing.up) | set(crossing.down)
     boundary_pts = [v for v in disk.cycle.vertices if v in attach_points]
     # vertical_crossing rejects a bounce (a one-vertex line), so each line end
     # ends at most one outside piece, and so does each terminal; the chords
     # are a matching, so pieces and chords make vertex-disjoint paths and
     # cycles, and the walk from a terminal, alternating pieces and chords,
-    # is forced
-    piece_end: dict[int, tuple[int, int]] = {}
-    for i, piece in enumerate(pieces):
-        piece_end[piece[0]] = (piece[-1], i)
-        piece_end[piece[-1]] = (piece[0], i)
+    # is forced. piece_from[v] is v's piece read from v.
+    piece_from: dict[int, tuple[int, ...]] = {}
+    for path in linkage.paths:
+        for piece in _outside_pieces(path, disk):
+            piece_from[piece[0]] = piece
+            piece_from[piece[-1]] = piece[::-1]
 
     def walk(v: int, partner: dict[int, int]):
-        """The end of the forced walk from v, the pieces it takes and its chord count."""
-        taken, crossed, on_piece = [], 0, v in piece_end
-        while v in (piece_end if on_piece else partner):
+        """The forced walk from v, each chord one step, and its chord count."""
+        route, crossed, on_piece = [v], 0, v in piece_from
+        while v in (piece_from if on_piece else partner):
             if on_piece:
-                v, i = piece_end[v]
-                taken.append(i)
+                route += piece_from[v][1:]
             else:
-                v = partner[v]
+                route.append(partner[v])
                 crossed += 1
+            v = route[-1]
             on_piece = not on_piece
-        return v, taken, crossed
+        return tuple(route), crossed
 
     tried = Budget(budget, lambda: BudgetExceeded(f"over {budget} matchings tried untangling"))
     for size in range(r):
@@ -387,10 +380,9 @@ def untangle_disk(
             tried.spend()
             partner = dict(chords) | {b: a for a, b in chords}
             walks = [walk(path[0], partner) for path in linkage.paths]
-            joined = all(end == path[-1] for (end, _, _), path in zip(walks, linkage.paths))
-            if joined and sum(crossed for _, _, crossed in walks) == size:
-                kept = sorted(i for _, taken, _ in walks for i in taken)
-                return Untangling(chords, tuple(pieces[i] for i in kept))
+            joined = all(route[-1] == path[-1] for (route, _), path in zip(walks, linkage.paths))
+            if joined and sum(crossed for _, crossed in walks) == size:
+                return Untangling(chords, tuple(route for route, _ in walks))
     return None
 
 
@@ -401,84 +393,11 @@ class ImprovementError(ConfigError):
     pass
 
 
-def tilted_grid_structure(g: PlaneGraph, u: TiltedGrid):
-    """Intersection paths plus connector subpaths, keyed for lifting.
-
-    Returns (ipaths, connectors): ipaths[(i,j)] is the ordered vertex run of
-    I_{i,j} along X_i; connectors[("x", i, j)] joins I_{i,j} to I_{i,j+1}
-    along X_i inclusively of both junction endpoints, and similarly
-    connectors[("z", j, i)] along Z_j.
-    """
-    r = u.capacity
-    ipaths: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            vs, _ = u.intersection(i, j)
-            xi = u.x_paths[i - 1]
-            run = [v for v in xi if v in vs]
-            ipaths[(i, j)] = tuple(run)
-    connectors: dict[tuple, tuple[int, ...]] = {}
-    for name, fam in (("x", u.x_paths), ("z", u.z_paths)):
-        for p, path in enumerate(fam, 1):
-            pos = {v: t for t, v in enumerate(path)}
-            cells = [ipaths[(p, o) if name == "x" else (o, p)] for o in range(1, r + 1)]
-            for o in range(1, r):
-                a_end = max(cells[o - 1], key=pos.__getitem__)
-                b_start = min(cells[o], key=pos.__getitem__)
-                connectors[(name, p, o)] = tuple(path[pos[a_end] : pos[b_start] + 1])
-    return ipaths, connectors
-
-
-def _lift_rep_path(rep_path, ipaths, connectors, entry_vertex):
-    """Lift a representation-grid path to host vertices.
-
-    rep_path is a list of (row, col) grid coordinates; entry_vertex is the
-    host vertex where the lifted path must start (a Z endpoint inside the
-    first intersection).
-    """
-    lifted: list[int] = [entry_vertex]
-
-    def extend_through(seq: tuple[int, ...]):
-        if not seq:
-            return
-        if lifted[-1] == seq[0]:
-            lifted.extend(seq[1:])
-        elif lifted[-1] == seq[-1]:
-            lifted.extend(reversed(seq[:-1]))
-        else:
-            raise ImprovementError("lift discontinuity")
-
-    for (r1, c1), (r2, c2) in zip(rep_path, rep_path[1:]):
-        if r1 == r2:
-            j = min(c1, c2)
-            conn = connectors[("x", r1, j)]
-        else:
-            i = min(r1, r2)
-            conn = connectors[("z", c1, i)]
-        cur_cell = ipaths[(r1, c1)]
-        # walk within the current intersection to the connector end
-        if conn[0] in cur_cell:
-            target = conn[0]
-        elif conn[-1] in cur_cell:
-            target = conn[-1]
-        else:
-            raise ImprovementError("connector does not touch the intersection")
-        _walk_within(lifted, cur_cell, target)
-        extend_through(conn if conn[0] == lifted[-1] else tuple(reversed(conn)))
-    return lifted
-
-
-def _walk_within(lifted: list[int], cell: tuple[int, ...], target: int):
-    cur = lifted[-1]
-    if cur == target:
-        return
-    pos = {v: i for i, v in enumerate(cell)}
-    if cur not in pos or target not in pos:
-        raise ImprovementError("lift left its intersection cell")
-    a, b = pos[cur], pos[target]
-    step = 1 if b > a else -1
-    for t in range(a + step, b + step, step):
-        lifted.append(cell[t])
+def _slide(line: tuple[int, ...], v: int, cell) -> tuple[int, ...]:
+    """The vertices of `line` after v up to the nearest one in `cell`."""
+    i = line.index(v)
+    t = min((t for t, w in enumerate(line) if w in cell), key=lambda t: abs(t - i))
+    return line[i + 1 : t + 1] if t >= i else line[t:i][::-1]
 
 
 def improve_over_tilted_grid(
@@ -488,7 +407,9 @@ def improve_over_tilted_grid(
 
     Requires the grid to be linkage-tidy with capacity above 2^(number of
     paths); composes untangling on the real disk with the staircase routing
-    on the representation grid, lifted back through the intersections.
+    on the representation grid. Each new path walks its untangling route
+    and lifts each chord on it: every step of the chord's routing slides
+    along the step's row X_i or column Z_j to the next intersection.
     None means the disk has no untangling; the untangling's BudgetExceeded
     passes through.
     """
@@ -496,6 +417,8 @@ def improve_over_tilted_grid(
     m = u.capacity
     if m <= 2 ** k:
         raise ImprovementError(f"capacity {m} is not above 2^{k}")
+    # a tidy grid's intersections are non-empty and lie in order along both
+    # of their paths, each a subpath of both, so every slide below is defined
     check = verify_tilted_grid(g, u, linkage)
     if not check:
         raise ImprovementError(f"tilted grid is not tidy: {check.problems[:2]}")
@@ -503,48 +426,53 @@ def improve_over_tilted_grid(
     untangled = untangle_disk(g, linkage, disk, k, budget=budget)
     if untangled is None:
         return None
-    ipaths, connectors = tilted_grid_structure(g, u)
     # label boundary host vertices by the grid's own orientation:
     # Z_j's endpoint on X_1 is up_j, its endpoint on X_m is down_j
     label_of: dict[int, Label] = {}
     for j, zp in enumerate(u.z_paths, start=1):
-        top_cell = set(ipaths[(1, j)])
-        bot_cell = set(ipaths[(m, j)])
+        top_cell, _ = u.intersection(1, j)
+        bot_cell, _ = u.intersection(m, j)
         top = zp[0] if zp[0] in top_cell else zp[-1]
         bot = zp[-1] if zp[-1] in bot_cell else zp[0]
         if top not in top_cell or bot not in bot_cell or top == bot:
             raise ImprovementError(f"Z path {j} does not join the two extreme rows")
         label_of[top] = ("up", j)
         label_of[bot] = ("down", j)
-    host_of_label = {lab: v for v, lab in label_of.items()}
     pattern_edges = frozenset(
         frozenset({label_of[a], label_of[b]}) for a, b in untangled.chords
     )
-    bp = BoundaryPattern(m, pattern_edges)
-    model = route_pattern(m, bp)
-    new_paths = list(untangled.kept_pieces)
+    model = route_pattern(m, BoundaryPattern(m, pattern_edges))
     coords = {grid_vertex(m, m, r, c): (r, c) for r in range(1, m + 1) for c in range(1, m + 1)}
-    lifted_chords: dict[tuple[int, int], tuple[int, ...]] = {}
-    for e, rep in model.phi1.items():
-        labels = sorted(e)
-        rep_cells = [coords[v] for v in rep]
-        first_label = labels[0]
-        entry = host_of_label[first_label]
-        if coords[model.phi0[first_label]] != rep_cells[0]:
-            rep_cells = list(reversed(rep_cells))
-            first_label = labels[1] if coords[model.phi0[labels[1]]] == rep_cells[0] else first_label
-            entry = host_of_label[first_label]
-        lifted = _lift_rep_path(rep_cells, ipaths, connectors, entry)
-        other = next(l for l in e if l != first_label)
-        target = host_of_label[other]
-        last_cell = ipaths[rep_cells[-1]]
-        _walk_within(lifted, last_cell, target)
-        a, b = sorted((lifted[0], lifted[-1]))
-        lifted_chords[(a, b)] = tuple(lifted)
-    # stitch kept pieces and lifted chords into paths
-    new_linkage = _stitch(new_paths, lifted_chords)
+
+    def lift(a: int, b: int) -> list[int]:
+        """The host path of chord a -> b: its pattern edge's routing from a's
+        pin, each step slid along X_i if it keeps row i and along Z_j if it
+        keeps column j, then a last slide along X_i, inside the last
+        intersection, to b."""
+        rep = model.phi1[frozenset({label_of[a], label_of[b]})]
+        if rep[0] != model.phi0[label_of[a]]:
+            rep = rep[::-1]
+        cells = [coords[v] for v in rep]
+        path = [a]
+        for (r1, c1), (r2, c2) in zip(cells, cells[1:]):
+            line = u.x_paths[r1 - 1] if r1 == r2 else u.z_paths[c1 - 1]
+            path += _slide(line, path[-1], u.intersection(r2, c2)[0])
+        path += _slide(u.x_paths[cells[-1][0] - 1], path[-1], {b})
+        return path
+
+    partner = dict(untangled.chords) | {b: a for a, b in untangled.chords}
+    new_paths = []
+    for route in untangled.routes:
+        path = [route[0]]
+        for a, b in zip(route, route[1:]):
+            # a step joining a chord's two ends is that chord: a piece joining
+            # them too would close a cycle with it, which no walk from a
+            # terminal enters
+            path += lift(a, b)[1:] if partner.get(a) == b else [b]
+        new_paths.append(tuple(path))
+    new_linkage = Linkage(tuple(new_paths))
     if new_linkage.pattern != linkage.pattern:
-        raise ImprovementError("stitched linkage changed the pattern")
+        raise ImprovementError("rerouted linkage changed the pattern")
     new_linkage.check_in(g)
     z_edges = frozenset().union(*(path_edges(p) for p in u.z_paths))
     before = len(z_edges & linkage.edges)
@@ -552,38 +480,3 @@ def improve_over_tilted_grid(
     if after >= before:
         raise ImprovementError(f"Z-edge count did not drop ({before} -> {after})")
     return new_linkage
-
-
-def _stitch(pieces, chords: dict[tuple[int, int], tuple[int, ...]]) -> Linkage:
-    segments = [tuple(p) for p in pieces] + list(chords.values())
-    by_end: dict[int, list[int]] = {}
-    for idx, s in enumerate(segments):
-        for v in (s[0], s[-1]):
-            by_end.setdefault(v, []).append(idx)
-    used = [False] * len(segments)
-    paths = []
-    for idx, s in enumerate(segments):
-        if used[idx]:
-            continue
-        # extend both ways
-        chain = list(s)
-        used[idx] = True
-        for _ in range(2):
-            extended = True
-            while extended:
-                extended = False
-                end = chain[-1]
-                for j in by_end.get(end, []):
-                    if used[j]:
-                        continue
-                    t = segments[j]
-                    if t[0] == end:
-                        chain.extend(t[1:])
-                    else:
-                        chain.extend(reversed(t[:-1]))
-                    used[j] = True
-                    extended = True
-                    break
-            chain.reverse()
-        paths.append(tuple(chain))
-    return Linkage(tuple(paths))

@@ -399,3 +399,12 @@ class TestAnalyze:
         assert report["leaves"] == 11
         assert report["dilation"] == 4
         assert report["classes"] == 19
+
+    def test_from_solution_dp_out_of_states_is_indeterminate(self, tmp_path, capsys):
+        # the DP runs out of states on this 12 x 12 grid with six pairs
+        f = tmp_path / "g12.dpp"
+        f.write_text(write_instance(gen_grid_instance(12, 6, 176)))
+        assert main(["analyze", str(f), "--from-solution"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "# indeterminate: DP exceeded 400000 states at node 112\n"

@@ -170,7 +170,7 @@ class _RefBudget:
             raise BudgetExceeded()
 
 
-def _ref_iter_path_systems(g, pairs, budget, allowed=None):
+def _ref_iter_path_systems(g, pairs, budget):
     terminals = {v for p in pairs for v in p}
     occupied = set(terminals)
     done = []
@@ -194,7 +194,7 @@ def _ref_iter_path_systems(g, pairs, budget, allowed=None):
             for w in sorted(g.rotation[v]):
                 if w in on_path:
                     continue
-                if w != t and (w in occupied or (allowed is not None and w not in allowed)):
+                if w != t and w in occupied:
                     continue
                 path.append(w)
                 on_path.add(w)
@@ -225,14 +225,14 @@ def _ref_edge_key(linkage):
     return tuple(sorted(linkage.edges))
 
 
-def ref_cheapest_equivalent_linkage(g, start, cycles, budget=DEFAULT_BUDGET, allowed=None):
+def ref_cheapest_equivalent_linkage(g, start, cycles, budget=DEFAULT_BUDGET):
     start.check_in(g)
     pairs = sorted((min(p[0], p[-1]), max(p[0], p[-1])) for p in start.paths)
     b = _RefBudget(budget)
     best = start
     best_cost = linkage_cost(start, cycles)
     best_key = _ref_edge_key(start)
-    for system in _ref_iter_path_systems(g, pairs, b, allowed=allowed):
+    for system in _ref_iter_path_systems(g, pairs, b):
         cand = Linkage(tuple(tuple(p) for p in system))
         cost = linkage_cost(cand, cycles)
         key = _ref_edge_key(cand)
@@ -241,12 +241,12 @@ def ref_cheapest_equivalent_linkage(g, start, cycles, budget=DEFAULT_BUDGET, all
     return best
 
 
-def ref_best_linkage_for_pattern(g, pairs, cycles, budget=DEFAULT_BUDGET, allowed=None):
+def ref_best_linkage_for_pattern(g, pairs, cycles, budget=DEFAULT_BUDGET):
     b = _RefBudget(budget)
     best = None
     best_cost = None
     best_key = None
-    for system in _ref_iter_path_systems(g, sorted(pairs), b, allowed=allowed):
+    for system in _ref_iter_path_systems(g, sorted(pairs), b):
         cand = Linkage(tuple(tuple(p) for p in system))
         cost = linkage_cost(cand, cycles)
         key = _ref_edge_key(cand)
@@ -267,27 +267,27 @@ def _paths(result):
     return result if result in (None, "budget") else result.paths
 
 
-def assert_engine_matches_reference(g, pairs, cycles, allowed=None):
+def assert_engine_matches_reference(g, pairs, cycles):
     """Both cheapest-linkage entry points against the reference.
 
     When the reference gives up nothing is compared; the engine must never
     give up where the reference decides.
     """
-    want = _outcome(ref_best_linkage_for_pattern, g, pairs, cycles, allowed=allowed)
-    got = _outcome(best_linkage_for_pattern, g, pairs, cycles, allowed=allowed)
+    want = _outcome(ref_best_linkage_for_pattern, g, pairs, cycles)
+    got = _outcome(best_linkage_for_pattern, g, pairs, cycles)
     if want != "budget":
-        assert _paths(got) == _paths(want), (pairs, cycles, allowed)
+        assert _paths(got) == _paths(want), (pairs, cycles)
     # a first, usually dear, linkage of the pattern as the start, paths
     # oriented as in `pairs` so both orientations occur
     b = _RefBudget(DEFAULT_BUDGET)
-    first = next(_ref_iter_path_systems(g, pairs, b, allowed=allowed), None)
+    first = next(_ref_iter_path_systems(g, pairs, b), None)
     if first is None:
         return want
     start = Linkage(tuple(tuple(p) for p in first))
-    want2 = _outcome(ref_cheapest_equivalent_linkage, g, start, cycles, allowed=allowed)
-    got2 = _outcome(cheapest_equivalent_linkage, g, start, cycles, allowed=allowed)
+    want2 = _outcome(ref_cheapest_equivalent_linkage, g, start, cycles)
+    got2 = _outcome(cheapest_equivalent_linkage, g, start, cycles)
     if want2 != "budget":
-        assert _paths(got2) == _paths(want2), (pairs, cycles, allowed, start)
+        assert _paths(got2) == _paths(want2), (pairs, cycles, start)
         assert (got2 is start) == (want2 is start)
     return want
 
@@ -310,11 +310,6 @@ def face_cycles(g, rng, keep):
     return out
 
 
-def random_allowed(g, pairs, rng, keep=0.8):
-    terminals = {v for p in pairs for v in p}
-    return frozenset(v for v in g.vertices if v in terminals or rng.random() < keep)
-
-
 def ring_host(sectors, k, seed):
     """A 3-ring lattice with sampled inner spokes, a ring-cycle family and
     k pairs on the outer ring, as the tightness corpora draw them."""
@@ -325,7 +320,7 @@ def ring_host(sectors, k, seed):
     cycles = [ring_cycle(vid, r, sectors) for r in family]
     sides = rng.sample(range(sectors), 2 * k)
     pairs = [(vid(2, sides[2 * i]), vid(2, sides[2 * i + 1])) for i in range(k)]
-    return g, pairs, cycles, rng
+    return g, pairs, cycles
 
 
 def pool_host(spokes, family, pairs):
@@ -372,8 +367,6 @@ class TestPrunedEngine:
                     g, pairs = inst.graph, list(inst.pairs)
                     cycles = face_cycles(g, rng, 0.5)
                     assert_engine_matches_reference(g, pairs, cycles)
-                    allowed = random_allowed(g, pairs, rng)
-                    assert_engine_matches_reference(g, pairs, cycles, allowed)
         assert statuses.count(Status.NO) >= 10 and statuses.count(Status.YES) >= 10
 
     def test_ring_hosts(self):
@@ -381,12 +374,10 @@ class TestPrunedEngine:
         for sectors in (6, 7, 8):
             for k in (1, 2, 3):
                 for seed in range(6):
-                    g, pairs, cycles, rng = ring_host(sectors, k, seed)
+                    g, pairs, cycles = ring_host(sectors, k, seed)
                     found.append(assert_engine_matches_reference(g, pairs, cycles))
-                    allowed = random_allowed(g, pairs, rng)
-                    found.append(assert_engine_matches_reference(g, pairs, cycles, allowed))
         assert None in found and "budget" not in found
-        assert sum(x is not None for x in found) >= 60
+        assert sum(x is not None for x in found) >= 30
 
     def test_single_vertex_path_in_start(self):
         # a start path may be one vertex, a pair (v, v) that is joined
@@ -400,7 +391,7 @@ class TestPrunedEngine:
         assert cheapest_equivalent_linkage(g, start, [ring]).paths == want.paths
 
     def test_budget_still_signalled(self):
-        g, pairs, cycles, _ = ring_host(8, 3, 1)
+        g, pairs, cycles = ring_host(8, 3, 1)
         with pytest.raises(BudgetExceeded):
             best_linkage_for_pattern(g, pairs, cycles, budget=5)
         start = best_linkage_for_pattern(g, pairs, cycles)
@@ -410,7 +401,7 @@ class TestPrunedEngine:
     @pytest.mark.parametrize(
         "host, work",
         [
-            (lambda: ring_host(8, 3, 1)[:3], 1152),
+            (lambda: ring_host(8, 3, 1), 1152),
             (lambda: pool_host("110111", (0, 1), ((5, 0), (2, 3))), 105),
             (lambda: pool_host("101101", (0, 1), ((2, 1), (5, 0), (4, 3))), 133),
         ],
@@ -489,15 +480,13 @@ class TestDeadBranches:
     k=st.integers(1, 3),
     seed=st.integers(0, 10**6),
     keep=st.floats(0.0, 1.0),
-    restrict=st.booleans(),
 )
-def test_engine_equals_reference_on_random_instances(n, density, k, seed, keep, restrict):
+def test_engine_equals_reference_on_random_instances(n, density, k, seed, keep):
     inst = gen_random_planar(n, min(3 * n - 6, max(n - 1, round(density * n))), k, seed)
     rng = random.Random(seed)
     g, pairs = inst.graph, list(inst.pairs)
     assert_bruteforce_matches_reference(inst)
-    allowed = random_allowed(g, pairs, rng) if restrict else None
-    assert_engine_matches_reference(g, pairs, face_cycles(g, rng, keep), allowed)
+    assert_engine_matches_reference(g, pairs, face_cycles(g, rng, keep))
 
 
 @settings(max_examples=30)
@@ -505,12 +494,9 @@ def test_engine_equals_reference_on_random_instances(n, density, k, seed, keep, 
     sectors=st.integers(6, 8),
     k=st.integers(1, 3),
     seed=st.integers(0, 10**6),
-    restrict=st.booleans(),
 )
-def test_engine_equals_reference_on_ring_hosts(sectors, k, seed, restrict):
-    g, pairs, cycles, rng = ring_host(sectors, k, seed)
-    allowed = random_allowed(g, pairs, rng) if restrict else None
-    assert_engine_matches_reference(g, pairs, cycles, allowed)
+def test_engine_equals_reference_on_ring_hosts(sectors, k, seed):
+    assert_engine_matches_reference(*ring_host(sectors, k, seed))
 
 
 @settings(max_examples=60)
@@ -518,18 +504,12 @@ def test_engine_equals_reference_on_ring_hosts(sectors, k, seed, restrict):
     sectors=st.integers(4, 8),
     data=st.data(),
     family=st.sampled_from(((0,), (1,), (0, 1))),
-    restrict=st.booleans(),
 )
-def test_cheapest_linkage_equals_reference_on_random_ring_hosts(sectors, data, family, restrict):
+def test_cheapest_linkage_equals_reference_on_random_ring_hosts(sectors, data, family):
     spokes = data.draw(st.lists(st.booleans(), min_size=sectors, max_size=sectors))
     g, vid = ring_lattice(3, sectors, spokes=lambda ring, s: ring >= 1 or spokes[s])
     k = data.draw(st.integers(1, min(3, sectors // 2)))
     sides = data.draw(st.permutations(range(sectors)))[: 2 * k]
     pairs = [(vid(2, sides[2 * i]), vid(2, sides[2 * i + 1])) for i in range(k)]
-    allowed = None
-    if restrict:
-        terminals = {v for p in pairs for v in p}
-        others = sorted(set(g.vertices) - terminals)
-        allowed = frozenset(terminals) | data.draw(st.frozensets(st.sampled_from(others)))
     cycles = [ring_cycle(vid, r, sectors) for r in family]
-    assert_engine_matches_reference(g, pairs, cycles, allowed)
+    assert_engine_matches_reference(g, pairs, cycles)

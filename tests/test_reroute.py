@@ -149,7 +149,7 @@ class TestUntangle:
         assert out is not None
         assert len(out.chords) == 1
         assert out.chords[0][0] in {7, 8, 9} and out.chords[0][1] in {17, 18, 19}
-        assert len(out.kept_pieces) == 2
+        assert out.routes == ((2, 7, 19, 24),)
 
     def test_chords_noncrossing_and_fewer(self):
         g, link, disk = snake_instance()
@@ -259,3 +259,18 @@ class TestImprove:
         g, link, u = self.tidy_snake()
         better = improve_over_tilted_grid(g, link, u)
         assert better.pattern == link.pattern
+
+    def test_jog_slides_through_a_two_vertex_intersection(self):
+        # 7 x 6 grid; X_1 jogs down a column, so it shares the edge 15-21
+        # with Z_2, and the path's one chord, up_1 -> down_3, is lifted
+        # along X_1 through both vertices of X_1 and Z_2's intersection
+        g = make_grid(7, 6)
+        link = Linkage(((2, 8, 14, 20, 26, 32, 38, 39, 33, 27, 21, 15, 9, 10, 16, 22, 28, 34),))
+        u = TiltedGrid(
+            ((14, 15, 21, 22), (26, 27, 28), (32, 33, 34)),
+            ((14, 20, 26, 32), (15, 21, 27, 33), (22, 28, 34)),
+        )
+        assert verify_tilted_grid(g, u, link)
+        assert u.intersection(1, 2)[0] == {15, 21}
+        better = improve_over_tilted_grid(g, link, u)
+        assert better.paths == ((2, 8, 14, 15, 21, 22, 28, 34),)

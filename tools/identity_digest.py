@@ -49,7 +49,7 @@ minute. Cases:
   at that budget and one below;
 - on a 5x5 grid's central disc, for a snake crossing it three times and for
   two straight columns: the vertical crossing (lines, up and down ends) and
-  the untangling (chords and kept pieces), or the exception raised; and
+  the untangling (chords and routes), or the exception raised; and
   improve_over_tilted_grid on the snake with its capacity-3 and capacity-2
   tilted grids: the new linkage's paths, or the exception raised;
 - on the central disc of a 5 x (r+2) grid, for a snake crossing it r times
@@ -249,7 +249,7 @@ def crossing(g, link, disk):
 
 def untangled(g, link, disk):
     u = reroute.untangle_disk(g, link, disk, len(link.paths))
-    return None if u is None else (u.chords, u.kept_pieces)
+    return None if u is None else (u.chords, u.routes)
 
 
 def config_lines(tag, q):
