@@ -7,6 +7,14 @@ system, so every answer equals plain enumeration's. A work budget makes
 indeterminacy explicit: the engine never silently gives up. The checkers
 (`verify_solution` for a YES, `verify_no_certificate` for a NO) read only
 the instance and share no code with the solvers whose answers they check.
+
+Before it searches, the cheapest-linkage search for a pattern looks for
+two pairs that interleave on one face, each terminal occurring there once.
+Such a pattern has no linkage (the easy half of Robertson and Seymour,
+Graph Minors VI), and the search returns None at once, but only when
+`verify_no_certificate` accepts the `FaceCertificate` found. The plain
+decision `solve_bruteforce` never takes this shortcut, so it stays an
+independent cross-check of every face-based NO.
 """
 
 from __future__ import annotations
@@ -355,6 +363,43 @@ def verify_no_certificate(inst: DppInstance, cert: FaceCertificate) -> CheckResu
     return CheckResult(not problems, tuple(problems))
 
 
+def _interleaving_face(g: PlaneGraph, pairs: list[tuple[int, int]]) -> Optional[FaceCertificate]:
+    """A certificate for two pairs that interleave on a face, or None.
+
+    A terminal occurs on a face once per dart of its own on it, so each
+    pair's faces, those on which both its terminals occur exactly once, are
+    read off the terminals' darts; no face is scanned for them. On each
+    face shared by two or more pairs, their cyclic order of pair indices is
+    reduced on a stack: a pair met a second time below the top was opened
+    before the top's pair, which is still open, so the two interleave.
+    """
+    on_face: dict[int, list[int]] = {}
+    for i, pair in enumerate(pairs):
+        once = []
+        for v in pair:
+            faces = [g.face_of_dart((v, w)) for w in g.rotation[v]]
+            once.append({f for f in faces if faces.count(f) == 1})
+        for f in once[0] & once[1]:
+            on_face.setdefault(f, []).append(i)
+    for f in sorted(on_face):
+        if len(on_face[f]) < 2:
+            continue
+        walk = g.faces()[f]
+        owner = {v: i for i in on_face[f] for v in pairs[i]}
+        stack: list[int] = []
+        for u, _ in walk:
+            i = owner.get(u)
+            if i is None:
+                continue
+            if stack and stack[-1] == i:
+                stack.pop()
+            elif i in stack:
+                return FaceCertificate(walk[0], (min(i, stack[-1]), max(i, stack[-1])))
+            else:
+                stack.append(i)
+    return None
+
+
 # -- cheapest equivalent linkages ----------------------------------------------
 
 
@@ -423,9 +468,19 @@ def best_linkage_for_pattern(
     cycles: list[Cycle],
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[Linkage]:
-    """Cheapest linkage realizing the pattern, or None if none exists."""
+    """Cheapest linkage realizing the pattern, or None if none exists.
+
+    Before the search, two pairs that interleave on one face, each of their
+    terminals occurring there once, prove that no linkage exists. None is
+    returned on such a proof only after `verify_no_certificate` accepts its
+    `FaceCertificate`; otherwise the search decides. The face check is
+    linear in the host and charged nothing to the budget.
+    """
     terminals = [v for p in pairs for v in p]
     if len(set(terminals)) != len(terminals):
         raise PlaneGraphError("pattern terminals are not pairwise distinct")
+    cert = _interleaving_face(g, pairs)
+    if cert is not None and verify_no_certificate(DppInstance(g, tuple(pairs)), cert):
+        return None
     paths = _cheapest_paths(g, sorted(pairs), cycles, budget)
     return None if paths is None else Linkage(tuple(tuple(p) for p in paths))

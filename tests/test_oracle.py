@@ -1,8 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdpp import oracle
 from pdpp.gallery import ring_cycle, ring_lattice
 from pdpp.instances import (
     DppInstance,
@@ -14,6 +16,7 @@ from pdpp.instances import (
 from pdpp.oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    FaceCertificate,
     Linkage,
     SolveOutcome,
     Status,
@@ -21,6 +24,7 @@ from pdpp.oracle import (
     cheapest_equivalent_linkage,
     linkage_cost,
     solve_bruteforce,
+    verify_no_certificate,
     verify_solution,
 )
 from pdpp.plane import (
@@ -30,7 +34,10 @@ from pdpp.plane import (
     grid_ring,
     grid_vertex,
     make_grid,
+    plane_graph_from_points,
 )
+
+TIGHT_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "tight_pool.txt"
 
 
 def k2_instance():
@@ -271,12 +278,17 @@ def assert_engine_matches_reference(g, pairs, cycles):
     """Both cheapest-linkage entry points against the reference.
 
     When the reference gives up nothing is compared; the engine must never
-    give up where the reference decides.
+    give up where the reference decides. A face certificate the
+    cheapest-linkage search finds before it searches must check.
     """
     want = _outcome(ref_best_linkage_for_pattern, g, pairs, cycles)
     got = _outcome(best_linkage_for_pattern, g, pairs, cycles)
     if want != "budget":
         assert _paths(got) == _paths(want), (pairs, cycles)
+    cert = oracle._interleaving_face(g, pairs)
+    if cert is not None:
+        assert verify_no_certificate(DppInstance(g, tuple(pairs)), cert), (pairs, cert)
+        assert want in (None, "budget"), (pairs, cert)
     # a first, usually dear, linkage of the pattern as the start, paths
     # oriented as in `pairs` so both orientations occur
     b = _RefBudget(DEFAULT_BUDGET)
@@ -413,6 +425,95 @@ class TestPrunedEngine:
         assert best_linkage_for_pattern(g, pairs, cycles, budget=work) is not None
         with pytest.raises(BudgetExceeded):
             best_linkage_for_pattern(g, pairs, cycles, budget=work - 1)
+
+
+def bowtie():
+    """Triangles 2-3-4 and 2-5-1 sharing the cut vertex 2, which occurs
+    twice on the outer face walk 1, 2, 4, 3, 2, 5."""
+    points = {2: (0, 0), 3: (-2, 1), 4: (-2, -1), 5: (2, 1), 1: (2, -1)}
+    return plane_graph_from_points(points, [(2, 3), (3, 4), (4, 2), (2, 5), (5, 1), (1, 2)])
+
+
+def tight_pool_hosts():
+    """Each tight-pool host with its pinned cheapest cost, 'none' without a linkage."""
+    for line in TIGHT_POOL.read_text(encoding="utf-8").splitlines():
+        fields = line.split("#", 1)[0].split()
+        if not fields:
+            continue
+        _, _, _, cost, sectors, family, spokes, pairs = fields
+        assert sectors == "6"
+        family = tuple(int(r) for r in family.split(","))
+        pairs = tuple(tuple(int(x) for x in p.split("-")) for p in pairs.split(","))
+        yield pool_host(spokes, family, pairs), cost
+
+
+class TestFaceProof:
+    """The cheapest-linkage search proves a pattern impossible from two
+    pairs that interleave on one face, and searches otherwise."""
+
+    def test_interleaving_on_inner_face(self):
+        # ring-0 spokes at sectors 0 and 3 only: the face between rings 0
+        # and 1 over sectors 0-3 holds all four terminals, the outer face none
+        g, vid = ring_lattice(3, 6, spokes=lambda ring, s: ring >= 1 or s in (0, 3))
+        pairs = [(vid(0, 1), vid(1, 2)), (vid(0, 2), vid(1, 1))]
+        cycles = [ring_cycle(vid, 1, 6)]
+        assert not {v for p in pairs for v in p} & g.face_vertices(g.outer_face())
+        assert best_linkage_for_pattern(g, pairs, cycles, budget=1) is None
+        assert assert_engine_matches_reference(g, pairs, cycles) is None
+
+    def test_cut_vertex_twice_on_face_is_not_read(self):
+        # read at every occurrence, terminal 2 would make pairs (2, 3) and
+        # (5, 1) look interleaved on the outer face; both are edges
+        g = bowtie()
+        pairs = [(2, 3), (5, 1)]
+        assert [u for u, _ in g.faces()[g.outer_face()]].count(2) == 2
+        assert oracle._interleaving_face(g, pairs) is None
+        want = assert_engine_matches_reference(g, pairs, [])
+        assert want.paths == ((2, 3), (5, 1))
+
+    def test_unchecked_certificate_ends_no_search(self, monkeypatch):
+        # a finder that reads the bowtie's cut vertex at every occurrence;
+        # its certificate fails the check, so the search still decides
+        g = bowtie()
+        pairs = [(2, 3), (5, 1)]
+        wrong = FaceCertificate((1, 2), (0, 1))
+        assert not verify_no_certificate(DppInstance(g, tuple(pairs)), wrong)
+        monkeypatch.setattr(oracle, "_interleaving_face", lambda g, pairs: wrong)
+        assert best_linkage_for_pattern(g, pairs, []).paths == ((2, 3), (5, 1))
+
+    def test_nesting_face_read_before_interleaving_face(self):
+        # pairs 0 and 2 nest on ring 0's face; pairs 0 and 1 interleave on
+        # the face between rings 0 and 1, which comes later in face order
+        g, vid = ring_lattice(3, 6, spokes=lambda ring, s: ring >= 1 or s in (0, 3))
+        pairs = [(vid(0, 1), vid(0, 3)), (vid(0, 2), vid(1, 2)), (vid(0, 4), vid(0, 5))]
+        nesting = g.face_of_dart((vid(0, 0), vid(0, 1)))
+        crossing = g.face_of_dart((vid(0, 0), vid(1, 0)))
+        assert nesting < crossing
+        assert vid(1, 2) not in g.face_vertices(nesting)
+        assert best_linkage_for_pattern(g, pairs, [], budget=1) is None
+        assert assert_engine_matches_reference(g, pairs, []) is None
+
+    def test_fires_on_exactly_the_tight_pool_hosts_without_a_linkage(self):
+        # a face proof needs no budget; a search needs more than one unit
+        fired = 0
+        for (g, pairs, cycles), cost in tight_pool_hosts():
+            try:
+                none = best_linkage_for_pattern(g, pairs, cycles, budget=1) is None
+            except BudgetExceeded:
+                none = False
+            assert none == (cost == "none"), (pairs, cost)
+            fired += none
+        assert fired == 155
+
+    def test_plain_engine_does_not_use_the_face_proof(self):
+        # pairs 0 and 1 interleave on ring 2, the outer face: the cheapest-
+        # linkage search returns None without search, while solve_bruteforce,
+        # the independent cross-check, still pays for its whole search
+        g, pairs, cycles = pool_host("111001", (0, 1), ((5, 1), (3, 0)))
+        assert best_linkage_for_pattern(g, pairs, cycles, budget=1) is None
+        inst = DppInstance(g, tuple(pairs))
+        assert solve_bruteforce(inst, budget=1218).status is Status.NO
+        assert solve_bruteforce(inst, budget=1217).status is Status.UNKNOWN
 
 
 def _grid_edges(side, first):

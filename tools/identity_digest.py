@@ -31,6 +31,8 @@ minute. Cases:
 - on every tight_pool host, the paths and cost of best_linkage_for_pattern's
   linkage and of cheapest_equivalent_linkage's from solve_bruteforce's
   solution (plain enumeration's first system), or None when none exists;
+  after each None, solve_bruteforce's own verdict on the pattern, which
+  never rests on a face certificate;
 - tighten on every tight_pool host's family: the cycles' vertex sequences;
 - on every tight tight_pool host with a cheapest linkage, and on
   nested_chord_showcase: each segment (vertices, eccentricity, chords, a
@@ -224,7 +226,10 @@ for row in hosts:
         emit("tight", row[0], budget, outcome(lambda: tight(budget)))
     pairs = [(vid(2, a), vid(2, b)) for a, b in spec.pairs]
     cycles = list(cc.cycles)
-    emit("cheapest", row[0], outcome(lambda: cheapest(g, pairs, cycles)))
+    found = outcome(lambda: cheapest(g, pairs, cycles))
+    emit("cheapest", row[0], found)
+    if found == "None":
+        emit("cheapest-plain", row[0], oracle.solve_bruteforce(DppInstance(g, tuple(pairs))).status.value)
     if int(row[0]) % 8 == 0:
         s = least_budget(lambda b: decided(lambda: tight(b)), 10_000_000)
         emit("tight-least", row[0], s, outcome(lambda: tight(s)), outcome(lambda: tight(s - 1)))
