@@ -1,16 +1,18 @@
 """Top-level algorithms: irrelevant-vertex reduction, one-face decisions,
 decomposition DP, pipeline.
 
-The DP runs over a nice tree decomposition with explicit edge-introduction
-nodes. States track, per bag vertex, whether it is untouched, a live end of
-a path fragment, or closed; live ends carry either their in-bag partner or
-the hidden terminal their fragment already reached. Completed terminal
-pairs accumulate in a done bitmask.
+The DP runs over a tree decomposition with explicit edge-introduction
+nodes, and lifts each child table to its parent's bag in one step. States
+track, per bag vertex, whether it is untouched, a live end of a path
+fragment, or closed; live ends carry either their in-bag partner or the
+hidden terminal their fragment already reached. Completed terminal pairs
+accumulate in a done bitmask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Union
 
 from .concentric import (
@@ -22,7 +24,6 @@ from .concentric import (
 )
 from .decomposition import (
     TreeDecomposition,
-    _bags_by_vertex,
     _euler_tour,
     find_grid_minor,
     tree_decompose,
@@ -182,26 +183,29 @@ def _oracle_confirms_irrelevant(inst: DppInstance, victim: int, budget: int) -> 
     return before.status == after.status
 
 
-# -- nice tree decompositions ----------------------------------------------------------
+# -- the DP's node tree --------------------------------------------------------------
 
 
 @dataclass
 class _Nice:
-    kind: str  # "leaf" | "intro" | "forget" | "edge" | "join"
+    kind: str  # "leaf" | "lift" | "edge" | "join"
     bag: tuple[int, ...]
     children: tuple[int, ...]
-    vertex: int = 0
     edge: tuple[int, int] = (0, 0)
 
 
 def nice_tree(g: PlaneGraph, td: TreeDecomposition) -> tuple[list[_Nice], int]:
-    """Nice decomposition with edge nodes; returns (nodes, root index).
+    """The DP's node tree, with edge nodes; returns (nodes, root index).
 
+    A nice decomposition (Kloks 1994) forgets or introduces one vertex per
+    node; here one "lift" node takes a table to its parent's bag at once,
+    a leaf starts at its full bag, and the root lifts to the empty bag.
     Each edge uv is introduced at the bag nearest the root that holds both
-    u and v, after that bag's joins. The bags holding both ends form a
-    subtree, so that bag is unique, and the chain above it forgets u or v
-    before the next join: an edge is taken just before one of its ends is
-    forgotten. On a decomposition built from an elimination order (min-fill's
+    u and v, after that bag's joins. A vertex's top bag is the one whose
+    parent lacks it; the bags holding both ends form the subtree under the
+    deeper of the two top bags, so that bag is unique, and the lift above
+    it drops u or v: an edge is taken just before one of its ends is
+    dropped. On a decomposition built from an elimination order (min-fill's
     or the MCS sweep's) that bag is the one of whichever end is eliminated
     first.
     """
@@ -211,54 +215,44 @@ def nice_tree(g: PlaneGraph, td: TreeDecomposition) -> tuple[list[_Nice], int]:
         nodes.append(node)
         return len(nodes) - 1
 
-    kids = td.children()
-    root_td = next(i for i, p in enumerate(td.parent) if p < 0)
-    tour = list(_euler_tour(kids, root_td))
-    depth = [0] * len(td.bags)
-    for t, entering in tour:
-        if entering and t != root_td:
-            depth[t] = depth[td.parent[t]] + 1
-    edge_home: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(td.bags))}
-    holding = _bags_by_vertex(td)
+    def lift(below: int, bag: tuple[int, ...]) -> int:
+        return below if nodes[below].bag == bag else add(_Nice("lift", bag, (below,)))
+
+    bags = [tuple(sorted(bag)) for bag in td.bags]
+    top: dict[int, int] = {}
+    for t, bag in enumerate(td.bags):
+        parent = td.parent[t]
+        for v in bag:
+            if parent < 0 or v not in td.bags[parent]:
+                top[v] = t
+    edge_home: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(bags))}
     for e in sorted(g.edges):
         u, v = e
-        home = min((i for i in holding[u] if v in td.bags[i]), key=depth.__getitem__)
-        edge_home[home].append(e)
+        edge_home[top[u] if v in td.bags[top[u]] else top[v]].append(e)
 
-    def chain_to(bag_from: frozenset[int], bag_to: frozenset[int], below: int) -> int:
-        cur = below
-        cur_bag = set(bag_from)
-        for v in sorted(bag_from - bag_to):
-            cur_bag.discard(v)
-            cur = add(_Nice("forget", tuple(sorted(cur_bag)), (cur,), vertex=v))
-        for v in sorted(bag_to - bag_from):
-            cur_bag.add(v)
-            cur = add(_Nice("intro", tuple(sorted(cur_bag)), (cur,), vertex=v))
-        return cur
-
-    # children's chains are hooked under a node in order, as the walk
-    # leaves each child's subtree
+    # children's lifts are hooked under a node in order, as the walk leaves
+    # each child's subtree
+    kids = td.children()
+    root_td = next(i for i, p in enumerate(td.parent) if p < 0)
     hooks: dict[int, list[int]] = {}
-    for t, entering in tour:
+    for t, entering in _euler_tour(kids, root_td):
         if entering:
             hooks[t] = []
             continue
-        bag = td.bags[t]
+        bag = bags[t]
         mine = hooks.pop(t)
         if not mine:
-            cur = add(_Nice("leaf", (), ()))
-            cur = chain_to(frozenset(), bag, cur)
+            cur = add(_Nice("leaf", bag, ()))
         else:
             cur = mine[0]
             for other in mine[1:]:
-                cur = add(_Nice("join", tuple(sorted(bag)), (cur, other)))
+                cur = add(_Nice("join", bag, (cur, other)))
         for e in edge_home[t]:
-            cur = add(_Nice("edge", tuple(sorted(bag)), (cur,), edge=e))
+            cur = add(_Nice("edge", bag, (cur,), edge=e))
         parent = td.parent[t]
         if parent >= 0:
-            hooks[parent].append(chain_to(bag, td.bags[parent], cur))
-    top = chain_to(td.bags[root_td], frozenset(), cur)
-    return nodes, top
+            hooks[parent].append(lift(cur, bags[parent]))
+    return nodes, lift(cur, ())
 
 
 # -- the dynamic program -----------------------------------------------------------------
@@ -273,16 +267,16 @@ def nice_tree(g: PlaneGraph, td: TreeDecomposition) -> tuple[list[_Nice], int]:
 # The code of a live end is also how its partner end is named when two
 # ends are settled (`_settle_ends`).
 #
-# Each nice node has one table, a dict from state to back pointer in
-# insertion order: None at the leaf, the child state at intro, forget and
-# edge nodes, and (left state, right state) at joins. Taking an edge always
-# changes the code of one of its ends, so an edge node's state that equals
-# its back pointer skipped the edge, and any other took it.
+# Each node has one table, a dict from state to back pointer in insertion
+# order: None at the leaf, the child state at lift and edge nodes, and
+# (left state, right state) at joins. Taking an edge always changes the
+# code of one of its ends, so an edge node's state that equals its back
+# pointer skipped the edge, and any other took it.
 #
 # `nice_tree` puts each edge node at the bag nearest the root that holds
-# both ends, after that bag's joins and before the forget of one end. So an
-# edge with both ends in a join's bag is taken above the join, and its
-# choice does not multiply the join's two child tables.
+# both ends, after that bag's joins and before the lift that drops one
+# end. So an edge with both ends in a join's bag is taken above the join,
+# and its choice does not multiply the join's two child tables.
 
 
 def dp_solve(
@@ -290,7 +284,7 @@ def dp_solve(
     td: Optional[TreeDecomposition] = None,
     state_budget: int = 400_000,
 ) -> SolveOutcome:
-    """Bag-state DP over a (nice) tree decomposition, with reconstruction.
+    """Bag-state DP over a tree decomposition, with reconstruction.
 
     `td` is verified here, whoever built it: this is the one check a tree
     decomposition gets before it decides an answer.
@@ -320,39 +314,10 @@ def dp_solve(
         kind = node.kind
         counted = 0  # states of this node's table already spent
         if kind == "leaf":
-            table = {(0,): None}
-        elif kind == "intro":
-            p = bag.index(node.vertex)
-            # distinct child states stay distinct, so nothing collides
-            table = {
-                cstate[:p] + (0,) + cstate[p:]: cstate
-                for cstate in tables[node.children[0]]
-            }
-        elif kind == "forget":
+            table = {(0,) * (len(bag) + 1): None}
+        elif kind == "lift":
             (child,) = node.children
-            v = node.vertex
-            p = nodes[child].bag.index(v)
-            pos = {w: i for i, w in enumerate(bag)}
-            is_terminal = v in terminal_pair
-            table = {}
-            for cstate in tables[child]:
-                code = cstate[p]
-                state = cstate[:p] + cstate[p + 1 :]
-                if code == 0:
-                    if is_terminal:
-                        continue
-                elif code == 1:
-                    pass
-                elif code & 1:  # two hidden ends can never meet again
-                    continue
-                else:
-                    if not is_terminal:
-                        continue
-                    out = list(state)
-                    out[pos[code >> 1]] = 2 * v + 1
-                    state = tuple(out)
-                if state not in table:
-                    table[state] = cstate
+            table = _lift(tables[child], nodes[child].bag, bag, terminal_pair)
         elif kind == "edge":
             u, v = node.edge
             pos = {w: i for i, w in enumerate(bag)}
@@ -434,6 +399,42 @@ def dp_solve(
     if not check:
         raise PlaneGraphError(f"internal: DP produced invalid solution: {check.problems[:3]}")
     return SolveOutcome(Status.YES, sol)
+
+
+def _lift(child_table, child_bag, bag, terminal_pair):
+    """A lift node's table: each state of `child_table` moved to `bag`.
+
+    A vertex of `bag` not in `child_bag` is new and reads 0. A state dies
+    when a vertex it drops is an untouched terminal, a hidden end, a live
+    non-terminal, or a live terminal whose partner is dropped too; the
+    partner of any other dropped live terminal v now ends at the hidden v.
+    The table equals that of forgetting the dropped vertices one at a time
+    and then introducing the new ones, down to its order and back pointers.
+    """
+    pos = {w: i for i, w in enumerate(bag)}
+    n = len(child_bag)
+    at = {w: i for i, w in enumerate(child_bag)}
+    # a new vertex reads the 0 put after the child state's done mask
+    pick = [at.get(w, n + 1) for w in bag] + [n]
+    # (an itemgetter of one index returns an item, not a tuple)
+    get = itemgetter(*pick) if bag else lambda cstate: (cstate[n],)
+    dropped = [(i, w, w in terminal_pair) for i, w in enumerate(child_bag) if w not in pos]
+    table = {}
+    for cstate in child_table:
+        state = get(cstate + (0,))
+        for i, v, is_terminal in dropped:
+            code = cstate[i]
+            if code == 1 or (code == 0 and not is_terminal):
+                continue
+            w = code >> 1
+            if not code or code & 1 or not is_terminal or w not in pos:
+                break  # one of the four ways to die above
+            p = pos[w]
+            state = state[:p] + (2 * v + 1,) + state[p + 1 :]
+        else:
+            if state not in table:
+                table[state] = cstate
+    return table
 
 
 def _prepare_join(state, pos):

@@ -407,4 +407,4 @@ class TestAnalyze:
         assert main(["analyze", str(f), "--from-solution"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "# indeterminate: DP exceeded 400000 states at node 112\n"
+        assert err == "# indeterminate: DP exceeded 400000 states at node 78\n"

@@ -313,6 +313,63 @@ def joins(td):
     return sum(len(kids) > 1 for kids in td.children())
 
 
+def reference_lift(child_table, child_bag, bag, terminal_pair):
+    """A lift as the chain of one-vertex nodes it replaces: forget each
+    dropped vertex in sorted order, then introduce each new one. Maps each
+    state to the child state its back pointers lead to. Kept as the
+    reference for `_lift`."""
+    cur_bag = list(child_bag)
+    table = {state: state for state in child_table}
+    for v in sorted(set(child_bag) - set(bag)):
+        p = cur_bag.index(v)
+        cur_bag.remove(v)
+        pos = {w: i for i, w in enumerate(cur_bag)}
+        is_terminal = v in terminal_pair
+        forgotten = {}
+        for cstate, origin in table.items():
+            code = cstate[p]
+            state = cstate[:p] + cstate[p + 1 :]
+            if code == 0:
+                if is_terminal:
+                    continue
+            elif code == 1:
+                pass
+            elif code & 1:  # two hidden ends can never meet again
+                continue
+            else:
+                if not is_terminal:
+                    continue
+                out = list(state)
+                out[pos[code >> 1]] = 2 * v + 1
+                state = tuple(out)
+            if state not in forgotten:
+                forgotten[state] = origin
+        table = forgotten
+    for v in sorted(set(bag) - set(child_bag)):
+        cur_bag = sorted(cur_bag + [v])
+        p = cur_bag.index(v)
+        table = {cstate[:p] + (0,) + cstate[p:]: origin for cstate, origin in table.items()}
+    assert tuple(cur_bag) == tuple(bag)
+    return table
+
+
+def join_corpus():
+    """(instance, decomposition, answer or None) on 4x4 and 5x5 grids and
+    small random graphs, each with min-fill's and the heavy decomposition."""
+    for side in (4, 5):
+        for k in (2, 3):
+            for seed in range(3):
+                inst = gen_grid_instance(side, k, seed)
+                for td in (minfill_td(inst), heavy_td(inst)):
+                    yield inst, td, boundary_answer(inst)
+    for n in (12, 20):
+        for k in (2, 3):
+            for seed in range(4):
+                inst = gen_random_planar(n, 2 * n, k, seed)
+                for td in (minfill_td(inst), heavy_td(inst)):
+                    yield inst, td, None
+
+
 class TestNiceTree:
     @pytest.mark.parametrize(
         "inst",
@@ -334,18 +391,30 @@ class TestNiceTree:
         for i, node in enumerate(nodes):
             for c in node.children:
                 parent[c] = i
-        assert parent[root] == -1
+                # only a lift changes the bag
+                assert node.kind == "lift" or nodes[c].bag == node.bag
+        assert parent[root] == -1 and nodes[root].bag == ()
+        # the reference for the top-bag rule: of the bags holding both
+        # ends, the one nearest the root
+        depth = [0] * len(td.bags)
+        for t, entering in decomposition._euler_tour(td.children(), td.parent.index(-1)):
+            if entering and td.parent[t] >= 0:
+                depth[t] = depth[td.parent[t]] + 1
+        holding = decomposition._bags_by_vertex(td)
         edge_nodes = [i for i, node in enumerate(nodes) if node.kind == "edge"]
         assert sorted(nodes[i].edge for i in edge_nodes) == sorted(g.edges)
         join_nodes = sum(node.kind == "join" for node in nodes)
         for i in edge_nodes:
             u, v = nodes[i].edge
-            assert u in nodes[i].bag and v in nodes[i].bag
-            # the walk up meets a forget of u or v before any join
+            home = min((t for t in holding[u] if v in td.bags[t]), key=depth.__getitem__)
+            assert nodes[i].bag == tuple(sorted(td.bags[home])), (nodes[i].edge, which)
+            # the walk up passes only the bag's other edges, then meets a
+            # lift that drops u or v: no join comes first
             j = parent[i]
-            while not (nodes[j].kind == "forget" and nodes[j].vertex in (u, v)):
-                assert j != root and nodes[j].kind != "join", (nodes[i].edge, which)
+            while nodes[j].kind == "edge":
                 j = parent[j]
+            assert nodes[j].kind == "lift", (nodes[i].edge, which)
+            assert u not in nodes[j].bag or v not in nodes[j].bag, (nodes[i].edge, which)
         if which in ("heavy", "td_from_bd"):
             assert join_nodes > 0  # the rule is exercised below joins too
 
@@ -369,29 +438,72 @@ class TestJoin:
             return got
 
         monkeypatch.setattr(solver, "_join_pair", checked)
-        for side in (4, 5):
-            for k in (2, 3):
-                for seed in range(3):
-                    inst = gen_grid_instance(side, k, seed)
-                    for td in (minfill_td(inst), heavy_td(inst)):
-                        assert dp_solve(inst, td).status == boundary_answer(inst)
-        for n in (12, 20):
-            for k in (2, 3):
-                for seed in range(4):
-                    inst = gen_random_planar(n, 2 * n, k, seed)
-                    for td in (minfill_td(inst), heavy_td(inst)):
-                        dp_solve(inst, td)
+        for inst, td, answer in join_corpus():
+            status = dp_solve(inst, td).status
+            assert answer is None or status == answer
         # merges through vertices live on both sides, and rejections, occur
         assert seen["merged"] > 1000 and seen["rejected"] > 100 and seen["interior"] > 1000
+
+    def test_lift_matches_reference(self, monkeypatch):
+        real = solver._lift
+        seen = {"drops_several": 0, "inner_drops_several": 0, "adds": 0}
+
+        def checked(child_table, child_bag, bag, terminal_pair):
+            got = real(child_table, child_bag, bag, terminal_pair)
+            want = reference_lift(child_table, child_bag, bag, terminal_pair)
+            # same states, in the same order, with the same back pointers
+            assert list(got.items()) == list(want.items()), (child_bag, bag)
+            dropped = set(child_bag) - set(bag)
+            seen["drops_several"] += len(dropped) > 1
+            seen["inner_drops_several"] += len(dropped) > 1 and bool(bag)
+            seen["adds"] += bool(set(bag) - set(child_bag))
+            return got
+
+        monkeypatch.setattr(solver, "_lift", checked)
+        for inst, td, answer in join_corpus():
+            status = dp_solve(inst, td).status
+            assert answer is None or status == answer
+        # lifts to the root and some of the heavy decompositions' inner
+        # lifts drop several vertices at once
+        assert seen["drops_several"] > 20 and seen["inner_drops_several"] > 0
+        assert seen["adds"] > 100
+
+    @pytest.mark.parametrize("bag", [(2, 3, 4), (3, 4), (1, 4), (4,), (), (1, 5), (2, 4, 6), (5, 6)])
+    def test_lift_matches_reference_on_every_fragment_state(self, bag):
+        # terminals 1 and 2 in the child bag, with partners 9 and 8 hidden
+        terminal_pair = {1: 0, 9: 0, 2: 1, 8: 1}
+        child_bag = (1, 2, 3, 4)
+
+        def codes(rest):
+            # each vertex untouched, closed, ended at a hidden terminal, or
+            # paired with a later bag vertex
+            if not rest:
+                yield {}
+                return
+            v, others = rest[0], rest[1:]
+            for code in (0, 1, 2 * 8 + 1, 2 * 9 + 1):
+                for more in codes(others):
+                    yield {v: code, **more}
+            for i, w in enumerate(others):
+                for more in codes(others[:i] + others[i + 1 :]):
+                    yield {v: 2 * w, w: 2 * v, **more}
+
+        child_table = {
+            tuple(c[v] for v in child_bag) + (0,): None for c in codes(list(child_bag))
+        }
+        got = solver._lift(child_table, child_bag, bag, terminal_pair)
+        want = reference_lift(child_table, child_bag, bag, terminal_pair)
+        assert list(got.items()) == list(want.items())
+        assert 0 < len(got) < len(child_table)
 
     @pytest.mark.parametrize(
         "gen, args, heavy, states",
         [
-            ("grid", (4, 2, 3), False, 264),
-            ("grid", (5, 2, 1), True, 4704),
-            ("grid", (5, 3, 4), True, 974),
-            ("random", (20, 34, 3, 2), False, 288),
-            ("random", (25, 45, 2, 3), True, 768),
+            ("grid", (4, 2, 3), False, 196),
+            ("grid", (5, 2, 1), True, 4004),
+            ("grid", (5, 3, 4), True, 720),
+            ("random", (20, 34, 3, 2), False, 229),
+            ("random", (25, 45, 2, 3), True, 639),
         ],
         # ids without the pinned count, so a re-pin keeps the test's name
         ids=["grid-4-2-3-minfill", "grid-5-2-1-heavy", "grid-5-3-4-heavy",
@@ -399,9 +511,10 @@ class TestJoin:
     )
     def test_total_states_pinned(self, gen, args, heavy, states):
         # least deciding budgets with each edge introduced at the bag
-        # nearest the root holding both ends; any change to the state set
-        # or to where edges are introduced moves the budget at which the DP
-        # gives up
+        # nearest the root holding both ends, and one lift node per bag
+        # change; any change to the state set, to the nodes that charge
+        # states or to where edges are introduced moves the budget at which
+        # the DP gives up
         inst = (gen_grid_instance if gen == "grid" else gen_random_planar)(*args)
         td = heavy_td(inst) if heavy else minfill_td(inst)
         dp_solve(inst, td, state_budget=states)
