@@ -1,5 +1,5 @@
 """Top-level algorithms: irrelevant-vertex reduction, one-face decisions,
-decomposition DP, pipeline.
+an exact kernel, decomposition DP, pipeline.
 
 The DP runs over a tree decomposition with explicit edge-introduction
 nodes, and lifts each child table to its parent's bag in one step. States
@@ -45,6 +45,7 @@ from .plane import (
     GridMinorModel,
     PlaneGraph,
     PlaneGraphError,
+    bfs_distances,
     delete_vertices,
     norm_edge,
     shortest_path,
@@ -727,6 +728,115 @@ def one_face_decision(inst: DppInstance) -> Union[FaceCertificate, Solution, Non
     return Solution(tuple(tuple(paths[j]) for j in range(inst.k)))
 
 
+# -- an exact kernel ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """An instance shrunk by `exact_kernel`, and the map back to its input.
+
+    `inst` is None when every pair was routed. Its pair i is the input's
+    pair `pair_ids[i]`, and its vertex v is the input's `to_input[v - 1]`.
+    An edge may stand for a path of suppressed vertices: `inside[(a, b)]`
+    holds that path's inner vertices from a to b, in input ids, for both
+    orders of a and b. `routed` holds the routed pairs' paths in input ids.
+    """
+
+    inst: Optional[DppInstance]
+    pair_ids: tuple[int, ...]
+    to_input: tuple[int, ...]
+    inside: dict[tuple[int, int], tuple[int, ...]]
+    routed: dict[int, tuple[int, ...]]
+
+    def solution(self, sol: Optional[Solution]) -> Solution:
+        """The input's path system: `sol` (a solution of `inst`, None when
+        `inst` is) with its suppressed vertices put back, and the routed paths."""
+        paths = dict(self.routed)
+        if sol is not None:
+            for i, path in zip(self.pair_ids, sol.paths):
+                ids = [self.to_input[v - 1] for v in path]
+                full = [ids[0]]
+                for a, b in zip(ids, ids[1:]):
+                    full += self.inside.get((a, b), ())
+                    full.append(b)
+                paths[i] = tuple(full)
+        return Solution(tuple(paths[i] for i in range(len(paths))))
+
+
+def exact_kernel(inst: DppInstance) -> Kernel:
+    """Shrink `inst` by four rules that keep its answer, until none applies.
+
+    - A pair whose terminals are adjacent is routed along that edge, and
+      both ends are deleted: any solution's path for the pair can be
+      swapped for the edge, which touches no other vertex.
+    - A non-terminal of degree <= 1 is deleted: a path through a
+      non-terminal enters and leaves it by two edges.
+    - A non-terminal v of degree 2, with neighbours a and b, is suppressed:
+      v becomes b in a's rotation and a in b's, so the edge ab is drawn
+      along a-v-b; when ab is already an edge, v is just deleted. A path
+      through v is a-v-b, and ab stands for it.
+    - A component without terminals is deleted: no path enters it.
+
+    Every rule deletes vertices or draws an edge along a path, so the graph
+    stays plane. The three local rules share one rotation dict and a work
+    list of vertices whose neighbours changed; the component rule runs once
+    at the end, since deleting a component changes no other vertex's
+    neighbours. The kernel graph is built and validated once.
+    """
+    g = inst.graph
+    rot = {v: list(g.rotation[v]) for v in g.vertices}
+    pair_of = {v: i for i, pair in enumerate(inst.pairs) for v in pair}
+    # entries of deleted edges stay behind; no later edge has their ends
+    inside: dict[tuple[int, int], tuple[int, ...]] = {}
+    routed: dict[int, tuple[int, ...]] = {}
+    todo = list(reversed(g.vertices))  # popped from the end: least first
+
+    def delete(v: int) -> None:
+        for w in rot.pop(v):
+            rot[w].remove(v)
+            todo.append(w)
+
+    while todo:
+        v = todo.pop()
+        nbrs = rot.get(v)
+        if nbrs is None:
+            continue  # deleted already
+        i = pair_of.get(v)
+        if i is not None:
+            s, t = inst.pairs[i]  # both alive: a pair's ends are deleted together
+            if t in rot[s]:
+                routed[i] = (s, *inside.get((s, t), ()), t)
+                delete(s)
+                delete(t)
+        elif len(nbrs) <= 1:
+            delete(v)
+        elif len(nbrs) == 2:
+            a, b = nbrs
+            del rot[v]
+            ra, rb = rot[a], rot[b]
+            if b in ra:
+                ra.remove(v)
+                rb.remove(v)
+            else:
+                ra[ra.index(v)] = b
+                rb[rb.index(v)] = a
+                path = (*inside.get((a, v), ()), v, *inside.get((v, b), ()))
+                inside[(a, b)] = path
+                inside[(b, a)] = path[::-1]
+            todo += (a, b)
+
+    pair_ids = tuple(i for i in range(inst.k) if i not in routed)
+    if not pair_ids:
+        return Kernel(None, (), (), inside, routed)
+    keep = sorted(bfs_distances(rot, [s for i in pair_ids for s in inst.pairs[i]]))
+    new = {v: i for i, v in enumerate(keep, start=1)}
+    rotation = {new[v]: [new[w] for w in rot[v]] for v in keep}
+    edges = [(new[v], new[w]) for v in keep for w in rot[v] if v < w]
+    kernel_graph = PlaneGraph(len(keep), edges, rotation, None)
+    pairs = tuple((new[s], new[t]) for s, t in (inst.pairs[i] for i in pair_ids))
+    return Kernel(DppInstance(kernel_graph, pairs), pair_ids, tuple(keep), inside, routed)
+
+
 # -- the full pipeline ----------------------------------------------------------------------
 
 
@@ -737,7 +847,9 @@ class PipelineResult:
     removed_original_ids: tuple[int, ...]
     iterations: int
     # the tree decomposition the final DP ran on, in original vertex ids;
-    # None when no DP ran. After a reduction it covers the reduced graph.
+    # None when no DP ran. It covers the graph of `exact_kernel`: vertices
+    # removed by a reduction or by the kernel are in no bag, and two
+    # vertices joined by a suppressed path count as adjacent
     decomposition: Optional[TreeDecomposition] = None
     # a NO's face certificate in original ids, only when it checks on the
     # original instance; a NO without one rests on the DP, and on every
@@ -759,28 +871,29 @@ def solve_pipeline(
     mode: str = "heuristic",
     dp_state_budget: int = 400_000,
 ) -> PipelineResult:
-    """Reduce while a big enough grid minor exists, then decide one face or DP.
+    """Reduce while a big enough grid minor exists, then decide one face,
+    else shrink the instance by its exact kernel and run the DP.
 
-    Each round first looks for a (target x target)-grid minor. Only grids
-    yield one, and the round deletes an irrelevant vertex when the grid's
-    side exceeds target: an r x c grid has branchwidth min(r, c), and then
-    holds a (target + 1)-grid minor. A round that does not reduce asks
-    `one_face_decision`, which decides an instance whose terminals each
-    occur once on one face. Only when it does not decide is one tree
-    decomposition built (`tree_decompose`: the MCS sweep's when it is no
-    wider than min-fill's, else min-fill's), and the DP runs on it. Each
-    round either returns or deletes one vertex, so the loop ends within
-    n + 1 rounds. Every YES is checked on `inst`, and so is a face
-    certificate before it is reported.
+    k = 1 is decided by a shortest path. Otherwise each round first looks
+    for a (target x target)-grid minor. Only grids yield one, and the round
+    deletes an irrelevant vertex when the grid's side exceeds target: an
+    r x c grid has branchwidth min(r, c), and then holds a (target + 1)-grid
+    minor. A round that does not reduce asks `one_face_decision`, which
+    decides an instance whose terminals each occur once on one face. When
+    it does not decide, `exact_kernel` shrinks the instance by deletions
+    that keep its answer. A kernel with every pair routed is a YES, and one
+    with one pair left is decided by a shortest path. Only with two pairs
+    or more is one tree decomposition of the kernel built (`tree_decompose`:
+    the MCS sweep's when it is no wider than min-fill's, else min-fill's),
+    and the DP runs on it. The kernel comes after the grid-minor search,
+    whose grid detection would not read a grid with suppressed corners.
+    Each round either returns or deletes one vertex, so the loop ends
+    within n + 1 rounds. Every YES is checked on `inst`, the k = 1 one too,
+    and so is a face certificate before it is reported.
     """
     k = inst.k
     if k == 1:
-        s, t = inst.pairs[0]
-        path = shortest_path(inst.graph, s, t)
-        if path is None:
-            return PipelineResult(SolveOutcome(Status.NO), (), (), 0)
-        sol = Solution((tuple(path),))
-        return PipelineResult(SolveOutcome(Status.YES, sol), (), (), 0)
+        return PipelineResult(_checked(inst, _shortest_linkage(inst)), (), (), 0)
     target = grid_requirement(k) if mode == "certified" else heuristic_grid_target(k)
     cur = inst
     to_original: dict[int, int] = {v: v for v in inst.graph.vertices}
@@ -817,24 +930,57 @@ def solve_pipeline(
     elif decided is not None:
         outcome = SolveOutcome(Status.YES, decided)
     else:
-        td = tree_decompose(cur.graph)
-        used = TreeDecomposition(
-            td.parent,
-            tuple(frozenset(to_original[v] for v in bag) for bag in td.bags),
-            td.width,
-        )
-        try:
-            outcome = dp_solve(cur, td, state_budget=dp_state_budget)
-        except DpBudgetExceeded as exc:
-            reason = "CERTIFIED_INFEASIBLE" if mode == "certified" else str(exc)
-            outcome = SolveOutcome(Status.UNKNOWN, reason=reason)
-    if outcome.status is Status.YES:
-        paths = tuple(tuple(to_original[v] for v in p) for p in outcome.solution.paths)
-        sol = Solution(paths)
-        check = verify_solution(inst, sol)
-        if not check:
-            raise PlaneGraphError(f"internal: pipeline solution invalid: {check.problems[:3]}")
-        outcome = SolveOutcome(Status.YES, sol)
+        kernel = exact_kernel(cur)
+        small = kernel.inst
+        if small is None:
+            outcome = SolveOutcome(Status.YES)
+        elif small.k == 1:
+            outcome = _shortest_linkage(small)
+        else:
+            td = tree_decompose(small.graph)
+            kernel_to_original = [to_original[v] for v in kernel.to_input]
+            used = TreeDecomposition(
+                td.parent,
+                tuple(frozenset(kernel_to_original[v - 1] for v in bag) for bag in td.bags),
+                td.width,
+            )
+            try:
+                outcome = dp_solve(small, td, state_budget=dp_state_budget)
+            except DpBudgetExceeded as exc:
+                reason = "CERTIFIED_INFEASIBLE" if mode == "certified" else str(exc)
+                outcome = SolveOutcome(Status.UNKNOWN, reason=reason)
+        if outcome.status is Status.YES:
+            outcome = SolveOutcome(Status.YES, kernel.solution(outcome.solution))
     return PipelineResult(
-        outcome, tuple(certificates), tuple(removed), iterations, used, no_certificate
+        _checked(inst, outcome, to_original),
+        tuple(certificates),
+        tuple(removed),
+        iterations,
+        used,
+        no_certificate,
     )
+
+
+def _shortest_linkage(inst: DppInstance) -> SolveOutcome:
+    """A one-pair instance decided by a shortest path."""
+    path = shortest_path(inst.graph, *inst.pairs[0])
+    if path is None:
+        return SolveOutcome(Status.NO)
+    return SolveOutcome(Status.YES, Solution((tuple(path),)))
+
+
+def _checked(
+    inst: DppInstance, outcome: SolveOutcome, to_original: Optional[dict[int, int]] = None
+) -> SolveOutcome:
+    """`outcome`, with a YES's paths taken to `inst`'s ids by `to_original`
+    and checked on `inst`."""
+    if outcome.status is not Status.YES:
+        return outcome
+    paths = outcome.solution.paths
+    if to_original is not None:
+        paths = tuple(tuple(to_original[v] for v in p) for p in paths)
+    sol = Solution(paths)
+    check = verify_solution(inst, sol)
+    if not check:
+        raise PlaneGraphError(f"internal: pipeline solution invalid: {check.problems[:3]}")
+    return SolveOutcome(Status.YES, sol)

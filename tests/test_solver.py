@@ -859,9 +859,11 @@ class TestPipeline:
         [
             (gen_random_planar(12, 18, 2, 0), 1, ((3, 3),)),
             (gen_grid_instance(5, 2, 0), 1, ((5, 5),)),
-            # 7x7 reduced once; the DP round sees the reduced graph, where
-            # both sweeps outgrow min-fill's width
-            (gen_grid_instance(7, 2, 0), 2, (None, (7, None))),
+            # 7x7 reduced once; the DP round sees the reduced graph's kernel:
+            # with k = 3 one pair is routed, and both sweeps outgrow
+            # min-fill's width; with k = 2 the sweep is narrower
+            (gen_grid_instance(7, 3, 6), 2, (None, (6, None))),
+            (gen_grid_instance(7, 2, 1), 2, (None, (8, 7))),
         ],
     )
     def test_one_min_fill_pass_per_iteration(self, monkeypatch, inst, iterations, widths):
@@ -897,15 +899,16 @@ class TestPipeline:
 
     def test_too_wide_without_certificate_runs_the_dp(self, monkeypatch):
         # 7x7 with k = 2 holds a 6x6 minor and its side exceeds the side-6
-        # target; with no certificate the DP runs on the round's
-        # decomposition, the sweep's (width 7, no join; min-fill's is 8)
-        inst = gen_grid_instance(7, 2, 0)
+        # target; with no certificate the DP runs on the decomposition of
+        # the round's kernel, the sweep's (width 7, no join; min-fill's is 8)
+        inst = gen_grid_instance(7, 2, 1)
         one_face_undecided(monkeypatch)
         calls = record_calls(monkeypatch, ROUND_STEPS)
         asked = []
         monkeypatch.setattr(
             solver, "find_irrelevant_vertex", lambda cur, model, mode: asked.append(model)
         )
+        kernels = count_calls(monkeypatch, solver, "exact_kernel")
         ran = count_calls(monkeypatch, solver, "dp_solve")
         res = solve_pipeline(inst)
         assert res.iterations == 1
@@ -918,17 +921,20 @@ class TestPipeline:
         assert sweep is not None
         assert (width, td.width, joins(td)) == (8, 7, 0)
         assert [name for name, _, _ in steps[4:]] == ["verify_tree_decomposition"]
+        ((_, kernel),) = kernels
         ((args, _),) = ran
-        assert args[1] is td
-        assert res.decomposition == td
+        assert args == (kernel.inst, td)
+        # the decomposition is reported in the input's ids
+        bags = tuple(frozenset(kernel.to_input[v - 1] for v in bag) for bag in td.bags)
+        assert res.decomposition == TreeDecomposition(td.parent, bags, td.width)
         assert res.status is boundary_answer(inst)
 
     def test_minor_at_target_width_runs_the_dp(self, monkeypatch):
         # 6x6 with k = 2 holds a 6x6 minor but its side is not above the
         # side-6 target: no branch decomposition is built, nothing is
-        # reduced, and the DP runs on the sweep's decomposition (width 6,
-        # no join)
-        inst = gen_grid_instance(6, 2, 0)
+        # reduced, and the DP runs on the sweep's decomposition of the
+        # kernel (width 6, no join)
+        inst = gen_grid_instance(6, 2, 1)
         one_face_undecided(monkeypatch)
         calls = record_calls(monkeypatch, ROUND_STEPS)
         asked = count_calls(monkeypatch, solver, "find_irrelevant_vertex")
@@ -1069,23 +1075,37 @@ class TestPipeline:
             ),
             # 5x5 holds no minor of the side-6 target; the stage decides it
             (gen_grid_instance(5, 2, 0), ["find_grid_minor", "one_face_decision"]),
-            # no face holds all four terminals: the stage falls through
+            # no face holds all four terminals: the stage falls through, and
+            # the kernel routes both pairs
             (
                 gen_random_planar(12, 18, 2, 1),
-                ["find_grid_minor", "one_face_decision", "tree_decompose", "dp_solve"],
+                ["find_grid_minor", "one_face_decision", "exact_kernel"],
+            ),
+            # the same, where the kernel keeps both pairs
+            (
+                gen_random_planar(12, 18, 2, 2),
+                ["find_grid_minor", "one_face_decision", "exact_kernel", "tree_decompose", "dp_solve"],
             ),
         ],
     )
     def test_round_order(self, monkeypatch, inst, order):
-        # reduce while a round can, then the one-face stage, then a
-        # decomposition and the DP only when the stage does not decide
-        steps = ("find_grid_minor", "find_irrelevant_vertex", "one_face_decision", "tree_decompose", "dp_solve")
+        # reduce while a round can, then the one-face stage, then the
+        # kernel when the stage does not decide, and a decomposition and
+        # the DP only when the kernel leaves two pairs or more
+        steps = (
+            "find_grid_minor",
+            "find_irrelevant_vertex",
+            "one_face_decision",
+            "exact_kernel",
+            "tree_decompose",
+            "dp_solve",
+        )
         calls = record_calls(monkeypatch, steps)
         res = solve_pipeline(inst)
         assert [name for name, _, _ in calls] == order
         (decided,) = [out for name, _, out in calls if name == "one_face_decision"]
-        assert (decided is None) == ("dp_solve" in order)
-        assert (res.decomposition is None) == (decided is not None)
+        assert (decided is None) == ("exact_kernel" in order)
+        assert (res.decomposition is None) == ("dp_solve" not in order)
         assert res.status == solve_bruteforce(inst).status
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])

@@ -15,7 +15,11 @@ minute. Cases:
   dp) with its face certificate, None on checkouts without one; and every
   fourth grid item through dp_solve alone, on tree_decompose's
   decomposition at a budget of 2,000 states, to show the DP's reach (the
-  pipeline's one-face stage decides these items before any DP);
+  pipeline's one-face stage decides these items before any DP); and for
+  each sparse item one kernel line: n and m of the parsed instance and of
+  exact_kernel's, and the indices of the pairs it routed (the kernel of the
+  parsed instance, also where the one-face stage decides the item first;
+  None on checkouts without a kernel);
 - the same fields for solve_pipeline on gen_grid_instance grids with seeds
   0-2: heuristic 7x7 and 8x8 with k in {5, 6}, and certified 7x7 with
   k in {2, 3}, where the decomposition the DP runs on decides the verdict;
@@ -154,10 +158,25 @@ def pipeline(res):
     return out.status.value, out.reason, paths, certs, res.iterations, dec
 
 
+def kernel(inst):
+    """n and m before -> after exact_kernel, and the routed pair indices;
+    None on checkouts without a kernel."""
+    exact_kernel = getattr(solver, "exact_kernel", None)
+    if exact_kernel is None:
+        return (None,)
+    kern = exact_kernel(inst)
+    g = inst.graph
+    n, m = (0, 0) if kern.inst is None else (kern.inst.graph.n, kern.inst.graph.m)
+    return f"{g.n} {g.m} -> {n} {m}", sorted(kern.routed)
+
+
 for name, workload in (("grid", workloads.GridSolve()), ("sparse", workloads.SparseSolve())):
     for i, (text, tag) in enumerate(workload.draw(7)):
-        res = solver.solve_pipeline(parse_instance(text))
+        inst = parse_instance(text)
+        res = solver.solve_pipeline(inst)
         emit(name, i, tag, *pipeline(res))
+        if name == "sparse":
+            emit("kernel", i, *kernel(inst))
         if name != "grid":
             continue
         # a pipeline that ran the DP keeps the decomposition it ran on
