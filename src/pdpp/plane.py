@@ -2,6 +2,9 @@
 
 A plane graph is stored combinatorially as a rotation system (clockwise
 neighbor order per vertex) plus a designated dart on the unbounded face.
+A graph is validated, and its faces traced, when it is built; one derived
+from a validated graph by edits that keep it plane is not validated again,
+and traces its faces when they are first read.
 All region queries (interior/exterior of a cycle) are answered by dual-graph
 reachability, never by coordinates; `face_regions` is the one dual walk.
 """
@@ -108,12 +111,17 @@ def face_orbits(n: int, rotation: dict[int, Sequence[int]]) -> tuple[tuple[Dart,
 class PlaneGraph:
     """Simple undirected plane graph with dense vertex ids 1..n.
 
-    Immutable after construction. The faces are traced once, at
-    construction, as the dart orbits of the rotation system; every derived
-    object (regions, grid detection) reads them. Without an outer dart, a
-    graph with edges takes the least dart of a longest face. Whether the
-    graph is a grid is derived from it, by `detect_grid` on the first read
-    of `grid_shape` or `grid_coords`, however the graph was built.
+    Immutable after construction. The faces are the dart orbits of the
+    rotation system, traced once; every derived object (regions, grid
+    detection) reads them. The constructor validates the graph, and so
+    traces its faces at once. A graph derived from a validated one by an
+    edit that keeps it plane (`delete_vertices`, the exact kernel's graph)
+    is built by `_derived` instead: it is not validated again, and traces
+    its faces on their first read. Without an outer dart, a graph with
+    edges takes the least dart of a longest face when the faces are traced.
+    Whether the graph is a grid is derived from it, by `detect_grid` on the
+    first read of `grid_shape` or `grid_coords`, however the graph was
+    built.
     """
 
     def __init__(
@@ -128,8 +136,26 @@ class PlaneGraph:
         self.rotation: dict[int, tuple[int, ...]] = {
             v: tuple(rotation.get(v, ())) for v in range(1, n + 1)
         }
-        self.outer_dart = outer_dart
+        self._outer_dart = outer_dart
         self._validate()
+
+    @classmethod
+    def _derived(
+        cls, n: int, rotation: dict[int, tuple[int, ...]], outer_dart: Optional[Dart]
+    ) -> "PlaneGraph":
+        """A graph derived from a validated one by an edit that keeps it plane.
+
+        `rotation` holds a tuple for every vertex 1..n, and `outer_dart` is an
+        edge or None. Nothing is checked: the edit is trusted to keep the
+        rotation symmetric and of genus 0.
+        """
+        g = cls.__new__(cls)
+        g.n = n
+        g.edges = frozenset((v, w) for v, rot in rotation.items() for w in rot if v < w)
+        g.rotation = rotation
+        g._outer_dart = outer_dart
+        g._faces = None  # traced on first read
+        return g
 
     # -- basic accessors -------------------------------------------------
 
@@ -147,6 +173,14 @@ class PlaneGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges
 
+    @property
+    def outer_dart(self) -> Optional[Dart]:
+        """The dart the graph was given on the unbounded face; without one, a
+        graph with edges takes the least dart of a longest face."""
+        if self._outer_dart is None and self.edges:
+            self._trace_faces()
+        return self._outer_dart
+
     # -- grid structure ----------------------------------------------------
 
     @cached_property
@@ -163,10 +197,11 @@ class PlaneGraph:
         """Each vertex's (row, col) when the graph is a full grid, else None."""
         return self._grid[1] if self._grid else None
 
-    # -- validation ------------------------------------------------------
+    # -- validation and face tracing --------------------------------------
 
     def _validate(self) -> None:
-        """Check the rotation system and trace its faces."""
+        """Check the rotation system, the outer dart and the genus; this
+        traces the faces."""
         _check_edges(self.n, self.edges)
         nbr_sets = {v: set() for v in self.vertices}
         for u, v in self.edges:
@@ -180,55 +215,66 @@ class PlaneGraph:
                 raise PlaneGraphError(
                     f"rotation at {v} is not a permutation of its neighbors"
                 )
-        self._faces = face_orbits(self.n, self.rotation)
-        self._face_of = {d: i for i, orbit in enumerate(self._faces) for d in orbit}
-        self._outer_face_id = -1
-        if self.m > 0:
-            if self.outer_dart is None:
-                self.outer_dart = min(max(self._faces, key=len))
-            elif not self.has_edge(*self.outer_dart):
-                raise PlaneGraphError(f"outer dart {self.outer_dart} is not an edge")
-            self._outer_face_id = self._face_of[self.outer_dart]
+        if self.edges and self._outer_dart is not None and not self.has_edge(*self._outer_dart):
+            raise PlaneGraphError(f"outer dart {self._outer_dart} is not an edge")
+        self._trace_faces()
         # Genus-0 check: Euler's formula with the unbounded face counted once.
-        # Dart orbits repeat the unbounded face once per edge-bearing component;
-        # isolated vertices trace no orbit at all.
-        comps = connected_components(self)
-        c = len(comps)
-        edged = sum(1 for comp in comps if any(self.rotation[v] for v in comp))
-        self._num_faces = len(self._faces) - (edged - 1) if edged else 1
+        c = len(self._components)
         if self.n - self.m + self._num_faces != 1 + c:
             raise EmbeddingError(
                 f"rotation system is not planar: n={self.n} m={self.m} "
                 f"faces={self._num_faces} components={c}"
             )
 
+    def _trace_faces(self) -> None:
+        """Trace the faces, take the default outer dart, and count the faces:
+        at validation, or on a derived graph's first face read."""
+        self._faces = faces = face_orbits(self.n, self.rotation)
+        self._face_of = face_of = {d: i for i, orbit in enumerate(faces) for d in orbit}
+        if self._outer_dart is None and self.edges:
+            self._outer_dart = min(max(faces, key=len))
+        self._outer_face_id = face_of[self._outer_dart] if self.edges else -1
+        # Dart orbits repeat the unbounded face once per edge-bearing
+        # component; isolated vertices trace no orbit at all.
+        self._components = comps = connected_components(self)
+        edged = sum(1 for comp in comps if any(self.rotation[v] for v in comp))
+        self._num_faces = len(faces) - (edged - 1) if edged else 1
+
     # -- faces -----------------------------------------------------------
 
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
         """All faces as dart orbits of the rotation system, sorted by least dart."""
+        if self._faces is None:
+            self._trace_faces()
         return self._faces
 
     def face_of_dart(self, dart: Dart) -> int:
+        if self._faces is None:
+            self._trace_faces()
         return self._face_of[dart]
 
     def outer_face(self) -> int:
         """Index of the unbounded face (the face containing the outer dart);
         -1 without edges."""
+        if self._faces is None:
+            self._trace_faces()
         return self._outer_face_id
 
     def face_vertices(self, face_id: int) -> frozenset[int]:
-        return frozenset(u for u, _ in self._faces[face_id])
+        return frozenset(u for u, _ in self.faces()[face_id])
 
     def face_edges(self, face_id: int) -> frozenset[Edge]:
-        return frozenset(norm_edge(u, v) for u, v in self._faces[face_id])
+        return frozenset(norm_edge(u, v) for u, v in self.faces()[face_id])
 
     def faces_of_edge(self, e: Edge) -> tuple[int, int]:
         """The (at most two distinct) face ids on either side of e."""
         u, v = e
-        return (self._face_of[(u, v)], self._face_of[(v, u)])
+        return (self.face_of_dart((u, v)), self.face_of_dart((v, u)))
 
     def num_faces(self) -> int:
         """Faces of the drawing: the unbounded one counted once."""
+        if self._faces is None:
+            self._trace_faces()
         return self._num_faces
 
 
@@ -1015,24 +1061,23 @@ def _lr_rotation(n: int, edge_list: list[Edge]) -> Optional[dict[int, list[int]]
 
 
 def delete_vertices(g: PlaneGraph, doomed: Iterable[int]) -> tuple[PlaneGraph, dict[int, int]]:
-    """Remove vertices, re-index densely, and return (graph, old->new map)."""
+    """Remove vertices, re-index densely, and return (graph, old->new map).
+
+    A deletion keeps a plane graph plane, so the result is derived from g
+    (`PlaneGraph._derived`) and not validated again.
+    """
     doomed_set = set(doomed)
     keep = [v for v in g.vertices if v not in doomed_set]
     remap = {old: i + 1 for i, old in enumerate(keep)}
-    edges = [
-        (remap[u], remap[v]) for u, v in g.edges if u not in doomed_set and v not in doomed_set
-    ]
-    rotation = {
-        remap[v]: [remap[w] for w in g.rotation[v] if w not in doomed_set] for v in keep
-    }
-    # the first surviving dart of the old outer orbit, else PlaneGraph's pick
+    rotation = {remap[v]: tuple(remap[w] for w in g.rotation[v] if w in remap) for v in keep}
+    # the first surviving dart of the old outer orbit, else the default pick
     outer: Optional[Dart] = None
-    if edges:
+    if g.edges:
         for u, v in g.faces()[g.outer_face()]:
-            if u not in doomed_set and v not in doomed_set:
+            if u in remap and v in remap:
                 outer = (remap[u], remap[v])
                 break
-    return PlaneGraph(len(keep), edges, rotation, outer), remap
+    return PlaneGraph._derived(len(keep), rotation, outer), remap
 
 
 # -- geometric builder (used by ring-shaped showcase hosts) ------------------

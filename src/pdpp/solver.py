@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional, Union
+from typing import Container, Optional, Union
 
 from .concentric import (
     ConcentricCycles,
@@ -613,24 +613,68 @@ def _solution_from_edges(inst: DppInstance, edges: set[tuple[int, int]]) -> Solu
 # -- instances with every terminal on one face -------------------------------------------
 
 
-def _terminal_face(g: PlaneGraph, terminals) -> Optional[tuple[Dart, ...]]:
-    """The walk of the least face on which each terminal occurs exactly once.
+def _face_reader(g: PlaneGraph, deleted: Container[int]):
+    """(face_of, walk) for the faces of g - `deleted`, read off g itself.
+
+    `face_of(dart)` gives the face of a dart as a key that orders faces as
+    `PlaneGraph.faces()` does, by least dart, and `walk(key)` gives the
+    face's darts from its first dart in vertex order, then rotation order,
+    as `faces()` of the graph with `deleted` removed would list them. With
+    nothing deleted these are g's own faces. Otherwise only the faces asked
+    for are walked, each turn skipping deleted neighbours, and each is
+    keyed by its least dart.
+    """
+    if not deleted:
+        return g.face_of_dart, g.faces().__getitem__
+    rot = g.rotation
+    key_of: dict[Dart, Dart] = {}
+    walks: dict[Dart, tuple[Dart, ...]] = {}
+
+    def face_of(dart: Dart) -> Dart:
+        if dart in key_of:
+            return key_of[dart]
+        orbit = []
+        u, v = dart
+        while not orbit or (u, v) != dart:
+            orbit.append((u, v))
+            r = rot[v]
+            i = r.index(u) + 1
+            while r[i % len(r)] in deleted:
+                i += 1
+            u, v = v, r[i % len(r)]
+        least = min(orbit)
+        on = {w for x, w in orbit if x == least[0]}
+        start = orbit.index((least[0], next(w for w in rot[least[0]] if w in on)))
+        walks[least] = tuple(orbit[start:] + orbit[:start])
+        key_of.update(dict.fromkeys(orbit, least))
+        return least
+
+    return face_of, walks.__getitem__
+
+
+def _terminal_face(
+    g: PlaneGraph, terminals, deleted: Container[int] = frozenset()
+) -> Optional[tuple[Dart, ...]]:
+    """The walk of the least face of g - `deleted` on which each terminal
+    occurs exactly once.
 
     A vertex occurs on a face once per dart of its own on that face, so the
-    candidates are read off the terminals' darts; no face is scanned.
-    Returns None when no face qualifies.
+    candidates are read off the terminals' darts; only their faces are
+    walked (`_face_reader`). Returns None when no face qualifies.
     """
-    common: Optional[set[int]] = None
+    face_of, walk = _face_reader(g, deleted)
+    common: Optional[set] = None
     for v in terminals:
-        count: dict[int, int] = {}
+        count: dict = {}
         for w in g.rotation[v]:
-            f = g.face_of_dart((v, w))
-            count[f] = count.get(f, 0) + 1
+            if w not in deleted:
+                f = face_of((v, w))
+                count[f] = count.get(f, 0) + 1
         once = {f for f, c in count.items() if c == 1}
         common = once if common is None else common & once
         if not common:
             return None
-    return g.faces()[min(common)]
+    return walk(min(common))
 
 
 def _interleaving(order: list[int]) -> Optional[tuple[int, int]]:
@@ -682,11 +726,14 @@ def one_face_decision(inst: DppInstance) -> Union[FaceCertificate, Solution, Non
     the walk's vertices, so the other paths never meet the walk. So any such
     pair may go first; the first whose deletion leaves the other terminals
     each once on one face is taken, and the routing goes on on that face.
-    The last pair is joined by a shortest path.
+    The last pair is joined by a shortest path. Deleted vertices are only
+    recorded: the faces of g minus them are walked on g itself, and they
+    are those a rebuilt graph would list, in the same order and from the
+    same darts, so the paths equal those of routing on rebuilt graphs.
     """
     g = inst.graph
-    left = dict(enumerate(inst.pairs))  # the pairs not yet routed, in g's ids
-    to_inst: Optional[dict[int, int]] = None  # g's ids -> inst's, after a deletion
+    left = dict(enumerate(inst.pairs))  # the pairs not yet routed
+    deleted: set[int] = set()  # the routed paths' vertices
     paths: dict[int, list[int]] = {}
     walk = _terminal_face(g, inst.terminals())
     if walk is None:
@@ -696,7 +743,8 @@ def one_face_decision(inst: DppInstance) -> Union[FaceCertificate, Solution, Non
         at = [(n, owner[u]) for n, (u, _) in enumerate(walk) if u in owner]
         crossing = _interleaving([i for _, i in at])
         if crossing is not None:
-            return FaceCertificate(walk[0], crossing) if to_inst is None else None
+            # only the input's own face makes a certificate
+            return None if paths else FaceCertificate(walk[0], crossing)
         # a sequence that reduces to empty has two neighbours of one pair;
         # route the first such pair whose deletion leaves the other
         # terminals each once on one face (the last pair needs no face)
@@ -706,25 +754,24 @@ def one_face_decision(inst: DppInstance) -> Union[FaceCertificate, Solution, Non
                 continue
             arc = walk[a : b + 1] if a < b else walk[a:] + walk[: b + 1]
             path = _shortcut([u for u, _ in arc])
-            h, remap = delete_vertices(g, path)
-            rest = {m: (remap[s], remap[t]) for m, (s, t) in left.items() if m != i}
+            gone = deleted.union(path)
+            rest = {m: pair for m, pair in left.items() if m != i}
             face = ()
             if len(rest) > 1:
-                face = _terminal_face(h, [v for pair in rest.values() for v in pair])
+                face = _terminal_face(g, [v for pair in rest.values() for v in pair], gone)
             if face is not None:
                 break
         else:
             return None
         if path[0] != left[i][0]:
             path.reverse()
-        paths[i] = path if to_inst is None else [to_inst[v] for v in path]
-        g, left, walk = h, rest, face
-        to_inst = {new: old if to_inst is None else to_inst[old] for old, new in remap.items()}
+        paths[i] = path
+        deleted, left, walk = gone, rest, face
     ((i, (s, t)),) = left.items()
-    path = shortest_path(g, s, t)
+    path = shortest_path(g, s, t, within=set(g.vertices).difference(deleted))
     if path is None:
         return None
-    paths[i] = [to_inst[v] for v in path]
+    paths[i] = path
     return Solution(tuple(tuple(paths[j]) for j in range(inst.k)))
 
 
@@ -781,7 +828,9 @@ def exact_kernel(inst: DppInstance) -> Kernel:
     stays plane. The three local rules share one rotation dict and a work
     list of vertices whose neighbours changed; the component rule runs once
     at the end, since deleting a component changes no other vertex's
-    neighbours. The kernel graph is built and validated once.
+    neighbours. The kernel graph is built once, at the end, as a graph
+    derived from the validated input (`PlaneGraph._derived`): every rule
+    keeps it plane, so it is not validated again.
     """
     g = inst.graph
     rot = {v: list(g.rotation[v]) for v in g.vertices}
@@ -830,9 +879,8 @@ def exact_kernel(inst: DppInstance) -> Kernel:
         return Kernel(None, (), (), inside, routed)
     keep = sorted(bfs_distances(rot, [s for i in pair_ids for s in inst.pairs[i]]))
     new = {v: i for i, v in enumerate(keep, start=1)}
-    rotation = {new[v]: [new[w] for w in rot[v]] for v in keep}
-    edges = [(new[v], new[w]) for v in keep for w in rot[v] if v < w]
-    kernel_graph = PlaneGraph(len(keep), edges, rotation, None)
+    rotation = {new[v]: tuple(new[w] for w in rot[v]) for v in keep}
+    kernel_graph = PlaneGraph._derived(len(keep), rotation, None)
     pairs = tuple((new[s], new[t]) for s, t in (inst.pairs[i] for i in pair_ids))
     return Kernel(DppInstance(kernel_graph, pairs), pair_ids, tuple(keep), inside, routed)
 

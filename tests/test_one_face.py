@@ -8,6 +8,7 @@ certificate from the rotation system alone.
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +21,9 @@ from pdpp.oracle import (
     verify_no_certificate,
     verify_solution,
 )
-from pdpp.plane import PlaneGraph, make_grid, plane_graph_from_edges
-from pdpp.solver import one_face_decision
+from pdpp import plane, solver
+from pdpp.plane import PlaneGraph, delete_vertices, make_grid, plane_graph_from_edges, shortest_path
+from pdpp.solver import _interleaving, _shortcut, one_face_decision
 
 
 def _random_planar(n, density, k, seed):
@@ -194,3 +196,114 @@ def test_checker_walks_the_rotation_itself(monkeypatch, crossed_grid):
         monkeypatch.setattr(PlaneGraph, name, refuse)
     assert verify_no_certificate(inst, cert)
     assert not verify_no_certificate(inst, FaceCertificate(cert.dart, (0, 2)))
+
+
+# -- routing on the input graph against routing on rebuilt graphs -----------------------
+
+
+def reference_terminal_face(g, terminals):
+    """The least face of g on which each terminal occurs once, read through
+    `PlaneGraph.faces()`."""
+    common = None
+    for v in terminals:
+        count = Counter(g.face_of_dart((v, w)) for w in g.rotation[v])
+        once = {f for f, c in count.items() if c == 1}
+        common = once if common is None else common & once
+        if not common:
+            return None
+    return g.faces()[min(common)]
+
+
+def reference_one_face(inst):
+    """`one_face_decision` with each routed path deleted by `delete_vertices`
+    and the face found again on the rebuilt graph."""
+    g = inst.graph
+    left = dict(enumerate(inst.pairs))  # the pairs not yet routed, in g's ids
+    to_inst = None  # g's ids -> inst's, after a deletion
+    paths = {}
+    walk = reference_terminal_face(g, inst.terminals())
+    if walk is None:
+        return None
+    while len(left) > 1:
+        owner = {v: i for i, pair in left.items() for v in pair}
+        at = [(n, owner[u]) for n, (u, _) in enumerate(walk) if u in owner]
+        crossing = _interleaving([i for _, i in at])
+        if crossing is not None:
+            return FaceCertificate(walk[0], crossing) if to_inst is None else None
+        for n in range(len(at)):
+            (a, i), (b, j) = at[n - 1], at[n]
+            if i != j:
+                continue
+            arc = walk[a : b + 1] if a < b else walk[a:] + walk[: b + 1]
+            path = _shortcut([u for u, _ in arc])
+            h, remap = delete_vertices(g, path)
+            rest = {m: (remap[s], remap[t]) for m, (s, t) in left.items() if m != i}
+            face = ()
+            if len(rest) > 1:
+                face = reference_terminal_face(h, [v for pair in rest.values() for v in pair])
+            if face is not None:
+                break
+        else:
+            return None
+        if path[0] != left[i][0]:
+            path.reverse()
+        paths[i] = path if to_inst is None else [to_inst[v] for v in path]
+        g, left, walk = h, rest, face
+        to_inst = {new: old if to_inst is None else to_inst[old] for old, new in remap.items()}
+    ((i, (s, t)),) = left.items()
+    path = shortest_path(g, s, t)
+    if path is None:
+        return None
+    paths[i] = path if to_inst is None else [to_inst[v] for v in path]
+    return Solution(tuple(tuple(paths[j]) for j in range(inst.k)))
+
+
+def test_routing_matches_rebuilding_reference_on_grids():
+    kinds = Counter()
+    for side, ks in ((9, range(3, 7)), (12, range(4, 7))):
+        for k in ks:
+            for seed in range(50):
+                inst = gen_grid_instance(side, k, seed)
+                got = one_face_decision(inst)
+                assert got == reference_one_face(inst), (side, k, seed)
+                kinds[type(got).__name__] += 1
+    # the comparison covers routing, most of it through several deletions,
+    # and certificates
+    assert kinds == {"FaceCertificate": 312, "Solution": 38}
+
+
+@settings(max_examples=300)
+@given(inst=instances)
+def test_routing_matches_rebuilding_reference(inst):
+    assert one_face_decision(inst) == reference_one_face(inst)
+
+
+def test_stuck_routing_still_falls_through():
+    # no free pair leaves the other terminals once on one face; the CLI pins
+    # this instance's DP answer
+    inst = gen_grid_instance(12, 6, 176)
+    assert one_face_decision(inst) is None
+    assert reference_one_face(inst) is None
+
+
+def test_routing_neither_deletes_nor_validates(monkeypatch):
+    inst = gen_grid_instance(9, 4, 7)  # routed through three deletions
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(plane, "delete_vertices", counted("delete", plane.delete_vertices))
+    monkeypatch.setattr(solver, "delete_vertices", counted("delete", solver.delete_vertices))
+    monkeypatch.setattr(PlaneGraph, "_validate", counted("validate", PlaneGraph._validate))
+    assert isinstance(one_face_decision(inst), Solution)
+    assert calls == {}
+    kernel = solver.exact_kernel(inst)
+    assert kernel.inst is not None and kernel.inst.graph.n < inst.graph.n
+    assert calls == {}
+    make_grid(2, 2)  # the counter sees a validated build
+    assert calls == {"validate": 1}

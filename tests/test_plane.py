@@ -3,7 +3,7 @@ import random
 from collections import Counter, deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pdpp.gallery import ring_lattice
 from pdpp.instances import DppInstance, gen_grid_instance, gen_random_planar
@@ -28,6 +28,7 @@ from pdpp.plane import (
     plane_graph_from_points,
     verify_minor_model,
 )
+from pdpp.solver import exact_kernel
 
 
 def triangle():
@@ -503,6 +504,50 @@ def test_faces_match_reference_walk(g):
     want = min(max(orbits, key=len)) if orbits else None
     assert h.outer_dart == want
     assert h.outer_face() == (orbits.index(max(orbits, key=len)) if orbits else -1)
+
+
+# -- derived graphs against validated rebuilds ---------------------------------------
+
+
+def reference_delete_vertices(g, doomed):
+    """`delete_vertices` by a validated rebuild: the surviving edges and
+    rotations, and as outer dart the first surviving dart of the old outer
+    orbit, else the constructor's pick."""
+    keep = [v for v in g.vertices if v not in doomed]
+    remap = {old: i + 1 for i, old in enumerate(keep)}
+    edges = [(remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap]
+    rotation = {remap[v]: [remap[w] for w in g.rotation[v] if w in remap] for v in keep}
+    outer_orbit = g.faces()[g.outer_face()] if g.m else ()
+    outer = next(((remap[u], remap[v]) for u, v in outer_orbit if u in remap and v in remap), None)
+    return PlaneGraph(len(keep), edges, rotation, outer), remap
+
+
+def face_reading(g):
+    """What a plane graph's faces determine; the face count is read first,
+    so a graph that traces its faces on demand traces them here."""
+    return g.num_faces(), g.outer_face(), g.faces(), g.outer_dart, g.rotation, g.edges, g.n
+
+
+@settings(max_examples=200)
+@given(g=plane_graphs, picks=st.lists(st.integers(0, 99), max_size=8))
+def test_deletion_equals_validated_rebuild(g, picks):
+    doomed = {1 + p % g.n for p in picks}
+    h, remap = delete_vertices(g, doomed)
+    want, want_remap = reference_delete_vertices(g, doomed)
+    assert remap == want_remap
+    assert face_reading(h) == face_reading(want)
+
+
+@settings(max_examples=200)
+@given(g=plane_graphs, picks=st.lists(st.integers(0, 99), min_size=2, max_size=12))
+def test_kernel_graph_equals_validated_rebuild(g, picks):
+    assume(g.n >= 2)
+    ends = list(dict.fromkeys(1 + p % g.n for p in picks))
+    assume(len(ends) >= 2)
+    small = exact_kernel(DppInstance(g, tuple(zip(ends[::2], ends[1::2])))).inst
+    if small is not None:
+        h = small.graph
+        assert face_reading(h) == face_reading(PlaneGraph(h.n, h.edges, h.rotation, None))
 
 
 # -- one dual walk: face regions and cycle interiors against reference walks ----------

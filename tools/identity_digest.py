@@ -27,6 +27,9 @@ minute. Cases:
   side-6 target but is not wider than it, and heuristic 7x7 with k = 2,
   which is wider and reduces; and heuristic 7x7, 8x8 and 9x9 with k = 2,
   seeds 0-1, relabelled and built in-process with their embedding;
+- one_face_decision on gen_grid_instance 9x9 and 12x12 grids with k in
+  {3, 4, 5, 6}, seeds 0-19: the kind of answer (Solution, FaceCertificate
+  or None), the certificate, and a hash of the paths;
 - verify_tight on every tight_pool host at budgets 5, 500 and 200,000:
   the verdict and problems, or the exception's type and message; a hash
   of each host's faces (orbits, outer face id, face count); and on every
@@ -84,6 +87,7 @@ import workloads  # noqa: E402
 from pdpp import clconfig, concentric, decomposition, gallery, oracle, reroute, solver  # noqa: E402
 from pdpp.instances import (  # noqa: E402
     DppInstance,
+    Solution,
     gen_grid_instance,
     gen_random_planar,
     parse_instance,
@@ -214,6 +218,14 @@ for side in (7, 8, 9):
         )
         inst = DppInstance(g, tuple((new[s], new[t]) for s, t in inst.pairs))
         emit("wide-relabelled", side, 2, seed, *pipeline(solver.solve_pipeline(inst)))
+
+for side in (9, 12):
+    for k in range(3, 7):
+        for seed in range(20):
+            got = solver.one_face_decision(gen_grid_instance(side, k, seed))
+            cert = got if isinstance(got, oracle.FaceCertificate) else None
+            paths = short(repr(got.paths)) if isinstance(got, Solution) else None
+            emit("oneface", side, k, seed, type(got).__name__, cert, paths)
 
 # -- verify_tight and cheapest linkages on the tight pool -----------------------------
 
