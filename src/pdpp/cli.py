@@ -7,6 +7,7 @@ error, 65 = parse error. All commands are deterministic given argv.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -103,10 +104,7 @@ def _solve_one(path: str, args) -> tuple[str, int, dict]:
         res = solve_pipeline(inst, mode=args.mode, dp_state_budget=args.budget)
         certificates = [c.log_line() for c in res.certificates]
         if res.no_certificate is not None:
-            no_certificate = {
-                "dart": list(res.no_certificate.dart),
-                "pairs": list(res.no_certificate.pairs),
-            }
+            no_certificate = dataclasses.asdict(res.no_certificate)
         out = res.outcome
         if args.emit_decomposition:
             if res.decomposition is None:

@@ -238,8 +238,8 @@ def write_solution(sol: Solution | None) -> str:
 
 def gen_grid_instance(n: int, k: int, seed: int) -> DppInstance:
     """n x n grid with k random terminal pairs on the outer cycle."""
-    if n < 2:
-        raise PlaneGraphError("grid instances need n >= 2")
+    if n < 2 or k < 1:
+        raise PlaneGraphError("grid instances need n >= 2 and k >= 1")
     g = make_grid(n, n)
     # the outer face lists the outer cycle from vertex 1 clockwise
     boundary = [u for u, _ in g.faces()[g.outer_face()]]

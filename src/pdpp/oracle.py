@@ -4,15 +4,13 @@ A single backtracking engine enumerates vertex-disjoint path systems; it
 powers the exact yes/no decision, solution search, and exhaustive
 cheapest-linkage computation. It cuts only branches that hold no wanted
 system, so every answer equals plain enumeration's. A work budget makes
-indeterminacy explicit: the engine never silently gives up. The checkers
-(`verify_solution` for a YES, `verify_no_certificate` for a NO) read only
-the instance and share no code with the solvers whose answers they check.
+indeterminacy explicit: the engine never silently gives up. The checker
+`verify_solution` reads only the instance and shares no code with the
+solvers whose answers it checks.
 
-Before it searches, the cheapest-linkage search for a pattern looks for
-two pairs that interleave on one face, each terminal occurring there once.
-Such a pattern has no linkage (the easy half of Robertson and Seymour,
-Graph Minors VI), and the search returns None at once, but only when
-`verify_no_certificate` accepts the `FaceCertificate` found. The plain
+Before it searches, the cheapest-linkage search for a pattern asks
+`pdpp.certificates` for a face on which two pairs interleave, and returns
+None at once when `verify_no_certificate` accepts that proof. The plain
 decision `solve_bruteforce` never takes this shortcut, so it stays an
 independent cross-check of every face-based NO.
 """
@@ -25,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from .certificates import interleaving_face, verify_no_certificate
 from .instances import DppInstance, Solution
 from .plane import Budget, BudgetExceeded  # pdpp.oracle.BudgetExceeded stays importable
 from .plane import CheckResult, Cycle, Edge, PlaneGraph, PlaneGraphError, norm_edge
@@ -307,99 +306,6 @@ def verify_solution(inst: DppInstance, sol: Solution) -> CheckResult:
     return CheckResult(not problems, tuple(problems))
 
 
-# -- NO certificates -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FaceCertificate:
-    """Proof of NO: two pairs whose terminals interleave on one face's walk.
-
-    The face is named by a dart `dart` on it; `pairs` are two indices into
-    the instance's pairs. If s1, s2, t1, t2 occur in that cyclic order on
-    the walk, each once, then a vertex drawn inside the face and joined to
-    the four occurrences closes any s1-t1 path into a cycle that separates
-    s2 from t2 (Jordan curve theorem), so the two pairs cannot be linked by
-    disjoint paths.
-    """
-
-    dart: tuple[int, int]
-    pairs: tuple[int, int]
-
-
-def verify_no_certificate(inst: DppInstance, cert: FaceCertificate) -> CheckResult:
-    """Check a face certificate on `inst`, walking the face from the rotation.
-
-    The walk is traced here from `inst.graph.rotation` alone: dart (u, v)
-    turns at v to (v, w), w the neighbour after u in v's clockwise rotation.
-    """
-    g = inst.graph
-    u0, v0 = cert.dart
-    if not (1 <= u0 <= g.n and v0 in g.rotation[u0]):
-        return CheckResult(False, (f"dart {cert.dart} is not an edge",))
-    i, j = cert.pairs
-    if i == j or not (0 <= i < inst.k and 0 <= j < inst.k):
-        return CheckResult(False, (f"pairs {cert.pairs} are not two pairs of the instance",))
-    walk = []
-    u, v = u0, v0
-    while True:
-        walk.append(u)
-        rot = g.rotation[v]
-        u, v = v, rot[(rot.index(u) + 1) % len(rot)]
-        if (u, v) == (u0, v0):
-            break
-    problems = []
-    where = {}
-    for x in (*inst.pairs[i], *inst.pairs[j]):
-        count = walk.count(x)
-        if count != 1:
-            problems.append(f"terminal {x} occurs {count} times on the face")
-        else:
-            where[x] = walk.index(x)
-    if not problems:
-        (s1, t1), (s2, t2) = inst.pairs[i], inst.pairs[j]
-        a, b = sorted((where[s1], where[t1]))
-        if (a < where[s2] < b) == (a < where[t2] < b):
-            problems.append(f"pairs {i} and {j} do not interleave on the face")
-    return CheckResult(not problems, tuple(problems))
-
-
-def _interleaving_face(g: PlaneGraph, pairs: list[tuple[int, int]]) -> Optional[FaceCertificate]:
-    """A certificate for two pairs that interleave on a face, or None.
-
-    A terminal occurs on a face once per dart of its own on it, so each
-    pair's faces, those on which both its terminals occur exactly once, are
-    read off the terminals' darts; no face is scanned for them. On each
-    face shared by two or more pairs, their cyclic order of pair indices is
-    reduced on a stack: a pair met a second time below the top was opened
-    before the top's pair, which is still open, so the two interleave.
-    """
-    on_face: dict[int, list[int]] = {}
-    for i, pair in enumerate(pairs):
-        once = []
-        for v in pair:
-            faces = [g.face_of_dart((v, w)) for w in g.rotation[v]]
-            once.append({f for f in faces if faces.count(f) == 1})
-        for f in once[0] & once[1]:
-            on_face.setdefault(f, []).append(i)
-    for f in sorted(on_face):
-        if len(on_face[f]) < 2:
-            continue
-        walk = g.faces()[f]
-        owner = {v: i for i in on_face[f] for v in pairs[i]}
-        stack: list[int] = []
-        for u, _ in walk:
-            i = owner.get(u)
-            if i is None:
-                continue
-            if stack and stack[-1] == i:
-                stack.pop()
-            elif i in stack:
-                return FaceCertificate(walk[0], (min(i, stack[-1]), max(i, stack[-1])))
-            else:
-                stack.append(i)
-    return None
-
-
 # -- cheapest equivalent linkages ----------------------------------------------
 
 
@@ -479,7 +385,7 @@ def best_linkage_for_pattern(
     terminals = [v for p in pairs for v in p]
     if len(set(terminals)) != len(terminals):
         raise PlaneGraphError("pattern terminals are not pairwise distinct")
-    cert = _interleaving_face(g, pairs)
+    cert = interleaving_face(g, pairs)
     if cert is not None and verify_no_certificate(DppInstance(g, tuple(pairs)), cert):
         return None
     paths = _cheapest_paths(g, sorted(pairs), cycles, budget)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Container, Optional, Union
 
+from .certificates import FaceCertificate, interleaving, once_faces, verify_no_certificate
 from .concentric import (
     ConcentricCycles,
     InsufficientGridError,
@@ -30,14 +31,7 @@ from .decomposition import (
     verify_tree_decomposition,
 )
 from .instances import DppInstance, Solution
-from .oracle import (
-    FaceCertificate,
-    SolveOutcome,
-    Status,
-    solve_bruteforce,
-    verify_no_certificate,
-    verify_solution,
-)
+from .oracle import SolveOutcome, Status, solve_bruteforce, verify_solution
 from .plane import (
     Budget,
     BudgetExceeded,
@@ -658,41 +652,18 @@ def _terminal_face(
     """The walk of the least face of g - `deleted` on which each terminal
     occurs exactly once.
 
-    A vertex occurs on a face once per dart of its own on that face, so the
-    candidates are read off the terminals' darts; only their faces are
-    walked (`_face_reader`). Returns None when no face qualifies.
+    The candidates are read off the terminals' darts (`once_faces`); only
+    their faces are walked (`_face_reader`). Returns None when no face
+    qualifies.
     """
     face_of, walk = _face_reader(g, deleted)
     common: Optional[set] = None
     for v in terminals:
-        count: dict = {}
-        for w in g.rotation[v]:
-            if w not in deleted:
-                f = face_of((v, w))
-                count[f] = count.get(f, 0) + 1
-        once = {f for f, c in count.items() if c == 1}
+        once = once_faces(g, v, face_of, deleted)
         common = once if common is None else common & once
         if not common:
             return None
     return walk(min(common))
-
-
-def _interleaving(order: list[int]) -> Optional[tuple[int, int]]:
-    """Two pairs that interleave in a cyclic sequence of pair indices, each
-    index twice, or None when the sequence reduces to empty on a stack.
-
-    A pair met a second time below the top of the stack was opened before
-    the top's pair, which is still open: the two interleave.
-    """
-    stack: list[int] = []
-    for i in order:
-        if stack and stack[-1] == i:
-            stack.pop()
-        elif i in stack:
-            return (min(i, stack[-1]), max(i, stack[-1]))
-        else:
-            stack.append(i)
-    return None
 
 
 def _shortcut(walk: list[int]) -> list[int]:
@@ -741,7 +712,7 @@ def one_face_decision(inst: DppInstance) -> Union[FaceCertificate, Solution, Non
     while len(left) > 1:
         owner = {v: i for i, pair in left.items() for v in pair}
         at = [(n, owner[u]) for n, (u, _) in enumerate(walk) if u in owner]
-        crossing = _interleaving([i for _, i in at])
+        crossing = interleaving([i for _, i in at])
         if crossing is not None:
             # only the input's own face makes a certificate
             return None if paths else FaceCertificate(walk[0], crossing)

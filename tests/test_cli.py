@@ -285,6 +285,11 @@ class TestGen:
         assert main(["gen", "planar", "--vertices", "3", "--edges", "7",
                      "--pairs", "1", "--seed", "1"]) == 64
 
+    def test_grid_negative_pairs_exit_64(self, capsys):
+        assert main(["gen", "grid", "--size", "3", "--pairs", "-1", "--seed", "0"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestVerify:
     def test_valid(self, k2_file, tmp_path, capsys):

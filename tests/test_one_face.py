@@ -6,24 +6,21 @@ by routing pairs along the face. `verify_no_certificate` checks a
 certificate from the rotation system alone.
 """
 
+import ast
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdpp.certificates import FaceCertificate, interleaving, interleaving_face, verify_no_certificate
 from pdpp.instances import DppInstance, Solution, gen_grid_instance, gen_random_planar
-from pdpp.oracle import (
-    FaceCertificate,
-    Status,
-    solve_bruteforce,
-    verify_no_certificate,
-    verify_solution,
-)
-from pdpp import plane, solver
+from pdpp.oracle import Status, solve_bruteforce, verify_solution
+from pdpp import certificates, plane, solver
 from pdpp.plane import PlaneGraph, delete_vertices, make_grid, plane_graph_from_edges, shortest_path
-from pdpp.solver import _interleaving, _shortcut, one_face_decision
+from pdpp.solver import _shortcut, one_face_decision
 
 
 def _random_planar(n, density, k, seed):
@@ -62,6 +59,19 @@ def test_stage_agrees_with_oracle(inst):
     else:
         assert truth is Status.YES
         assert verify_solution(inst, decided)
+
+
+@settings(max_examples=300)
+@given(inst=instances)
+def test_finder_is_sound_and_covers_the_stage(inst):
+    # a certificate the finder returns checks and sits on a NO; every NO the
+    # stage proves on a face, the finder proves too
+    cert = interleaving_face(inst.graph, inst.pairs)
+    if cert is not None:
+        assert verify_no_certificate(inst, cert)
+        assert solve_bruteforce(inst).status is Status.NO
+    if isinstance(one_face_decision(inst), FaceCertificate):
+        assert cert is not None
 
 
 def test_stage_decides_a_share_of_the_corpus():
@@ -198,6 +208,20 @@ def test_checker_walks_the_rotation_itself(monkeypatch, crossed_grid):
     assert not verify_no_certificate(inst, FaceCertificate(cert.dart, (0, 2)))
 
 
+def test_checker_shares_no_code_with_the_finders():
+    tree = ast.parse(Path(certificates.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert not parts & {"oracle", "solver", "decomposition"}
+    used = set(verify_no_certificate.__code__.co_names)
+    assert not used & {"interleaving", "once_faces", "interleaving_face", "face_of_dart", "faces"}
+
+
 # -- routing on the input graph against routing on rebuilt graphs -----------------------
 
 
@@ -227,7 +251,7 @@ def reference_one_face(inst):
     while len(left) > 1:
         owner = {v: i for i, pair in left.items() for v in pair}
         at = [(n, owner[u]) for n, (u, _) in enumerate(walk) if u in owner]
-        crossing = _interleaving([i for _, i in at])
+        crossing = interleaving([i for _, i in at])
         if crossing is not None:
             return FaceCertificate(walk[0], crossing) if to_inst is None else None
         for n in range(len(at)):
@@ -270,6 +294,19 @@ def test_routing_matches_rebuilding_reference_on_grids():
     # the comparison covers routing, most of it through several deletions,
     # and certificates
     assert kinds == {"FaceCertificate": 312, "Solution": 38}
+
+
+def test_finder_returns_the_stage_certificate_on_grids():
+    compared = 0
+    for side, ks in ((9, range(3, 7)), (12, range(4, 7))):
+        for k in ks:
+            for seed in range(50):
+                inst = gen_grid_instance(side, k, seed)
+                got = one_face_decision(inst)
+                if isinstance(got, FaceCertificate):
+                    assert interleaving_face(inst.graph, inst.pairs) == got, (side, k, seed)
+                    compared += 1
+    assert compared == 312
 
 
 @settings(max_examples=300)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdpp import oracle
+from pdpp.certificates import FaceCertificate, interleaving_face, verify_no_certificate
 from pdpp.gallery import ring_cycle, ring_lattice
 from pdpp.instances import (
     DppInstance,
@@ -16,7 +17,6 @@ from pdpp.instances import (
 from pdpp.oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    FaceCertificate,
     Linkage,
     SolveOutcome,
     Status,
@@ -24,7 +24,6 @@ from pdpp.oracle import (
     cheapest_equivalent_linkage,
     linkage_cost,
     solve_bruteforce,
-    verify_no_certificate,
     verify_solution,
 )
 from pdpp.plane import (
@@ -285,7 +284,7 @@ def assert_engine_matches_reference(g, pairs, cycles):
     got = _outcome(best_linkage_for_pattern, g, pairs, cycles)
     if want != "budget":
         assert _paths(got) == _paths(want), (pairs, cycles)
-    cert = oracle._interleaving_face(g, pairs)
+    cert = interleaving_face(g, pairs)
     if cert is not None:
         assert verify_no_certificate(DppInstance(g, tuple(pairs)), cert), (pairs, cert)
         assert want in (None, "budget"), (pairs, cert)
@@ -467,7 +466,7 @@ class TestFaceProof:
         g = bowtie()
         pairs = [(2, 3), (5, 1)]
         assert [u for u, _ in g.faces()[g.outer_face()]].count(2) == 2
-        assert oracle._interleaving_face(g, pairs) is None
+        assert interleaving_face(g, pairs) is None
         want = assert_engine_matches_reference(g, pairs, [])
         assert want.paths == ((2, 3), (5, 1))
 
@@ -478,7 +477,7 @@ class TestFaceProof:
         pairs = [(2, 3), (5, 1)]
         wrong = FaceCertificate((1, 2), (0, 1))
         assert not verify_no_certificate(DppInstance(g, tuple(pairs)), wrong)
-        monkeypatch.setattr(oracle, "_interleaving_face", lambda g, pairs: wrong)
+        monkeypatch.setattr(oracle, "interleaving_face", lambda g, pairs: wrong)
         assert best_linkage_for_pattern(g, pairs, []).paths == ((2, 3), (5, 1))
 
     def test_nesting_face_read_before_interleaving_face(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdpp import cli, decomposition, solver
+from pdpp.certificates import FaceCertificate, verify_no_certificate
 from pdpp.concentric import lemma_side_requirement
 from pdpp.decomposition import (
     TreeDecomposition,
@@ -27,14 +28,7 @@ from pdpp.instances import (
     parse_instance,
     write_instance,
 )
-from pdpp.oracle import (
-    FaceCertificate,
-    SolveOutcome,
-    Status,
-    solve_bruteforce,
-    verify_no_certificate,
-    verify_solution,
-)
+from pdpp.oracle import SolveOutcome, Status, solve_bruteforce, verify_solution
 from pdpp.plane import (
     GridMinorModel,
     PlaneGraphError,

@@ -27,6 +27,9 @@ minute. Cases:
   side-6 target but is not wider than it, and heuristic 7x7 with k = 2,
   which is wider and reduces; and heuristic 7x7, 8x8 and 9x9 with k = 2,
   seeds 0-1, relabelled and built in-process with their embedding;
+- interleaving_face, the face-proof finder, on each grid-solve and
+  sparse-solve item and on each tight_pool host's pattern: the certificate
+  or None (on checkouts before pdpp.certificates, the oracle's finder);
 - one_face_decision on gen_grid_instance 9x9 and 12x12 grids with k in
   {3, 4, 5, 6}, seeds 0-19: the kind of answer (Solution, FaceCertificate
   or None), the certificate, and a hash of the paths;
@@ -102,6 +105,11 @@ from pdpp.plane import (  # noqa: E402
     plane_graph_from_edges,
     plane_graph_from_points,
 )
+
+try:
+    from pdpp.certificates import FaceCertificate, interleaving_face  # noqa: E402
+except ImportError:  # before pdpp.certificates the oracle held both
+    FaceCertificate, interleaving_face = oracle.FaceCertificate, oracle._interleaving_face
 
 if not Path(solver.__file__).resolve().is_relative_to(root):
     sys.exit(f"error: imported pdpp from {solver.__file__}, not from {root}")
@@ -179,6 +187,7 @@ for name, workload in (("grid", workloads.GridSolve()), ("sparse", workloads.Spa
         inst = parse_instance(text)
         res = solver.solve_pipeline(inst)
         emit(name, i, tag, *pipeline(res))
+        emit("face-proof", name, i, interleaving_face(inst.graph, inst.pairs))
         if name == "sparse":
             emit("kernel", i, *kernel(inst))
         if name != "grid":
@@ -223,7 +232,7 @@ for side in (9, 12):
     for k in range(3, 7):
         for seed in range(20):
             got = solver.one_face_decision(gen_grid_instance(side, k, seed))
-            cert = got if isinstance(got, oracle.FaceCertificate) else None
+            cert = got if isinstance(got, FaceCertificate) else None
             paths = short(repr(got.paths)) if isinstance(got, Solution) else None
             emit("oneface", side, k, seed, type(got).__name__, cert, paths)
 
@@ -259,6 +268,7 @@ for row in hosts:
     cycles = list(cc.cycles)
     found = outcome(lambda: cheapest(g, pairs, cycles))
     emit("cheapest", row[0], found)
+    emit("face-proof", "tight", row[0], interleaving_face(g, pairs))
     if found == "None":
         emit("cheapest-plain", row[0], oracle.solve_bruteforce(DppInstance(g, tuple(pairs))).status.value)
     if int(row[0]) % 8 == 0:
