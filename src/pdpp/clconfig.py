@@ -716,16 +716,17 @@ def reduce_configuration(q: CLConfiguration) -> CLConfiguration:
     def mapped(v: int) -> int:
         return remap[find(v)]
 
-    new_rot = {remap[v]: [mapped(w) for w in rot[v]] for v in rot}
-    new_edges = sorted(
-        {norm_edge(mapped(a), mapped(b)) for a, b in g.edges if find(a) != find(b)}
-    )
     outer = None
     for a, b in g.faces()[g.outer_face()]:
         if find(a) != find(b):
             outer = (mapped(a), mapped(b))
             break
-    g2 = PlaneGraph(len(survivors), new_edges, new_rot, outer)
+    # contracting an edge without making a parallel one keeps the graph plane
+    g2 = PlaneGraph._derived(
+        len(survivors),
+        {remap[v]: tuple(mapped(w) for w in rot[v]) for v in survivors},
+        outer,
+    )
 
     def collapse(seq) -> tuple[int, ...]:
         out = []

@@ -37,12 +37,7 @@ def ring_lattice(
     def vid(ring: int, sector: int) -> int:
         return ring * sectors + (sector % sectors) + 1
 
-    points = {}
-    for ring in range(rings):
-        radius = 1.0 + ring
-        for s in range(sectors):
-            angle = 2 * math.pi * s / sectors
-            points[vid(ring, s)] = (radius * math.cos(angle), radius * math.sin(angle))
+    points = _ring_points(rings, sectors, vid)
     edges = []
     for ring in range(rings):
         if ring_edges is None or ring_edges(ring):
@@ -53,6 +48,17 @@ def ring_lattice(
             if spokes is None or spokes(ring, s):
                 edges.append((vid(ring, s), vid(ring + 1, s)))
     return plane_graph_from_points(points, edges), vid
+
+
+def _ring_points(rings: int, sectors: int, vid: Callable[[int, int], int]) -> dict:
+    """Each lattice vertex's point: ring r at radius 1 + r, sectors evenly spaced."""
+    points = {}
+    for ring in range(rings):
+        radius = 1.0 + ring
+        for s in range(sectors):
+            angle = 2 * math.pi * s / sectors
+            points[vid(ring, s)] = (radius * math.cos(angle), radius * math.sin(angle))
+    return points
 
 
 def ring_cycle(vid: Callable[[int, int], int], ring: int, sectors: int) -> Cycle:
@@ -157,12 +163,7 @@ def shortcut_annulus_host(sectors: int = 6):
     tight here.
     """
     g0, vid = ring_lattice(3, sectors)
-    points = {}
-    for ring in range(3):
-        radius = 1.0 + ring
-        for s in range(sectors):
-            angle = 2 * math.pi * s / sectors
-            points[vid(ring, s)] = (radius * math.cos(angle), radius * math.sin(angle))
+    points = _ring_points(3, sectors, vid)
     extra = max(points) + 1
     ang = 2 * math.pi * 0.5 / sectors
     points[extra] = (2.5 * math.cos(ang), 2.5 * math.sin(ang))

@@ -115,8 +115,9 @@ class PlaneGraph:
     rotation system, traced once; every derived object (regions, grid
     detection) reads them. The constructor validates the graph, and so
     traces its faces at once. A graph derived from a validated one by an
-    edit that keeps it plane (`delete_vertices`, the exact kernel's graph)
-    is built by `_derived` instead: it is not validated again, and traces
+    edit that keeps it plane (`delete_vertices`, the exact kernel's graph,
+    the edge contraction of `reduce_configuration`) is built by `_derived`
+    instead: it is not validated again, and traces
     its faces on their first read. Without an outer dart, a graph with
     edges takes the least dart of a longest face when the faces are traced.
     Whether the graph is a grid is derived from it, by `detect_grid` on the

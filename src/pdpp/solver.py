@@ -314,59 +314,24 @@ def dp_solve(
             (child,) = node.children
             table = _lift(tables[child], nodes[child].bag, bag, terminal_pair)
         elif kind == "edge":
-            u, v = node.edge
-            pos = {w: i for i, w in enumerate(bag)}
-            iu, iv = pos[u], pos[v]
-            u_terminal = u in terminal_pair
-            v_terminal = v in terminal_pair
-            table = {}
-            for cstate in tables[node.children[0]]:
-                if cstate not in table:  # skip the edge
-                    table[cstate] = cstate
-                cu, cv = cstate[iu], cstate[iv]
-                if cu == 1 or cv == 1:
-                    continue
-                if (u_terminal and cu) or (v_terminal and cv):
-                    continue
-                out = list(cstate)
-                if not cu and not cv:
-                    bit = _settle_ends(out, pos, 2 * u, 2 * v, terminal_pair, partner)
-                elif not cu or not cv:
-                    if not cu:
-                        fresh, live, clive = u, iv, cv
-                    else:
-                        fresh, live, clive = v, iu, cu
-                    # live end absorbs the edge; fresh vertex becomes the end
-                    out[live] = 1
-                    # a live end paired with fresh would close a cycle
-                    bit = -1 if clive == 2 * fresh else _settle_ends(
-                        out, pos, 2 * fresh, clive, terminal_pair, partner
-                    )
-                elif cu == 2 * v:
-                    continue  # both live ends of one fragment: a cycle
-                else:
-                    # both live: merging two fragments
-                    out[iu] = out[iv] = 1
-                    bit = _settle_ends(out, pos, cu, cv, terminal_pair, partner)
-                if bit < 0:
-                    continue
-                out[-1] |= bit
-                state = tuple(out)
-                if state not in table:
-                    table[state] = cstate
+            table = _edge(tables[node.children[0]], bag, node.edge, terminal_pair, partner)
         elif kind == "join":
             left, right = node.children
             pos = {w: i for i, w in enumerate(bag)}
             join = _join_pair  # read here, not at import, so tests can wrap it
             lefts = [_prepare_join(state, pos) for state in tables[left]]
+            # a touched terminal takes no edge on the other side, so it
+            # counts as closed there
+            terminals = sum(1 << i for i, w in enumerate(bag) if w in terminal_pair)
             # the filter fields up front, so the inner loop unpacks them
             rights = [
-                (prep[0], prep[1], prep[2], prep[3], prep)
+                (prep[0], prep[1] | prep[2] & terminals, prep[2], prep[3], prep)
                 for prep in (_prepare_join(state, pos) for state in tables[right])
             ]
             table = {}
             for lp in lefts:
-                lstate, lclosed, ltouched, ldone = lp[0], lp[1], lp[2], lp[3]
+                lstate, ltouched, ldone = lp[0], lp[2], lp[3]
+                lclosed = lp[1] | ltouched & terminals
                 for rstate, rclosed, rtouched, rdone, rp in rights:
                     # closed on one side must be untouched on the other
                     if (lclosed & rtouched) | (rclosed & ltouched):
@@ -429,6 +394,40 @@ def _lift(child_table, child_bag, bag, terminal_pair):
         else:
             if state not in table:
                 table[state] = cstate
+    return table
+
+
+def _edge(child_table, bag, edge, terminal_pair, partner):
+    """An edge node's table: each child state with edge uv skipped, then taken.
+
+    A closed end, a touched terminal or a cycle (cu == 2*v) refuses the
+    edge. An untouched end becomes a path end, named 2*w as `_settle_ends`
+    names ends; a live end absorbs the edge and is closed.
+    """
+    u, v = edge
+    pos = {w: i for i, w in enumerate(bag)}
+    iu, iv = pos[u], pos[v]
+    u_terminal = u in terminal_pair
+    v_terminal = v in terminal_pair
+    table = {}
+    for cstate in child_table:
+        if cstate not in table:  # skip the edge
+            table[cstate] = cstate
+        cu, cv = cstate[iu], cstate[iv]
+        if cu == 1 or cv == 1 or (u_terminal and cu) or (v_terminal and cv) or cu == 2 * v:
+            continue
+        out = list(cstate)
+        if cu:
+            out[iu] = 1
+        if cv:
+            out[iv] = 1
+        bit = _settle_ends(out, pos, cu or 2 * u, cv or 2 * v, terminal_pair, partner)
+        if bit < 0:
+            continue
+        out[-1] |= bit
+        state = tuple(out)
+        if state not in table:
+            table[state] = cstate
     return table
 
 
@@ -966,8 +965,7 @@ def solve_pipeline(
             try:
                 outcome = dp_solve(small, td, state_budget=dp_state_budget)
             except DpBudgetExceeded as exc:
-                reason = "CERTIFIED_INFEASIBLE" if mode == "certified" else str(exc)
-                outcome = SolveOutcome(Status.UNKNOWN, reason=reason)
+                outcome = SolveOutcome(Status.UNKNOWN, reason=str(exc))
         if outcome.status is Status.YES:
             outcome = SolveOutcome(Status.YES, kernel.solution(outcome.solution))
     return PipelineResult(

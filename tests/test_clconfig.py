@@ -25,7 +25,7 @@ from pdpp.clconfig import (
 from pdpp.concentric import make_concentric, tighten, verify_tight
 from pdpp.gallery import ring_cycle, ring_lattice, shortcut_annulus_host
 from pdpp.oracle import Linkage, linkage_cost
-from pdpp.plane import Cycle, bfs_distances, path_edges, plane_graph_from_points
+from pdpp.plane import Cycle, PlaneGraph, bfs_distances, path_edges, plane_graph_from_points
 
 
 def two_ring_host(sectors=6):
@@ -492,6 +492,23 @@ class TestReduction:
         assert linkage_cost(q2.linkage, list(q2.cycles.cycles)) == linkage_cost(
             q.linkage, list(q.cycles.cycles)
         )
+
+
+    @pytest.mark.parametrize(
+        "sectors, cycle_rings, k, seed",
+        [(6, 2, 1, 0), (6, 3, 1, 0), (8, 3, 2, 2), (8, 3, 2, 4), (8, 3, 2, 5)],
+    )
+    def test_contraction_equals_validated_rebuild(self, sectors, cycle_rings, k, seed):
+        # the contracted graph is derived, not validated; a validating
+        # rebuild from its rotation gives the same faces and outer face
+        q = cheap_configuration(sectors, cycle_rings, k, seed)
+        g, h = q.graph, reduce_configuration(q).graph
+        assert h.n < g.n
+        # each contraction drops one vertex and one edge, and makes no parallel edge
+        assert g.m - h.m == g.n - h.n
+        want = PlaneGraph(h.n, h.edges, h.rotation, h.outer_dart)
+        assert h.num_faces() == want.num_faces()
+        assert (h.rotation, h.faces(), h.outer_face()) == (want.rotation, want.faces(), want.outer_face())
 
 
 class TestTightness:

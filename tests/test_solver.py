@@ -347,6 +347,67 @@ def reference_lift(child_table, child_bag, bag, terminal_pair):
     return table
 
 
+def reference_edge(child_table, bag, edge, terminal_pair, partner):
+    """The edge step as three cases: both ends untouched, one live end
+    meeting an untouched one, and two live ends merging. Kept as the
+    reference for `_edge`."""
+    u, v = edge
+    pos = {w: i for i, w in enumerate(bag)}
+    iu, iv = pos[u], pos[v]
+    table = {}
+    for cstate in child_table:
+        if cstate not in table:  # skip the edge
+            table[cstate] = cstate
+        cu, cv = cstate[iu], cstate[iv]
+        if cu == 1 or cv == 1:
+            continue
+        if (u in terminal_pair and cu) or (v in terminal_pair and cv):
+            continue
+        out = list(cstate)
+        if not cu and not cv:
+            bit = solver._settle_ends(out, pos, 2 * u, 2 * v, terminal_pair, partner)
+        elif not cu or not cv:
+            fresh, live, clive = (u, iv, cv) if not cu else (v, iu, cu)
+            # the live end absorbs the edge; the fresh vertex becomes the end
+            out[live] = 1
+            # a live end paired with the fresh vertex would close a cycle
+            bit = -1 if clive == 2 * fresh else solver._settle_ends(
+                out, pos, 2 * fresh, clive, terminal_pair, partner
+            )
+        elif cu == 2 * v:
+            continue  # both live ends of one fragment: a cycle
+        else:
+            out[iu] = out[iv] = 1
+            bit = solver._settle_ends(out, pos, cu, cv, terminal_pair, partner)
+        if bit < 0:
+            continue
+        out[-1] |= bit
+        state = tuple(out)
+        if state not in table:
+            table[state] = cstate
+    return table
+
+
+def fragment_table(bag, hidden):
+    """A table of every fragment state of `bag`: each vertex untouched,
+    closed, ended at a hidden terminal of `hidden`, or paired with another
+    bag vertex; no pair done."""
+
+    def codes(rest):
+        if not rest:
+            yield {}
+            return
+        v, others = rest[0], rest[1:]
+        for code in (0, 1, *(2 * x + 1 for x in hidden)):
+            for more in codes(others):
+                yield {v: code, **more}
+        for i, w in enumerate(others):
+            for more in codes(others[:i] + others[i + 1 :]):
+                yield {v: 2 * w, w: 2 * v, **more}
+
+    return {tuple(c[v] for v in bag) + (0,): None for c in codes(list(bag))}
+
+
 def join_corpus():
     """(instance, decomposition, answer or None) on 4x4 and 5x5 grids and
     small random graphs, each with min-fill's and the heavy decomposition."""
@@ -467,50 +528,64 @@ class TestJoin:
         # terminals 1 and 2 in the child bag, with partners 9 and 8 hidden
         terminal_pair = {1: 0, 9: 0, 2: 1, 8: 1}
         child_bag = (1, 2, 3, 4)
-
-        def codes(rest):
-            # each vertex untouched, closed, ended at a hidden terminal, or
-            # paired with a later bag vertex
-            if not rest:
-                yield {}
-                return
-            v, others = rest[0], rest[1:]
-            for code in (0, 1, 2 * 8 + 1, 2 * 9 + 1):
-                for more in codes(others):
-                    yield {v: code, **more}
-            for i, w in enumerate(others):
-                for more in codes(others[:i] + others[i + 1 :]):
-                    yield {v: 2 * w, w: 2 * v, **more}
-
-        child_table = {
-            tuple(c[v] for v in child_bag) + (0,): None for c in codes(list(child_bag))
-        }
+        child_table = fragment_table(child_bag, (8, 9))
         got = solver._lift(child_table, child_bag, bag, terminal_pair)
         want = reference_lift(child_table, child_bag, bag, terminal_pair)
         assert list(got.items()) == list(want.items())
         assert 0 < len(got) < len(child_table)
 
+    @pytest.mark.parametrize("edge", [(1, 2), (1, 3), (2, 4), (3, 4), (1, 5), (4, 5)])
     @pytest.mark.parametrize(
-        "gen, args, heavy, states",
+        "partner",
+        # terminals 1 and 2 with hidden partners 9 and 8; one pair 1-2 in the
+        # bag with terminals 8 and 9 hidden; no terminal in the bag
+        [{1: 9, 9: 1, 2: 8, 8: 2}, {1: 2, 2: 1, 8: 9, 9: 8}, {8: 9, 9: 8}],
+        ids=["hidden-partners", "pair-in-bag", "no-terminal"],
+    )
+    def test_edge_matches_reference_on_every_fragment_state(self, edge, partner):
+        bag = (1, 2, 3, 4, 5)
+        terminal_pair = {v: min(v, w) % 2 for v, w in partner.items()}
+        child_table = fragment_table(bag, (8, 9))
+        got = solver._edge(child_table, bag, edge, terminal_pair, partner)
+        want = reference_edge(child_table, bag, edge, terminal_pair, partner)
+        # same states, in the same order, with the same back pointers
+        assert list(got.items()) == list(want.items())
+        # most taken states are skipped states of other children, so each
+        # child state is also stepped alone
+        taken = 0
+        for cstate in child_table:
+            got = solver._edge({cstate: None}, bag, edge, terminal_pair, partner)
+            want = reference_edge({cstate: None}, bag, edge, terminal_pair, partner)
+            assert list(got.items()) == list(want.items()), cstate
+            taken += len(got) - 1
+        # only an edge between terminals of two pairs is never taken
+        u, v = edge
+        assert (taken == 0) == (u in terminal_pair and v in terminal_pair and u != partner[v])
+
+    @pytest.mark.parametrize(
+        "gen, args, td_kind, states",
         [
-            ("grid", (4, 2, 3), False, 196),
-            ("grid", (5, 2, 1), True, 4004),
-            ("grid", (5, 3, 4), True, 720),
-            ("random", (20, 34, 3, 2), False, 229),
-            ("random", (25, 45, 2, 3), True, 639),
+            ("grid", (4, 2, 3), "minfill", 196),
+            ("grid", (5, 2, 1), "heavy", 4004),
+            ("grid", (5, 3, 4), "heavy", 720),
+            ("random", (20, 34, 3, 2), "minfill", 229),
+            ("random", (25, 45, 2, 3), "heavy", 639),
+            # 247 while a join merged states with a terminal live on both sides
+            ("random", (14, 24, 2, 18), "default", 241),
         ],
         # ids without the pinned count, so a re-pin keeps the test's name
         ids=["grid-4-2-3-minfill", "grid-5-2-1-heavy", "grid-5-3-4-heavy",
-             "random-20-34-3-2-minfill", "random-25-45-2-3-heavy"],
+             "random-20-34-3-2-minfill", "random-25-45-2-3-heavy", "random-14-24-2-18-default"],
     )
-    def test_total_states_pinned(self, gen, args, heavy, states):
+    def test_total_states_pinned(self, gen, args, td_kind, states):
         # least deciding budgets with each edge introduced at the bag
         # nearest the root holding both ends, and one lift node per bag
         # change; any change to the state set, to the nodes that charge
         # states or to where edges are introduced moves the budget at which
         # the DP gives up
         inst = (gen_grid_instance if gen == "grid" else gen_random_planar)(*args)
-        td = heavy_td(inst) if heavy else minfill_td(inst)
+        pick = {"minfill": minfill_td, "heavy": heavy_td, "default": lambda inst: None}
+        td = pick[td_kind](inst)
         dp_solve(inst, td, state_budget=states)
         with pytest.raises(
             DpBudgetExceeded, match=rf"^DP exceeded {states - 1} states at node \d+$"
@@ -579,6 +654,34 @@ def test_dp_agrees_with_oracle(inst):
     assert dp.status == oracle.status
     if dp.status is Status.YES:
         assert verify_solution(inst, dp.solution)
+
+
+@settings(max_examples=200)
+@given(inst=small_planar)
+def test_closed_terminal_has_its_pair_done(inst):
+    # a terminal ends its path, so it takes one path edge: at an edge node,
+    # or on one side of a join, never on both; it is closed only by
+    # finishing its pair
+    terminal_pair = {v: i for i, pair in enumerate(inst.pairs) for v in pair}
+
+    def wrap(name, bag_at):
+        real = getattr(solver, name)
+
+        def checked(*args):
+            out = real(*args)
+            for state in [out] if isinstance(out, tuple) else out or ():
+                for w, code in zip(args[bag_at], state):
+                    if code == 1 and w in terminal_pair:
+                        assert state[-1] >> terminal_pair[w] & 1, (name, args[bag_at], state)
+            return out
+
+        return checked
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, bag_at in (("_lift", 2), ("_edge", 1), ("_join_pair", 2)):
+            patch.setattr(solver, name, wrap(name, bag_at))
+        # the default decomposition, and the one with the most joins
+        assert dp_solve(inst).status == dp_solve(inst, heavy_td(inst)).status
 
 
 @settings(max_examples=200)
@@ -812,7 +915,7 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "k, seed, mode, answer",
         # each ran out of the state budget on td_from_bd's width-7
-        # decomposition (UNKNOWN, CERTIFIED_INFEASIBLE)
+        # decomposition (UNKNOWN, in both modes)
         [
             (5, 0, "heuristic", Status.NO),
             (5, 2, "heuristic", Status.NO),
@@ -1131,6 +1234,15 @@ class TestPipeline:
         res = solve_pipeline(inst)
         assert res.status is Status.NO
         assert res.no_certificate is None
+
+    @pytest.mark.parametrize("mode", ["certified", "heuristic"])
+    def test_dp_budget_message_in_both_modes(self, mode):
+        # running out of DP states is no verdict: the reason names the
+        # budget and the node that ran out, whatever the mode
+        inst = gen_random_planar(12, 20, 2, 3)
+        res = solve_pipeline(inst, mode=mode, dp_state_budget=10)
+        assert res.status is Status.UNKNOWN
+        assert re.fullmatch(r"DP exceeded 10 states at node \d+", res.outcome.reason)
 
     def test_certified_mode_small_graph_just_dps(self):
         inst = gen_random_planar(9, 12, 2, 3)
