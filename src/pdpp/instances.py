@@ -87,93 +87,108 @@ def _ints(lineno: int, fields: list[str], what: str) -> list[int]:
         raise ParseError(lineno, f"non-integer value in {what} record")
 
 
+# the record kind a non-integer value is reported in, by record tag
+_KIND = {"p": "problem", "e": "edge", "rot": "rotation", "outer": "outer", "t": "terminal"}
+
+
 def parse_instance(text: str | bytes) -> DppInstance:
+    """Read an instance in one pass over its lines.
+
+    A bad record is reported at its line; a fault of the graph as a whole,
+    found when `PlaneGraph` validates it (once), at the problem line.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     n = m = k = -1
-    header_line = 0
-    edges: list[Edge] = []
-    edge_seen: set[Edge] = set()
-    rot: dict[int, list[int]] = {}
+    header_line = lineno = 0
+    tag = ""
+    edges: set[Edge] = set()
+    rot: dict[int, tuple[int, ...]] = {}
     outer: Dart | None = None
     pairs: list[tuple[int, int]] = []
     terminals: set[int] = set()
-    for lineno, fields in _records(text):
-        tag = fields[0]
-        if tag == "p":
-            if n >= 0:
-                raise ParseError(lineno, "duplicate problem line")
-            if len(fields) != 5 or fields[1] != "dpp":
-                raise ParseError(lineno, "expected 'p dpp <n> <m> <k>'")
-            n, m, k = _ints(lineno, fields[2:], "problem")
-            if n < 1 or m < 0 or k < 1:
-                raise ParseError(lineno, f"bad sizes n={n} m={m} k={k}")
-            header_line = lineno
-        elif n < 0:
-            raise ParseError(lineno, "record before the problem line")
-        elif tag == "e":
-            if len(fields) != 3:
-                raise ParseError(lineno, "expected 'e <u> <v>'")
-            u, v = _ints(lineno, fields[1:], "edge")
-            if not (1 <= u <= n and 1 <= v <= n) or u == v:
-                raise ParseError(lineno, f"bad edge ({u},{v})")
-            e = norm_edge(u, v)
-            if e in edge_seen:
-                raise ParseError(lineno, f"duplicate edge ({u},{v})")
-            edge_seen.add(e)
-            edges.append(e)
-        elif tag == "rot":
-            vals = _ints(lineno, fields[1:], "rotation")
-            if len(vals) < 2 or len(vals) != 2 + vals[1]:
-                raise ParseError(lineno, "expected 'rot <v> <d> <w1> ... <wd>'")
-            v = vals[0]
-            if not 1 <= v <= n:
-                raise ParseError(lineno, f"rotation for vertex {v} outside 1..{n}")
-            if v in rot:
-                raise ParseError(lineno, f"duplicate rotation for vertex {v}")
-            rot[v] = vals[2:]
-        elif tag == "outer":
-            if len(fields) != 3:
-                raise ParseError(lineno, "expected 'outer <u> <v>'")
-            if outer is not None:
-                raise ParseError(lineno, "duplicate outer record")
-            u, v = _ints(lineno, fields[1:], "outer")
-            outer = (u, v)
-        elif tag == "t":
-            if len(fields) != 3:
-                raise ParseError(lineno, "expected 't <s> <t>'")
-            s, t = _ints(lineno, fields[1:], "terminal")
-            if s == t:
-                raise ParseError(lineno, f"terminals not distinct in pair ({s},{t})")
-            for v in (s, t):
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            fields = raw.partition("#")[0].split()
+            if not fields:
+                continue
+            tag = fields[0]
+            if tag == "p":
+                if n >= 0:
+                    raise ParseError(lineno, "duplicate problem line")
+                if len(fields) != 5 or fields[1] != "dpp":
+                    raise ParseError(lineno, "expected 'p dpp <n> <m> <k>'")
+                n, m, k = map(int, fields[2:])
+                if n < 1 or m < 0 or k < 1:
+                    raise ParseError(lineno, f"bad sizes n={n} m={m} k={k}")
+                header_line = lineno
+            elif n < 0:
+                raise ParseError(lineno, "record before the problem line")
+            elif tag == "e":
+                if len(fields) != 3:
+                    raise ParseError(lineno, "expected 'e <u> <v>'")
+                u, v = int(fields[1]), int(fields[2])
+                if not (1 <= u <= n and 1 <= v <= n) or u == v:
+                    raise ParseError(lineno, f"bad edge ({u},{v})")
+                e = norm_edge(u, v)
+                if e in edges:
+                    raise ParseError(lineno, f"duplicate edge ({u},{v})")
+                edges.add(e)
+            elif tag == "rot":
+                vals = tuple(map(int, fields[1:]))
+                if len(vals) < 2 or len(vals) != 2 + vals[1]:
+                    raise ParseError(lineno, "expected 'rot <v> <d> <w1> ... <wd>'")
+                v = vals[0]
                 if not 1 <= v <= n:
-                    raise ParseError(lineno, f"terminal {v} outside 1..{n}")
-                if v in terminals:
-                    raise ParseError(lineno, f"terminal {v} used twice")
-                terminals.add(v)
-            pairs.append((s, t))
-        else:
-            raise ParseError(lineno, f"unknown record '{tag}'")
+                    raise ParseError(lineno, f"rotation for vertex {v} outside 1..{n}")
+                if v in rot:
+                    raise ParseError(lineno, f"duplicate rotation for vertex {v}")
+                rot[v] = vals[2:]
+            elif tag == "outer":
+                if len(fields) != 3:
+                    raise ParseError(lineno, "expected 'outer <u> <v>'")
+                if outer is not None:
+                    raise ParseError(lineno, "duplicate outer record")
+                outer = (int(fields[1]), int(fields[2]))
+            elif tag == "t":
+                if len(fields) != 3:
+                    raise ParseError(lineno, "expected 't <s> <t>'")
+                s, t = int(fields[1]), int(fields[2])
+                if s == t:
+                    raise ParseError(lineno, f"terminals not distinct in pair ({s},{t})")
+                for v in (s, t):
+                    if not 1 <= v <= n:
+                        raise ParseError(lineno, f"terminal {v} outside 1..{n}")
+                    if v in terminals:
+                        raise ParseError(lineno, f"terminal {v} used twice")
+                    terminals.add(v)
+                pairs.append((s, t))
+            else:
+                raise ParseError(lineno, f"unknown record '{tag}'")
+    except ParseError:
+        raise
+    except ValueError:  # only int() raises one here
+        raise ParseError(lineno, f"non-integer value in {_KIND[tag]} record") from None
     if n < 0:
         raise ParseError(1, "missing problem line")
     if len(edges) != m:
         raise ParseError(header_line, f"declared {m} edges, found {len(edges)}")
     if len(pairs) != k:
         raise ParseError(header_line, f"declared {k} pairs, found {len(pairs)}")
-    rotation = None
-    if rot:
-        missing = [v for v in range(1, n + 1) if v not in rot and any(
-            v in e for e in edges
-        )]
+    if rot and len(rot) < n:
+        ends = {v for e in edges for v in e}
+        missing = [v for v in range(1, n + 1) if v not in rot and v in ends]
         if missing:
             raise ParseError(
                 header_line,
                 f"rotation given for some vertices but missing for {missing[:5]}",
             )
-        rotation = {v: rot.get(v, []) for v in range(1, n + 1)}
     try:
-        inst = DppInstance(plane_graph_from_edges(n, edges, rotation, outer), tuple(pairs))
+        # PlaneGraph gives a vertex without a rot line the empty rotation
+        graph = plane_graph_from_edges(n, edges, rot or None, outer)
+        return DppInstance(graph, tuple(pairs))
     except PlaneGraphError as exc:
         raise ParseError(header_line or 1, str(exc))
-    return inst
 
 
 def write_instance(inst: DppInstance) -> str:

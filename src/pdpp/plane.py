@@ -89,21 +89,22 @@ def face_orbits(n: int, rotation: dict[int, Sequence[int]]) -> tuple[tuple[Dart,
     turn: dict[Dart, Dart] = {}
     for v in range(1, n + 1):
         rot = rotation[v]
-        k = len(rot)
-        for i, u in enumerate(rot):
-            turn[(u, v)] = (v, rot[(i + 1) % k])
+        if rot:
+            u = rot[-1]  # the neighbour before rot[0]
+            for w in rot:
+                turn[(u, v)] = (v, w)
+                u = w
     orbits = []
-    for u in range(1, n + 1):
-        for v in rotation[u]:
-            start = (u, v)
-            if start not in turn:
-                continue
-            orbit = [start]
-            d = turn.pop(start)
-            while d != start:
-                orbit.append(d)
-                d = turn.pop(d)
-            orbits.append(tuple(orbit))
+    # the values list every dart once, in vertex order, then rotation order
+    for start in list(turn.values()):
+        if start not in turn:
+            continue
+        orbit = [start]
+        d = turn.pop(start)
+        while d != start:
+            orbit.append(d)
+            d = turn.pop(d)
+        orbits.append(tuple(orbit))
     orbits.sort(key=min)
     return tuple(orbits)
 
@@ -201,8 +202,42 @@ class PlaneGraph:
     # -- validation and face tracing --------------------------------------
 
     def _validate(self) -> None:
-        """Check the rotation system, the outer dart and the genus; this
-        traces the faces."""
+        """Check the edges, the rotation system, the outer dart and the genus;
+        this traces the faces."""
+        # The darts (v, w), w in rotation[v], are checked at once: those with
+        # v < w, and those with v > w read as (w, v), must each be exactly
+        # `edges`, and there must be 2m darts. This is the vertex-by-vertex
+        # test (edges inside 1..n and no loops, each rotation[v] listing the
+        # neighbours of v once each), which gives each edge (u, w) exactly
+        # the darts (u, w) and (w, u). Conversely, the two sets give m darts
+        # each, so with 2m in all no dart repeats and none is a loop (v, v);
+        # a dart's edge is in `edges`, so rotation[v] lists neighbours of v
+        # only; each edge (u, w) has the darts (u, w) and (w, u), so u and w
+        # are vertices 1..n, u < w, and each lists the other.
+        rotation, edges = self.rotation, self.edges
+        items = rotation.items()
+        if not (
+            sum(map(len, rotation.values())) == 2 * len(edges)
+            and {(v, w) for v, rot in items for w in rot if v < w} == edges
+            and {(w, v) for v, rot in items for w in rot if w < v} == edges
+        ):
+            self._raise_rotation_fault()
+        if self._outer_dart is not None and not self.has_edge(*self._outer_dart):
+            raise PlaneGraphError(f"outer dart {self._outer_dart} is not an edge")
+        self._trace_faces()
+        # Genus-0 check: Euler's formula with the unbounded face counted once.
+        c = len(self._components)
+        if self.n - self.m + self._num_faces != 1 + c:
+            raise EmbeddingError(
+                f"rotation system is not planar: n={self.n} m={self.m} "
+                f"faces={self._num_faces} components={c}"
+            )
+
+    def _raise_rotation_fault(self) -> None:
+        """Raise the fault the dart count found as the vertex-by-vertex test
+        names it: the first edge outside 1..n or loop, else the first vertex
+        whose rotation repeats a neighbour or is not a permutation of its
+        neighbours."""
         _check_edges(self.n, self.edges)
         nbr_sets = {v: set() for v in self.vertices}
         for u, v in self.edges:
@@ -216,16 +251,7 @@ class PlaneGraph:
                 raise PlaneGraphError(
                     f"rotation at {v} is not a permutation of its neighbors"
                 )
-        if self.edges and self._outer_dart is not None and not self.has_edge(*self._outer_dart):
-            raise PlaneGraphError(f"outer dart {self._outer_dart} is not an edge")
-        self._trace_faces()
-        # Genus-0 check: Euler's formula with the unbounded face counted once.
-        c = len(self._components)
-        if self.n - self.m + self._num_faces != 1 + c:
-            raise EmbeddingError(
-                f"rotation system is not planar: n={self.n} m={self.m} "
-                f"faces={self._num_faces} components={c}"
-            )
+        raise AssertionError("the dart count and the neighbour sets disagree")
 
     def _trace_faces(self) -> None:
         """Trace the faces, take the default outer dart, and count the faces:
@@ -773,13 +799,13 @@ def plane_graph_from_edges(
     graph; non-planar input is a hard error. Without an outer dart,
     `PlaneGraph` takes the least dart of a longest face.
     """
-    edge_list = sorted({norm_edge(u, v) for u, v in edges})
     if rotation is None:
-        _check_edges(n, edge_list)
-        rotation = _lr_rotation(n, edge_list)
+        edges = sorted({norm_edge(u, v) for u, v in edges})
+        _check_edges(n, edges)
+        rotation = _lr_rotation(n, edges)
         if rotation is None:
             raise EmbeddingError("input graph is not planar")
-    return PlaneGraph(n, edge_list, rotation, outer_dart)
+    return PlaneGraph(n, edges, rotation, outer_dart)
 
 
 def _lr_rotation(n: int, edge_list: list[Edge]) -> Optional[dict[int, list[int]]]:

@@ -103,6 +103,13 @@ class TestSolve:
         assert main(["solve", str(f)]) == 65
         assert f"line {line}:" in capsys.readouterr().err
 
+    def test_outer_record_without_edges_exit_65(self, tmp_path, capsys):
+        # the outer dart must be an edge, also of a graph that has none
+        f = tmp_path / "bad.dpp"
+        f.write_text("p dpp 3 0 1\nouter 1 2\nt 1 2\n")
+        assert main(["solve", str(f)]) == 65
+        assert "line 1: outer dart (1, 2) is not an edge" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "pairs, line", [("t 1 3\nt 3 4\n", 6), ("t 1 9\nt 2 3\n", 5)], ids=["reused", "out-of-range"]
     )

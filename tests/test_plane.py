@@ -106,6 +106,11 @@ class TestFaces:
         with pytest.raises(PlaneGraphError):
             PlaneGraph(3, [(1, 2)], {1: [2], 2: [1, 3], 3: []}, (1, 2))
 
+    def test_outer_dart_must_be_an_edge_without_edges_too(self):
+        with pytest.raises(PlaneGraphError, match=r"^outer dart \(1, 2\) is not an edge$"):
+            PlaneGraph(3, [], {}, (1, 2))
+        assert PlaneGraph(3, [], {}, None).outer_dart is None
+
 
 class TestGrid:
     def test_6x6_counts(self):
@@ -504,6 +509,81 @@ def test_faces_match_reference_walk(g):
     want = min(max(orbits, key=len)) if orbits else None
     assert h.outer_dart == want
     assert h.outer_face() == (orbits.index(max(orbits, key=len)) if orbits else -1)
+
+
+def reference_rotation_fault(n, edges, rotation):
+    """The rotation check vertex by vertex, as `PlaneGraph` made it before it
+    counted darts: the message for the first edge outside 1..n or loop, else
+    for the first vertex whose rotation repeats a neighbour or is not a
+    permutation of its neighbours; None when there is none."""
+    edge_set = frozenset(norm_edge(u, v) for u, v in edges)
+    for u, v in edge_set:
+        if not (1 <= u <= n and 1 <= v <= n):
+            return f"edge ({u},{v}) out of vertex range 1..{n}"
+        if u == v:
+            return f"loop at vertex {u} not allowed"
+    nbrs = {v: set() for v in range(1, n + 1)}
+    for u, v in edge_set:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    for v in range(1, n + 1):
+        rot = rotation.get(v, ())
+        if len(rot) != len(set(rot)):
+            return f"rotation at {v} repeats a neighbor"
+        if set(rot) != nbrs[v]:
+            return f"rotation at {v} is not a permutation of its neighbors"
+    return None
+
+
+@st.composite
+def rotation_mutants(draw):
+    """A plane graph's edges and rotation after one to three edits: a
+    neighbour replaced, dropped, repeated or inserted (ids 0..n+1), two
+    neighbours swapped, or an edge added (a loop, out of range, new or
+    already there)."""
+    g = draw(plane_graphs)
+    assume(g.n >= 1)
+    edges = sorted(g.edges)
+    rotation = {v: list(rot) for v, rot in g.rotation.items()}
+    vertex = st.integers(0, g.n + 1)
+    for _ in range(draw(st.integers(1, 3))):
+        rot = rotation[draw(st.integers(1, g.n))]
+        edit = draw(st.sampled_from(["replace", "drop", "repeat", "insert", "swap", "edge"]))
+        if edit == "edge":
+            edges.append((draw(vertex), draw(vertex)))
+        elif edit == "insert" or not rot:
+            rot.insert(draw(st.integers(0, len(rot))), draw(vertex))
+        else:
+            i, j = draw(st.integers(0, len(rot) - 1)), draw(st.integers(0, len(rot) - 1))
+            if edit == "replace":
+                rot[i] = draw(vertex)
+            elif edit == "drop":
+                del rot[i]
+            elif edit == "repeat":
+                rot.insert(i, rot[j])
+            else:
+                rot[i], rot[j] = rot[j], rot[i]
+    return g.n, edges, rotation
+
+
+@settings(max_examples=300)
+@given(case=rotation_mutants())
+def test_dart_count_matches_neighbour_sets(case):
+    # the dart count accepts exactly the rotations the vertex-by-vertex
+    # check accepts, and reports the fault that check finds first
+    n, edges, rotation = case
+    fault = reference_rotation_fault(n, edges, rotation)
+    if fault is not None:
+        with pytest.raises(PlaneGraphError) as err:
+            PlaneGraph(n, edges, rotation, None)
+        assert str(err.value) == fault
+        return
+    try:
+        g = PlaneGraph(n, edges, rotation, None)
+    except EmbeddingError as exc:
+        assert str(exc).startswith("rotation system is not planar")
+        return
+    assert g.faces() == reference_faces(g)
 
 
 # -- derived graphs against validated rebuilds ---------------------------------------

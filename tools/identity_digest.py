@@ -74,7 +74,10 @@ minute. Cases:
   its rot/outer lines stripped (a hash of the rotation, the outer dart, and
   the pipeline's status next to the pool's verdict), and for every r x c
   grid with 2 <= r, c <= 12 under a seeded relabelling, with the grid
-  shape it reads as; each also with a hash of its faces.
+  shape it reads as; each also with a hash of its faces;
+- parse_instance on 3,000 seeded instance texts (see `parse_corpus`): the
+  ParseError's line and message, or a hash of the rotation, the faces, the
+  outer dart and the pairs.
 """
 
 import hashlib
@@ -471,3 +474,74 @@ for rows in range(2, 13):
         g = plane_graph_from_edges(h.n, [(perm[a - 1], perm[b - 1]) for a, b in h.edges])
         emit("embed-grid", rows, cols, *embedding(g), g.grid_shape)
         emit("embed-grid-faces", rows, cols, faces(g))
+
+
+# -- the loader on mutated instance texts --------------------------------------------
+
+
+def parse_corpus(count):
+    """Grid (side 2-6) and random planar (n 3-30) instance texts, with and
+    without their rot and outer lines, from a fixed seed: every fourth as
+    written, the others after one to three edits (a line dropped, duplicated,
+    swapped or cut short, a field garbled, two neighbours of a rotation
+    swapped, a neighbour or the outer dart replaced). Two edgeless texts
+    with and without an outer record come first."""
+    yield "p dpp 3 0 1\nouter 1 2\nt 1 2\n"
+    yield "p dpp 3 0 1\nt 1 2\n"
+    rng = random.Random("parse-corpus")
+    garble = ["x", "1.5", "p", "e", "rot", "outer", "t", "#", ""]
+    for i in range(count - 2):
+        if i % 2:
+            side = rng.randint(2, 6)
+            inst = gen_grid_instance(side, rng.randint(1, 2 if side == 2 else 4), rng.randrange(2**16))
+        else:
+            n = rng.randint(3, 30)
+            inst = gen_random_planar(n, rng.randint(n - 1, 3 * n - 6), rng.randint(1, n // 2), rng.randrange(2**32))
+        n = inst.graph.n
+        keep_rot, keep_outer = rng.random() < 0.5, rng.random() < 0.5
+        lines = [
+            line for line in write_instance(inst).splitlines()
+            if (keep_rot or not line.startswith("rot")) and (keep_outer or not line.startswith("outer"))
+        ]
+        for _ in range(0 if i % 4 == 0 else rng.randint(1, 3)):
+            edit = rng.choice(["drop", "duplicate", "swap", "cut", "garble", "reorder", "neighbour", "outer"])
+            rot_lines = [j for j, line in enumerate(lines) if line.startswith("rot") and len(line.split()) > 3]
+            if edit in ("reorder", "neighbour") and rot_lines:
+                j = rng.choice(rot_lines)
+                fields = lines[j].split()
+                a, b = rng.randrange(3, len(fields)), rng.randrange(3, len(fields))
+                if edit == "reorder":
+                    fields[a], fields[b] = fields[b], fields[a]
+                else:
+                    fields[a] = str(rng.randint(1, n))
+                lines[j] = " ".join(fields)
+            elif edit == "outer":
+                lines = [line for line in lines if not line.startswith("outer")]
+                lines.insert(1, f"outer {rng.randint(1, n)} {rng.randint(1, n)}")
+            elif len(lines) > 1:
+                j = rng.randrange(len(lines))
+                fields = lines[j].split()
+                f = rng.randrange(len(fields))
+                if edit == "drop":
+                    del lines[j]
+                elif edit == "duplicate":
+                    lines.insert(j, lines[j])
+                elif edit == "swap":
+                    k = rng.randrange(len(lines))
+                    lines[j], lines[k] = lines[k], lines[j]
+                elif edit == "cut":
+                    lines[j] = " ".join(fields[:f] + fields[f + 1:])
+                else:
+                    fields[f] = rng.choice(garble) if rng.random() < 0.5 else str(rng.randint(-1, n + 1))
+                    lines[j] = " ".join(fields)
+        yield "\n".join(lines) + "\n"
+
+
+def loaded(text):
+    inst = parse_instance(text)
+    g = inst.graph
+    return short(repr((sorted(g.rotation.items()), g.faces(), g.outer_dart, inst.pairs)))
+
+
+for i, text in enumerate(parse_corpus(3000)):
+    emit("parse", i, outcome(lambda: loaded(text)))
