@@ -1,10 +1,11 @@
 """Planar disjoint paths toolkit.
 
-Solves the vertex-disjoint paths problem on planar graphs by iteratively
-deleting certified irrelevant vertices and finishing with dynamic programming
-on a branch/tree decomposition, and ships the structural analysis machinery
-(concentric cycles, cheap linkages, segment trees, tilted grids, grid
-rerouting) used to certify the reduction.
+Solves the vertex-disjoint paths problem on planar graphs: it deletes at
+most one irrelevant vertex (certified, or heuristic by default) when a wide
+enough grid minor exists, decides an instance from one face when it can,
+and else runs dynamic programming on a tree decomposition of an exact
+kernel. It ships the structural machinery (concentric cycles, cheap
+linkages, segment trees, tilted grids, grid rerouting) behind the reduction.
 """
 
 from .plane import (

@@ -25,6 +25,7 @@ from .plane import (
     bfs_distances,
     closed_interior,
     cycle_from_edges,
+    derived_graph,
     face_closure,
     face_regions,
     norm_edge,
@@ -710,23 +711,12 @@ def reduce_configuration(q: CLConfiguration) -> CLConfiguration:
         del rot[v]
         alias[v] = u
 
-    survivors = sorted(rot)
-    remap = {old: i + 1 for i, old in enumerate(survivors)}
+    # contracting an edge without making a parallel one keeps the graph plane
+    walk = ((find(a), find(b)) for a, b in g.faces()[g.outer_face()])
+    g2, remap = derived_graph(rot, sorted(rot), walk)
 
     def mapped(v: int) -> int:
         return remap[find(v)]
-
-    outer = None
-    for a, b in g.faces()[g.outer_face()]:
-        if find(a) != find(b):
-            outer = (mapped(a), mapped(b))
-            break
-    # contracting an edge without making a parallel one keeps the graph plane
-    g2 = PlaneGraph._derived(
-        len(survivors),
-        {remap[v]: tuple(mapped(w) for w in rot[v]) for v in survivors},
-        outer,
-    )
 
     def collapse(seq) -> tuple[int, ...]:
         out = []
@@ -776,7 +766,7 @@ def perimeter_cycle(u: TiltedGrid) -> Cycle:
         raise ConfigError("perimeter needs capacity >= 2")
     edge_set: set[Edge] = set()
     for p in (u.x_paths[0], u.x_paths[-1], u.z_paths[0], u.z_paths[-1]):
-        edge_set.update(norm_edge(a, b) for a, b in zip(p, p[1:]))
+        edge_set |= path_edges(p)
     cyc = cycle_from_edges(edge_set)
     if cyc is None:
         raise ConfigError("perimeter paths do not close into a single cycle")

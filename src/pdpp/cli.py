@@ -63,10 +63,10 @@ def _budget(text: str) -> int:
     raise argparse.ArgumentTypeError(f"budget must be an integer >= 0, got {text!r}")
 
 
-def _jobs(text: str) -> int:
+def _positive(text: str) -> int:
     if (n := int(text)) >= 1:
         return n
-    raise argparse.ArgumentTypeError(f"jobs must be an integer >= 1, got {text!r}")
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def _read(path: str) -> str:
@@ -113,8 +113,12 @@ def _solve_one(path: str, args) -> tuple[str, int, dict]:
                     file=sys.stderr,
                 )
             else:
-                with open(args.emit_decomposition, "w", encoding="utf-8") as fh:
-                    fh.write(res.decomposition.serialize())
+                try:
+                    with open(args.emit_decomposition, "w", encoding="utf-8") as fh:
+                        fh.write(res.decomposition.serialize())
+                except OSError as exc:
+                    print(f"error: cannot write {args.emit_decomposition}: {exc}", file=sys.stderr)
+                    raise SystemExit(EXIT_USAGE)
     if out.status is Status.YES:
         text = write_solution(out.solution)
         code = EXIT_YES
@@ -417,7 +421,7 @@ def build_parser() -> _Parser:
         "oracle, search nodes plus edges scanned by its reachability checks "
         "(default %(default)s)",
     )
-    sp.add_argument("--jobs", type=_jobs, default=1)
+    sp.add_argument("--jobs", type=_positive, default=1)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--emit-decomposition", metavar="FILE")
     sp.set_defaults(func=cmd_solve)
@@ -438,7 +442,7 @@ def build_parser() -> _Parser:
 
     tp = sub.add_parser("route", help="route a boundary pattern in a square grid")
     tp.add_argument("pattern")
-    tp.add_argument("--size", type=int, required=True)
+    tp.add_argument("--size", type=_positive, required=True)
     tp.add_argument("--json", action="store_true")
     tp.set_defaults(func=cmd_route)
 

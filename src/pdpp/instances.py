@@ -322,7 +322,7 @@ def gen_random_planar(n: int, m: int, k: int, seed: int) -> DppInstance:
             rotation[v].remove(u)
         if len(edge_set) > m:
             raise PlaneGraphError(f"could not thin to m={m} while staying connected")
-        graph = plane_graph_from_edges(n, sorted(edge_set), rotation)
+        graph = plane_graph_from_edges(n, edge_set, rotation)
     chosen = rng.sample(range(1, n + 1), 2 * k)
     pairs = tuple((chosen[2 * i], chosen[2 * i + 1]) for i in range(k))
     return DppInstance(graph, pairs)

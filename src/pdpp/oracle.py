@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Sequence
 from .certificates import interleaving_face, verify_no_certificate
 from .instances import DppInstance, Solution
 from .plane import Budget, BudgetExceeded  # pdpp.oracle.BudgetExceeded stays importable
-from .plane import CheckResult, Cycle, Edge, PlaneGraph, PlaneGraphError, norm_edge
+from .plane import CheckResult, Cycle, Edge, PlaneGraph, PlaneGraphError, norm_edge, path_edges
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -81,10 +81,7 @@ class Linkage:
 
     @property
     def edges(self) -> frozenset[Edge]:
-        out: set[Edge] = set()
-        for p in self.paths:
-            out.update(norm_edge(a, b) for a, b in zip(p, p[1:]))
-        return frozenset(out)
+        return frozenset().union(*map(path_edges, self.paths))
 
     def check_in(self, g: PlaneGraph) -> None:
         for p in self.paths:
@@ -310,7 +307,7 @@ def verify_solution(inst: DppInstance, sol: Solution) -> CheckResult:
 
 
 def _edge_key(paths: Sequence[Sequence[int]]) -> tuple[Edge, ...]:
-    return tuple(sorted(norm_edge(a, b) for p in paths for a, b in zip(p, p[1:])))
+    return tuple(sorted(e for p in paths for e in path_edges(p)))
 
 
 def _cheapest_paths(

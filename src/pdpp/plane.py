@@ -34,6 +34,11 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _dart_edges(rotation: Mapping[int, Iterable[int]]) -> frozenset[Edge]:
+    """The edges of a rotation system: its darts (v, w) with v < w."""
+    return frozenset((v, w) for v, rot in rotation.items() for w in rot if v < w)
+
+
 def _check_edges(n: int, edges: Iterable[Edge]) -> None:
     """Reject the first edge that leaves 1..n or is a loop."""
     for u, v in edges:
@@ -117,8 +122,8 @@ class PlaneGraph:
     detection) reads them. The constructor validates the graph, and so
     traces its faces at once. A graph derived from a validated one by an
     edit that keeps it plane (`delete_vertices`, the exact kernel's graph,
-    the edge contraction of `reduce_configuration`) is built by `_derived`
-    instead: it is not validated again, and traces
+    the edge contraction of `reduce_configuration`) is built by
+    `derived_graph` instead: it is not validated again, and traces
     its faces on their first read. Without an outer dart, a graph with
     edges takes the least dart of a longest face when the faces are traced.
     Whether the graph is a grid is derived from it, by `detect_grid` on the
@@ -134,30 +139,11 @@ class PlaneGraph:
         outer_dart: Optional[Dart],
     ):
         self.n = n
-        self.edges: frozenset[Edge] = frozenset(norm_edge(u, v) for u, v in edges)
         self.rotation: dict[int, tuple[int, ...]] = {
             v: tuple(rotation.get(v, ())) for v in range(1, n + 1)
         }
         self._outer_dart = outer_dart
-        self._validate()
-
-    @classmethod
-    def _derived(
-        cls, n: int, rotation: dict[int, tuple[int, ...]], outer_dart: Optional[Dart]
-    ) -> "PlaneGraph":
-        """A graph derived from a validated one by an edit that keeps it plane.
-
-        `rotation` holds a tuple for every vertex 1..n, and `outer_dart` is an
-        edge or None. Nothing is checked: the edit is trusted to keep the
-        rotation symmetric and of genus 0.
-        """
-        g = cls.__new__(cls)
-        g.n = n
-        g.edges = frozenset((v, w) for v, rot in rotation.items() for w in rot if v < w)
-        g.rotation = rotation
-        g._outer_dart = outer_dart
-        g._faces = None  # traced on first read
-        return g
+        self._validate(edges)
 
     # -- basic accessors -------------------------------------------------
 
@@ -201,29 +187,36 @@ class PlaneGraph:
 
     # -- validation and face tracing --------------------------------------
 
-    def _validate(self) -> None:
-        """Check the edges, the rotation system, the outer dart and the genus;
-        this traces the faces."""
+    def _validate(self, given: Iterable[Edge]) -> None:
+        """Check the caller's edges, the rotation system, the outer dart and
+        the genus; this sets `edges` and traces the faces."""
         # The darts (v, w), w in rotation[v], are checked at once: those with
-        # v < w, and those with v > w read as (w, v), must each be exactly
-        # `edges`, and there must be 2m darts. This is the vertex-by-vertex
-        # test (edges inside 1..n and no loops, each rotation[v] listing the
-        # neighbours of v once each), which gives each edge (u, w) exactly
-        # the darts (u, w) and (w, u). Conversely, the two sets give m darts
-        # each, so with 2m in all no dart repeats and none is a loop (v, v);
-        # a dart's edge is in `edges`, so rotation[v] lists neighbours of v
-        # only; each edge (u, w) has the darts (u, w) and (w, u), so u and w
-        # are vertices 1..n, u < w, and each lists the other.
-        rotation, edges = self.rotation, self.edges
-        items = rotation.items()
+        # v < w (`edges`), and those with v > w read as (w, v), must each be
+        # exactly the caller's edges, and there must be 2m darts. This is the
+        # vertex-by-vertex test (edges inside 1..n and no loops, each
+        # rotation[v] listing the neighbours of v once each), which gives
+        # each edge (u, w) exactly the darts (u, w) and (w, u). Conversely,
+        # the two sets give m darts each, so with 2m in all no dart repeats
+        # and none is a loop (v, v); a dart's edge is an edge, so rotation[v]
+        # lists neighbours of v only; each edge (u, w) has the darts (u, w)
+        # and (w, u), so u and w are vertices 1..n, u < w, and each lists the
+        # other. A normalised set (what `parse_instance` hands over) is read
+        # as given, any other form normalised.
+        rotation = self.rotation
+        self.edges = edges = _dart_edges(rotation)
+        normalised = None if edges == given else frozenset(norm_edge(u, v) for u, v in given)
         if not (
-            sum(map(len, rotation.values())) == 2 * len(edges)
-            and {(v, w) for v, rot in items for w in rot if v < w} == edges
-            and {(w, v) for v, rot in items for w in rot if w < v} == edges
+            (normalised is None or normalised == edges)
+            and sum(map(len, rotation.values())) == 2 * len(edges)
+            and {(w, v) for v, rot in rotation.items() for w in rot if w < v} == edges
         ):
-            self._raise_rotation_fault()
-        if self._outer_dart is not None and not self.has_edge(*self._outer_dart):
-            raise PlaneGraphError(f"outer dart {self._outer_dart} is not an edge")
+            if normalised is None:
+                normalised = frozenset(norm_edge(u, v) for u, v in given)
+            self._raise_rotation_fault(normalised)
+        if self._outer_dart is not None:
+            u, v = self._outer_dart
+            if (u, v) not in edges and (v, u) not in edges:
+                raise PlaneGraphError(f"outer dart {self._outer_dart} is not an edge")
         self._trace_faces()
         # Genus-0 check: Euler's formula with the unbounded face counted once.
         c = len(self._components)
@@ -233,14 +226,14 @@ class PlaneGraph:
                 f"faces={self._num_faces} components={c}"
             )
 
-    def _raise_rotation_fault(self) -> None:
-        """Raise the fault the dart count found as the vertex-by-vertex test
-        names it: the first edge outside 1..n or loop, else the first vertex
-        whose rotation repeats a neighbour or is not a permutation of its
-        neighbours."""
-        _check_edges(self.n, self.edges)
+    def _raise_rotation_fault(self, edges: frozenset[Edge]) -> None:
+        """Raise the fault the dart count found in the caller's normalised
+        `edges` as the vertex-by-vertex test names it: the first edge outside
+        1..n or loop, else the first vertex whose rotation repeats a
+        neighbour or is not a permutation of its neighbours."""
+        _check_edges(self.n, edges)
         nbr_sets = {v: set() for v in self.vertices}
-        for u, v in self.edges:
+        for u, v in edges:
             nbr_sets[u].add(v)
             nbr_sets[v].add(u)
         for v in self.vertices:
@@ -546,7 +539,7 @@ def make_grid(rows: int, cols: int) -> PlaneGraph:
     if rows < 1 or cols < 1:
         raise PlaneGraphError("grid dimensions must be positive")
     n = rows * cols
-    edges = []
+    edges = set()
     rotation: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     for r in range(1, rows + 1):
         for c in range(1, cols + 1):
@@ -557,7 +550,7 @@ def make_grid(rows: int, cols: int) -> PlaneGraph:
                     w = grid_vertex(rows, cols, rr, cc)
                     rotation[v].append(w)
                     if v < w:
-                        edges.append((v, w))
+                        edges.add((v, w))
     outer: Optional[Dart] = None
     if rows >= 2 and cols >= 2:
         outer = (grid_vertex(rows, cols, 1, 1), grid_vertex(rows, cols, 1, 2))
@@ -800,9 +793,10 @@ def plane_graph_from_edges(
     `PlaneGraph` takes the least dart of a longest face.
     """
     if rotation is None:
-        edges = sorted({norm_edge(u, v) for u, v in edges})
-        _check_edges(n, edges)
-        rotation = _lr_rotation(n, edges)
+        edges = {norm_edge(u, v) for u, v in edges}
+        edge_list = sorted(edges)
+        _check_edges(n, edge_list)
+        rotation = _lr_rotation(n, edge_list)
         if rotation is None:
             raise EmbeddingError("input graph is not planar")
     return PlaneGraph(n, edges, rotation, outer_dart)
@@ -1087,24 +1081,35 @@ def _lr_rotation(n: int, edge_list: list[Edge]) -> Optional[dict[int, list[int]]
     return rotation
 
 
-def delete_vertices(g: PlaneGraph, doomed: Iterable[int]) -> tuple[PlaneGraph, dict[int, int]]:
-    """Remove vertices, re-index densely, and return (graph, old->new map).
+def derived_graph(
+    rotation: Mapping[int, Sequence[int]], keep: Sequence[int], walk: Iterable[Dart] = ()
+) -> tuple[PlaneGraph, dict[int, int]]:
+    """The graph an edit that keeps a plane graph plane leaves, and its old->new map.
 
-    A deletion keeps a plane graph plane, so the result is derived from g
-    (`PlaneGraph._derived`) and not validated again.
+    `rotation` is the edited rotation in old ids and `keep` the kept
+    vertices in ascending order: they become 1..k, and neighbours not kept
+    are dropped. The outer dart is the first dart of `walk` (the old outer
+    face, in old ids) whose ends are kept and distinct, else the default
+    pick. Nothing is checked: the edit is trusted to keep the rotation
+    symmetric and of genus 0, and the faces are traced on their first read.
     """
+    remap = {old: new for new, old in enumerate(keep, start=1)}
+    g = PlaneGraph.__new__(PlaneGraph)
+    g.n = len(keep)
+    g.rotation = {remap[v]: tuple(remap[w] for w in rotation[v] if w in remap) for v in keep}
+    g.edges = _dart_edges(g.rotation)
+    g._outer_dart = next(
+        ((remap[u], remap[v]) for u, v in walk if u != v and u in remap and v in remap), None
+    )
+    g._faces = None
+    return g, remap
+
+
+def delete_vertices(g: PlaneGraph, doomed: Iterable[int]) -> tuple[PlaneGraph, dict[int, int]]:
+    """Remove vertices, re-index densely, and return (graph, old->new map)."""
     doomed_set = set(doomed)
     keep = [v for v in g.vertices if v not in doomed_set]
-    remap = {old: i + 1 for i, old in enumerate(keep)}
-    rotation = {remap[v]: tuple(remap[w] for w in g.rotation[v] if w in remap) for v in keep}
-    # the first surviving dart of the old outer orbit, else the default pick
-    outer: Optional[Dart] = None
-    if g.edges:
-        for u, v in g.faces()[g.outer_face()]:
-            if u in remap and v in remap:
-                outer = (remap[u], remap[v])
-                break
-    return PlaneGraph._derived(len(keep), rotation, outer), remap
+    return derived_graph(g.rotation, keep, g.faces()[g.outer_face()] if g.edges else ())
 
 
 # -- geometric builder (used by ring-shaped showcase hosts) ------------------
@@ -1122,7 +1127,8 @@ def plane_graph_from_points(
     n = max(points)
     if set(points) != set(range(1, n + 1)):
         raise PlaneGraphError("point ids must be dense 1..n")
-    edge_list = sorted({norm_edge(u, v) for u, v in edges})
+    edge_set = {norm_edge(u, v) for u, v in edges}
+    edge_list = sorted(edge_set)
     _check_edges(n, edge_list)  # before the rotation is built from the ids
     nbrs: dict[int, list[int]] = {v: [] for v in points}
     for u, v in edge_list:
@@ -1134,7 +1140,7 @@ def plane_graph_from_points(
         lst.sort(key=lambda w: -math.atan2(points[w][1] - y0, points[w][0] - x0))
         rotation[v] = lst
     if not edge_list:
-        return PlaneGraph(n, edge_list, rotation, None)
+        return PlaneGraph(n, edge_set, rotation, None)
     # The +x ray from the rightmost (then topmost) point lies in the
     # unbounded face. That point's rotation runs clockwise by falling angle,
     # so the face's corner there ends at the first neighbour below the ray,
@@ -1144,4 +1150,4 @@ def plane_graph_from_points(
         raise PlaneGraphError("extreme point is isolated; cannot pick outer face")
     x0, y0 = points[ext]
     below = [w for w in rotation[ext] if math.atan2(points[w][1] - y0, points[w][0] - x0) < 0]
-    return PlaneGraph(n, edge_list, rotation, (ext, (below or rotation[ext])[0]))
+    return PlaneGraph(n, edge_set, rotation, (ext, (below or rotation[ext])[0]))

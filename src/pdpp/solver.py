@@ -41,6 +41,7 @@ from .plane import (
     PlaneGraphError,
     bfs_distances,
     delete_vertices,
+    derived_graph,
     norm_edge,
     shortest_path,
 )
@@ -798,9 +799,9 @@ def exact_kernel(inst: DppInstance) -> Kernel:
     stays plane. The three local rules share one rotation dict and a work
     list of vertices whose neighbours changed; the component rule runs once
     at the end, since deleting a component changes no other vertex's
-    neighbours. The kernel graph is built once, at the end, as a graph
-    derived from the validated input (`PlaneGraph._derived`): every rule
-    keeps it plane, so it is not validated again.
+    neighbours. The kernel graph is built once, at the end, by
+    `derived_graph`: every rule keeps it plane, so it is not validated
+    again, and it takes the default outer dart.
     """
     g = inst.graph
     rot = {v: list(g.rotation[v]) for v in g.vertices}
@@ -848,9 +849,7 @@ def exact_kernel(inst: DppInstance) -> Kernel:
     if not pair_ids:
         return Kernel(None, (), (), inside, routed)
     keep = sorted(bfs_distances(rot, [s for i in pair_ids for s in inst.pairs[i]]))
-    new = {v: i for i, v in enumerate(keep, start=1)}
-    rotation = {new[v]: tuple(new[w] for w in rot[v]) for v in keep}
-    kernel_graph = PlaneGraph._derived(len(keep), rotation, None)
+    kernel_graph, new = derived_graph(rot, keep)
     pairs = tuple((new[s], new[t]) for s, t in (inst.pairs[i] for i in pair_ids))
     return Kernel(DppInstance(kernel_graph, pairs), pair_ids, tuple(keep), inside, routed)
 
@@ -920,9 +919,10 @@ def solve_pipeline(
     iterations = 0
     while True:
         iterations += 1
-        # branch_decompose's rule with its two tests swapped: a minor is cheap
-        # to rule out, and the grid it came from is wider than target exactly
-        # when its side is
+        # reduce only when a (target x target)-grid minor exists and the graph
+        # is wider than target; the minor is cheap to rule out, so it is
+        # looked for first, and only a grid yields one, whose width is its
+        # smaller side
         model = find_grid_minor(cur.graph, target)
         if model is None or min(cur.graph.grid_shape) <= target:
             break

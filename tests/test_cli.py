@@ -208,6 +208,21 @@ class TestSolve:
         assert not solo.exists()
         assert "no decomposition written" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unwritable_decomposition_is_a_usage_error(self, tmp_path, k2_file, capfd, jobs):
+        # once a FileNotFoundError traceback with the NO exit code; the
+        # planar instance reaches the DP, and k2_file writes nothing
+        f = tmp_path / "planar.dpp"
+        f.write_text(write_instance(gen_random_planar(20, 40, 3, 2)))
+        target = tmp_path / "missing" / "td.txt"
+        argv = ["solve", str(f), k2_file, "--jobs", jobs, "--emit-decomposition", str(target)]
+        assert main(argv) == 64
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: cannot write {target}: ")
+
     def test_json_no_certificate(self, k2_file, cross_file, capsys):
         # the crossed 4-cycle 1-2-4-3 is a NO by its face; `answer` and
         # `paths` read as before, and a YES or a DP's NO carries null
@@ -361,6 +376,18 @@ class TestRoute:
         pat = tmp_path / "pat.txt"
         pat.write_text("up 1 down 2\nup 2 down 1\n")
         assert main(["route", str(pat), "--size", "2"]) == 65
+
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_non_positive_size_is_a_usage_error(self, tmp_path, capsys, size):
+        # once a PlaneGraphError traceback from make_grid with the NO exit code
+        pat = tmp_path / "pat.txt"
+        pat.write_text("")
+        assert main(["route", str(pat), "--size", size]) == 64
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: argument --size: must be an integer >= 1, got {size!r}"]
 
 
 class TestAnalyze:

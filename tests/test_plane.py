@@ -5,6 +5,7 @@ from collections import Counter, deque
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pdpp import plane
 from pdpp.gallery import ring_lattice
 from pdpp.instances import DppInstance, gen_grid_instance, gen_random_planar
 from pdpp.plane import (
@@ -628,6 +629,27 @@ def test_kernel_graph_equals_validated_rebuild(g, picks):
     if small is not None:
         h = small.graph
         assert face_reading(h) == face_reading(PlaneGraph(h.n, h.edges, h.rotation, None))
+
+
+@settings(max_examples=200)
+@given(g=plane_graphs, seed=st.integers(0, 2**32 - 1))
+def test_every_edge_form_builds_the_same_graph(g, seed):
+    # a normalised set is compared as given, any other form is normalised
+    rng = random.Random(seed)
+    shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+    rng.shuffle(shuffled)
+    want = face_reading(g)
+    for edges in (frozenset(g.edges), set(g.edges), sorted(g.edges), shuffled):
+        h = PlaneGraph(g.n, edges, g.rotation, g.outer_dart)
+        assert h.edges == {(v, w) for v, rot in h.rotation.items() for w in rot if v < w}
+        assert face_reading(h) == want
+
+
+def test_normalised_edge_set_is_read_as_given(monkeypatch):
+    g = make_grid(4, 5)
+    monkeypatch.setattr(plane, "norm_edge", None)  # a call would raise
+    h = PlaneGraph(g.n, set(g.edges), g.rotation, g.outer_dart)
+    assert face_reading(h) == face_reading(g)
 
 
 # -- one dual walk: face regions and cycle interiors against reference walks ----------

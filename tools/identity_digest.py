@@ -17,9 +17,10 @@ minute. Cases:
   decomposition at a budget of 2,000 states, to show the DP's reach (the
   pipeline's one-face stage decides these items before any DP); and for
   each sparse item one kernel line: n and m of the parsed instance and of
-  exact_kernel's, and the indices of the pairs it routed (the kernel of the
-  parsed instance, also where the one-face stage decides the item first;
-  None on checkouts without a kernel);
+  exact_kernel's, the indices of the pairs it routed, and the kernel
+  graph's outer dart and a hash of its rotation (the kernel of the parsed
+  instance, also where the one-face stage decides the item first; None on
+  checkouts without a kernel);
 - the same fields for solve_pipeline on gen_grid_instance grids with seeds
   0-2: heuristic 7x7 and 8x8 with k in {5, 6}, and certified 7x7 with
   k in {2, 3}, where the decomposition the DP runs on decides the verdict;
@@ -51,7 +52,10 @@ minute. Cases:
   class, the extracted tilted grid (capacity and a hash of its paths), and
   the vertical crossing and untangling of the outer disc; the same for five
   nested chords whose one class yields a capacity-3 grid, and for a path
-  that bounces off the outer cycle at an apex detour;
+  that bounces off the outer cycle at an apex detour; and reduce_configuration
+  on each tight host's configuration: n, m, the outer dart and a hash of the
+  rotation of the reduced graph, its cycles and paths, or the exception's
+  type and message;
 - concentric_from_grid on the identity and a 4 x 4 block model of the 7x7,
   8x8 and 9x9 grids at depths 0 and 1, avoiding no vertex, a corner or a
   centre, and tighten on families of the grid's own rings: the cycles'
@@ -75,6 +79,10 @@ minute. Cases:
   the pipeline's status next to the pool's verdict), and for every r x c
   grid with 2 <= r, c <= 12 under a seeded relabelling, with the grid
   shape it reads as; each also with a hash of its faces;
+- delete_vertices on the 6x6 to 9x9 grids and on the first 50 sparse_pool.txt
+  graphs (as generated, with their embedding), for eight seeded vertex sets
+  each (see `doomed_sets`): n, m, the outer dart, a hash of the rotation and
+  a hash of the old->new map;
 - parse_instance on 3,000 seeded instance texts (see `parse_corpus`): the
   ParseError's line and message, or a hash of the rotation, the faces, the
   outer dart and the pairs.
@@ -102,6 +110,7 @@ from pdpp.instances import (  # noqa: E402
 from pdpp.plane import (  # noqa: E402
     centers,
     closed_interior,
+    delete_vertices,
     grid_ring,
     grid_vertex,
     make_grid,
@@ -136,6 +145,10 @@ def outcome(call):
 def faces(g):
     """A hash of the face orbits in order, the outer face id and the face count."""
     return short(repr((g.faces(), g.outer_face(), g.num_faces())))
+
+
+def rotation_hash(g):
+    return short(repr(sorted(g.rotation.items())))
 
 
 def least_budget(decides, hi):
@@ -181,8 +194,10 @@ def kernel(inst):
         return (None,)
     kern = exact_kernel(inst)
     g = inst.graph
-    n, m = (0, 0) if kern.inst is None else (kern.inst.graph.n, kern.inst.graph.m)
-    return f"{g.n} {g.m} -> {n} {m}", sorted(kern.routed)
+    if kern.inst is None:
+        return f"{g.n} {g.m} -> 0 0", sorted(kern.routed), None, None
+    h = kern.inst.graph
+    return f"{g.n} {g.m} -> {h.n} {h.m}", sorted(kern.routed), h.outer_dart, rotation_hash(h)
 
 
 for name, workload in (("grid", workloads.GridSolve()), ("sparse", workloads.SparseSolve())):
@@ -334,6 +349,13 @@ def config_lines(tag, q):
         emit("tilted", tag, [s.index for s in c], u)
 
 
+def reduced(q):
+    """n, m, outer dart and rotation of the reduced pair's graph, its cycles and paths."""
+    r = clconfig.reduce_configuration(q)
+    h = r.graph
+    return h.n, h.m, h.outer_dart, rotation_hash(h), cycles_of(r.cycles), r.linkage.paths
+
+
 for row in hosts:
     spec = workloads.HostSpec.parse(row[4:8])
     g, vid = gallery.ring_lattice(3, spec.sectors, spokes=lambda ring, s: ring >= 1 or spec.spokes[s])
@@ -347,7 +369,9 @@ for row in hosts:
     except oracle.BudgetExceeded:
         best = None
     if best is not None:
-        config_lines(row[0], clconfig.CLConfiguration(g, cc, best))
+        q = clconfig.CLConfiguration(g, cc, best)
+        config_lines(row[0], q)
+        emit("reduced", row[0], outcome(lambda: reduced(q)))
 
 config_lines("showcase", gallery.nested_chord_showcase())
 # five nested chords of eccentricities 0..4 on seven rings: one class of capacity 3
@@ -455,7 +479,7 @@ for r in range(4, 8):
 
 
 def embedding(g):
-    return short(repr(sorted(g.rotation.items()))), g.outer_dart
+    return rotation_hash(g), g.outer_dart
 
 
 for row in workloads.read_pool(workloads.SPARSE_POOL):
@@ -474,6 +498,33 @@ for rows in range(2, 13):
         g = plane_graph_from_edges(h.n, [(perm[a - 1], perm[b - 1]) for a, b in h.edges])
         emit("embed-grid", rows, cols, *embedding(g), g.grid_shape)
         emit("embed-grid-faces", rows, cols, faces(g))
+
+
+# -- graphs derived by vertex deletion ------------------------------------------------
+
+
+def doomed_sets(tag, g):
+    """Six seeded random vertex sets of up to a third of g, every vertex of
+    the outer face, and the outer face's vertices but the ends of one of its
+    darts."""
+    rng = random.Random(f"derive-{tag}")
+    for _ in range(6):
+        yield rng.sample(g.vertices, rng.randint(1, max(1, g.n // 3)))
+    orbit = g.faces()[g.outer_face()] if g.m else ()
+    ring = {u for u, _ in orbit}
+    yield sorted(ring)
+    spared = set(rng.choice(orbit)) if orbit else set()
+    yield sorted(ring - spared)
+
+
+derive_graphs = [(f"grid{side}", make_grid(side, side)) for side in range(6, 10)]
+for row in workloads.read_pool(workloads.SPARSE_POOL)[:50]:
+    n, m, k, gen_seed = map(int, row[1:5])
+    derive_graphs.append((f"sparse{row[0]}", gen_random_planar(n, m, k, gen_seed).graph))
+for tag, g in derive_graphs:
+    for j, doomed in enumerate(doomed_sets(tag, g)):
+        h, remap = delete_vertices(g, doomed)
+        emit("derive", tag, j, h.n, h.m, h.outer_dart, rotation_hash(h), short(repr(sorted(remap.items()))))
 
 
 # -- the loader on mutated instance texts --------------------------------------------
