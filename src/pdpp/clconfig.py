@@ -194,8 +194,6 @@ def segments(q: CLConfiguration) -> list[Segment]:
                 # a run that holds an edge is a chord; its semichords are the
                 # runs of its open elements outside the next disc in
                 for x, y in _element_runs(seg_vertices, v_inside, e_inside):
-                    if x == y and x % 2 == 0:
-                        continue
                     start, end = x // 2, (y + 1) // 2
                     semis = 0
                     if lvl >= 1:
@@ -268,8 +266,6 @@ def is_convex(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> Conve
             zone_v, zone_e = face_closure(g, s.zone_faces)
             found = False
             for other in by_ecc.get(s.eccentricity + 1, ()):
-                if other.index == s.index:
-                    continue
                 if set(other.vertices) <= zone_v and other.edges <= zone_e:
                     found = True
                     break
@@ -635,29 +631,6 @@ def segment_types(q: CLConfiguration, segs: Optional[list[Segment]] = None) -> l
     return classes
 
 
-# -- cyclic connectivity helper ----------------------------------------------------------
-
-
-def cyclically_connected(g: PlaneGraph, edge_set: frozenset[Edge]) -> bool:
-    """Every two edges linked via consecutive-in-rotation adjacencies."""
-    edges = sorted(edge_set)
-    if len(edges) <= 1:
-        return True
-    adj: dict[Edge, set[Edge]] = {e: set() for e in edges}
-    for v in g.vertices:
-        rot = g.rotation[v]
-        d = len(rot)
-        if d < 2:
-            continue
-        for i in range(d):
-            e1 = norm_edge(v, rot[i])
-            e2 = norm_edge(v, rot[(i + 1) % d])
-            if e1 in adj and e2 in adj and e1 != e2:
-                adj[e1].add(e2)
-                adj[e2].add(e1)
-    return len(bfs_distances(adj, [edges[0]])) == len(edges)
-
-
 # -- reduced pairs ------------------------------------------------------------------------
 
 
@@ -689,8 +662,6 @@ def reduce_configuration(q: CLConfiguration) -> CLConfiguration:
 
     for u0, v0 in doomed:
         u, v = find(u0), find(v0)
-        if u == v:
-            continue
         common = (set(rot[u]) & set(rot[v])) - {u, v}
         if common:
             raise ReductionUnsupported(
@@ -937,8 +908,6 @@ def extract_tilted_grid(q: CLConfiguration, cls: list[Segment]) -> TiltedGrid:
 
 def _orient_tilted(u: TiltedGrid) -> TiltedGrid:
     """Normalize path directions so intersections run in increasing order."""
-    if u.capacity < 2:
-        return u
     # order Z along X_1 and X along the first Z, then turn each path to start
     # nearer the first path of the other family
     z_paths = _sorted_along(u.z_paths, u.x_paths[0])

@@ -208,8 +208,6 @@ def _slip_between(
             continue
         if not (region.faces < outer.faces):
             continue
-        if cyc.vertex_set & inner.vertices:
-            continue
         if not (region.vertices <= outer.vertices and region.edges <= outer.edges):
             continue
         return cyc

@@ -712,7 +712,7 @@ def branchwidth_decision(g: PlaneGraph, b: int, budget: int = BW_CLOSURE_BUDGET)
     return any((full - s) in buildable for s in buildable)
 
 
-def branchwidth_exact(g: PlaneGraph, budget: int = BW_CLOSURE_BUDGET) -> int:
+def branchwidth_exact(g: PlaneGraph) -> int:
     """Exact branchwidth by increasing decision queries (budgeted)."""
     if g.m <= 1:
         return 0
@@ -720,7 +720,7 @@ def branchwidth_exact(g: PlaneGraph, budget: int = BW_CLOSURE_BUDGET) -> int:
         return 1
     b = 1
     while True:
-        if branchwidth_decision(g, b, budget):
+        if branchwidth_decision(g, b):
             return b
         b += 1
 

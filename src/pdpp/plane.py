@@ -494,8 +494,8 @@ def closed_interior(g: PlaneGraph, c: Cycle) -> DiskRegion:
 def cycle_from_edges(edges: Iterable[Edge]) -> Optional[Cycle]:
     """The cycle a connected 2-regular edge set forms, else None.
 
-    The walk starts at the least vertex and leaves it towards the first
-    neighbour `edges` lists for it.
+    The walk starts at the least vertex and leaves it towards the lesser
+    of its two neighbours, so the cycle depends on the edge set alone.
     """
     nbrs: dict[int, list[int]] = {}
     for u, v in edges:
@@ -504,7 +504,7 @@ def cycle_from_edges(edges: Iterable[Edge]) -> Optional[Cycle]:
     if not nbrs or any(len(nb) != 2 for nb in nbrs.values()):
         return None
     seq = [min(nbrs)]
-    prev = None
+    prev = max(nbrs[seq[0]])  # entered from the greater neighbour, so leave by the lesser
     while True:
         a, b = nbrs[seq[-1]]
         nxt = a if a != prev else b

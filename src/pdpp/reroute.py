@@ -400,9 +400,7 @@ def _slide(line: tuple[int, ...], v: int, cell) -> tuple[int, ...]:
     return line[i + 1 : t + 1] if t >= i else line[t:i][::-1]
 
 
-def improve_over_tilted_grid(
-    g: PlaneGraph, linkage: Linkage, u: TiltedGrid, budget: int = 200_000
-) -> Optional[Linkage]:
+def improve_over_tilted_grid(g: PlaneGraph, linkage: Linkage, u: TiltedGrid) -> Optional[Linkage]:
     """Equivalent linkage with strictly fewer Z-family edges, or None.
 
     Requires the grid to be linkage-tidy with capacity above 2^(number of
@@ -423,7 +421,7 @@ def improve_over_tilted_grid(
     if not check:
         raise ImprovementError(f"tilted grid is not tidy: {check.problems[:2]}")
     disk = closed_interior(g, perimeter_cycle(u))
-    untangled = untangle_disk(g, linkage, disk, k, budget=budget)
+    untangled = untangle_disk(g, linkage, disk, k)
     if untangled is None:
         return None
     # label boundary host vertices by the grid's own orientation:

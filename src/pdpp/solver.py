@@ -113,13 +113,11 @@ class ReductionCertificate:
 
 
 ORACLE_CHECK_VERTEX_LIMIT = 70
+ORACLE_CHECK_BUDGET = 4_000_000
 
 
 def find_irrelevant_vertex(
-    inst: DppInstance,
-    model: GridMinorModel,
-    mode: str = "certified",
-    oracle_budget: int = 4_000_000,
+    inst: DppInstance, model: GridMinorModel, mode: str = "certified"
 ) -> Optional[ReductionCertificate]:
     """A deletion certificate from the grid model, or None.
 
@@ -128,9 +126,9 @@ def find_irrelevant_vertex(
     the grid affords and cross-checks the removal against the exhaustive
     oracle whenever the host is small enough; a failed cross-check
     withholds the certificate. The cross-check makes two `solve_bruteforce`
-    calls, before and after the deletion, each with its own `oracle_budget`,
-    so its work is bounded by 2 * `oracle_budget` units (search nodes plus
-    edges scanned).
+    calls, before and after the deletion, each with its own
+    `ORACLE_CHECK_BUDGET`, so its work is bounded by 2 * `ORACLE_CHECK_BUDGET`
+    units (search nodes plus edges scanned).
     """
     g = inst.graph
     k = inst.k
@@ -161,7 +159,7 @@ def find_irrelevant_vertex(
     checked: Optional[bool] = None
     if mode == "heuristic" and k >= 2:
         if g.n <= ORACLE_CHECK_VERTEX_LIMIT:
-            checked = _oracle_confirms_irrelevant(inst, victim, oracle_budget)
+            checked = _oracle_confirms_irrelevant(inst, victim, ORACLE_CHECK_BUDGET)
             if checked is False:
                 return None
     return ReductionCertificate(victim, side, cc, mode, checked)
@@ -326,18 +324,16 @@ def dp_solve(
             terminals = sum(1 << i for i, w in enumerate(bag) if w in terminal_pair)
             # the filter fields up front, so the inner loop unpacks them
             rights = [
-                (prep[0], prep[1] | prep[2] & terminals, prep[2], prep[3], prep)
+                (prep[0], prep[1] | prep[2] & terminals, prep[2], prep)
                 for prep in (_prepare_join(state, pos) for state in tables[right])
             ]
             table = {}
             for lp in lefts:
-                lstate, ltouched, ldone = lp[0], lp[2], lp[3]
+                lstate, ltouched = lp[0], lp[2]
                 lclosed = lp[1] | ltouched & terminals
-                for rstate, rclosed, rtouched, rdone, rp in rights:
+                for rstate, rclosed, rtouched, rp in rights:
                     # closed on one side must be untouched on the other
                     if (lclosed & rtouched) | (rclosed & ltouched):
-                        continue
-                    if ldone & rdone:
                         continue
                     merged = join(lp, rp, bag, pos, terminal_pair, partner)
                     if merged is None or merged in table:
@@ -462,11 +458,13 @@ def _prepare_join(state, pos):
 def _join_pair(lp, rp, bag, pos, terminal_pair, partner):
     """Merge two prepared child states over `bag`, or None when incompatible.
 
-    The caller has already rejected pairs that share a done pair or where a
-    vertex closed on one side is touched on the other. A vertex live on
-    both sides becomes interior to a merged fragment. Each merged fragment
-    is walked once, from a bag end live on one side only or from a hidden
-    end, switching sides at every vertex live on both, and its two ends are
+    The caller has already rejected pairs where a vertex closed on one side
+    is touched on the other, a touched terminal counting as closed. So no
+    terminal pair is done on both sides: its terminals would lie in both
+    subtrees, hence in `bag`, touched on both sides. A vertex live on both
+    sides becomes interior to a merged fragment. Each merged fragment is
+    walked once, from a bag end live on one side only or from a hidden end,
+    switching sides at every vertex live on both, and its two ends are
     settled. A fragment meeting no such vertex keeps its codes: every
     fragment in a table was settled when it was made. A vertex live on
     both sides that no walk reaches lies on a cycle, so the pair is

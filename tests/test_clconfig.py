@@ -11,21 +11,30 @@ from pdpp.clconfig import (
     _dilation,
     ConfigError,
     count_extremal,
-    cyclically_connected,
     extract_tilted_grid,
     is_convex,
     is_touch_free,
     out_structure,
+    perimeter_cycle,
     reduce_configuration,
     segment_tree,
     segment_types,
     segments,
+    TiltedGrid,
     verify_tilted_grid,
 )
 from pdpp.concentric import make_concentric, tighten, verify_tight
 from pdpp.gallery import ring_cycle, ring_lattice, shortcut_annulus_host
 from pdpp.oracle import Linkage, linkage_cost
-from pdpp.plane import Cycle, PlaneGraph, bfs_distances, path_edges, plane_graph_from_points
+from pdpp.plane import (
+    Cycle,
+    PlaneGraph,
+    bfs_distances,
+    cycle_from_edges,
+    norm_edge,
+    path_edges,
+    plane_graph_from_points,
+)
 
 
 def two_ring_host(sectors=6):
@@ -473,6 +482,27 @@ class TestTiltedGrid:
         assert u.capacity == 3
         assert verify_tilted_grid(q.graph, u, q.linkage)
 
+    def test_perimeter_direction_follows_the_edge_set_alone(self):
+        # rows 1-3 and columns 2-4 of the 5 x 5 grid; the two sets below are
+        # equal but iterate in different orders
+        u = TiltedGrid(
+            ((2, 3, 4), (7, 8, 9), (12, 13, 14)),
+            ((2, 7, 12), (3, 8, 13), (4, 9, 14)),
+        )
+        sides = (u.x_paths[0], u.x_paths[-1], u.z_paths[0], u.z_paths[-1])
+        edge_by_edge = set()
+        for p in sides:
+            for a, b in zip(p, p[1:]):
+                edge_by_edge.add(norm_edge(a, b))
+        path_by_path = set()
+        for p in sides:
+            path_by_path |= path_edges(p)
+        assert edge_by_edge == path_by_path
+        want = (2, 3, 4, 9, 14, 13, 12, 7)
+        assert cycle_from_edges(edge_by_edge).vertices == want
+        assert cycle_from_edges(path_by_path).vertices == want
+        assert perimeter_cycle(u).vertices == want
+
 
 class TestReduction:
     def test_verdicts_invariant(self):
@@ -547,19 +577,3 @@ class TestCheapImpliesConvex:
             assert is_convex(q), f"seed {seed} gave a non-convex cheap configuration"
             checked += 1
         assert checked >= 4
-
-
-class TestCyclicConnectivity:
-    def test_star_edges_connected(self):
-        g, vid, cc = two_ring_host()
-        v = vid(1, 0)
-        edge_set = frozenset(
-            tuple(sorted((v, w))) for w in g.rotation[v]
-        )
-        assert cyclically_connected(g, edge_set)
-
-    def test_far_edges_disconnected(self):
-        g, vid, cc = two_ring_host()
-        e1 = tuple(sorted((vid(0, 0), vid(0, 1))))
-        e2 = tuple(sorted((vid(2, 3), vid(2, 4))))
-        assert not cyclically_connected(g, frozenset({e1, e2}))

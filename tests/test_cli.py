@@ -362,6 +362,16 @@ class TestReduce:
         assert captured.out == ""
         assert captured.err == "# no usable grid minor found\n"
 
+    def test_grid_too_small_for_a_certificate(self, tmp_path, capsys):
+        # two pairs need a block of side 2 * ceil(sqrt(5)) = 6 at depth 0
+        assert main(["gen", "grid", "--size", "5", "--pairs", "2"]) == 0
+        f = tmp_path / "g5.dpp"
+        f.write_text(capsys.readouterr().out)
+        assert main(["reduce", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "# no certificate at this grid size\n"
+
 
 class TestRoute:
     def test_straight_columns(self, tmp_path, capsys):
@@ -402,6 +412,20 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert report["segments"] == 0
         assert report["convex"] is True
+
+    def test_text_report(self, tmp_path, capsys):
+        f = tmp_path / "g6.dpp"
+        f.write_text(write_instance(gen_grid_instance(6, 2, 0)))
+        assert main(["analyze", str(f)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "segments: 0",
+            "extremal: 0",
+            "touch-free: true",
+            "convex: true",
+            "tree: leaves 1 height 0 real-height 1 dilation 0",
+            "classes: 0",
+            "tilted capacities: ",
+        ]
 
     def test_showcase_report(self, tmp_path, capsys):
         q = nested_chord_showcase()

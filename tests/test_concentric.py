@@ -5,7 +5,9 @@ annulus between consecutive discs, merged in lexicographic order, and
 derives a cycle's closed interior only when a check reads it. The
 reference below is the unrestricted, eager verifier it replaced: it
 enumerates every simple cycle of the host and applies the same two checks,
-deriving every cycle's closed interior.
+deriving every cycle's closed interior. The last tests pin two paths of
+the extraction that make families for it: tightening disc 0, and
+`concentric_from_grid`'s retry with a block's rings in reversed order.
 """
 
 import random
@@ -19,11 +21,24 @@ import pdpp.concentric
 from pdpp.concentric import (
     CycleBudgetExceeded,
     _layer_cycles,
+    concentric_from_grid,
     make_concentric,
+    tighten,
     verify_tight,
 )
 from pdpp.gallery import ring_cycle, shortcut_annulus_host
-from pdpp.plane import Budget, CheckResult, Cycle, closed_interior, grid_ring, make_grid
+from pdpp.plane import (
+    Budget,
+    CheckResult,
+    Cycle,
+    GridMinorModel,
+    PlaneGraph,
+    PlaneGraphError,
+    closed_interior,
+    grid_ring,
+    grid_vertex,
+    make_grid,
+)
 
 BUDGET = 2_000_000
 # The property test compares against the unrestricted reference, whose
@@ -247,3 +262,51 @@ def test_cycle_identity_survives_cached_properties():
     assert {a: "x"}[b] == "x"
     assert a != Cycle((1, 2, 5, 3))
     assert repr(a) == "Cycle(vertices=(3, 1, 2, 5))"
+
+
+# -- extraction paths ---------------------------------------------------------------
+
+
+def test_tighten_shrinks_disc_0_to_one_face():
+    g = make_grid(9, 9)
+    cc = make_concentric(g, [grid_ring(g, 3), grid_ring(g, 1)])
+    assert len(cc.discs[0].faces) == 4
+    t = tighten(g, cc)
+    assert len(t.discs[0].faces) == 1
+    assert t.cycles[0].normalized() == Cycle((31, 40, 41, 32)).normalized()
+    assert verify_tight(g, t)
+
+
+def test_extraction_retries_a_block_with_its_rings_reversed(monkeypatch):
+    # face (10, 11, 19, 18) is outside, and it is ring 0 of the first block,
+    # so ring 0's disc holds ring 1 and only the reversed order is concentric
+    grid = make_grid(8, 8)
+    g = PlaneGraph(grid.n, grid.edges, grid.rotation, (11, 10))
+    phi = {
+        (r, c): frozenset({grid_vertex(8, 8, r, c)})
+        for r in range(1, 9)
+        for c in range(1, 9)
+    }
+    model = GridMinorModel(8, 8, phi)
+    tries = []
+
+    def recording(host, cycles):
+        cycles = tuple(cycles)
+        try:
+            cc = make_concentric(host, cycles)
+        except PlaneGraphError:
+            tries.append((cycles, None))
+            raise
+        tries.append((cycles, cc))
+        return cc
+
+    monkeypatch.setattr(pdpp.concentric, "make_concentric", recording)
+    got = concentric_from_grid(g, model, frozenset(), 1)
+    (first, failed), (second, family) = tries
+    assert failed is None and family is not None
+    assert second == first[::-1]
+    assert [c.normalized() for c in got.cycles] == [
+        grid_ring(g, 0).normalized(),
+        grid_ring(g, 1).normalized(),
+    ]
+    assert verify_tight(g, got)

@@ -110,6 +110,16 @@ class TestRouting:
         outer = model.phi1[frozenset({("up", 1), ("up", 4)})]
         assert grid_vertex(4, 4, 2, 2) in outer  # staircase depth 2
 
+    def test_partial_pattern_staircases_take_their_nesting_depth(self):
+        # a partial pattern has no length formula, so each staircase is as
+        # tall as its nesting depth: 2 rows round up_2-up_3, 1 row inside
+        outer = frozenset({("up", 1), ("up", 4)})
+        inner = frozenset({("up", 2), ("up", 3)})
+        p = BoundaryPattern(5, frozenset({outer, inner}))
+        model = route_pattern(5, p)
+        assert model.phi1 == {outer: (1, 6, 7, 8, 9, 4), inner: (2, 3)}
+        assert verify_route(5, p, model)
+
 
 def snake_instance(r=3):
     """5 x (r+2) grid; one path crossing the central 3 x r block r times.

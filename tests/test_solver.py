@@ -724,12 +724,11 @@ class TestIrrelevantVertex:
             f"irrelevant {cert.removed_vertex} grid 6 cycles 1 mode heuristic oracle yes"
         )
 
-    def test_log_line_oracle_unchecked(self):
+    def test_log_line_oracle_unchecked(self, monkeypatch):
         # a one-step oracle budget runs out, so the deletion stays unverified
+        monkeypatch.setattr(solver, "ORACLE_CHECK_BUDGET", 1)
         inst = gen_grid_instance(6, 2, 2)
-        cert = find_irrelevant_vertex(
-            inst, identity_model(6), mode="heuristic", oracle_budget=1
-        )
+        cert = find_irrelevant_vertex(inst, identity_model(6), mode="heuristic")
         assert cert.oracle_checked is None
         assert cert.log_line() == (
             f"irrelevant {cert.removed_vertex} grid 6 cycles 1 mode heuristic oracle unchecked"

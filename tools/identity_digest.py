@@ -12,15 +12,14 @@ minute. Cases:
 - solve_pipeline on the 600 grid-solve seed-7 items and the 800 sparse-solve
   seed-7 items: status, reason, paths, certificates, iterations, serialized
   decomposition; for each grid item the stage that decided it (one-face or
-  dp) with its face certificate, None on checkouts without one; and every
-  fourth grid item through dp_solve alone, on tree_decompose's
-  decomposition at a budget of 2,000 states, to show the DP's reach (the
-  pipeline's one-face stage decides these items before any DP); and for
-  each sparse item one kernel line: n and m of the parsed instance and of
-  exact_kernel's, the indices of the pairs it routed, and the kernel
-  graph's outer dart and a hash of its rotation (the kernel of the parsed
-  instance, also where the one-face stage decides the item first; None on
-  checkouts without a kernel);
+  dp) with its face certificate; and every fourth grid item through
+  dp_solve alone, on tree_decompose's decomposition at a budget of 2,000
+  states, to show the DP's reach (the pipeline's one-face stage decides
+  these items before any DP); and for each sparse item one kernel line:
+  n and m of the parsed instance and of exact_kernel's, the indices of the
+  pairs it routed, and the kernel graph's outer dart and a hash of its
+  rotation (the kernel of the parsed instance, also where the one-face
+  stage decides the item first);
 - the same fields for solve_pipeline on gen_grid_instance grids with seeds
   0-2: heuristic 7x7 and 8x8 with k in {5, 6}, and certified 7x7 with
   k in {2, 3}, where the decomposition the DP runs on decides the verdict;
@@ -30,7 +29,7 @@ minute. Cases:
   seeds 0-1, relabelled and built in-process with their embedding;
 - interleaving_face, the face-proof finder, on each grid-solve and
   sparse-solve item and on each tight_pool host's pattern: the certificate
-  or None (on checkouts before pdpp.certificates, the oracle's finder);
+  or None;
 - one_face_decision on gen_grid_instance 9x9 and 12x12 grids with k in
   {3, 4, 5, 6}, seeds 0-19: the kind of answer (Solution, FaceCertificate
   or None), the certificate, and a hash of the paths;
@@ -99,6 +98,7 @@ sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
 import workloads  # noqa: E402
 from pdpp import clconfig, concentric, decomposition, gallery, oracle, reroute, solver  # noqa: E402
+from pdpp.certificates import FaceCertificate, interleaving_face  # noqa: E402
 from pdpp.instances import (  # noqa: E402
     DppInstance,
     Solution,
@@ -117,11 +117,6 @@ from pdpp.plane import (  # noqa: E402
     plane_graph_from_edges,
     plane_graph_from_points,
 )
-
-try:
-    from pdpp.certificates import FaceCertificate, interleaving_face  # noqa: E402
-except ImportError:  # before pdpp.certificates the oracle held both
-    FaceCertificate, interleaving_face = oracle.FaceCertificate, oracle._interleaving_face
 
 if not Path(solver.__file__).resolve().is_relative_to(root):
     sys.exit(f"error: imported pdpp from {solver.__file__}, not from {root}")
@@ -187,12 +182,8 @@ def pipeline(res):
 
 
 def kernel(inst):
-    """n and m before -> after exact_kernel, and the routed pair indices;
-    None on checkouts without a kernel."""
-    exact_kernel = getattr(solver, "exact_kernel", None)
-    if exact_kernel is None:
-        return (None,)
-    kern = exact_kernel(inst)
+    """n and m before -> after exact_kernel, and the routed pair indices."""
+    kern = solver.exact_kernel(inst)
     g = inst.graph
     if kern.inst is None:
         return f"{g.n} {g.m} -> 0 0", sorted(kern.routed), None, None
@@ -212,7 +203,7 @@ for name, workload in (("grid", workloads.GridSolve()), ("sparse", workloads.Spa
             continue
         # a pipeline that ran the DP keeps the decomposition it ran on
         stage = "one-face" if res.decomposition is None else "dp"
-        emit("grid-stage", i, stage, getattr(res, "no_certificate", None))
+        emit("grid-stage", i, stage, res.no_certificate)
         if i % 4 == 0:
             inst = parse_instance(text)
             emit("grid-low", i, outcome(lambda: (lambda low: (low.status.value, low.reason))(
