@@ -10,7 +10,7 @@ rotation system alone and shares no code with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Hashable, Optional
+from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from .instances import DppInstance
 from .plane import CheckResult, Dart, PlaneGraph
@@ -70,19 +70,17 @@ def verify_no_certificate(inst: DppInstance, cert: FaceCertificate) -> CheckResu
 
 
 def once_faces(
-    g: PlaneGraph, v: int, face_of: Callable[[Dart], Hashable], deleted: Container[int] = ()
+    rotation: Mapping[int, Sequence[int]], v: int, face_of: Callable[[Dart], Hashable]
 ) -> set:
     """The faces, as `face_of` keys them, on which v occurs exactly once.
 
     A vertex occurs on a face once per dart of its own on it, so the faces
-    are read off v's darts to the neighbours not in `deleted`; no face is
-    scanned.
+    are read off v's darts in `rotation`; no face is scanned.
     """
     count: dict = {}
-    for w in g.rotation[v]:
-        if w not in deleted:
-            f = face_of((v, w))
-            count[f] = count.get(f, 0) + 1
+    for w in rotation[v]:
+        f = face_of((v, w))
+        count[f] = count.get(f, 0) + 1
     return {f for f, c in count.items() if c == 1}
 
 
@@ -112,8 +110,9 @@ def interleaving_face(g: PlaneGraph, pairs: list[tuple[int, int]]) -> Optional[F
     their cyclic order of pair indices goes to `interleaving`.
     """
     on_face: dict[int, list[int]] = {}
+    rot, face_of = g.rotation, g.face_of_dart
     for i, (s, t) in enumerate(pairs):
-        for f in once_faces(g, s, g.face_of_dart) & once_faces(g, t, g.face_of_dart):
+        for f in once_faces(rot, s, face_of) & once_faces(rot, t, face_of):
             on_face.setdefault(f, []).append(i)
     for f in sorted(on_face):
         if len(on_face[f]) < 2:

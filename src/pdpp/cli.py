@@ -26,7 +26,7 @@ from .clconfig import (
     segments,
 )
 from .concentric import make_concentric
-from .decomposition import find_grid_minor
+from .decomposition import find_grid_minor, tree_decompose
 from .instances import (
     DppInstance,
     ParseError,
@@ -93,11 +93,13 @@ def _solve_one(path: str, args) -> tuple[str, int, dict]:
     inst = _load_instance(path)
     certificates: list[str] = []
     no_certificate = None
+    used = None  # the decomposition a DP ran on
     if args.engine == "oracle":
         out = solve_bruteforce(inst, budget=args.budget)
     elif args.engine == "dp":
+        used = tree_decompose(inst.graph)
         try:
-            out = dp_solve(inst, state_budget=args.budget)
+            out = dp_solve(inst, used, state_budget=args.budget)
         except DpBudgetExceeded as exc:
             out = SolveOutcome(Status.UNKNOWN, reason=str(exc))
     else:
@@ -106,19 +108,17 @@ def _solve_one(path: str, args) -> tuple[str, int, dict]:
         if res.no_certificate is not None:
             no_certificate = dataclasses.asdict(res.no_certificate)
         out = res.outcome
-        if args.emit_decomposition:
-            if res.decomposition is None:
-                print(
-                    "# no decomposition written: the pipeline ran no DP",
-                    file=sys.stderr,
-                )
-            else:
-                try:
-                    with open(args.emit_decomposition, "w", encoding="utf-8") as fh:
-                        fh.write(res.decomposition.serialize())
-                except OSError as exc:
-                    print(f"error: cannot write {args.emit_decomposition}: {exc}", file=sys.stderr)
-                    raise SystemExit(EXIT_USAGE)
+        used = res.decomposition
+    if args.emit_decomposition:
+        if used is None:
+            print("# no decomposition written: no DP ran", file=sys.stderr)
+        else:
+            try:
+                with open(args.emit_decomposition, "w", encoding="utf-8") as fh:
+                    fh.write(used.serialize())
+            except OSError as exc:
+                print(f"error: cannot write {args.emit_decomposition}: {exc}", file=sys.stderr)
+                raise SystemExit(EXIT_USAGE)
     if out.status is Status.YES:
         text = write_solution(out.solution)
         code = EXIT_YES

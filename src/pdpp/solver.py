@@ -1,8 +1,9 @@
 """Top-level algorithms: irrelevant-vertex reduction, one-face decisions,
 an exact kernel, decomposition DP, pipeline.
 
-The DP runs over a tree decomposition with explicit edge-introduction
-nodes, and lifts each child table to its parent's bag in one step. States
+The DP fills its tables in one walk of a tree decomposition: at each bag
+its children's tables are joined, each edge is taken or skipped in a step
+of its own, and the result is lifted to the parent's bag at once. States
 track, per bag vertex, whether it is untouched, a live end of a path
 fragment, or closed; live ends carry either their in-bag partner or the
 hidden terminal their fragment already reached. Completed terminal pairs
@@ -42,6 +43,7 @@ from .plane import (
     bfs_distances,
     delete_vertices,
     derived_graph,
+    face_orbits,
     norm_edge,
     shortest_path,
 )
@@ -177,78 +179,6 @@ def _oracle_confirms_irrelevant(inst: DppInstance, victim: int, budget: int) -> 
     return before.status == after.status
 
 
-# -- the DP's node tree --------------------------------------------------------------
-
-
-@dataclass
-class _Nice:
-    kind: str  # "leaf" | "lift" | "edge" | "join"
-    bag: tuple[int, ...]
-    children: tuple[int, ...]
-    edge: tuple[int, int] = (0, 0)
-
-
-def nice_tree(g: PlaneGraph, td: TreeDecomposition) -> tuple[list[_Nice], int]:
-    """The DP's node tree, with edge nodes; returns (nodes, root index).
-
-    A nice decomposition (Kloks 1994) forgets or introduces one vertex per
-    node; here one "lift" node takes a table to its parent's bag at once,
-    a leaf starts at its full bag, and the root lifts to the empty bag.
-    Each edge uv is introduced at the bag nearest the root that holds both
-    u and v, after that bag's joins. A vertex's top bag is the one whose
-    parent lacks it; the bags holding both ends form the subtree under the
-    deeper of the two top bags, so that bag is unique, and the lift above
-    it drops u or v: an edge is taken just before one of its ends is
-    dropped. On a decomposition built from an elimination order (min-fill's
-    or the MCS sweep's) that bag is the one of whichever end is eliminated
-    first.
-    """
-    nodes: list[_Nice] = []
-
-    def add(node: _Nice) -> int:
-        nodes.append(node)
-        return len(nodes) - 1
-
-    def lift(below: int, bag: tuple[int, ...]) -> int:
-        return below if nodes[below].bag == bag else add(_Nice("lift", bag, (below,)))
-
-    bags = [tuple(sorted(bag)) for bag in td.bags]
-    top: dict[int, int] = {}
-    for t, bag in enumerate(td.bags):
-        parent = td.parent[t]
-        for v in bag:
-            if parent < 0 or v not in td.bags[parent]:
-                top[v] = t
-    edge_home: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(bags))}
-    for e in sorted(g.edges):
-        u, v = e
-        edge_home[top[u] if v in td.bags[top[u]] else top[v]].append(e)
-
-    # children's lifts are hooked under a node in order, as the walk leaves
-    # each child's subtree
-    kids = td.children()
-    root_td = next(i for i, p in enumerate(td.parent) if p < 0)
-    hooks: dict[int, list[int]] = {}
-    for t, entering in _euler_tour(kids, root_td):
-        if entering:
-            hooks[t] = []
-            continue
-        bag = bags[t]
-        mine = hooks.pop(t)
-        if not mine:
-            cur = add(_Nice("leaf", bag, ()))
-        else:
-            cur = mine[0]
-            for other in mine[1:]:
-                cur = add(_Nice("join", bag, (cur, other)))
-        for e in edge_home[t]:
-            cur = add(_Nice("edge", bag, (cur,), edge=e))
-        parent = td.parent[t]
-        if parent >= 0:
-            hooks[parent].append(lift(cur, bags[parent]))
-    return nodes, lift(cur, ())
-
-
 # -- the dynamic program -----------------------------------------------------------------
 
 # A state is a flat tuple: one int code per bag position, in bag order,
@@ -261,16 +191,20 @@ def nice_tree(g: PlaneGraph, td: TreeDecomposition) -> tuple[list[_Nice], int]:
 # The code of a live end is also how its partner end is named when two
 # ends are settled (`_settle_ends`).
 #
-# Each node has one table, a dict from state to back pointer in insertion
-# order: None at the leaf, the child state at lift and edge nodes, and
-# (left state, right state) at joins. Taking an edge always changes the
-# code of one of its ends, so an edge node's state that equals its back
-# pointer skipped the edge, and any other took it.
+# Each step of the walk makes one table, a dict from state to back pointer
+# in insertion order: None at a leaf, the source state after a lift or an
+# edge step, and (left state, right state) after a join. Taking an edge
+# always changes the code of one of its ends, so an edge step's state that
+# equals its back pointer skipped the edge, and any other took it.
 #
-# `nice_tree` puts each edge node at the bag nearest the root that holds
-# both ends, after that bag's joins and before the lift that drops one
-# end. So an edge with both ends in a join's bag is taken above the join,
-# and its choice does not multiply the join's two child tables.
+# Each edge uv is taken at the bag nearest the root that holds both ends,
+# after that bag's joins and before the lift that drops u or v. A vertex's
+# top bag is the one whose parent lacks it; the bags holding u and v form
+# the subtree under the deeper of their top bags, so that bag is unique.
+# On a decomposition built from an elimination order (min-fill's or the
+# MCS sweep's) it is the bag of whichever end is eliminated first. So an
+# edge with both ends in a join's bag is taken above the join, and its
+# choice does not multiply the join's two source tables.
 
 
 def dp_solve(
@@ -282,6 +216,12 @@ def dp_solve(
 
     `td` is verified here, whoever built it: this is the one check a tree
     decomposition gets before it decides an answer.
+
+    The tables are made in one walk of `td`, as it leaves each bag: a leaf
+    table, or the children's tables joined; then one step per edge taken
+    at the bag; then one lift to the parent's bag, or at the root to the
+    empty bag. A nice decomposition (Kloks 1994) changes one vertex per
+    step; a lift changes all of them at once.
     """
     g = inst.graph
     if td is None:
@@ -289,68 +229,69 @@ def dp_solve(
     check = verify_tree_decomposition(g, td)
     if not check:
         raise PlaneGraphError(f"bad tree decomposition: {check.problems[:3]}")
-    nodes, root = nice_tree(g, td)
     terminal_pair: dict[int, int] = {}
     partner: dict[int, int] = {}
     for i, (s, t) in enumerate(inst.pairs):
         terminal_pair[s] = terminal_pair[t] = i
         partner[s] = t
         partner[t] = s
+    bags = [tuple(sorted(bag)) for bag in td.bags]
+    parent = td.parent
+    top = {}  # each vertex's top bag
+    for t, bag in enumerate(td.bags):
+        top.update((v, t) for v in bag if parent[t] < 0 or v not in td.bags[parent[t]])
+    edges_at: list[list[tuple[int, int]]] = [[] for _ in bags]
+    for u, v in sorted(g.edges):
+        edges_at[top[u] if v in td.bags[top[u]] else top[v]].append((u, v))
 
     tables: list[dict] = []
-    # one unit per distinct state; len(tables) is the node being built
+    below: list[tuple[int, ...]] = []  # per table, the tables it was made from
+    edge_of: dict[int, tuple[int, int]] = {}  # per edge step's table, its edge
+    # one unit per distinct state; len(tables) is the table being built
     states = Budget(
         state_budget,
         lambda: DpBudgetExceeded(f"DP exceeded {state_budget} states at node {len(tables)}"),
     )
-    for node in nodes:
-        bag = node.bag
-        kind = node.kind
-        counted = 0  # states of this node's table already spent
-        if kind == "leaf":
-            table = {(0,) * (len(bag) + 1): None}
-        elif kind == "lift":
-            (child,) = node.children
-            table = _lift(tables[child], nodes[child].bag, bag, terminal_pair)
-        elif kind == "edge":
-            table = _edge(tables[node.children[0]], bag, node.edge, terminal_pair, partner)
-        elif kind == "join":
-            left, right = node.children
-            pos = {w: i for i, w in enumerate(bag)}
-            join = _join_pair  # read here, not at import, so tests can wrap it
-            lefts = [_prepare_join(state, pos) for state in tables[left]]
-            # a touched terminal takes no edge on the other side, so it
-            # counts as closed there
-            terminals = sum(1 << i for i, w in enumerate(bag) if w in terminal_pair)
-            # the filter fields up front, so the inner loop unpacks them
-            rights = [
-                (prep[0], prep[1] | prep[2] & terminals, prep[2], prep)
-                for prep in (_prepare_join(state, pos) for state in tables[right])
-            ]
-            table = {}
-            for lp in lefts:
-                lstate, ltouched = lp[0], lp[2]
-                lclosed = lp[1] | ltouched & terminals
-                for rstate, rclosed, rtouched, rp in rights:
-                    # closed on one side must be untouched on the other
-                    if (lclosed & rtouched) | (rclosed & ltouched):
-                        continue
-                    merged = join(lp, rp, bag, pos, terminal_pair, partner)
-                    if merged is None or merged in table:
-                        continue
-                    table[merged] = (lstate, rstate)
-                # counted per row, so a runaway join stops early
-                states.spend(len(table) - counted)
-                counted = len(table)
-        else:
-            raise AssertionError(kind)
-        states.spend(len(table) - counted)
+
+    def add(table: dict, *sources: int) -> int:
         tables.append(table)
+        below.append(sources)
+        return len(tables) - 1
+
+    # each child's table, lifted to its parent's bag as the walk leaves
+    # the child, waits under the parent
+    lifted: list[list[int]] = [[] for _ in bags]
+    root = next(i for i, p in enumerate(parent) if p < 0)
+    for t, entering in _euler_tour(td.children(), root):
+        if entering:
+            continue
+        bag = bags[t]
+        mine = lifted[t]
+        if not mine:
+            states.spend(1)  # a leaf's one state: every vertex untouched
+            cur = add({(0,) * (len(bag) + 1): None})
+        else:
+            cur = mine[0]
+            for other in mine[1:]:
+                table = _join(tables[cur], tables[other], bag, terminal_pair, partner, states)
+                cur = add(table, cur, other)
+        for e in edges_at[t]:
+            table = _edge(tables[cur], bag, e, terminal_pair, partner)
+            states.spend(len(table))
+            cur = add(table, cur)
+            edge_of[cur] = e
+        up = bags[parent[t]] if t != root else ()
+        if up != bag:
+            table = _lift(tables[cur], bag, up, terminal_pair)
+            states.spend(len(table))
+            cur = add(table, cur)
+        if t != root:
+            lifted[parent[t]].append(cur)
 
     accept = ((1 << inst.k) - 1,)
-    if accept not in tables[root]:
+    if accept not in tables[cur]:
         return SolveOutcome(Status.NO)
-    edges = _reconstruct(nodes, tables, root, accept)
+    edges = _reconstruct(tables, below, edge_of, cur, accept)
     sol = _solution_from_edges(inst, edges)
     check = verify_solution(inst, sol)
     if not check:
@@ -358,8 +299,41 @@ def dp_solve(
     return SolveOutcome(Status.YES, sol)
 
 
+def _join(left_table, right_table, bag, terminal_pair, partner, states):
+    """The join of two tables over one bag: each compatible pair merged.
+
+    The states go to `states` row by row, so a runaway join stops early.
+    """
+    pos = {w: i for i, w in enumerate(bag)}
+    join = _join_pair  # read here, not at import, so tests can wrap it
+    lefts = [_prepare_join(state, pos) for state in left_table]
+    # a touched terminal takes no edge on the other side, so it counts as
+    # closed there
+    terminals = sum(1 << i for i, w in enumerate(bag) if w in terminal_pair)
+    # the filter fields up front, so the inner loop unpacks them
+    rights = [
+        (prep[0], prep[1] | prep[2] & terminals, prep[2], prep)
+        for prep in (_prepare_join(state, pos) for state in right_table)
+    ]
+    table = {}
+    for lp in lefts:
+        lstate, ltouched = lp[0], lp[2]
+        lclosed = lp[1] | ltouched & terminals
+        counted = len(table)
+        for rstate, rclosed, rtouched, rp in rights:
+            # closed on one side must be untouched on the other
+            if (lclosed & rtouched) | (rclosed & ltouched):
+                continue
+            merged = join(lp, rp, bag, pos, terminal_pair, partner)
+            if merged is None or merged in table:
+                continue
+            table[merged] = (lstate, rstate)
+        states.spend(len(table) - counted)
+    return table
+
+
 def _lift(child_table, child_bag, bag, terminal_pair):
-    """A lift node's table: each state of `child_table` moved to `bag`.
+    """A lift's table: each state of `child_table` moved to `bag`.
 
     A vertex of `bag` not in `child_bag` is new and reads 0. A state dies
     when a vertex it drops is an untouched terminal, a hidden end, a live
@@ -395,7 +369,7 @@ def _lift(child_table, child_bag, bag, terminal_pair):
 
 
 def _edge(child_table, bag, edge, terminal_pair, partner):
-    """An edge node's table: each child state with edge uv skipped, then taken.
+    """An edge step's table: each child state with edge uv skipped, then taken.
 
     A closed end, a touched terminal or a cycle (cu == 2*v) refuses the
     edge. An untouched end becomes a path end, named 2*w as `_settle_ends`
@@ -429,7 +403,7 @@ def _edge(child_table, bag, edge, terminal_pair, partner):
 
 
 def _prepare_join(state, pos):
-    """A child state of a join node, prepared once for all of its pairs.
+    """A child state of a join, prepared once for all of its pairs.
 
     Returns (state, closed, touched, done, live, touched_at, link):
     bitmasks over bag positions (closed, touched, live) and the done mask,
@@ -561,22 +535,19 @@ def _settle_ends(out, pos, end_a, end_b, terminal_pair, partner):
     return 0
 
 
-def _reconstruct(nodes, tables, idx, state) -> set[tuple[int, int]]:
+def _reconstruct(tables, below, edge_of, idx, state) -> set[tuple[int, int]]:
     edges: set[tuple[int, int]] = set()
     stack = [(idx, state)]
     while stack:
         i, st = stack.pop()
-        info = tables[i][st]
-        node = nodes[i]
-        if node.kind == "leaf":
-            continue
-        if node.kind == "join":
-            stack.append((node.children[0], info[0]))
-            stack.append((node.children[1], info[1]))
-            continue
-        if node.kind == "edge" and info != st:
-            edges.add(norm_edge(*node.edge))
-        stack.append((node.children[0], info))
+        back = tables[i][st]
+        sources = below[i]
+        if len(sources) == 2:
+            stack += zip(sources, back)
+        elif sources:
+            if i in edge_of and back != st:
+                edges.add(norm_edge(*edge_of[i]))
+            stack.append((sources[0], back))
     return edges
 
 
@@ -605,63 +576,32 @@ def _solution_from_edges(inst: DppInstance, edges: set[tuple[int, int]]) -> Solu
 # -- instances with every terminal on one face -------------------------------------------
 
 
-def _face_reader(g: PlaneGraph, deleted: Container[int]):
-    """(face_of, walk) for the faces of g - `deleted`, read off g itself.
-
-    `face_of(dart)` gives the face of a dart as a key that orders faces as
-    `PlaneGraph.faces()` does, by least dart, and `walk(key)` gives the
-    face's darts from its first dart in vertex order, then rotation order,
-    as `faces()` of the graph with `deleted` removed would list them. With
-    nothing deleted these are g's own faces. Otherwise only the faces asked
-    for are walked, each turn skipping deleted neighbours, and each is
-    keyed by its least dart.
-    """
-    if not deleted:
-        return g.face_of_dart, g.faces().__getitem__
-    rot = g.rotation
-    key_of: dict[Dart, Dart] = {}
-    walks: dict[Dart, tuple[Dart, ...]] = {}
-
-    def face_of(dart: Dart) -> Dart:
-        if dart in key_of:
-            return key_of[dart]
-        orbit = []
-        u, v = dart
-        while not orbit or (u, v) != dart:
-            orbit.append((u, v))
-            r = rot[v]
-            i = r.index(u) + 1
-            while r[i % len(r)] in deleted:
-                i += 1
-            u, v = v, r[i % len(r)]
-        least = min(orbit)
-        on = {w for x, w in orbit if x == least[0]}
-        start = orbit.index((least[0], next(w for w in rot[least[0]] if w in on)))
-        walks[least] = tuple(orbit[start:] + orbit[:start])
-        key_of.update(dict.fromkeys(orbit, least))
-        return least
-
-    return face_of, walks.__getitem__
-
-
 def _terminal_face(
     g: PlaneGraph, terminals, deleted: Container[int] = frozenset()
 ) -> Optional[tuple[Dart, ...]]:
     """The walk of the least face of g - `deleted` on which each terminal
     occurs exactly once.
 
-    The candidates are read off the terminals' darts (`once_faces`); only
-    their faces are walked (`_face_reader`). Returns None when no face
-    qualifies.
+    The candidates are read off the terminals' darts (`once_faces`), and a
+    face's key is its index in the faces sorted by least dart. With nothing
+    deleted these are g's own faces; otherwise `face_orbits` traces them
+    from g's rotation without the deleted vertices. Returns None when no
+    face qualifies.
     """
-    face_of, walk = _face_reader(g, deleted)
+    rot = g.rotation
+    faces, face_of = g.faces(), g.face_of_dart
+    if deleted:
+        rot = {v: [w for w in r if w not in deleted] for v, r in rot.items()}
+        rot.update(dict.fromkeys(deleted, ()))
+        faces = face_orbits(g.n, rot)
+        face_of = {d: f for f, orbit in enumerate(faces) for d in orbit}.__getitem__
     common: Optional[set] = None
     for v in terminals:
-        once = once_faces(g, v, face_of, deleted)
+        once = once_faces(rot, v, face_of)
         common = once if common is None else common & once
         if not common:
             return None
-    return walk(min(common))
+    return faces[min(common)]
 
 
 def _shortcut(walk: list[int]) -> list[int]:
@@ -696,9 +636,10 @@ def one_face_decision(inst: DppInstance) -> Union[FaceCertificate, Solution, Non
     pair may go first; the first whose deletion leaves the other terminals
     each once on one face is taken, and the routing goes on on that face.
     The last pair is joined by a shortest path. Deleted vertices are only
-    recorded: the faces of g minus them are walked on g itself, and they
-    are those a rebuilt graph would list, in the same order and from the
-    same darts, so the paths equal those of routing on rebuilt graphs.
+    recorded: the faces of g minus them are traced from g's rotation
+    without them, and they are those a rebuilt graph would list, in the
+    same order and from the same darts, so the paths equal those of routing
+    on rebuilt graphs.
     """
     g = inst.graph
     left = dict(enumerate(inst.pairs))  # the pairs not yet routed

@@ -34,6 +34,24 @@ def cross_file(tmp_path):
     return str(f)
 
 
+def read_decomposition(text):
+    """The tree decomposition of `solve --emit-decomposition`'s text."""
+    from pdpp.decomposition import TreeDecomposition
+
+    bags, parent = {}, {}
+    for line in text.splitlines():
+        words = line.split()
+        if words[0] == "node":
+            bags[int(words[1])] = frozenset(map(int, words[3:]))
+        else:
+            parent[int(words[2])] = int(words[1])
+    return TreeDecomposition(
+        tuple(parent.get(i, -1) for i in range(len(bags))),
+        tuple(bags[i] for i in range(len(bags))),
+        max(len(b) for b in bags.values()) - 1,
+    )
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """Swap in an executor that records max_workers and runs jobs inline."""
@@ -168,7 +186,7 @@ class TestSolve:
 
     def test_emit_decomposition(self, monkeypatch, k2_file, cross_file, tmp_path, capsys):
         from pdpp import solver
-        from pdpp.decomposition import TreeDecomposition, verify_tree_decomposition
+        from pdpp.decomposition import verify_tree_decomposition
         from pdpp.instances import parse_instance
         from pdpp.solver import solve_pipeline
 
@@ -185,28 +203,38 @@ class TestSolve:
         assert "node 0 bag" in text
         # the emitted decomposition is the one the DP ran on: same width,
         # and (no reduction here) a valid decomposition of the input graph
-        bags, parent = {}, {}
-        for line in text.splitlines():
-            words = line.split()
-            if words[0] == "node":
-                bags[int(words[1])] = frozenset(map(int, words[3:]))
-            else:
-                parent[int(words[2])] = int(words[1])
-        width = max(len(b) for b in bags.values()) - 1
+        td = read_decomposition(text)
         inst = parse_instance(open(cross_file).read())
-        used = solve_pipeline(inst).decomposition
-        assert width == used.width
-        td = TreeDecomposition(
-            tuple(parent.get(i, -1) for i in range(len(bags))),
-            tuple(bags[i] for i in range(len(bags))),
-            width,
-        )
+        assert td.width == solve_pipeline(inst).decomposition.width
         assert verify_tree_decomposition(inst.graph, td)
         # k = 1 is solved by a shortest path, so no decomposition exists
         solo = tmp_path / "solo.txt"
         assert main(["solve", k2_file, "--emit-decomposition", str(solo)]) == 0
         assert not solo.exists()
         assert "no decomposition written" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget, code", [("400000", 1), ("0", 2)])
+    def test_dp_engine_emits_its_decomposition(self, tmp_path, capsys, budget, code):
+        # once ignored: the dp engine wrote no file and printed nothing;
+        # a DP that runs out of budget still writes the decomposition it ran on
+        from pdpp.decomposition import verify_tree_decomposition
+
+        inst = gen_random_planar(20, 40, 3, 2)
+        f = tmp_path / "planar.dpp"
+        f.write_text(write_instance(inst))
+        out = tmp_path / "td.txt"
+        argv = ["solve", str(f), "--engine", "dp", "--budget", budget]
+        assert main(argv + ["--emit-decomposition", str(out)]) == code
+        assert capsys.readouterr().err == ""
+        assert verify_tree_decomposition(inst.graph, read_decomposition(out.read_text()))
+
+    def test_oracle_engine_writes_no_decomposition(self, k2_file, cross_file, tmp_path, capsys):
+        out = tmp_path / "td.txt"
+        for path, code in ((k2_file, 0), (cross_file, 1)):
+            argv = ["solve", path, "--engine", "oracle", "--emit-decomposition", str(out)]
+            assert main(argv) == code
+            assert "# no decomposition written" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_unwritable_decomposition_is_a_usage_error(self, tmp_path, k2_file, capfd, jobs):

@@ -165,6 +165,18 @@ class TestDp:
             inst = gen_grid_instance(4, 2, seed)
             assert dp_solve(inst).status == solve_bruteforce(inst).status
 
+    def test_path_deeper_than_the_recursion_limit(self):
+        # the kernel routes both pairs of a path, so only a direct call
+        # reaches the DP; its walk keeps an explicit stack
+        n = 3000
+        g = plane_graph_from_edges(n, [(v, v + 1) for v in range(1, n)])
+        td = tree_decompose(g)
+        assert len(td.bags) == n and max(bag_depths(td)) > sys.getrecursionlimit()
+        inst = DppInstance(g, ((1, 1000), (1500, n)))
+        out = dp_solve(inst, td)
+        assert out.status is Status.YES and verify_solution(inst, out.solution)
+        assert dp_solve(DppInstance(g, ((1, 2000), (1500, n))), td).status is Status.NO
+
 
 U = ("u",)
 C = ("c",)
@@ -303,6 +315,15 @@ def minfill_td(inst):
     return td_from_elimination(inst.graph, minfill_order(inst.graph)[0])
 
 
+def bag_depths(td):
+    """Each bag's distance from the root."""
+    depth = [0] * len(td.bags)
+    for t, entering in decomposition._euler_tour(td.children(), td.parent.index(-1)):
+        if entering and td.parent[t] >= 0:
+            depth[t] = depth[td.parent[t]] + 1
+    return depth
+
+
 def joins(td):
     return sum(len(kids) > 1 for kids in td.children())
 
@@ -433,7 +454,7 @@ class TestNiceTree:
         ids=lambda inst: f"n{inst.graph.n}m{len(inst.graph.edges)}",
     )
     @pytest.mark.parametrize("which", ["minfill", "heavy", "td_from_bd", "default"])
-    def test_each_edge_taken_just_before_an_end_is_forgotten(self, inst, which):
+    def test_each_edge_taken_just_before_an_end_is_forgotten(self, monkeypatch, inst, which):
         g = inst.graph
         td = {
             "minfill": lambda: minfill_td(inst),
@@ -441,37 +462,48 @@ class TestNiceTree:
             "td_from_bd": lambda: td_from_bd(g, decomposition.bd_from_td(g, minfill_td(inst))),
             "default": lambda: tree_decompose(g),
         }[which]()
-        nodes, root = solver.nice_tree(g, td)
-        parent = [-1] * len(nodes)
-        for i, node in enumerate(nodes):
-            for c in node.children:
-                parent[c] = i
-                # only a lift changes the bag
-                assert node.kind == "lift" or nodes[c].bag == node.bag
-        assert parent[root] == -1 and nodes[root].bag == ()
+        # the DP's steps in the order it makes their tables
+        steps = []
+        real_edge, real_lift, real_join = solver._edge, solver._lift, solver._join
+
+        def edge(child_table, bag, e, terminal_pair, partner):
+            steps.append(("edge", bag, e))
+            return real_edge(child_table, bag, e, terminal_pair, partner)
+
+        def lift(child_table, child_bag, bag, terminal_pair):
+            steps.append(("lift", child_bag, bag))
+            return real_lift(child_table, child_bag, bag, terminal_pair)
+
+        def join(left_table, right_table, bag, terminal_pair, partner, states):
+            steps.append(("join", bag, None))
+            return real_join(left_table, right_table, bag, terminal_pair, partner, states)
+
+        monkeypatch.setattr(solver, "_edge", edge)
+        monkeypatch.setattr(solver, "_lift", lift)
+        monkeypatch.setattr(solver, "_join", join)
+        dp_solve(inst, td)
         # the reference for the top-bag rule: of the bags holding both
         # ends, the one nearest the root
-        depth = [0] * len(td.bags)
-        for t, entering in decomposition._euler_tour(td.children(), td.parent.index(-1)):
-            if entering and td.parent[t] >= 0:
-                depth[t] = depth[td.parent[t]] + 1
+        depth = bag_depths(td)
         holding = decomposition._bags_by_vertex(td)
-        edge_nodes = [i for i, node in enumerate(nodes) if node.kind == "edge"]
-        assert sorted(nodes[i].edge for i in edge_nodes) == sorted(g.edges)
-        join_nodes = sum(node.kind == "join" for node in nodes)
-        for i in edge_nodes:
-            u, v = nodes[i].edge
+        taken = [i for i, step in enumerate(steps) if step[0] == "edge"]
+        assert sorted(steps[i][2] for i in taken) == sorted(g.edges)
+        for i in taken:
+            _, bag, (u, v) = steps[i]
             home = min((t for t in holding[u] if v in td.bags[t]), key=depth.__getitem__)
-            assert nodes[i].bag == tuple(sorted(td.bags[home])), (nodes[i].edge, which)
-            # the walk up passes only the bag's other edges, then meets a
-            # lift that drops u or v: no join comes first
-            j = parent[i]
-            while nodes[j].kind == "edge":
-                j = parent[j]
-            assert nodes[j].kind == "lift", (nodes[i].edge, which)
-            assert u not in nodes[j].bag or v not in nodes[j].bag, (nodes[i].edge, which)
+            assert bag == tuple(sorted(td.bags[home])), ((u, v), which)
+            # the steps after it pass only the bag's other edges, then meet
+            # a lift from the bag that drops u or v: no join comes first
+            j = i + 1
+            while steps[j][0] == "edge":
+                j += 1
+            kind, child_bag, up = steps[j]
+            assert (kind, child_bag) == ("lift", bag), ((u, v), which)
+            assert u not in up or v not in up, ((u, v), which)
+        assert steps[-1][0] == "lift" and steps[-1][2] == ()
         if which in ("heavy", "td_from_bd"):
-            assert join_nodes > 0  # the rule is exercised below joins too
+            # the rule is exercised below joins too
+            assert any(step[0] == "join" for step in steps)
 
 
 class TestJoin:

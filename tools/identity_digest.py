@@ -93,6 +93,8 @@ import random
 import sys
 from pathlib import Path
 
+if len(sys.argv) != 2:
+    sys.exit(f"usage: python3 {sys.argv[0]} CHECKOUT")
 root = Path(sys.argv[1]).resolve()
 sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
